@@ -82,6 +82,8 @@ class ReferenceFrame:
 
 def shift_overlap(window_size: int, delta: int) -> float:
     """Inner product between the flat window and its delta-shifted copy."""
+    if window_size < 1:
+        raise ValueError("window_size must be at least 1")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     if delta > window_size:

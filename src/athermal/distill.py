@@ -13,16 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 from .core import DensityMatrix, binary_entropy, von_neumann_entropy
-from .typeclass import (
-    EXACT_COUNT_THRESHOLD,
-    TypeDescriptor,
-    log_binomial,
-    type_probability,
-    typical_range,
-)
+from .typeclass import log_binomial, typical_range
 
 __all__ = [
     "PerTypeRecord",
@@ -38,7 +32,9 @@ __all__ = [
     "build_string_map",
     "rank_fixed_weight",
     "unrank_fixed_weight",
+    "binomial_log_pmf",
     "binomial_window_mass",
+    "binomial_outside_mass",
 ]
 
 # Plans whose composite window exceeds this many types keep only the worst
@@ -166,23 +162,49 @@ class DistillationPlan:
                 and self.resource_window[0] <= resource_ones <= self.resource_window[1])
 
 
+def _log_comb(big: int, ks: np.ndarray) -> np.ndarray:
+    """ln C(big, k) for every k of ``ks``, via log-gamma on those indices only."""
+    return gammaln(big + 1) - gammaln(ks + 1) - gammaln(big - ks + 1)
+
+
+def binomial_log_pmf(n: int, p: float, ks) -> np.ndarray:
+    """ln Pr[Binomial(n, p) = k] for every k of ``ks``; -inf where impossible."""
+    ks = np.asarray(ks)
+    return _log_comb(n, ks) + xlogy(ks, p) + xlog1py(n - ks, -p)
+
+
 def binomial_window_mass(n: int, p: float, window: tuple[int, int]) -> float:
-    """Exact Binomial(n, p) mass of an inclusive count window."""
+    """Binomial(n, p) mass of an inclusive count window."""
     lo, hi = window
-    if n <= EXACT_COUNT_THRESHOLD:
-        total = 0.0
-        for t in range(lo, hi + 1):
-            total += type_probability(TypeDescriptor.two_level(n, t), (1.0 - p, p))
-        return min(total, 1.0)
-    ts = np.arange(lo, hi + 1, dtype=float)
-    logs = (gammaln(n + 1) - gammaln(ts + 1) - gammaln(n - ts + 1))
-    with np.errstate(divide="ignore"):
-        if 0.0 < p < 1.0:
-            logs = logs + ts * math.log(p) + (n - ts) * math.log1p(-p)
-        else:
-            return 1.0 if lo <= round(n * p) <= hi else 0.0
-    peak = logs.max()
-    return float(min(math.exp(peak) * np.exp(logs - peak).sum(), 1.0))
+    return min(math.exp(logsumexp(binomial_log_pmf(n, p, np.arange(lo, hi + 1)))), 1.0)
+
+
+def binomial_outside_mass(n: int, p: float, window: tuple[int, int]) -> float:
+    """Binomial(n, p) mass outside an inclusive count window.
+
+    Each tail is summed in log space outward from the window edge, in
+    blocks of doubling size, so small masses keep their relative precision.
+    The pmf is log-concave: once the outward step ratio r is below 1, the
+    rest of the tail is at most pmf r / (1 - r), and the sum stops when
+    that bound falls below 1e-16 of the tail so far.
+    """
+    lo, hi = window
+    if not 0.0 < p < 1.0:
+        return 0.0 if lo <= round(n * p) <= hi else 1.0
+    total = -math.inf
+    for k, step, odds in ((lo - 1, -1, (1.0 - p) / p), (hi + 1, 1, p / (1.0 - p))):
+        tail, block = -math.inf, 256
+        while 0 <= k <= n:
+            last = min(n, k + block - 1) if step > 0 else max(0, k - block + 1)
+            logs = binomial_log_pmf(n, p, np.arange(k, last + step, step))
+            tail = np.logaddexp(tail, logsumexp(logs))
+            k, block = last + step, 2 * block
+            ratio = odds * ((n - last) / (last + 1) if step > 0 else last / (n - last + 1))
+            rest = logs[-1] + math.log(ratio / (1.0 - ratio)) if 0.0 < ratio < 1.0 else math.inf
+            if rest <= tail + math.log(1e-16):
+                break
+        total = np.logaddexp(total, tail)
+    return min(float(np.exp(total)), 1.0)
 
 
 def _record(ell: int, g: int, n: int, r: int, m: int, exact: bool) -> PerTypeRecord:
@@ -198,63 +220,75 @@ def _record(ell: int, g: int, n: int, r: int, m: int, exact: bool) -> PerTypeRec
     return PerTypeRecord(g, r, e, m, lhs, log_binomial(k, e))
 
 
+# Largest spread, in nats, of one run of a tilted log vector: the product of
+# two run-relative exponentials stays above exp(-600), inside double range.
+_RUN_SPAN = 300.0
+
+
+def _runs(v: np.ndarray) -> list[tuple[int, int, float, np.ndarray]]:
+    """Contiguous runs of ``v`` spanning <= _RUN_SPAN nats, as
+    (start, stop, top, exp(v[start:stop] - top))."""
+    runs, start = [], 0
+    while start < len(v):
+        spread = np.maximum.accumulate(v[start:]) - np.minimum.accumulate(v[start:])
+        stop = start + int(np.searchsorted(spread, _RUN_SPAN, side="right"))
+        top = v[start:stop].max()
+        runs.append((start, stop, top, np.exp(v[start:stop] - top)))
+        start = stop
+    return runs
+
+
+def _shell_log_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ln sum_{i+j=s} exp(a_i + b_j) for every shell s = 0 .. len(a)+len(b)-2.
+
+    Every summand is positive, so each shell sum is a plain convolution in
+    linear space and suffers no cancellation.  Both vectors are shifted to
+    their peaks and tilted by one common slope theta (the mean slope of the
+    longer one; shell s picks up e^(theta s), removed at the end), then cut
+    into runs of at most _RUN_SPAN nats.  Each pair of runs is convolved
+    from run-relative exponentials and log-added into its shell slice.
+    """
+    longer = a if len(a) >= len(b) else b
+    theta = (longer[0] - longer[-1]) / (len(longer) - 1) if len(longer) > 1 else 0.0
+    b_runs = _runs((b - b.max()) + theta * np.arange(len(b)))
+    out = np.full(len(a) + len(b) - 1, -np.inf)
+    for a0, a1, a_top, a_exp in _runs((a - a.max()) + theta * np.arange(len(a))):
+        for b0, b1, b_top, b_exp in b_runs:
+            seg = out[a0 + b0:a1 + b1 - 1]
+            np.logaddexp(seg, np.log(np.convolve(a_exp, b_exp)) + (a_top + b_top), out=seg)
+    return (out - theta * np.arange(len(out))) + (a.max() + b.max())
+
+
 def _solve_window_loggamma(ell: int, n: int, g_window: tuple[int, int],
-                           r_window: tuple[int, int]) -> tuple[int, tuple[int, int]]:
+                           r_window: tuple[int, int],
+                           lhs_r: np.ndarray) -> tuple[int, tuple[int, int]]:
     """Largest m jointly feasible for the whole window, via log-gamma counting.
 
-    Joint unitarity needs one injection over ALL covered composite types at
-    once, so every total-1s shell s must satisfy
-    sum_{g+r=s} C(ell,g) C(n,r) <= C(ell+n-m, s-m).  Also returns the
-    largest single type of the binding shell for reporting.
+    ``lhs_r`` holds the log string counts of the covered resource types (or
+    energy blocks).  Joint unitarity needs one injection over ALL covered
+    pairs at once, so every shell s must satisfy
+    sum_{g+r=s} C(ell,g) exp(lhs_r) <= C(ell+n-m, s-m); the feasible set is
+    downward closed in m.  Also returns the largest single pair of the
+    binding shell for reporting.
     """
-    g_lo, g_hi = g_window
-    r_lo, r_hi = r_window
-    table = gammaln(np.arange(ell + n + 2, dtype=float))
-
-    def ln_c(big: int, ks: np.ndarray) -> np.ndarray:
-        return table[big + 1] - table[ks + 1] - table[big - ks + 1]
-
-    gs = np.arange(g_lo, g_hi + 1)
-    rs = np.arange(r_lo, r_hi + 1)
-    lhs_g = ln_c(ell, gs)
-    lhs_r = ln_c(n, rs)
-
-    s_lo, s_hi = g_lo + r_lo, g_hi + r_hi
-    lhs_sum = np.full(s_hi - s_lo + 1, -np.inf)
-    lhs_max = np.full(s_hi - s_lo + 1, -np.inf)
-    arg_g = np.zeros(s_hi - s_lo + 1, dtype=np.int64)
-    for j, r in enumerate(rs):
-        start = g_lo + r - s_lo
-        vals = lhs_g + lhs_r[j]
-        seg_sum = lhs_sum[start:start + len(gs)]
-        np.logaddexp(seg_sum, vals, out=seg_sum)
-        seg_max = lhs_max[start:start + len(gs)]
-        better = vals > seg_max
-        seg_max[better] = vals[better]
-        arg_g[start:start + len(gs)][better] = gs[better]
-
-    ss = np.arange(s_lo, s_hi + 1)
+    lhs_g = _log_comb(ell, np.arange(g_window[0], g_window[1] + 1))
+    shells = np.arange(g_window[0] + r_window[0], g_window[1] + r_window[1] + 1)
+    lhs = _shell_log_sums(lhs_g, lhs_r)
 
     def margins(m: int) -> np.ndarray:
-        es = ss - m
-        return ln_c(ell + n - m, es) - lhs_sum
+        return _log_comb(ell + n - m, shells - m) - lhs
 
-    def feasible(m: int) -> bool:
-        if s_lo - m < 0:
-            return False
-        return bool(margins(m).min() >= 0.0)
-
-    lo, hi = 0, s_lo
+    lo, hi = 0, int(shells[0])
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if feasible(mid):
+        if margins(mid).min() >= 0.0:
             lo = mid
         else:
             hi = mid - 1
-    m_star = lo
-    s_binding = int(ss[int(np.argmin(margins(m_star)))])
-    g_binding = int(arg_g[s_binding - s_lo])
-    return m_star, (g_binding, s_binding - g_binding)
+    s = int(shells[np.argmin(margins(lo))])
+    gs = np.arange(max(g_window[0], s - r_window[1]), min(g_window[1], s - r_window[0]) + 1)
+    g = int(gs[np.argmax(lhs_g[gs - g_window[0]] + lhs_r[s - gs - r_window[0]])])
+    return lo, (g, s - g)
 
 
 def shell_input_counts(ell: int, n: int, g_window: tuple[int, int],
@@ -343,11 +377,12 @@ def plan_distillation(n: int, p: float, beta: float, width: float = 3.0,
     elif exact:
         m, worst = _solve_window_exact(ell, n, g_window, r_window)
     else:
-        m, worst = _solve_window_loggamma(ell, n, g_window, r_window)
+        m, worst = _solve_window_loggamma(
+            ell, n, g_window, r_window, _log_comb(n, np.arange(r_window[0], r_window[1] + 1)))
 
-    bath_mass = 1.0 if ell == 0 else binomial_window_mass(ell, q, g_window)
-    resource_mass = binomial_window_mass(n, p, r_window)
-    failure_mass = max(0.0, 1.0 - bath_mass * resource_mass)
+    bath_out = 0.0 if ell == 0 else binomial_outside_mass(ell, q, g_window)
+    resource_out = binomial_outside_mass(n, p, r_window)
+    failure_mass = bath_out + resource_out - bath_out * resource_out
 
     records: list[PerTypeRecord] = []
     complete = num_types <= max_records
@@ -438,26 +473,21 @@ def plan_distillation_general(rho: DensityMatrix, n: int, beta: float,
     eig_window = typical_range(n, lam, width)
     exact_mode = (n <= exact_threshold) if exact is None else exact
 
-    def ln_c(big: int, k: int) -> float:
-        return log_binomial(big, k)
-
     if exact_mode:
-        rank_cap_total = sum(math.comb(n, j) for j in range(eig_window[0], eig_window[1] + 1))
-        log_cap_total = math.log(rank_cap_total)
+        log_cap_total = math.log(
+            sum(math.comb(n, j) for j in range(eig_window[0], eig_window[1] + 1)))
     else:
-        logs = [ln_c(n, j) for j in range(eig_window[0], eig_window[1] + 1)]
-        peak = max(logs)
-        log_cap_total = peak + math.log(sum(math.exp(v - peak) for v in logs))
-        rank_cap_total = None
+        eig_counts = np.arange(eig_window[0], eig_window[1] + 1)
+        log_cap_total = float(logsumexp(_log_comb(n, eig_counts)))
 
     blocks = []
     for t in range(e_window[0], e_window[1] + 1):
-        log_dim = ln_c(n, t)
+        log_dim = log_binomial(n, t)
         cap = log_dim if diagonal else min(log_dim, log_cap_total)
         blocks.append(BlockRecord(t, log_dim, cap))
 
-    energy_tail = max(0.0, 1.0 - binomial_window_mass(n, a, e_window))
-    eig_tail = max(0.0, 1.0 - binomial_window_mass(n, lam, eig_window))
+    energy_tail = binomial_outside_mass(n, a, e_window)
+    eig_tail = binomial_outside_mass(n, lam, eig_window)
 
     record = BlockDiagonalizationRecord(
         mean_energy=a,
@@ -484,38 +514,12 @@ def plan_distillation_general(rho: DensityMatrix, n: int, beta: float,
 
     # Joint feasibility: every total-energy shell s = g + t must absorb the
     # summed string budgets of the covered (bath type, block) pairs.
-    shell_lhs: dict[int, float] = {}
-    shell_best: dict[int, tuple[float, int, BlockRecord]] = {}
-    for g in range(g_window[0], g_window[1] + 1):
-        lg = ln_c(ell, g)
-        for block in blocks:
-            s = g + block.block_energy
-            lhs = lg + block.log_rank_cap
-            shell_lhs[s] = np.logaddexp(shell_lhs.get(s, -math.inf), lhs)
-            if s not in shell_best or lhs > shell_best[s][0]:
-                shell_best[s] = (lhs, g, block)
+    caps = np.array([block.log_rank_cap for block in blocks])
+    m, (g_worst, t_worst) = _solve_window_loggamma(ell, n, g_window, e_window, caps)
+    worst = (g_worst, blocks[t_worst - e_window[0]])
 
-    s_min = min(shell_lhs)
-
-    def feasible(m: int) -> bool:
-        if m > s_min:
-            return False
-        k = ell + n - m
-        return all(ln_c(k, s - m) >= lhs for s, lhs in shell_lhs.items())
-
-    lo_m, hi_m = 0, s_min
-    while lo_m < hi_m:
-        mid = (lo_m + hi_m + 1) // 2
-        if feasible(mid):
-            lo_m = mid
-        else:
-            hi_m = mid - 1
-    m = lo_m
-    s_bind = min(shell_lhs, key=lambda s: ln_c(ell + n - m, s - m) - shell_lhs[s])
-    worst = (shell_best[s_bind][1], shell_best[s_bind][2])
-
-    bath_mass = 1.0 if ell == 0 else binomial_window_mass(ell, q, g_window)
-    failure = min(1.0, (1.0 - bath_mass) + energy_tail + 2.0 * math.sqrt(eig_tail))
+    bath_out = 0.0 if ell == 0 else binomial_outside_mass(ell, q, g_window)
+    failure = min(1.0, bath_out + energy_tail + 2.0 * math.sqrt(eig_tail))
 
     records = []
     complete = (g_window[1] - g_window[0] + 1) * len(blocks) <= MAX_PER_TYPE_RECORDS
@@ -525,9 +529,9 @@ def plan_distillation_general(rho: DensityMatrix, n: int, beta: float,
     )
     for g, block in pairs:
         e = g + block.block_energy - m
-        lhs = ln_c(ell, g) + block.log_rank_cap
+        lhs = log_binomial(ell, g) + block.log_rank_cap
         records.append(PerTypeRecord(
-            g, block.block_energy, e, m, lhs, ln_c(ell + n - m, e)))
+            g, block.block_energy, e, m, lhs, log_binomial(ell + n - m, e)))
 
     plan = DistillationPlan(
         n=n, ell=ell, m=m, k=ell + n - m, p=a, beta=beta, width=width,

@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
-from .distill import rate_limit, rank_fixed_weight, unrank_fixed_weight
+from .distill import _log_comb, binomial_log_pmf, binomial_outside_mass, rate_limit
+from .distill import rank_fixed_weight, unrank_fixed_weight
 from .typeclass import (
     TypeDescriptor,
     log_binomial,
@@ -260,13 +260,17 @@ def type_distribution(n: int, p, window: Sequence[TypeDescriptor]):
     """Renormalized binomial type probabilities over a window of types."""
     if not window:
         raise ValueError("window must be nonempty")
-    rational = isinstance(p, (Fraction, int))
-    source = (1 - p, p) if rational else (1.0 - float(p), float(p))
-    masses = [type_probability(t, source) for t in window]
-    total = sum(masses)
-    if total == 0:
+    if isinstance(p, (Fraction, int)):
+        masses = [type_probability(t, (1 - p, p)) for t in window]
+        total = sum(masses)
+        if total == 0:
+            raise ValueError("window has zero mass under the source")
+        return [m / total for m in masses]
+    logs = binomial_log_pmf(n, float(p), [t.ones for t in window])
+    if logs.max() == -np.inf:
         raise ValueError("window has zero mass under the source")
-    return [m / total for m in masses]
+    masses = np.exp(logs - logs.max())
+    return (masses / masses.sum()).tolist()
 
 
 @dataclass(frozen=True)
@@ -326,16 +330,10 @@ def _formation_m_loggamma(n: int, ell: int, g_window: tuple[int, int],
     """max over the window of the per-pair minimal m, via grouped log-gamma."""
     g_lo, g_hi = g_window
     t_lo, t_hi = t_window
-    # k = m + ell - n reaches 2 ell at the search ceiling m = ell + n.
-    table = gammaln(np.arange(2 * (ell + n) + 2, dtype=float))
-
-    def ln_c(big: int, ks: np.ndarray) -> np.ndarray:
-        return table[big + 1] - table[ks + 1] - table[big - ks + 1]
-
     gs = np.arange(g_lo, g_hi + 1)
     ts = np.arange(t_lo, t_hi + 1)
-    lhs_g = ln_c(ell, gs)
-    rhs_t = ln_c(n, ts)
+    lhs_g = _log_comb(ell, gs)
+    rhs_t = _log_comb(n, ts)
 
     # Group by j = g - t; the exhaust count is e = j + m.
     j_lo, j_hi = g_lo - t_hi, g_hi - t_lo
@@ -354,7 +352,7 @@ def _formation_m_loggamma(n: int, ell: int, g_window: tuple[int, int],
         raise InfeasibleFormationError("a window pair violates e <= k at every m")
 
     def margins(m: int) -> np.ndarray:
-        return ln_c(m + ell - n, js + m) - lhs_max
+        return _log_comb(m + ell - n, js + m) - lhs_max
 
     def feasible(m: int) -> bool:
         if m + ell - n < 0 or j_lo + m < 0:
@@ -465,7 +463,7 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
             birkhoff=birkhoff,
             cost_rate=math.inf,
             work_per_copy=0.0,
-            failure_mass=max(0.0, 1.0 - _window_mass(n, p, t_window)),
+            failure_mass=binomial_outside_mass(n, p, t_window),
             mode="exact" if exact_mode else "loggamma",
             free_target=True,
             gibbs_window=g_window,
@@ -504,9 +502,9 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
     n_types = g_window[1] - g_window[0] + 1
     register_bits = max(0, (n_types - 1)).bit_length()
 
-    bath_mass = _window_mass(ell, q, g_window)
-    target_mass = _window_mass(n, p, t_window)
-    failure_mass = max(0.0, 1.0 - bath_mass * target_mass)
+    bath_out = binomial_outside_mass(ell, q, g_window)
+    target_out = binomial_outside_mass(n, p, t_window)
+    failure_mass = bath_out + target_out - bath_out * target_out
 
     num_pairs = n_types * (t_window[1] - t_window[0] + 1)
     complete = num_pairs <= max_records
@@ -540,12 +538,6 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
         fixed_point_iterations=iterations,
         records_complete=complete,
     )
-
-
-def _window_mass(n: int, p: float, window: tuple[int, int]) -> float:
-    from .distill import binomial_window_mass
-
-    return binomial_window_mass(n, p, window)
 
 
 def _birkhoff_bath_size(q: float, tolerance: float) -> int:

@@ -132,6 +132,10 @@ class TestFrameCommand:
         out = capsys.readouterr().out
         assert float(out.split()[1]) == pytest.approx(0.99, abs=1e-15)
 
+    def test_empty_window_is_domain_error(self, capsys):
+        assert main(["frame", "--N", "0", "--delta", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestPlanCommands:
     def test_distill_summary_and_file(self, tmp_path, capsys):

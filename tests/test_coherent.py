@@ -36,6 +36,11 @@ class TestShiftOverlap:
         with pytest.raises(ValueError):
             shift_overlap(10, -1)
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_empty_window_rejected(self, window):
+        with pytest.raises(ValueError):
+            shift_overlap(window, 1)
+
 
 class TestErrNorm:
     def test_zero_shift(self):

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.stats import binom
+
+from athermal import distill
 from athermal.core import DensityMatrix, binary_entropy, gibbs_state, Hamiltonian, relative_entropy
 from athermal.distill import (
+    binomial_outside_mass,
     build_string_map,
     distill_feasible,
     plan_distillation,
@@ -19,8 +23,36 @@ from athermal.distill import (
     StringMap,
 )
 from athermal.simulate import oracle_max_m
+from athermal.typeclass import typical_range
 
 Q1 = math.exp(-1) / (1 + math.exp(-1))
+COHERENT_RHO = DensityMatrix(np.array([[0.25, 0.3], [0.3, 0.75]]))
+
+
+def gibbs_q(beta):
+    return math.exp(-beta) / (1 + math.exp(-beta))
+
+
+def outside_reference(n, p, window):
+    """Binomial mass outside the window, from scipy's two tails."""
+    return float(binom.cdf(window[0] - 1, n, p) + binom.sf(window[1], n, p))
+
+
+def coherent_exact_m(plan, record):
+    """Largest m fitting every shell of a coherent plan, in exact integers."""
+    n, ell = plan.n, plan.ell
+    cap_total = sum(math.comb(n, j) for j in range(record.eig_window[0],
+                                                    record.eig_window[1] + 1))
+    shells = {}
+    for g in range(plan.gibbs_window[0], plan.gibbs_window[1] + 1):
+        for block in record.blocks:
+            t = block.block_energy
+            shells[g + t] = shells.get(g + t, 0) + math.comb(ell, g) * min(math.comb(n, t),
+                                                                           cap_total)
+    m = min(shells)
+    while m > 0 and any(math.comb(ell + n - m, s - m) < c for s, c in shells.items()):
+        m -= 1
+    return m
 
 
 class TestRateLimit:
@@ -144,10 +176,31 @@ class TestPlanDistillation:
 
     def test_solver_modes_agree(self):
         # The log-gamma window solver must reproduce the exact-integer m.
-        for (n, width) in [(150, 1.5), (150, 3.0)]:
-            exact = plan_distillation(n, 0.75, 1.0, width, exact=True)
-            approx = plan_distillation(n, 0.75, 1.0, width, exact=False)
-            assert exact.m == approx.m
+        for (n, p, beta, width) in [(150, 0.75, 1.0, 1.5), (150, 0.75, 1.0, 3.0),
+                                    (100, 0.9, 1.0, 3.0), (80, 0.95, 2.0, 3.0),
+                                    (60, 0.99, 4.0, 3.0)]:
+            exact = plan_distillation(n, p, beta, width, exact=True)
+            approx = plan_distillation(n, p, beta, width, exact=False)
+            assert exact.m == approx.m > 0
+        # The coherent planner's shell solve against exact integer shells.
+        for (c, p, n) in [(0.3, 0.75, 100), (0.45, 0.5, 300), (0.1, 0.9, 150)]:
+            rho = DensityMatrix(np.array([[1 - p, c], [c, p]]))
+            exact, record = plan_distillation_general(rho, n, 1.0, exact=True)
+            approx, _ = plan_distillation_general(rho, n, 1.0, exact=False)
+            assert exact.m == approx.m == coherent_exact_m(exact, record)
+
+    @pytest.mark.parametrize("n,ell,m", [(100_000, 7_449_621, 36_457),
+                                         (50_000, 2_633_839, 17_873)])
+    def test_pinned_large_plans(self, n, ell, m):
+        plan = plan_distillation(n, 0.75, 1.0)
+        assert (plan.ell, plan.m) == (ell, m)
+
+    def test_failure_mass_from_direct_tails(self):
+        # The true tails are ~1e-11, far below the rounding of 1 - mass.
+        plan = plan_distillation(100_000, 0.75, 1.0)
+        bath = outside_reference(plan.ell, plan.q, plan.gibbs_window)
+        res = outside_reference(plan.n, plan.p, plan.resource_window)
+        assert plan.failure_mass == pytest.approx(bath + res - bath * res, rel=1e-6)
 
     def test_deficit_decreases_with_n(self):
         deficits = []
@@ -156,6 +209,59 @@ class TestPlanDistillation:
             deficits.append(plan.r_limit - plan.achieved_rate)
         assert all(d > 0 for d in deficits)
         assert deficits[0] > deficits[1] > deficits[2]
+
+
+class TestShellKernel:
+    @staticmethod
+    def exact_logs(big, window):
+        return np.array([math.log(math.comb(big, k)) for k in range(window[0], window[1] + 1)])
+
+    def check_against_exact(self, ell, n, g_window, r_window):
+        sums = distill._shell_log_sums(self.exact_logs(ell, g_window),
+                                       self.exact_logs(n, r_window))
+        s_lo = g_window[0] + r_window[0]
+        exact = shell_input_counts(ell, n, g_window, r_window)
+        assert len(sums) == len(exact)
+        for s, count in exact.items():
+            ref = math.log(count)
+            assert abs(sums[s - s_lo] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @given(ell=st.integers(1, 2000), n=st.integers(1, 300), p=st.floats(0.005, 0.995),
+           beta=st.floats(0.05, 8.0), width=st.floats(0.5, 4.0))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_exact_shell_counts(self, ell, n, p, beta, width):
+        self.check_against_exact(ell, n, typical_range(ell, gibbs_q(beta), width),
+                                 typical_range(n, p, width))
+
+    @pytest.mark.parametrize("ell,n,p,beta,width", [
+        (2000, 300, 0.99, 6.0, 4.0), (300, 2000, 0.95, 0.2, 6.0), (2000, 40, 0.5, 8.0, 30.0),
+    ])
+    def test_multi_run_windows(self, monkeypatch, ell, n, p, beta, width):
+        # Extreme p and beta: the tilted vectors span more than one run.
+        runs = []
+        real = distill._runs
+        monkeypatch.setattr(distill, "_runs", lambda v: runs.append(real(v)) or runs[-1])
+        self.check_against_exact(ell, n, typical_range(ell, gibbs_q(beta), width),
+                                 typical_range(n, p, width))
+        assert max(len(r) for r in runs) > 1
+
+
+class TestOutsideMass:
+    @given(n=st.integers(1, 10**6), p=st.floats(0.001, 0.999), width=st.floats(0.3, 6.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_tails(self, n, p, width):
+        window = typical_range(n, p, width)
+        assert binomial_outside_mass(n, p, window) == pytest.approx(
+            outside_reference(n, p, window), rel=1e-6, abs=1e-300)
+
+    def test_off_center_window(self):
+        # The window misses the mode: one tail holds nearly all the mass.
+        assert binomial_outside_mass(1000, 0.3, (500, 600)) == pytest.approx(
+            outside_reference(1000, 0.3, (500, 600)), rel=1e-12)
+
+    def test_deterministic_levels(self):
+        assert binomial_outside_mass(10, 0.0, (0, 0)) == 0.0
+        assert binomial_outside_mass(10, 1.0, (0, 9)) == 1.0
 
 
 class TestStringRanking:
@@ -254,6 +360,19 @@ class TestGeneralPlan:
         plan, _ = plan_distillation_general(rho, n, 1.0)
         assert plan.achieved_rate <= bound + 1e-12
         assert plan.r_limit == pytest.approx(bound, abs=1e-10)
+
+    @pytest.mark.parametrize("n,ell,m", [(2_000, 36_145, 792), (100_000, 12_778_965, 52_421)])
+    def test_pinned_coherent_plans(self, n, ell, m):
+        plan, _ = plan_distillation_general(COHERENT_RHO, n, 1.0)
+        assert (plan.ell, plan.m) == (ell, m)
+
+    def test_coherent_failure_mass_from_direct_tails(self):
+        plan, record = plan_distillation_general(COHERENT_RHO, 2_000, 1.0)
+        lam = max(COHERENT_RHO.eigensystem()[0])
+        reference = (outside_reference(plan.ell, plan.q, plan.gibbs_window)
+                     + outside_reference(plan.n, plan.p, plan.resource_window)
+                     + 2 * math.sqrt(outside_reference(plan.n, lam, record.eig_window)))
+        assert plan.failure_mass == pytest.approx(reference, rel=1e-6)
 
     def test_non_qubit_rejected(self):
         with pytest.raises(ValueError):
