@@ -3,6 +3,11 @@
 All reports are JSON with sorted keys (byte-identical across runs for
 identical configurations); sweep grids are CSV with a fixed header.  Exit
 codes: 0 success, 1 internal error, 2 domain error (e.g. a free target).
+
+Plan documents are O(windows): schema version 2 stores the parameters,
+windows and binding record of a plan, never its per-type records, which
+the plan derives on demand.  Version-1 documents, which also list the
+per-type records, are still read; their records are ignored.
 """
 
 from __future__ import annotations
@@ -11,10 +16,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import astuple, fields, is_dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .core import (
     DensityMatrix,
@@ -31,6 +34,7 @@ from .form import (
     BirkhoffSpan,
     FormationPlan,
     FormationRecord,
+    _formation_records,
     plan_formation,
 )
 from .simulate import (
@@ -42,7 +46,6 @@ from .simulate import (
 )
 
 __all__ = [
-    "RunConfig",
     "SCHEMA_VERSION",
     "SWEEP_HEADER",
     "main",
@@ -53,26 +56,8 @@ __all__ = [
     "read_string_distribution_csv",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SWEEP_HEADER = "n,ell,m,rate,deficit,failure_mass"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parameters of one CLI invocation; identical configs give identical bytes."""
-
-    command: str
-    beta: float
-    p: float | None = None
-    n: int | None = None
-    n_grid: tuple[int, ...] = ()
-    width: float = 3.0
-    seed: int = 0
-    output: str | None = None
-
-    def as_dict(self) -> dict:
-        return {k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in asdict(self).items()}
 
 
 def dumps_report(report: dict) -> str:
@@ -80,156 +65,77 @@ def dumps_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+_UNITS = {
+    "distillation": {
+        "beta": "1/E0",
+        "achieved_rate": "dimensionless",
+        "r_limit": "dimensionless",
+        "failure_mass": "dimensionless",
+        "log_cardinalities": "nats",
+    },
+    "formation": {
+        "beta": "1/E0",
+        "work_per_copy": "E0 per copy",
+        "cost_rate": "copies per E0",
+        "failure_mass": "dimensionless",
+        "log_cardinalities": "nats",
+    },
+}
+
+
+def _to_json(value):
+    """A plan field as JSON: records as lists of their fields, the Birkhoff
+    partition as an object whose spans are [ones, start, count] lists,
+    tuples as lists, infinities as null."""
+    if isinstance(value, BirkhoffPartition):
+        doc = {f.name: _to_json(getattr(value, f.name)) for f in fields(value) if f.name != "sets"}
+        return {**doc, "sets": [[[s.ones, s.start, s.count] for s in spans]
+                                for spans in value.sets]}
+    if is_dataclass(value):
+        return list(astuple(value))
+    if isinstance(value, tuple):
+        return list(value)
+    return None if isinstance(value, float) and math.isinf(value) else value
+
+
 def plan_to_dict(plan: DistillationPlan | FormationPlan) -> dict:
-    if isinstance(plan, DistillationPlan):
-        return _distillation_to_dict(plan)
-    return _formation_to_dict(plan)
-
-
-def _record_to_list(rec: PerTypeRecord) -> list:
-    return [rec.gibbs_ones, rec.resource_ones, rec.exhaust_ones, rec.m,
-            rec.log_input_cardinality, rec.log_exhaust_cardinality,
-            rec.input_cardinality, rec.exhaust_cardinality]
-
-
-def _distillation_to_dict(plan: DistillationPlan) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "distillation",
-        "n": plan.n,
-        "ell": plan.ell,
-        "m": plan.m,
-        "k": plan.k,
-        "p": plan.p,
-        "beta": plan.beta,
-        "width": plan.width,
-        "failure_mass": plan.failure_mass,
-        "achieved_rate": plan.achieved_rate,
-        "epsilon": plan.epsilon if math.isfinite(plan.epsilon) else None,
-        "r_limit": plan.r_limit,
-        "mode": plan.mode,
-        "no_resource": plan.no_resource,
-        "coherent": plan.coherent,
-        "gibbs_window": list(plan.gibbs_window),
-        "resource_window": list(plan.resource_window),
-        "num_composite_types": plan.num_composite_types,
-        "records_complete": plan.records_complete,
-        "worst_type": _record_to_list(plan.worst_type) if plan.worst_type else None,
-        "per_type_maps": [_record_to_list(r) for r in plan.per_type_maps],
-        "units": {
-            "beta": "1/E0",
-            "achieved_rate": "dimensionless",
-            "r_limit": "dimensionless",
-            "failure_mass": "dimensionless",
-            "log_cardinalities": "nats",
-        },
-    }
-
-
-def _list_to_record(values: list) -> PerTypeRecord:
-    return PerTypeRecord(*values)
+    kind = "distillation" if isinstance(plan, DistillationPlan) else "formation"
+    doc = {f.name: _to_json(getattr(plan, f.name)) for f in fields(plan)}
+    return {**doc, "schema_version": SCHEMA_VERSION, "kind": kind, "units": _UNITS[kind]}
 
 
 def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
-    if data["kind"] == "distillation":
-        return DistillationPlan(
-            n=data["n"], ell=data["ell"], m=data["m"], k=data["k"],
-            p=data["p"], beta=data["beta"], width=data["width"],
-            per_type_maps=tuple(_list_to_record(r) for r in data["per_type_maps"]),
-            failure_mass=data["failure_mass"],
-            achieved_rate=data["achieved_rate"],
-            epsilon=data["epsilon"] if data["epsilon"] is not None else math.inf,
-            r_limit=data["r_limit"],
-            mode=data["mode"],
-            no_resource=data["no_resource"],
-            coherent=data.get("coherent", False),
-            worst_type=_list_to_record(data["worst_type"]) if data["worst_type"] else None,
-            gibbs_window=tuple(data["gibbs_window"]),
-            resource_window=tuple(data["resource_window"]),
-            num_composite_types=data["num_composite_types"],
-            records_complete=data["records_complete"],
-        )
-    if data["kind"] == "formation":
-        birkhoff = data["birkhoff"]
-        return FormationPlan(
-            n=data["n"], ell=data["ell"], m=data["m"], k=data["k"],
-            p=data["p"], beta=data["beta"], width=data["width"],
-            register_bits=data["register_bits"],
-            per_type_maps=tuple(
-                FormationRecord(*r) for r in data["per_type_maps"]),
-            birkhoff=BirkhoffPartition(
-                ell=birkhoff["ell"],
-                target_weights=tuple(birkhoff["target_weights"]),
-                sets=tuple(tuple(BirkhoffSpan(*s) for s in spans)
-                           for spans in birkhoff["sets"]),
-                achieved_weights=tuple(birkhoff["achieved_weights"]),
-                max_deviation=birkhoff["max_deviation"],
-                tolerance=birkhoff["tolerance"],
-                within_tolerance=birkhoff["within_tolerance"],
-                grouped=birkhoff["grouped"],
-            ),
-            cost_rate=data["cost_rate"] if data["cost_rate"] is not None else math.inf,
-            work_per_copy=data["work_per_copy"],
-            failure_mass=data["failure_mass"],
-            mode=data["mode"],
-            free_target=data["free_target"],
-            worst_type=FormationRecord(*data["worst_type"]) if data["worst_type"] else None,
-            gibbs_window=tuple(data["gibbs_window"]),
-            target_window=tuple(data["target_window"]),
-            fixed_point_iterations=data["fixed_point_iterations"],
-            records_complete=data["records_complete"],
-        )
-    raise ValueError(f"unknown plan kind {data['kind']!r}")
+    """Rebuild a plan from a schema-2 or schema-1 document.
 
-
-def _formation_record_to_list(rec: FormationRecord) -> list:
-    return [rec.gibbs_ones, rec.target_ones, rec.exhaust_ones, rec.m,
-            rec.log_gibbs_cardinality, rec.log_output_cardinality,
-            rec.gibbs_cardinality, rec.output_cardinality]
-
-
-def _formation_to_dict(plan: FormationPlan) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "formation",
-        "n": plan.n,
-        "ell": plan.ell,
-        "m": plan.m,
-        "k": plan.k,
-        "p": plan.p,
-        "beta": plan.beta,
-        "width": plan.width,
-        "register_bits": plan.register_bits,
-        "cost_rate": plan.cost_rate if math.isfinite(plan.cost_rate) else None,
-        "work_per_copy": plan.work_per_copy,
-        "failure_mass": plan.failure_mass,
-        "mode": plan.mode,
-        "free_target": plan.free_target,
-        "gibbs_window": list(plan.gibbs_window),
-        "target_window": list(plan.target_window),
-        "fixed_point_iterations": plan.fixed_point_iterations,
-        "records_complete": plan.records_complete,
-        "worst_type": _formation_record_to_list(plan.worst_type) if plan.worst_type else None,
-        "per_type_maps": [_formation_record_to_list(r) for r in plan.per_type_maps],
-        "birkhoff": {
-            "ell": plan.birkhoff.ell,
-            "target_weights": list(plan.birkhoff.target_weights),
-            "achieved_weights": list(plan.birkhoff.achieved_weights),
-            "max_deviation": plan.birkhoff.max_deviation,
-            "tolerance": plan.birkhoff.tolerance,
-            "within_tolerance": plan.birkhoff.within_tolerance,
-            "grouped": plan.birkhoff.grouped,
-            "sets": [[[s.ones, s.start, s.count] for s in spans]
-                     for spans in plan.birkhoff.sets],
-        },
-        "units": {
-            "beta": "1/E0",
-            "work_per_copy": "E0 per copy",
-            "cost_rate": "copies per E0",
-            "failure_mass": "dimensionless",
-            "log_cardinalities": "nats",
-        },
-    }
+    Keys that are not plan fields are ignored, among them the per-type
+    records of schema 1 (``per_type_maps``, ``records_complete``).  Schema 1
+    left ``worst_type`` empty for free-target formation plans; it is
+    derived here as :func:`plan_formation` does.
+    """
+    cls = {"distillation": DistillationPlan, "formation": FormationPlan}.get(data["kind"])
+    if cls is None:
+        raise ValueError(f"unknown plan kind {data['kind']!r}")
+    kw = {f.name: tuple(data[f.name]) if isinstance(data[f.name], list) else data[f.name]
+          for f in fields(cls) if f.name in data}
+    for name in ("epsilon", "cost_rate"):
+        if name in kw and kw[name] is None:
+            kw[name] = math.inf
+    if cls is FormationPlan:
+        b = data["birkhoff"]
+        kw["birkhoff"] = BirkhoffPartition(**{
+            **b, "target_weights": tuple(b["target_weights"]),
+            "achieved_weights": tuple(b["achieved_weights"]),
+            "sets": tuple(tuple(BirkhoffSpan(*s) for s in spans) for spans in b["sets"])})
+    if kw["worst_type"] is not None:
+        record = PerTypeRecord if cls is DistillationPlan else FormationRecord
+        kw["worst_type"] = record(*kw["worst_type"])
+    elif kw.get("free_target"):
+        t = kw["target_window"][0]
+        kw["worst_type"] = next(_formation_records(kw["n"], kw["ell"], 0, (t, t), (t, t),
+                                                   kw["mode"] == "exact"))
+    else:
+        raise ValueError("plan document without a worst type")
+    return cls(**kw)
 
 
 def write_string_distribution_csv(dist: StringDistribution, path: str) -> None:
@@ -413,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--beta", type=float, default=1.0, help="inverse temperature (1/E0)")
         p.add_argument("--width", type=float, default=3.0, help="typicality window width")
-        p.add_argument("--seed", type=int, default=0, help="recorded RNG seed")
         p.add_argument("--output", type=str, default=None, help="output path")
 
     p_rate = sub.add_parser("rate", help="interconversion rate by both routes")

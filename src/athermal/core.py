@@ -20,6 +20,7 @@ __all__ = [
     "GibbsState",
     "FreeTargetError",
     "gibbs_state",
+    "gibbs_weight",
     "binary_entropy",
     "von_neumann_entropy",
     "relative_entropy",
@@ -42,14 +43,9 @@ class FreeTargetError(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Diagonal Hamiltonian given by its energy levels (length >= 2).
-
-    ``labels`` optionally names per-level degeneracy sectors; it plays no
-    role in the numerics.
-    """
+    """Diagonal Hamiltonian given by its energy levels (length >= 2)."""
 
     energies: tuple[float, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         energies = tuple(float(e) for e in self.energies)
@@ -58,8 +54,6 @@ class Hamiltonian:
             raise ValueError("need at least two energy levels")
         if not all(math.isfinite(e) for e in energies):
             raise ValueError("energies must be finite")
-        if self.labels is not None and len(self.labels) != len(energies):
-            raise ValueError("labels must match the number of levels")
 
     @classmethod
     def two_level(cls, gap: float = 1.0) -> "Hamiltonian":
@@ -203,6 +197,16 @@ def gibbs_state(hamiltonian: Hamiltonian, beta: float) -> GibbsState:
         probs=QuasiclassicalState(tuple(probs)),
         partition_function=z,
     )
+
+
+def gibbs_weight(beta: float) -> float:
+    """Excited-level weight q = e^(-beta) / (1 + e^(-beta)) of the unit-gap
+    two-level Gibbs state.
+
+    Plan windows are floor/ceil of q-dependent floats, so this exact
+    expression is kept (``expit(-beta)`` may differ in the last ulp).
+    """
+    return math.exp(-beta) / (1.0 + math.exp(-beta))
 
 
 def binary_entropy(p: float) -> float:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlog1py, xlogy
+from scipy.special import gammaln, logsumexp, xlogy
 
-from .core import DensityMatrix, binary_entropy, von_neumann_entropy
+from .core import DensityMatrix, binary_entropy, gibbs_weight, von_neumann_entropy
 from .typeclass import log_binomial, typical_range
 
 __all__ = [
@@ -37,10 +38,6 @@ __all__ = [
     "binomial_outside_mass",
 ]
 
-# Plans whose composite window exceeds this many types keep only the worst
-# (binding) record instead of one record per type.
-MAX_PER_TYPE_RECORDS = 200_000
-
 # Plan construction sweeps whole composite windows, so its exact-integer
 # mode switches to log-gamma counting earlier than single cardinalities do.
 PLAN_EXACT_THRESHOLD = 2_000
@@ -56,7 +53,7 @@ def rate_limit(p: float, beta: float) -> float:
         raise ValueError("p must lie in [0, 1]")
     if not (beta > 0 and math.isfinite(beta)):
         raise ValueError("beta must be positive and finite")
-    q = math.exp(-beta) / (1.0 + math.exp(-beta))
+    q = gibbs_weight(beta)
     numerator = binary_entropy(q) - binary_entropy(p) + beta * (p - q)
     denominator = binary_entropy(q) + beta * (1.0 - q)
     return numerator / denominator
@@ -119,7 +116,13 @@ class PerTypeRecord:
 
 @dataclass(frozen=True)
 class DistillationPlan:
-    """Complete finite-n distillation protocol record."""
+    """Complete finite-n distillation protocol record.
+
+    The plan is fixed by (ell, n, m) and the windows; the record of every
+    covered composite type is derived from them on demand by
+    :meth:`records`.  ``worst_type`` is the record of the largest type in
+    the binding shell.
+    """
 
     n: int
     ell: int
@@ -128,38 +131,54 @@ class DistillationPlan:
     p: float
     beta: float
     width: float
-    per_type_maps: tuple[PerTypeRecord, ...]
     failure_mass: float
     achieved_rate: float
     epsilon: float
     r_limit: float
     mode: str                      # "exact" | "loggamma"
+    worst_type: PerTypeRecord
     no_resource: bool = False
     # Built through the rotate-then-permute route: per-type records hold
     # energy-block rank caps instead of full type cardinalities, so the
     # string executors do not apply.
     coherent: bool = False
-    worst_type: PerTypeRecord | None = None
     gibbs_window: tuple[int, int] = (0, 0)
     resource_window: tuple[int, int] = (0, 0)
     num_composite_types: int = 0
-    records_complete: bool = True
 
     def __post_init__(self):
         if self.k != self.ell + self.n - self.m:
             raise ValueError("conservation of dimension violated: k != ell + n - m")
-        for record in self.per_type_maps:
-            if record.m != self.m:
-                raise ValueError("per-type record carries a foreign m")
-            record.check()
+        if self.worst_type.m != self.m:
+            raise ValueError("worst type carries a foreign m")
+        if not self.covers(self.worst_type.gibbs_ones, self.worst_type.resource_ones):
+            raise ValueError("worst type lies outside the plan windows")
+        self.worst_type.check()
 
     @property
     def q(self) -> float:
-        return math.exp(-self.beta) / (1.0 + math.exp(-self.beta))
+        return gibbs_weight(self.beta)
 
     def covers(self, gibbs_ones: int, resource_ones: int) -> bool:
         return (self.gibbs_window[0] <= gibbs_ones <= self.gibbs_window[1]
                 and self.resource_window[0] <= resource_ones <= self.resource_window[1])
+
+    def records(self, blocks: BlockDiagonalizationRecord | None = None
+                ) -> Iterator[PerTypeRecord]:
+        """Yield the checked record of every covered composite type.
+
+        Coherent plans read their block rank caps from ``blocks``, the
+        record :func:`plan_distillation_general` returned with the plan.
+        """
+        if self.coherent and blocks is None:
+            raise ValueError("a coherent plan derives its records from its block record")
+        caps = {b.block_energy: b.log_rank_cap for b in blocks.blocks} if self.coherent else None
+        yield from _records(self.ell, self.n, self.m, self.gibbs_window, self.resource_window,
+                            self.mode == "exact" and not self.coherent, caps)
+
+    # Schema-1 name of the records, kept as a lazily derived view because
+    # perfbench/tracer.py still reads it.
+    per_type_maps = property(records)
 
 
 def _log_comb(big: int, ks: np.ndarray) -> np.ndarray:
@@ -167,10 +186,57 @@ def _log_comb(big: int, ks: np.ndarray) -> np.ndarray:
     return gammaln(big + 1) - gammaln(ks + 1) - gammaln(big - ks + 1)
 
 
+def _stirlerr(k) -> np.ndarray:
+    """ln k! - ln(sqrt(2 pi k) (k/e)^k) for k >= 1: log-gamma up to 15,
+    Stirling's series above (its first omitted term is then below 1e-16)."""
+    k = np.asarray(k, dtype=float)
+    u = 1.0 / (k * k)
+    series = (1 / 12 - u * (1 / 360 - u * (1 / 1260 - u * (1 / 1680 - u / 1188)))) / k
+    if k.min() > 15:
+        return series
+    small = np.minimum(k, 15.0)
+    return np.where(k > 15, series, gammaln(small + 1) - (small + 0.5) * np.log(small)
+                    + small - 0.5 * math.log(2 * math.pi))
+
+
+def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
+    """Deviance x ln(x / mean) + mean - x.  Where |v| < 0.1, with
+    v = (x - mean) / (x + mean), it is summed free of cancellation as
+    (x - mean) v + 2x sum_j v^(2j+1) / (2j+1), to the first j with
+    max v^(2j) below 1e-18 (at most nine terms)."""
+    d = x - mean
+    v = d / (x + mean)
+    v2 = v * v
+    near = v2 < 0.01
+    top = float(np.max(v2, where=near, initial=0.0))
+    total, power = d * v, 2.0 * x * v
+    for j in range(1, math.ceil(math.log(1e-18) / math.log(top)) + 1 if top > 0 else 1):
+        power = power * v2
+        total = total + power / (2 * j + 1)
+    return total if near.all() else np.where(near, total, xlogy(x, x / mean) + mean - x)
+
+
 def binomial_log_pmf(n: int, p: float, ks) -> np.ndarray:
-    """ln Pr[Binomial(n, p) = k] for every k of ``ks``; -inf where impossible."""
+    """ln Pr[Binomial(n, p) = k] for every k of ``ks``; -inf where impossible.
+
+    Loader's saddle-point form (C. Loader, "Fast and accurate computation
+    of binomial probabilities", 2000) keeps ~1e-11 relative precision at
+    n ~ 1e8, where ln C(n, k) as a difference of log-gamma values of size
+    n ln n loses ~1e-6.  k in {0, n} and p in {0, 1} are exact.
+    """
     ks = np.asarray(ks)
-    return _log_comb(n, ks) + xlogy(ks, p) + xlog1py(n - ks, -p)
+    if p == 0.0 or p == 1.0:
+        return np.where(ks == (0 if p == 0.0 else n), 0.0, -np.inf)
+    out = np.full(ks.shape, -np.inf)
+    out[ks == 0] = n * math.log1p(-p)
+    out[ks == n] = n * math.log(p)
+    inner = (ks > 0) & (ks < n)
+    if inner.any():
+        k = ks[inner].astype(float)
+        out[inner] = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
+                      - _bd0(k, n * p) - _bd0(n - k, n * (1.0 - p))
+                      - 0.5 * (math.log(2 * math.pi) + np.log(k) + np.log1p(-k / n)))
+    return out
 
 
 def binomial_window_mass(n: int, p: float, window: tuple[int, int]) -> float:
@@ -207,17 +273,33 @@ def binomial_outside_mass(n: int, p: float, window: tuple[int, int]) -> float:
     return min(float(np.exp(total)), 1.0)
 
 
-def _record(ell: int, g: int, n: int, r: int, m: int, exact: bool) -> PerTypeRecord:
-    e = g + r - m
-    k = ell + n - m
-    if exact:
-        in_card = math.comb(ell, g) * math.comb(n, r)
-        out_card = math.comb(k, e)
-        return PerTypeRecord(g, r, e, m,
-                             math.log(in_card), math.log(out_card),
-                             in_card, out_card)
-    lhs = log_binomial(ell, g) + log_binomial(n, r)
-    return PerTypeRecord(g, r, e, m, lhs, log_binomial(k, e))
+def _comb_row(big: int, window: tuple[int, int], comb=math.comb) -> dict[int, int]:
+    """C(big, j) for every j of an inclusive window, keyed by j (its log
+    with ``comb=log_binomial``)."""
+    return {j: comb(big, j) for j in range(window[0], window[1] + 1)}
+
+
+def _records(ell: int, n: int, m: int, g_window: tuple[int, int],
+             r_window: tuple[int, int], exact: bool,
+             log_caps: dict[int, float] | None = None) -> Iterator[PerTypeRecord]:
+    """Checked record of every (g, r) in the windows, read from per-axis
+    rows of C(ell, g), C(n, r) and C(k, e), exact or log-gamma; ``log_caps``
+    replaces ln C(n, r) by coherent block rank caps."""
+    comb = math.comb if exact else log_binomial
+    row_g = _comb_row(ell, g_window, comb)
+    row_r = _comb_row(n, r_window, comb) if log_caps is None else log_caps
+    row_e = _comb_row(ell + n - m, (g_window[0] + r_window[0] - m,
+                                    g_window[1] + r_window[1] - m), comb)
+    for g, c_g in row_g.items():
+        for r, c_r in row_r.items():
+            e = g + r - m
+            if exact:
+                record = PerTypeRecord(g, r, e, m, math.log(c_g * c_r), math.log(row_e[e]),
+                                       c_g * c_r, row_e[e])
+            else:
+                record = PerTypeRecord(g, r, e, m, c_g + c_r, row_e[e])
+            record.check()
+            yield record
 
 
 # Largest spread, in nats, of one run of a tilted log vector: the product of
@@ -291,16 +373,19 @@ def _solve_window_loggamma(ell: int, n: int, g_window: tuple[int, int],
     return lo, (g, s - g)
 
 
+def _shell_sums(row_g: dict[int, int], row_r: dict[int, int]) -> dict[int, int]:
+    """Exact sums of row_g[g] row_r[r] over each shell g + r, by ascending shell."""
+    sums: dict[int, int] = {}
+    for g, c_g in row_g.items():
+        for r, c_r in row_r.items():
+            sums[g + r] = sums.get(g + r, 0) + c_g * c_r
+    return sums
+
+
 def shell_input_counts(ell: int, n: int, g_window: tuple[int, int],
                        r_window: tuple[int, int]) -> dict[int, int]:
     """Exact number of covered input strings per total-1s shell."""
-    sums: dict[int, int] = {}
-    for g in range(g_window[0], g_window[1] + 1):
-        c_g = math.comb(ell, g)
-        for r in range(r_window[0], r_window[1] + 1):
-            s = g + r
-            sums[s] = sums.get(s, 0) + c_g * math.comb(n, r)
-    return sums
+    return _shell_sums(_comb_row(ell, g_window), _comb_row(n, r_window))
 
 
 def _solve_window_exact(ell: int, n: int, g_window: tuple[int, int],
@@ -310,7 +395,8 @@ def _solve_window_exact(ell: int, n: int, g_window: tuple[int, int],
     Same shell-sum condition as the log-gamma route: every total-1s shell
     must fit into C(ell+n-m, s-m).
     """
-    sums = shell_input_counts(ell, n, g_window, r_window)
+    row_g, row_r = _comb_row(ell, g_window), _comb_row(n, r_window)
+    sums = _shell_sums(row_g, row_r)
     s_min = min(sums)
 
     def feasible(m: int) -> bool:
@@ -332,20 +418,14 @@ def _solve_window_exact(ell: int, n: int, g_window: tuple[int, int],
     # largest single composite type.
     k = ell + n - m_star
     s_binding = min(sums, key=lambda s: log_binomial(k, s - m_star) - math.log(sums[s]))
-    best_g, best_val = None, -1
-    for g in range(g_window[0], g_window[1] + 1):
-        r = s_binding - g
-        if r_window[0] <= r <= r_window[1]:
-            val = math.comb(ell, g) * math.comb(n, r)
-            if val > best_val:
-                best_val, best_g = val, g
+    best_g = max((g for g in row_g if s_binding - g in row_r),
+                 key=lambda g: row_g[g] * row_r[s_binding - g])
     return m_star, (best_g, s_binding - best_g)
 
 
 def plan_distillation(n: int, p: float, beta: float, width: float = 3.0,
                       exact: bool | None = None,
-                      exact_threshold: int = PLAN_EXACT_THRESHOLD,
-                      max_records: int = MAX_PER_TYPE_RECORDS) -> DistillationPlan:
+                      exact_threshold: int = PLAN_EXACT_THRESHOLD) -> DistillationPlan:
     """Construct a distillation plan with ell = ceil((R n)^(3/2)) bath copies.
 
     The output size m is fitted to the worst composite typical type, so the
@@ -358,7 +438,7 @@ def plan_distillation(n: int, p: float, beta: float, width: float = 3.0,
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     r_lim = rate_limit(p, beta)
-    q = math.exp(-beta) / (1.0 + math.exp(-beta))
+    q = gibbs_weight(beta)
     no_resource = abs(p - q) < 1e-12
 
     ell = 0 if no_resource else math.ceil((r_lim * n) ** 1.5)
@@ -384,30 +464,19 @@ def plan_distillation(n: int, p: float, beta: float, width: float = 3.0,
     resource_out = binomial_outside_mass(n, p, r_window)
     failure_mass = bath_out + resource_out - bath_out * resource_out
 
-    records: list[PerTypeRecord] = []
-    complete = num_types <= max_records
-    if complete:
-        for g in range(g_window[0], g_window[1] + 1):
-            for r in range(r_window[0], r_window[1] + 1):
-                records.append(_record(ell, g, n, r, m, exact))
-    worst_record = _record(ell, worst[0], n, worst[1], m, exact)
-    if not complete:
-        records.append(worst_record)
-
+    g, r = worst
     return DistillationPlan(
         n=n, ell=ell, m=m, k=ell + n - m, p=p, beta=beta, width=width,
-        per_type_maps=tuple(records),
         failure_mass=failure_mass,
         achieved_rate=m / n,
         epsilon=(n / ell) if ell > 0 else math.inf,
         r_limit=r_lim,
         mode=mode,
+        worst_type=next(_records(ell, n, m, (g, g), (r, r), exact)),
         no_resource=no_resource,
-        worst_type=worst_record,
         gibbs_window=g_window,
         resource_window=r_window,
         num_composite_types=num_types,
-        records_complete=complete,
     )
 
 
@@ -505,7 +574,7 @@ def plan_distillation_general(rho: DensityMatrix, n: int, beta: float,
 
     # Coherent case: per (bath type, energy block), the injection must
     # absorb C(ell, g) * rank_cap(t) strings into C(k, g + t - m).
-    q = math.exp(-beta) / (1.0 + math.exp(-beta))
+    q = gibbs_weight(beta)
     d_rho = -entropy + beta * a + math.log(1.0 + math.exp(-beta))
     d_one = beta + math.log(1.0 + math.exp(-beta))
     r_lim = d_rho / d_one
@@ -516,37 +585,24 @@ def plan_distillation_general(rho: DensityMatrix, n: int, beta: float,
     # summed string budgets of the covered (bath type, block) pairs.
     caps = np.array([block.log_rank_cap for block in blocks])
     m, (g_worst, t_worst) = _solve_window_loggamma(ell, n, g_window, e_window, caps)
-    worst = (g_worst, blocks[t_worst - e_window[0]])
 
     bath_out = 0.0 if ell == 0 else binomial_outside_mass(ell, q, g_window)
     failure = min(1.0, bath_out + energy_tail + 2.0 * math.sqrt(eig_tail))
 
-    records = []
-    complete = (g_window[1] - g_window[0] + 1) * len(blocks) <= MAX_PER_TYPE_RECORDS
-    pairs = (
-        ((g, b) for g in range(g_window[0], g_window[1] + 1) for b in blocks)
-        if complete else iter([worst])
-    )
-    for g, block in pairs:
-        e = g + block.block_energy - m
-        lhs = log_binomial(ell, g) + block.log_rank_cap
-        records.append(PerTypeRecord(
-            g, block.block_energy, e, m, lhs, log_binomial(ell + n - m, e)))
-
+    worst_cap = {t_worst: blocks[t_worst - e_window[0]].log_rank_cap}
     plan = DistillationPlan(
         n=n, ell=ell, m=m, k=ell + n - m, p=a, beta=beta, width=width,
-        per_type_maps=tuple(records),
         failure_mass=failure,
         achieved_rate=m / n,
         epsilon=(n / ell) if ell > 0 else math.inf,
         r_limit=r_lim,
         mode="exact" if exact_mode else "loggamma",
+        worst_type=next(_records(ell, n, m, (g_worst, g_worst), (t_worst, t_worst),
+                                 False, worst_cap)),
         coherent=True,
-        worst_type=records[0] if not complete else None,
         gibbs_window=g_window,
         resource_window=e_window,
         num_composite_types=(g_window[1] - g_window[0] + 1) * len(blocks),
-        records_complete=complete,
     )
     return plan, record
 

@@ -14,11 +14,12 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .distill import _log_comb, binomial_log_pmf, binomial_outside_mass, rate_limit
+from .core import gibbs_weight
+from .distill import _comb_row, _log_comb, binomial_log_pmf, binomial_outside_mass, rate_limit
 from .distill import rank_fixed_weight, unrank_fixed_weight
 from .typeclass import (
     TypeDescriptor,
@@ -281,7 +282,10 @@ class FormationPlan:
     copies plus a ``k``-system exhaust; one m serves every (Gibbs type,
     target type) pair in the windows.  ``cost_rate`` is the number of
     copies formed per consumed excited qubit (approaching the inverse
-    distillation rate); ``work_per_copy`` is its reciprocal m/n.
+    distillation rate); ``work_per_copy`` is its reciprocal m/n.  The
+    record of every pair is derived on demand by :meth:`records`;
+    ``worst_type`` is the binding pair's record (for a free target, whose
+    identity records all hold with equality, the first one).
     """
 
     n: int
@@ -292,18 +296,16 @@ class FormationPlan:
     beta: float
     width: float
     register_bits: int
-    per_type_maps: tuple[FormationRecord, ...]
     birkhoff: BirkhoffPartition
     cost_rate: float
     work_per_copy: float
     failure_mass: float
     mode: str
+    worst_type: FormationRecord
     free_target: bool = False
-    worst_type: FormationRecord | None = None
     gibbs_window: tuple[int, int] = (0, 0)
     target_window: tuple[int, int] = (0, 0)
     fixed_point_iterations: int = 0
-    records_complete: bool = True
 
     def __post_init__(self):
         if self.m + self.ell != self.n + self.k:
@@ -311,18 +313,34 @@ class FormationPlan:
         n_types = self.gibbs_window[1] - self.gibbs_window[0] + 1
         if self.register_bits > max(0, (n_types - 1)).bit_length():
             raise ValueError("register larger than needed for the type count")
-        for record in self.per_type_maps:
-            if record.m != self.m:
-                raise ValueError("formation record carries a foreign m")
-            record.check()
+        if self.worst_type.m != self.m:
+            raise ValueError("worst type carries a foreign m")
+        if not self.covers(self.worst_type.gibbs_ones, self.worst_type.target_ones):
+            raise ValueError("worst type lies outside the plan windows")
+        self.worst_type.check()
 
     @property
     def q(self) -> float:
-        return math.exp(-self.beta) / (1.0 + math.exp(-self.beta))
+        return gibbs_weight(self.beta)
 
     def covers(self, gibbs_ones: int, target_ones: int) -> bool:
         return (self.gibbs_window[0] <= gibbs_ones <= self.gibbs_window[1]
                 and self.target_window[0] <= target_ones <= self.target_window[1])
+
+    def records(self) -> Iterator[FormationRecord]:
+        """Yield the checked record of every covered pair; a free target
+        covers only the identity pairs (t, t)."""
+        exact = self.mode == "exact"
+        if not self.free_target:
+            yield from _formation_records(self.n, self.ell, self.m, self.gibbs_window,
+                                          self.target_window, exact)
+            return
+        for t in range(self.target_window[0], self.target_window[1] + 1):
+            yield from _formation_records(self.n, self.ell, self.m, (t, t), (t, t), exact)
+
+    # Schema-1 name of the records, kept as a lazily derived view because
+    # perfbench/tracer.py still reads it.
+    per_type_maps = property(records)
 
 
 def _formation_m_loggamma(n: int, ell: int, g_window: tuple[int, int],
@@ -378,14 +396,26 @@ def _formation_m_loggamma(n: int, ell: int, g_window: tuple[int, int],
 
 def _formation_m_exact(n: int, ell: int, g_window: tuple[int, int],
                        t_window: tuple[int, int]) -> tuple[int, tuple[int, int]]:
-    """Exact-integer worst-case m: log-gamma candidate, then refinement."""
+    """Exact-integer worst-case m: log-gamma candidate, then refinement.
+
+    Each probe scans the pairs in (g, t) order for the first one violating
+    C(ell, g) <= C(k, e) C(n, t), reading C(ell, g) and C(n, t) from rows
+    computed once and C(k, e) from one row per probe.
+    """
     m, worst = _formation_m_loggamma(n, ell, g_window, t_window)
     floor_m = max(0, n - ell, t_window[1] - g_window[0])
+    row_g, row_t = _comb_row(ell, g_window), _comb_row(n, t_window)
 
     def first_infeasible(m_try: int) -> tuple[int, int] | None:
-        for g in range(g_window[0], g_window[1] + 1):
-            for t in range(t_window[0], t_window[1] + 1):
-                if not formation_feasible(n, t, ell, g, m_try, exact=True):
+        k = m_try + ell - n
+        if k < 0:
+            return (g_window[0], t_window[0])
+        # C(k, e) for e = g + m_try - t; absent (no exhaust string) below 0.
+        row_e = _comb_row(k, (max(0, g_window[0] + m_try - t_window[1]),
+                              g_window[1] + m_try - t_window[0]))
+        for g, c_g in row_g.items():
+            for t, c_t in row_t.items():
+                if c_g > row_e.get(g + m_try - t, 0) * c_t:
                     return (g, t)
         return None
 
@@ -403,24 +433,31 @@ def _formation_m_exact(n: int, ell: int, g_window: tuple[int, int],
     return m, worst
 
 
-def _formation_record(n: int, ell: int, g: int, t: int, m: int,
-                      exact: bool) -> FormationRecord:
-    k = m + ell - n
-    e = g + m - t
-    if exact:
-        gc = math.comb(ell, g)
-        oc = math.comb(k, e) * math.comb(n, t)
-        return FormationRecord(g, t, e, m, math.log(gc) if gc else 0.0,
-                               math.log(oc), gc, oc)
-    return FormationRecord(g, t, e, m, log_binomial(ell, g),
-                           log_binomial(k, e) + log_binomial(n, t))
+def _formation_records(n: int, ell: int, m: int, g_window: tuple[int, int],
+                       t_window: tuple[int, int], exact: bool) -> Iterator[FormationRecord]:
+    """Checked record of every (g, t) in the windows, read from per-axis
+    rows of C(ell, g), C(n, t) and C(k, e), exact or log-gamma."""
+    comb = math.comb if exact else log_binomial
+    row_g, row_t = _comb_row(ell, g_window, comb), _comb_row(n, t_window, comb)
+    row_e = _comb_row(m + ell - n, (g_window[0] + m - t_window[1],
+                                    g_window[1] + m - t_window[0]), comb)
+    for g, c_g in row_g.items():
+        for t, c_t in row_t.items():
+            e = g + m - t
+            if exact:
+                out = row_e[e] * c_t
+                record = FormationRecord(g, t, e, m, math.log(c_g) if c_g else 0.0,
+                                         math.log(out), c_g, out)
+            else:
+                record = FormationRecord(g, t, e, m, c_g, row_e[e] + c_t)
+            record.check()
+            yield record
 
 
 def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
                    exact: bool | None = None,
                    exact_threshold: int | None = None,
-                   birkhoff_tolerance: float = 1e-3,
-                   max_records: int = 200_000) -> FormationPlan:
+                   birkhoff_tolerance: float = 1e-3) -> FormationPlan:
     """Construct a formation plan with ell = ceil(m^(3/2)) Gibbs copies.
 
     The bath size depends on the solved m, so the pair (ell, m) is settled
@@ -437,7 +474,7 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
 
         exact_threshold = PLAN_EXACT_THRESHOLD
     r_lim = rate_limit(p, beta)
-    q = math.exp(-beta) / (1.0 + math.exp(-beta))
+    q = gibbs_weight(beta)
     free_target = abs(p - q) < 1e-12
 
     if free_target:
@@ -446,10 +483,7 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
         t_window = typical_range(n, p, width)
         g_window = t_window
         exact_mode = (ell + n) <= exact_threshold if exact is None else exact
-        records = tuple(
-            _formation_record(n, ell, t, t, 0, exact_mode)
-            for t in range(t_window[0], t_window[1] + 1)
-        )
+        t = t_window[0]
         window_types = [TypeDescriptor.two_level(n, t)
                         for t in range(t_window[0], t_window[1] + 1)]
         targets = type_distribution(n, p, window_types)
@@ -459,12 +493,12 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
         return FormationPlan(
             n=n, ell=ell, m=0, k=0, p=p, beta=beta, width=width,
             register_bits=max(0, (n_types - 1)).bit_length(),
-            per_type_maps=records,
             birkhoff=birkhoff,
             cost_rate=math.inf,
             work_per_copy=0.0,
             failure_mass=binomial_outside_mass(n, p, t_window),
             mode="exact" if exact_mode else "loggamma",
+            worst_type=next(_formation_records(n, ell, 0, (t, t), (t, t), exact_mode)),
             free_target=True,
             gibbs_window=g_window,
             target_window=t_window,
@@ -506,17 +540,6 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
     target_out = binomial_outside_mass(n, p, t_window)
     failure_mass = bath_out + target_out - bath_out * target_out
 
-    num_pairs = n_types * (t_window[1] - t_window[0] + 1)
-    complete = num_pairs <= max_records
-    records: list[FormationRecord] = []
-    if complete:
-        for g in range(g_window[0], g_window[1] + 1):
-            for t in range(t_window[0], t_window[1] + 1):
-                records.append(_formation_record(n, ell, g, t, m, exact_mode))
-    worst_record = _formation_record(n, ell, worst[0], worst[1], m, exact_mode)
-    if not complete:
-        records.append(worst_record)
-
     window_types = [TypeDescriptor.two_level(n, t)
                     for t in range(t_window[0], t_window[1] + 1)]
     targets = type_distribution(n, p, window_types)
@@ -526,17 +549,16 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
     return FormationPlan(
         n=n, ell=ell, m=m, k=k, p=p, beta=beta, width=width,
         register_bits=register_bits,
-        per_type_maps=tuple(records),
         birkhoff=birkhoff,
         cost_rate=n / m if m else math.inf,
         work_per_copy=m / n,
         failure_mass=failure_mass,
         mode="exact" if exact_mode else "loggamma",
-        worst_type=worst_record,
+        worst_type=next(_formation_records(n, ell, m, (worst[0], worst[0]),
+                                           (worst[1], worst[1]), exact_mode)),
         gibbs_window=g_window,
         target_window=t_window,
         fixed_point_iterations=iterations,
-        records_complete=complete,
     )
 
 

@@ -16,7 +16,6 @@ from typing import Iterator, Sequence
 __all__ = [
     "TypeDescriptor",
     "FrequencyVector",
-    "BigCount",
     "EXACT_COUNT_THRESHOLD",
     "type_cardinality",
     "log_type_cardinality",
@@ -29,9 +28,6 @@ __all__ = [
     "shannon_entropy",
     "all_types",
 ]
-
-# Python integers are arbitrary precision, so a BigCount is just an int.
-BigCount = int
 
 # Above this total, log_type_cardinality switches from exact integer
 # arithmetic to a log-gamma approximation (relative error < 1e-8).
@@ -106,7 +102,7 @@ class FrequencyVector:
         return tuple(float(f) for f in self.freqs)
 
 
-def type_cardinality(t: TypeDescriptor) -> BigCount:
+def type_cardinality(t: TypeDescriptor) -> int:
     """Exact multinomial coefficient n! / prod(counts_i!)."""
     n = t.total
     result = 1

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import astuple
 
 import pytest
 
@@ -66,8 +67,31 @@ class TestPlanSerialization:
 
     def test_schema_carries_units(self):
         doc = plan_to_dict(plan_distillation(6, 0.9, 1.0, width=1.0))
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["units"]["log_cardinalities"] == "nats"
+
+    @pytest.mark.parametrize("plan", [
+        plan_distillation(12, 0.9, 1.0, width=1.0), plan_formation(8, 0.8, 1.0, width=1.0),
+        plan_formation(8, Q1, 1.0),
+    ], ids=["distillation", "formation", "free-target"])
+    def test_reads_schema_1(self, plan):
+        # A version-1 document also lists every per-type record, and left
+        # worst_type empty for free-target formation; both load as version 2.
+        doc = json.loads(dumps_report(plan_to_dict(plan)))
+        v1 = dict(doc, schema_version=1, records_complete=True,
+                  per_type_maps=[list(astuple(r)) for r in plan.records()])
+        if getattr(plan, "free_target", False):
+            v1["worst_type"] = None
+        assert "per_type_maps" not in doc and "records_complete" not in doc
+        assert plan_from_dict(v1) == plan
+
+    def test_plan_file_is_small(self, tmp_path):
+        # O(windows): no per-type records, though the window has ~1e5 types.
+        out = tmp_path / "plan.json"
+        assert main(["distill", "--n", "1000", "--p", "0.75", "--output", str(out)]) == 0
+        plan = plan_from_dict(json.loads(out.read_text()))
+        assert plan.num_composite_types > 50_000
+        assert out.stat().st_size < 4096
 
     def test_no_resource_round_trip(self):
         # Infinite epsilon (ell = 0) survives serialization.

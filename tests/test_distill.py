@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from scipy.stats import binom
 from athermal import distill
 from athermal.core import DensityMatrix, binary_entropy, gibbs_state, Hamiltonian, relative_entropy
 from athermal.distill import (
+    binomial_log_pmf,
     binomial_outside_mass,
     build_string_map,
     distill_feasible,
@@ -135,12 +137,31 @@ class TestPlanDistillation:
         assert plan.epsilon == pytest.approx(plan.n / plan.ell)
 
     def test_per_type_records(self):
-        plan = plan_distillation(12, 0.9, 1.0, width=1.0)
-        assert plan.records_complete
-        for rec in plan.per_type_maps:
-            # conservation of 1s and the counting inequality, exactly
-            assert rec.gibbs_ones + rec.resource_ones == rec.exhaust_ones + plan.m
-            assert rec.input_cardinality <= rec.exhaust_cardinality
+        for n, width in ((12, 1.0), (24, 1.0), (40, 1.2)):
+            plan = plan_distillation(n, 0.9, 1.0, width=width)
+            assert plan.mode == "exact"
+            records = list(plan.records())
+            assert len(records) == plan.num_composite_types
+            assert list(plan.per_type_maps) == records
+            assert plan.worst_type in records
+            for rec in records:
+                # conservation of 1s and the counting inequality, exactly
+                assert rec.gibbs_ones + rec.resource_ones == rec.exhaust_ones + plan.m
+                assert rec.input_cardinality == (math.comb(plan.ell, rec.gibbs_ones)
+                                                 * math.comb(n, rec.resource_ones))
+                assert rec.exhaust_cardinality == math.comb(plan.k, rec.exhaust_ones)
+                assert rec.input_cardinality <= rec.exhaust_cardinality
+
+    def test_records_in_loggamma_mode(self):
+        plan = plan_distillation(40, 0.9, 1.0, width=1.2, exact=False)
+        records = list(plan.records())
+        assert len(records) == plan.num_composite_types
+        assert plan.worst_type in records
+        for rec in records:
+            assert rec.input_cardinality is None
+            assert rec.log_input_cardinality == pytest.approx(
+                math.log(math.comb(plan.ell, rec.gibbs_ones) * math.comb(40, rec.resource_ones)),
+                rel=1e-12)
 
     def test_ell_scaling(self):
         plan = plan_distillation(100, 0.75, 1.0)
@@ -166,6 +187,35 @@ class TestPlanDistillation:
         plan = plan_distillation(40, 0.85, 1.0, width=1.2)
         assert plan.worst_type is not None
         assert plan.covers(plan.worst_type.gibbs_ones, plan.worst_type.resource_ones)
+        # A no-resource plan (p = q) still names a (trivially binding) type.
+        assert plan_distillation(20, Q1, 1.0).worst_type.m == 0
+
+    @given(n=st.integers(1, 60), p=st.floats(0.05, 0.99), beta=st.floats(0.2, 3.0),
+           width=st.floats(0.5, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_solve_matches_joint_shell_search(self, n, p, beta, width):
+        # An independent joint shell-count search, one math.comb per pair.
+        q = gibbs_q(beta)
+        ell = math.ceil((rate_limit(p, beta) * n) ** 1.5) if abs(p - q) > 1e-9 else 0
+        g_window = typical_range(ell, q, width) if ell else (0, 0)
+        r_window = typical_range(n, p, width)
+        shells = {}
+        for g in range(g_window[0], g_window[1] + 1):
+            for r in range(r_window[0], r_window[1] + 1):
+                shells[g + r] = shells.get(g + r, 0) + math.comb(ell, g) * math.comb(n, r)
+        m = min(shells)
+        while any(math.comb(ell + n - m, s - m) < c for s, c in shells.items()):
+            m -= 1
+        solved, (g, r) = distill._solve_window_exact(ell, n, g_window, r_window)
+        assert solved == m
+        k = ell + n - m
+        binding = min(shells, key=lambda s: math.lgamma(k + 1) - math.lgamma(s - m + 1)
+                      - math.lgamma(k - s + m + 1) - math.log(shells[s]))
+        assert g + r == binding
+        assert math.comb(ell, g) * math.comb(n, r) == max(
+            math.comb(ell, x) * math.comb(n, binding - x)
+            for x in range(g_window[0], g_window[1] + 1)
+            if r_window[0] <= binding - x <= r_window[1])
 
     def test_failure_mass_is_window_complement(self):
         from athermal.distill import binomial_window_mass
@@ -262,6 +312,37 @@ class TestOutsideMass:
     def test_deterministic_levels(self):
         assert binomial_outside_mass(10, 0.0, (0, 0)) == 0.0
         assert binomial_outside_mass(10, 1.0, (0, 9)) == 1.0
+
+
+class TestBinomialLogPmf:
+    @staticmethod
+    def reference(n, p, k):
+        with mpmath.workdps(50):
+            p = mpmath.mpf(p)
+            return float(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
+                         - mpmath.loggamma(n - k + 1) + k * mpmath.log(p)
+                         + (n - k) * mpmath.log(1 - p))
+
+    @pytest.mark.parametrize("n", [100_000, 30_000_000, 240_000_000])
+    @pytest.mark.parametrize("p", [0.75, Q1, 0.003])
+    def test_matches_mpmath_at_large_n(self, n, p):
+        # A log error of 1e-10 is a 1e-10 relative error of the pmf.
+        sd = math.sqrt(n * p * (1 - p))
+        ks = [round(n * p + z * sd) for z in (-8, -3, -1, 0, 0.5, 2, 3, 8)]
+        for k, value in zip(ks, binomial_log_pmf(n, p, ks)):
+            assert abs(value - self.reference(n, p, k)) <= 1e-10
+
+    def test_edges_exact(self):
+        assert binomial_log_pmf(10, 0.3, [0, 10, -1, 11]).tolist() == [
+            10 * math.log1p(-0.3), 10 * math.log(0.3), -math.inf, -math.inf]
+        assert binomial_log_pmf(5, 0.0, [0, 1]).tolist() == [0.0, -math.inf]
+        assert binomial_log_pmf(5, 1.0, [4, 5]).tolist() == [-math.inf, 0.0]
+
+    def test_small_n_matches_mpmath(self):
+        for n in (1, 2, 15, 16, 40):
+            for p in (0.1, 0.5, 0.9):
+                for k, value in zip(range(n + 1), binomial_log_pmf(n, p, np.arange(n + 1))):
+                    assert value == pytest.approx(self.reference(n, p, k), rel=1e-13, abs=1e-13)
 
 
 class TestStringRanking:
@@ -377,6 +458,19 @@ class TestGeneralPlan:
     def test_non_qubit_rejected(self):
         with pytest.raises(ValueError):
             plan_distillation_general(DensityMatrix.diagonal([0.3, 0.3, 0.4]), 10, 1.0)
+
+    def test_coherent_records_from_block_record(self):
+        plan, record = plan_distillation_general(COHERENT_RHO, 100, 1.0)
+        with pytest.raises(ValueError):
+            next(plan.records())
+        records = list(plan.records(record))
+        assert len(records) == plan.num_composite_types
+        assert plan.worst_type in records
+        caps = {block.block_energy: block.log_rank_cap for block in record.blocks}
+        for rec in records:
+            assert rec.log_input_cardinality == pytest.approx(
+                math.log(math.comb(plan.ell, rec.gibbs_ones)) + caps[rec.resource_ones],
+                rel=1e-12)
 
     def test_coherent_plan_has_no_string_maps(self):
         # Rank-capped block records are not literal type classes, so the

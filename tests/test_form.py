@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from athermal.distill import plan_distillation, solve_single_type
+from athermal import form
+from athermal.core import gibbs_weight
+from athermal.distill import plan_distillation, rate_limit, solve_single_type
 from athermal.form import (
     FormationStringMap,
     InfeasibleFormationError,
@@ -17,7 +19,7 @@ from athermal.form import (
     solve_formation_single_type,
     type_distribution,
 )
-from athermal.typeclass import TypeDescriptor, typical_mass, typical_types
+from athermal.typeclass import TypeDescriptor, typical_mass, typical_range, typical_types
 
 Q1 = math.exp(-1) / (1 + math.exp(-1))
 
@@ -72,19 +74,65 @@ class TestPlanFormation:
         assert plan.free_target and plan.m == 0 and plan.k == 0
         assert plan.work_per_copy == 0.0
         # identity per-type records: Gibbs type maps to itself
-        for rec in plan.per_type_maps:
+        records = list(plan.records())
+        assert len(records) == plan.target_window[1] - plan.target_window[0] + 1
+        assert plan.worst_type == records[0]
+        for rec in records:
             assert rec.gibbs_ones == rec.target_ones and rec.exhaust_ones == 0
+            assert rec.gibbs_cardinality == rec.output_cardinality == math.comb(12, rec.target_ones)
 
     def test_reverse_conservation_of_dimension(self):
         plan = plan_formation(20, 0.75, 1.0, width=1.5)
         assert plan.m + plan.ell == plan.n + plan.k
 
     def test_per_type_records(self):
-        plan = plan_formation(15, 0.8, 1.0, width=1.2)
-        assert plan.records_complete
-        for rec in plan.per_type_maps:
-            assert rec.gibbs_ones + plan.m == rec.exhaust_ones + rec.target_ones
-            assert rec.gibbs_cardinality <= rec.output_cardinality
+        for n in (8, 15, 20):
+            plan = plan_formation(n, 0.8, 1.0, width=1.2)
+            assert plan.mode == "exact"
+            records = list(plan.records())
+            n_gibbs = plan.gibbs_window[1] - plan.gibbs_window[0] + 1
+            assert len(records) == n_gibbs * (plan.target_window[1] - plan.target_window[0] + 1)
+            assert plan.worst_type in records
+            for rec in records:
+                assert rec.gibbs_ones + plan.m == rec.exhaust_ones + rec.target_ones
+                assert rec.gibbs_cardinality == math.comb(plan.ell, rec.gibbs_ones)
+                assert rec.output_cardinality == (math.comb(plan.k, rec.exhaust_ones)
+                                                  * math.comb(n, rec.target_ones))
+                assert rec.gibbs_cardinality <= rec.output_cardinality
+
+    @given(n=st.integers(1, 40), p=st.floats(0.3, 0.99), beta=st.floats(0.3, 3.0),
+           width=st.floats(0.5, 2.5), growth=st.floats(1.0, 1.5))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_refinement_matches_pair_scan(self, n, p, beta, width, growth):
+        # Reference: the refinement with one formation_feasible call per pair.
+        ell = math.ceil((growth * max(1, math.ceil(n * rate_limit(p, beta)))) ** 1.5)
+        g_window, t_window = typical_range(ell, gibbs_weight(beta), width), typical_range(n, p, width)
+
+        def first_infeasible(m_try):
+            for g in range(g_window[0], g_window[1] + 1):
+                for t in range(t_window[0], t_window[1] + 1):
+                    if not formation_feasible(n, t, ell, g, m_try):
+                        return (g, t)
+            return None
+
+        try:
+            m, worst = form._formation_m_loggamma(n, ell, g_window, t_window)
+        except InfeasibleFormationError:
+            with pytest.raises(InfeasibleFormationError):
+                form._formation_m_exact(n, ell, g_window, t_window)
+            return
+        floor_m = max(0, n - ell, t_window[1] - g_window[0])
+        while (bad := first_infeasible(m)) is not None:
+            m, worst = m + 1, bad
+            if m > ell + n:
+                with pytest.raises(InfeasibleFormationError):
+                    form._formation_m_exact(n, ell, g_window, t_window)
+                return
+        while m > floor_m and first_infeasible(m - 1) is None:
+            m -= 1
+        if m > floor_m:
+            worst = first_infeasible(m - 1)
+        assert form._formation_m_exact(n, ell, g_window, t_window) == (m, worst)
 
     def test_register_bits(self):
         plan = plan_formation(20, 0.75, 1.0, width=1.5)

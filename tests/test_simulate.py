@@ -27,7 +27,7 @@ def reference_plan() -> DistillationPlan:
     record = PerTypeRecord(1, 2, 1, 2, math.log(4), math.log(4), 4, 4)
     return DistillationPlan(
         n=2, ell=4, m=2, k=4, p=1.0, beta=1.0, width=0.5,
-        per_type_maps=(record,), failure_mass=1 - 4 * Q1 * (1 - Q1) ** 3,
+        failure_mass=1 - 4 * Q1 * (1 - Q1) ** 3,
         achieved_rate=1.0, epsilon=0.5, r_limit=1.0, mode="exact",
         worst_type=record, gibbs_window=(1, 1), resource_window=(2, 2),
         num_composite_types=1,
