@@ -4,10 +4,11 @@ All reports are JSON with sorted keys (byte-identical across runs for
 identical configurations); sweep grids are CSV with a fixed header.  Exit
 codes: 0 success, 1 internal error, 2 domain error (e.g. a free target).
 
-Plan documents are O(windows): schema version 2 stores the parameters,
+Plan documents are O(windows): schema version 3 stores the parameters,
 windows and binding record of a plan, never its per-type records, which
-the plan derives on demand.  Version-1 documents, which also list the
-per-type records, are still read; their records are ignored.
+the plan derives on demand.  Version-1 and version-2 documents are still
+read: their per-type records and solver ``mode`` are ignored, and their
+binding record is cut to its first six fields.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ __all__ = [
     "read_string_distribution_csv",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 SWEEP_HEADER = "n,ell,m,rate,deficit,failure_mass"
 
 
@@ -105,12 +106,14 @@ def plan_to_dict(plan: DistillationPlan | FormationPlan) -> dict:
 
 
 def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
-    """Rebuild a plan from a schema-2 or schema-1 document.
+    """Rebuild a plan from a schema-3, -2 or -1 document.
 
     Keys that are not plan fields are ignored, among them the per-type
-    records of schema 1 (``per_type_maps``, ``records_complete``).  Schema 1
-    left ``worst_type`` empty for free-target formation plans; it is
-    derived here as :func:`plan_formation` does.
+    records of schema 1 (``per_type_maps``, ``records_complete``) and the
+    ``mode`` of schemas 1 and 2.  Their records may carry two trailing
+    exact counts, which are cut off.  Schema 1 left ``worst_type`` empty
+    for free-target formation plans; it is derived here as
+    :func:`plan_formation` does.
     """
     cls = {"distillation": DistillationPlan, "formation": FormationPlan}.get(data["kind"])
     if cls is None:
@@ -128,11 +131,10 @@ def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
             "sets": tuple(tuple(BirkhoffSpan(*s) for s in spans) for spans in b["sets"])})
     if kw["worst_type"] is not None:
         record = PerTypeRecord if cls is DistillationPlan else FormationRecord
-        kw["worst_type"] = record(*kw["worst_type"])
+        kw["worst_type"] = record(*kw["worst_type"][:len(fields(record))])
     elif kw.get("free_target"):
         t = kw["target_window"][0]
-        kw["worst_type"] = next(_formation_records(kw["n"], kw["ell"], 0, (t, t), (t, t),
-                                                   kw["mode"] == "exact"))
+        kw["worst_type"] = next(_formation_records(kw["n"], kw["ell"], 0, (t, t), (t, t)))
     else:
         raise ValueError("plan document without a worst type")
     return cls(**kw)

@@ -2,16 +2,18 @@
 
 A plan maps ``gamma^(ell) (x) rho^(n)`` to ``exhaust^(k) (x) |1><1|^(m)`` by
 an energy-conserving injection on strings, applied separately to every
-composite typical type.  All feasibility decisions use exact integer
-counting below a size threshold and log-gamma counting above it; the mode
-in force is recorded on the plan.
+composite typical type.  Every feasibility decision reads a float
+log-gamma margin and is certified by a proven rounding bound on it; the
+rare margin inside that bound is settled in exact integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cache, lru_cache, partial
+from itertools import combinations
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
@@ -37,10 +39,6 @@ __all__ = [
     "binomial_window_mass",
     "binomial_outside_mass",
 ]
-
-# Plan construction sweeps whole composite windows, so its exact-integer
-# mode switches to log-gamma counting earlier than single cardinalities do.
-PLAN_EXACT_THRESHOLD = 2_000
 
 
 def rate_limit(p: float, beta: float) -> float:
@@ -81,14 +79,8 @@ def solve_single_type(ell: int, gibbs_ones: int, n: int, resource_ones: int,
     """
     if not 0 <= gibbs_ones <= ell or not 0 <= resource_ones <= n:
         raise ValueError("one-counts out of range")
-    lo, hi = 0, gibbs_ones + resource_ones
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if distill_feasible(ell, gibbs_ones, n, resource_ones, mid, exact=exact):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return _bisect(lambda m: distill_feasible(ell, gibbs_ones, n, resource_ones, m, exact=exact),
+                   0, gibbs_ones + resource_ones, largest=True)
 
 
 @dataclass(frozen=True)
@@ -101,16 +93,11 @@ class PerTypeRecord:
     m: int
     log_input_cardinality: float
     log_exhaust_cardinality: float
-    input_cardinality: int | None = None
-    exhaust_cardinality: int | None = None
 
     def check(self) -> None:
         if self.gibbs_ones + self.resource_ones != self.exhaust_ones + self.m:
             raise ValueError("per-type record violates conservation of 1s")
-        if self.input_cardinality is not None and self.exhaust_cardinality is not None:
-            if self.input_cardinality > self.exhaust_cardinality:
-                raise ValueError("per-type record violates the counting inequality")
-        elif self.log_input_cardinality > self.log_exhaust_cardinality + 1e-6:
+        if self.log_input_cardinality > self.log_exhaust_cardinality + 1e-6:
             raise ValueError("per-type record violates the counting inequality")
 
 
@@ -135,7 +122,6 @@ class DistillationPlan:
     achieved_rate: float
     epsilon: float
     r_limit: float
-    mode: str                      # "exact" | "loggamma"
     worst_type: PerTypeRecord
     no_resource: bool = False
     # Built through the rotate-then-permute route: per-type records hold
@@ -165,16 +151,17 @@ class DistillationPlan:
 
     def records(self, blocks: BlockDiagonalizationRecord | None = None
                 ) -> Iterator[PerTypeRecord]:
-        """Yield the checked record of every covered composite type.
+        """Yield the certified record of every covered composite type.
 
         Coherent plans read their block rank caps from ``blocks``, the
         record :func:`plan_distillation_general` returned with the plan.
         """
         if self.coherent and blocks is None:
             raise ValueError("a coherent plan derives its records from its block record")
-        caps = {b.block_energy: b.log_rank_cap for b in blocks.blocks} if self.coherent else None
+        axis = (_cap_axis(self.n, blocks, self.resource_window) if self.coherent
+                else _binomial_axis(self.n, self.resource_window))
         yield from _records(self.ell, self.n, self.m, self.gibbs_window, self.resource_window,
-                            self.mode == "exact" and not self.coherent, caps)
+                            *axis)
 
     # Schema-1 name of the records, kept as a lazily derived view because
     # perfbench/tracer.py still reads it.
@@ -273,33 +260,123 @@ def binomial_outside_mass(n: int, p: float, window: tuple[int, int]) -> float:
     return min(float(np.exp(total)), 1.0)
 
 
-def _comb_row(big: int, window: tuple[int, int], comb=math.comb) -> dict[int, int]:
-    """C(big, j) for every j of an inclusive window, keyed by j (its log
-    with ``comb=log_binomial``)."""
-    return {j: comb(big, j) for j in range(window[0], window[1] + 1)}
+# Machine epsilon of IEEE doubles, 2^-52.
+_EPS = float(np.finfo(float).eps)
 
 
-def _records(ell: int, n: int, m: int, g_window: tuple[int, int],
-             r_window: tuple[int, int], exact: bool,
-             log_caps: dict[int, float] | None = None) -> Iterator[PerTypeRecord]:
-    """Checked record of every (g, r) in the windows, read from per-axis
-    rows of C(ell, g), C(n, r) and C(k, e), exact or log-gamma; ``log_caps``
-    replaces ln C(n, r) by coherent block rank caps."""
-    comb = math.comb if exact else log_binomial
-    row_g = _comb_row(ell, g_window, comb)
-    row_r = _comb_row(n, r_window, comb) if log_caps is None else log_caps
-    row_e = _comb_row(ell + n - m, (g_window[0] + r_window[0] - m,
-                                    g_window[1] + r_window[1] - m), comb)
-    for g, c_g in row_g.items():
-        for r, c_r in row_r.items():
-            e = g + r - m
-            if exact:
-                record = PerTypeRecord(g, r, e, m, math.log(c_g * c_r), math.log(row_e[e]),
-                                       c_g * c_r, row_e[e])
-            else:
-                record = PerTypeRecord(g, r, e, m, c_g + c_r, row_e[e])
-            record.check()
-            yield record
+def _margin_bound(big: int) -> float:
+    """delta(N) = 16 eps (N ln N + N + 4): bound on the rounding error of a
+    float shell or pair margin whose binomial tops are all at most N.
+
+    A margin is ln C(k, e) less ln of the input strings it must absorb,
+    built from ln C(x, y) = G(x+1) - G(y+1) - G(x-y+1), G = gammaln, over
+    the tops x in {ell, n, k}.  The callers pass N = ell + max(n, m), which
+    bounds all three (k = ell + n - m in distillation, m + ell - n in
+    formation), so the tops have sum x <= 2N and sum x ln x <= 2 N ln N.
+    Rounding budget, eps = 2^-52:
+
+    - G errs by <= 2.5 eps relative where |G| > 1 and absolute below
+      (Cephes lgam's measured peaks: 1.6 and 2.4 eps).  At integer points
+      G >= 0 and G(y+1) + G(x-y+1) <= G(x+1) <= x ln x + 1, so the three
+      values of one ln C(x, .) err by <= 2.5 eps (2 x ln x + 5), and its two
+      subtractions round values <= x ln x + 1, adding <= eps (x ln x + x + 1).
+      Over the three tops: <= eps (12 N ln N + 2N + 41).
+    - A shell sum (:func:`_shell_log_sums`) shifts, tilts and untilts values
+      of size <= 2N ln 2 and convolves <= N + 1 positive products (relative
+      error <= (N + 2) eps); a coherent rank cap adds a log-sum of <= n + 1
+      terms.  In all <= eps (6N + 8).
+    - The final difference rounds once; |margin| <= 2N: <= eps N.
+
+    The total, eps (12 N ln N + 9N + 49), stays below delta(N).
+    """
+    return 16.0 * _EPS * (big * math.log(big) + big + 4)
+
+
+def _certify(margins: np.ndarray, delta: float, holds: Callable[[int], bool]) -> int | None:
+    """Index of an inequality proven to fail, or None when all are proven.
+
+    A float margin >= delta proves its inequality and one <= -delta refutes
+    it (the most negative is returned); only the indices whose margin lies
+    in between are passed to ``holds``, which decides them in exact integers.
+    """
+    worst = int(np.argmin(margins))
+    if margins[worst] <= -delta:
+        return worst
+    return next((int(i) for i in np.flatnonzero(margins < delta) if not holds(int(i))), None)
+
+
+def _bisect(feasible: Callable[[int], bool], lo: int, hi: int, largest: bool) -> int:
+    """Monotone search over [lo, hi]: the largest feasible value of a
+    downward-closed set containing lo, or the smallest of an upward-closed
+    set containing hi."""
+    while lo < hi:
+        if largest:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if feasible(mid) else (lo, mid - 1)
+        else:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if feasible(mid) else (mid + 1, hi)
+    return lo
+
+
+Factor = tuple[int, int] | int      # (x, y) stands for C(x, y), an int for itself
+
+
+def _factor_value(f: Factor) -> int:
+    return math.comb(*f) if isinstance(f, tuple) else f
+
+
+def _products_leq(lhs: list[Factor], rhs: list[Factor]) -> bool:
+    """prod(lhs) <= prod(rhs) in exact integers.  Binomials present on both
+    sides (C(x, y) = C(x, x - y)) cancel before any product is formed, so an
+    identity such as C(n, t) <= C(0, 0) C(n, t) costs no big integer."""
+    left, right = ([(f[0], min(f[1], f[0] - f[1])) if isinstance(f, tuple) else f for f in fs]
+                   for fs in (lhs, rhs))
+    for f in list(left):
+        if f in right:
+            left.remove(f)
+            right.remove(f)
+    return math.prod(map(_factor_value, left)) <= math.prod(map(_factor_value, right))
+
+
+def _binomial_axis(n: int, window: tuple[int, int]
+                   ) -> tuple[np.ndarray, Callable[[int], Factor]]:
+    """ln C(n, r) over an inclusive window, and the exact count C(n, r) as
+    a factor."""
+    return _log_comb(n, np.arange(window[0], window[1] + 1)), lambda r: (n, r)
+
+
+def _cap_axis(n: int, blocks: BlockDiagonalizationRecord, window: tuple[int, int]
+              ) -> tuple[np.ndarray, Callable[[int], Factor]]:
+    """ln rank cap of every energy block of a window, and the exact cap
+    min(C(n, t), sum over the eigenvalue window of C(n, j)), computed on
+    first demand."""
+    caps = {b.block_energy: b.log_rank_cap for b in blocks.blocks}
+    total = cache(lambda: sum(math.comb(n, j)
+                              for j in range(blocks.eig_window[0], blocks.eig_window[1] + 1)))
+    return (np.array([caps[t] for t in range(window[0], window[1] + 1)]),
+            lambda t: min(math.comb(n, t), total()))
+
+
+def _records(ell: int, n: int, m: int, g_window: tuple[int, int], r_window: tuple[int, int],
+             log_r: np.ndarray, factor_r: Callable[[int], Factor]) -> Iterator[PerTypeRecord]:
+    """Certified record of every (g, r) in the windows, row by row of g.
+
+    ``log_r`` and ``factor_r`` give the resource string counts (C(n, r), or
+    coherent block rank caps) as floats and exactly; a record whose margin
+    is not certified raises ValueError.
+    """
+    k = ell + n - m
+    rs = np.arange(r_window[0], r_window[1] + 1)
+    delta = _margin_bound(ell + max(n, m))
+    for g in range(g_window[0], g_window[1] + 1):
+        log_in = _log_comb(ell, np.array([g])) + log_r
+        log_ex = _log_comb(k, g + rs - m)
+        if _certify(log_ex - log_in, delta, lambda i: _products_leq(
+                [(ell, g), factor_r(int(rs[i]))], [(k, g + int(rs[i]) - m)])) is not None:
+            raise ValueError("per-type record violates the counting inequality")
+        for r, li, le in zip(rs.tolist(), log_in.tolist(), log_ex.tolist()):
+            yield PerTypeRecord(g, r, g + r - m, m, li, le)
 
 
 # Largest spread, in nats, of one run of a tilted log vector: the product of
@@ -341,91 +418,78 @@ def _shell_log_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (out - theta * np.arange(len(out))) + (a.max() + b.max())
 
 
-def _solve_window_loggamma(ell: int, n: int, g_window: tuple[int, int],
-                           r_window: tuple[int, int],
-                           lhs_r: np.ndarray) -> tuple[int, tuple[int, int]]:
-    """Largest m jointly feasible for the whole window, via log-gamma counting.
+class _Shells:
+    """Total-1s shells s = g + r of a plan window at every m.
 
-    ``lhs_r`` holds the log string counts of the covered resource types (or
-    energy blocks).  Joint unitarity needs one injection over ALL covered
-    pairs at once, so every shell s must satisfy
-    sum_{g+r=s} C(ell,g) exp(lhs_r) <= C(ell+n-m, s-m); the feasible set is
-    downward closed in m.  Also returns the largest single pair of the
-    binding shell for reporting.
+    Shell s holds sum_{g+r=s} C(ell, g) R_r input strings and must fit into
+    the C(ell+n-m, s-m) exhaust strings; R_r is C(n, r), or a coherent
+    block's rank cap, given as floats ``log_r`` over the r window and
+    exactly by ``factor_r``.  Exact counts are computed on first demand.
     """
-    lhs_g = _log_comb(ell, np.arange(g_window[0], g_window[1] + 1))
-    shells = np.arange(g_window[0] + r_window[0], g_window[1] + r_window[1] + 1)
-    lhs = _shell_log_sums(lhs_g, lhs_r)
 
-    def margins(m: int) -> np.ndarray:
-        return _log_comb(ell + n - m, shells - m) - lhs
+    def __init__(self, ell: int, n: int, g_window: tuple[int, int], r_window: tuple[int, int],
+                 log_r: np.ndarray, factor_r: Callable[[int], Factor]):
+        self.ell, self.n, self.g_window, self.r_window = ell, n, g_window, r_window
+        self.log_g = _log_comb(ell, np.arange(g_window[0], g_window[1] + 1))
+        self.factor_r = factor_r
+        self.count_r = cache(lambda r: _factor_value(factor_r(r)))
+        self.shells = np.arange(g_window[0] + r_window[0], g_window[1] + r_window[1] + 1)
+        self.log_sums = _shell_log_sums(self.log_g, log_r)
+        self.comb_g = cache(partial(math.comb, ell))
 
-    lo, hi = 0, int(shells[0])
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if margins(mid).min() >= 0.0:
-            lo = mid
-        else:
-            hi = mid - 1
-    s = int(shells[np.argmin(margins(lo))])
+    def margins(self, m: int) -> np.ndarray:
+        """ln C(ell+n-m, s-m) less ln of the shell's input strings, per shell."""
+        return _log_comb(self.ell + self.n - m, self.shells - m) - self.log_sums
+
+    def fits(self, s: int, m: int) -> bool:
+        """Whether shell s fits at m, in exact integers.  A shell of one
+        pair is a product inequality, compared with its common binomials
+        cancelled (at p = 1 and m = n every shell reads C(ell, g) <= C(ell, g))."""
+        (g_lo, g_hi), (r_lo, r_hi) = self.g_window, self.r_window
+        gs = range(max(g_lo, s - r_hi), min(g_hi, s - r_lo) + 1)
+        exhaust = (self.ell + self.n - m, s - m)
+        if len(gs) == 1:
+            return _products_leq([(self.ell, gs[0]), self.factor_r(s - gs[0])], [exhaust])
+        return sum(self.comb_g(g) * self.count_r(s - g) for g in gs) <= math.comb(*exhaust)
+
+    def violation(self, m: int) -> int | None:
+        """A shell proven to overflow at m, or None when every shell fits."""
+        i = _certify(self.margins(m), _margin_bound(self.ell + max(self.n, m)),
+                     lambda i: self.fits(int(self.shells[i]), m))
+        return None if i is None else int(self.shells[i])
+
+
+def _solve_window(ell: int, n: int, g_window: tuple[int, int], r_window: tuple[int, int],
+                  log_r: np.ndarray, factor_r: Callable[[int], Factor]
+                  ) -> tuple[int, tuple[int, int]]:
+    """Largest m jointly feasible for the whole window.
+
+    Joint unitarity needs one injection over ALL covered pairs at once, so
+    every shell must fit (:class:`_Shells`); the feasible set is downward
+    closed in m and contains m = 0 (Vandermonde).  Also returns the largest
+    single pair of the shell of smallest margin at m, for reporting.
+    """
+    shells = _Shells(ell, n, g_window, r_window, log_r, factor_r)
+    m = _bisect(lambda m: shells.violation(m) is None, 0, int(shells.shells[0]), largest=True)
+    s = int(shells.shells[np.argmin(shells.margins(m))])
     gs = np.arange(max(g_window[0], s - r_window[1]), min(g_window[1], s - r_window[0]) + 1)
-    g = int(gs[np.argmax(lhs_g[gs - g_window[0]] + lhs_r[s - gs - r_window[0]])])
-    return lo, (g, s - g)
-
-
-def _shell_sums(row_g: dict[int, int], row_r: dict[int, int]) -> dict[int, int]:
-    """Exact sums of row_g[g] row_r[r] over each shell g + r, by ascending shell."""
-    sums: dict[int, int] = {}
-    for g, c_g in row_g.items():
-        for r, c_r in row_r.items():
-            sums[g + r] = sums.get(g + r, 0) + c_g * c_r
-    return sums
+    g = int(gs[np.argmax(shells.log_g[gs - g_window[0]] + log_r[s - gs - r_window[0]])])
+    return m, (g, s - g)
 
 
 def shell_input_counts(ell: int, n: int, g_window: tuple[int, int],
                        r_window: tuple[int, int]) -> dict[int, int]:
     """Exact number of covered input strings per total-1s shell."""
-    return _shell_sums(_comb_row(ell, g_window), _comb_row(n, r_window))
+    row_r = [math.comb(n, r) for r in range(r_window[0], r_window[1] + 1)]
+    sums: dict[int, int] = {}
+    for g in range(g_window[0], g_window[1] + 1):
+        c_g = math.comb(ell, g)
+        for r, c_r in enumerate(row_r, r_window[0]):
+            sums[g + r] = sums.get(g + r, 0) + c_g * c_r
+    return sums
 
 
-def _solve_window_exact(ell: int, n: int, g_window: tuple[int, int],
-                        r_window: tuple[int, int]) -> tuple[int, tuple[int, int]]:
-    """Largest m jointly feasible for the whole window, in exact integers.
-
-    Same shell-sum condition as the log-gamma route: every total-1s shell
-    must fit into C(ell+n-m, s-m).
-    """
-    row_g, row_r = _comb_row(ell, g_window), _comb_row(n, r_window)
-    sums = _shell_sums(row_g, row_r)
-    s_min = min(sums)
-
-    def feasible(m: int) -> bool:
-        if m > s_min:
-            return False
-        k = ell + n - m
-        return all(math.comb(k, s - m) >= total for s, total in sums.items())
-
-    lo, hi = 0, s_min
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    m_star = lo
-
-    # Binding shell: the one with the smallest log margin at m*; report its
-    # largest single composite type.
-    k = ell + n - m_star
-    s_binding = min(sums, key=lambda s: log_binomial(k, s - m_star) - math.log(sums[s]))
-    best_g = max((g for g in row_g if s_binding - g in row_r),
-                 key=lambda g: row_g[g] * row_r[s_binding - g])
-    return m_star, (best_g, s_binding - best_g)
-
-
-def plan_distillation(n: int, p: float, beta: float, width: float = 3.0,
-                      exact: bool | None = None,
-                      exact_threshold: int = PLAN_EXACT_THRESHOLD) -> DistillationPlan:
+def plan_distillation(n: int, p: float, beta: float, width: float = 3.0) -> DistillationPlan:
     """Construct a distillation plan with ell = ceil((R n)^(3/2)) bath copies.
 
     The output size m is fitted to the worst composite typical type, so the
@@ -442,37 +506,27 @@ def plan_distillation(n: int, p: float, beta: float, width: float = 3.0,
     no_resource = abs(p - q) < 1e-12
 
     ell = 0 if no_resource else math.ceil((r_lim * n) ** 1.5)
-    if exact is None:
-        exact = (ell + n) <= exact_threshold
-    mode = "exact" if exact else "loggamma"
-
     g_window = typical_range(ell, q, width) if ell > 0 else (0, 0)
     r_window = typical_range(n, p, width)
 
     num_types = (g_window[1] - g_window[0] + 1) * (r_window[1] - r_window[0] + 1)
 
     if no_resource:
-        m = 0
-        worst = (g_window[0], r_window[0])
-    elif exact:
-        m, worst = _solve_window_exact(ell, n, g_window, r_window)
+        m, (g, r) = 0, (g_window[0], r_window[0])
     else:
-        m, worst = _solve_window_loggamma(
-            ell, n, g_window, r_window, _log_comb(n, np.arange(r_window[0], r_window[1] + 1)))
+        m, (g, r) = _solve_window(ell, n, g_window, r_window, *_binomial_axis(n, r_window))
 
     bath_out = 0.0 if ell == 0 else binomial_outside_mass(ell, q, g_window)
     resource_out = binomial_outside_mass(n, p, r_window)
     failure_mass = bath_out + resource_out - bath_out * resource_out
 
-    g, r = worst
     return DistillationPlan(
         n=n, ell=ell, m=m, k=ell + n - m, p=p, beta=beta, width=width,
         failure_mass=failure_mass,
         achieved_rate=m / n,
         epsilon=(n / ell) if ell > 0 else math.inf,
         r_limit=r_lim,
-        mode=mode,
-        worst_type=next(_records(ell, n, m, (g, g), (r, r), exact)),
+        worst_type=next(_records(ell, n, m, (g, g), (r, r), *_binomial_axis(n, (r, r)))),
         no_resource=no_resource,
         gibbs_window=g_window,
         resource_window=r_window,
@@ -506,10 +560,7 @@ class BlockDiagonalizationRecord:
     eig_tail: float
 
 
-def plan_distillation_general(rho: DensityMatrix, n: int, beta: float,
-                              width: float = 3.0,
-                              exact: bool | None = None,
-                              exact_threshold: int = PLAN_EXACT_THRESHOLD,
+def plan_distillation_general(rho: DensityMatrix, n: int, beta: float, width: float = 3.0
                               ) -> tuple[DistillationPlan, BlockDiagonalizationRecord]:
     """Distillation plan for a general two-level state.
 
@@ -540,20 +591,10 @@ def plan_distillation_general(rho: DensityMatrix, n: int, beta: float,
 
     e_window = typical_range(n, a, width)
     eig_window = typical_range(n, lam, width)
-    exact_mode = (n <= exact_threshold) if exact is None else exact
-
-    if exact_mode:
-        log_cap_total = math.log(
-            sum(math.comb(n, j) for j in range(eig_window[0], eig_window[1] + 1)))
-    else:
-        eig_counts = np.arange(eig_window[0], eig_window[1] + 1)
-        log_cap_total = float(logsumexp(_log_comb(n, eig_counts)))
-
-    blocks = []
-    for t in range(e_window[0], e_window[1] + 1):
-        log_dim = log_binomial(n, t)
-        cap = log_dim if diagonal else min(log_dim, log_cap_total)
-        blocks.append(BlockRecord(t, log_dim, cap))
+    log_cap_total = float(logsumexp(_log_comb(n, np.arange(eig_window[0], eig_window[1] + 1))))
+    log_dims = _log_comb(n, np.arange(e_window[0], e_window[1] + 1)).tolist()
+    blocks = [BlockRecord(t, log_dim, log_dim if diagonal else min(log_dim, log_cap_total))
+              for t, log_dim in enumerate(log_dims, e_window[0])]
 
     energy_tail = binomial_outside_mass(n, a, e_window)
     eig_tail = binomial_outside_mass(n, lam, eig_window)
@@ -569,8 +610,7 @@ def plan_distillation_general(rho: DensityMatrix, n: int, beta: float,
     )
 
     if diagonal:
-        return plan_distillation(n, a, beta, width, exact=exact,
-                                 exact_threshold=exact_threshold), record
+        return plan_distillation(n, a, beta, width), record
 
     # Coherent case: per (bath type, energy block), the injection must
     # absorb C(ell, g) * rank_cap(t) strings into C(k, g + t - m).
@@ -583,22 +623,20 @@ def plan_distillation_general(rho: DensityMatrix, n: int, beta: float,
 
     # Joint feasibility: every total-energy shell s = g + t must absorb the
     # summed string budgets of the covered (bath type, block) pairs.
-    caps = np.array([block.log_rank_cap for block in blocks])
-    m, (g_worst, t_worst) = _solve_window_loggamma(ell, n, g_window, e_window, caps)
+    m, (g_worst, t_worst) = _solve_window(ell, n, g_window, e_window,
+                                          *_cap_axis(n, record, e_window))
 
     bath_out = 0.0 if ell == 0 else binomial_outside_mass(ell, q, g_window)
     failure = min(1.0, bath_out + energy_tail + 2.0 * math.sqrt(eig_tail))
 
-    worst_cap = {t_worst: blocks[t_worst - e_window[0]].log_rank_cap}
     plan = DistillationPlan(
         n=n, ell=ell, m=m, k=ell + n - m, p=a, beta=beta, width=width,
         failure_mass=failure,
         achieved_rate=m / n,
         epsilon=(n / ell) if ell > 0 else math.inf,
         r_limit=r_lim,
-        mode="exact" if exact_mode else "loggamma",
         worst_type=next(_records(ell, n, m, (g_worst, g_worst), (t_worst, t_worst),
-                                 False, worst_cap)),
+                                 *_cap_axis(n, record, (t_worst, t_worst)))),
         coherent=True,
         gibbs_window=g_window,
         resource_window=e_window,
@@ -610,6 +648,18 @@ def plan_distillation_general(rho: DensityMatrix, n: int, beta: float,
 # ---------------------------------------------------------------------------
 # Explicit string maps
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _fixed_weight_strings(length: int, weight: int) -> tuple[tuple[int, ...], ...]:
+    """All binary strings with the given weight, in lexicographic order."""
+    out = []
+    for positions in combinations(range(length), weight):
+        bits = [0] * length
+        for pos in positions:
+            bits[pos] = 1
+        out.append(tuple(bits))
+    return tuple(sorted(out))
+
 
 def rank_fixed_weight(bits: tuple[int, ...]) -> int:
     """Lexicographic rank of a binary string among strings of its weight."""
@@ -684,17 +734,8 @@ class StringMap:
 
     def pairs(self):
         """Yield every (input string, output string) pair; small sizes only."""
-        from itertools import combinations
-
-        def strings(length, weight):
-            for positions in combinations(range(length), weight):
-                bits = [0] * length
-                for pos in positions:
-                    bits[pos] = 1
-                yield tuple(bits)
-
-        for bath in strings(self.ell, self.gibbs_ones):
-            for resource in strings(self.n, self.resource_ones):
+        for bath in _fixed_weight_strings(self.ell, self.gibbs_ones):
+            for resource in _fixed_weight_strings(self.n, self.resource_ones):
                 yield bath + resource, self.apply(bath, resource)
 
 

@@ -19,14 +19,19 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import gibbs_weight
-from .distill import _comb_row, _log_comb, binomial_log_pmf, binomial_outside_mass, rate_limit
-from .distill import rank_fixed_weight, unrank_fixed_weight
-from .typeclass import (
-    TypeDescriptor,
-    log_binomial,
-    type_probability,
-    typical_range,
+from .distill import (
+    _bisect,
+    _certify,
+    _log_comb,
+    _margin_bound,
+    _products_leq,
+    binomial_log_pmf,
+    binomial_outside_mass,
+    rank_fixed_weight,
+    rate_limit,
+    unrank_fixed_weight,
 )
+from .typeclass import TypeDescriptor, log_binomial, type_probability, typical_range
 
 __all__ = [
     "InfeasibleFormationError",
@@ -80,13 +85,8 @@ def solve_formation_single_type(n: int, target_ones: int, ell: int,
         raise InfeasibleFormationError(
             f"no feasible m <= {hi} for (n={n}, t={target_ones}, ell={ell}, g={gibbs_ones})"
         )
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if formation_feasible(n, target_ones, ell, gibbs_ones, mid, exact=exact):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _bisect(lambda m: formation_feasible(n, target_ones, ell, gibbs_ones, m, exact=exact),
+                   lo, hi, largest=False)
 
 
 @dataclass(frozen=True)
@@ -99,16 +99,11 @@ class FormationRecord:
     m: int
     log_gibbs_cardinality: float
     log_output_cardinality: float      # exhaust x target
-    gibbs_cardinality: int | None = None
-    output_cardinality: int | None = None
 
     def check(self) -> None:
         if self.gibbs_ones + self.m != self.exhaust_ones + self.target_ones:
             raise ValueError("formation record violates conservation of 1s")
-        if self.gibbs_cardinality is not None and self.output_cardinality is not None:
-            if self.gibbs_cardinality > self.output_cardinality:
-                raise ValueError("formation record violates the counting inequality")
-        elif self.log_gibbs_cardinality > self.log_output_cardinality + 1e-6:
+        if self.log_gibbs_cardinality > self.log_output_cardinality + 1e-6:
             raise ValueError("formation record violates the counting inequality")
 
 
@@ -300,7 +295,6 @@ class FormationPlan:
     cost_rate: float
     work_per_copy: float
     failure_mass: float
-    mode: str
     worst_type: FormationRecord
     free_target: bool = False
     gibbs_window: tuple[int, int] = (0, 0)
@@ -328,135 +322,109 @@ class FormationPlan:
                 and self.target_window[0] <= target_ones <= self.target_window[1])
 
     def records(self) -> Iterator[FormationRecord]:
-        """Yield the checked record of every covered pair; a free target
+        """Yield the certified record of every covered pair; a free target
         covers only the identity pairs (t, t)."""
-        exact = self.mode == "exact"
         if not self.free_target:
             yield from _formation_records(self.n, self.ell, self.m, self.gibbs_window,
-                                          self.target_window, exact)
+                                          self.target_window)
             return
         for t in range(self.target_window[0], self.target_window[1] + 1):
-            yield from _formation_records(self.n, self.ell, self.m, (t, t), (t, t), exact)
+            yield from _formation_records(self.n, self.ell, self.m, (t, t), (t, t))
 
     # Schema-1 name of the records, kept as a lazily derived view because
     # perfbench/tracer.py still reads it.
     per_type_maps = property(records)
 
 
-def _formation_m_loggamma(n: int, ell: int, g_window: tuple[int, int],
-                          t_window: tuple[int, int]) -> tuple[int, tuple[int, int]]:
-    """max over the window of the per-pair minimal m, via grouped log-gamma."""
-    g_lo, g_hi = g_window
-    t_lo, t_hi = t_window
-    gs = np.arange(g_lo, g_hi + 1)
-    ts = np.arange(t_lo, t_hi + 1)
-    lhs_g = _log_comb(ell, gs)
-    rhs_t = _log_comb(n, ts)
+class _Pairs:
+    """(Gibbs type g, target type t) pairs of a formation window at every m.
 
-    # Group by j = g - t; the exhaust count is e = j + m.
-    j_lo, j_hi = g_lo - t_hi, g_hi - t_lo
-    lhs_max = np.full(j_hi - j_lo + 1, -np.inf)
-    arg_g = np.zeros(j_hi - j_lo + 1, dtype=np.int64)
-    for i, t in enumerate(ts):
-        start = g_lo - t - j_lo
-        seg = lhs_max[start:start + len(gs)]
-        vals = lhs_g - rhs_t[i]
-        better = vals > seg
-        seg[better] = vals[better]
-        arg_g[start:start + len(gs)][better] = gs[better]
-
-    js = np.arange(j_lo, j_hi + 1)
-    if j_hi > ell - n:
-        raise InfeasibleFormationError("a window pair violates e <= k at every m")
-
-    def margins(m: int) -> np.ndarray:
-        return _log_comb(m + ell - n, js + m) - lhs_max
-
-    def feasible(m: int) -> bool:
-        if m + ell - n < 0 or j_lo + m < 0:
-            return False
-        return bool(margins(m).min() >= 0.0)
-
-    lo = max(0, n - ell, -j_lo)
-    hi = ell + n
-    if not feasible(hi):
-        raise InfeasibleFormationError("window infeasible at m = ell + n")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    m_star = lo
-    probe = max(lo - 1, max(0, n - ell, -j_lo))
-    j_binding = int(js[int(np.argmin(margins(probe)))])
-    g_binding = int(arg_g[j_binding - j_lo])
-    return m_star, (g_binding, g_binding - j_binding)
-
-
-def _formation_m_exact(n: int, ell: int, g_window: tuple[int, int],
-                       t_window: tuple[int, int]) -> tuple[int, tuple[int, int]]:
-    """Exact-integer worst-case m: log-gamma candidate, then refinement.
-
-    Each probe scans the pairs in (g, t) order for the first one violating
-    C(ell, g) <= C(k, e) C(n, t), reading C(ell, g) and C(n, t) from rows
-    computed once and C(k, e) from one row per probe.
+    Pair (g, t) needs C(ell, g) <= C(k, e) C(n, t) with k = m + ell - n and
+    e = j + m on its diagonal j = g - t, so each diagonal binds through its
+    pair of largest ln C(ell, g) - ln C(n, t): ``top``, at Gibbs count
+    ``top_g``.
     """
-    m, worst = _formation_m_loggamma(n, ell, g_window, t_window)
-    floor_m = max(0, n - ell, t_window[1] - g_window[0])
-    row_g, row_t = _comb_row(ell, g_window), _comb_row(n, t_window)
 
-    def first_infeasible(m_try: int) -> tuple[int, int] | None:
-        k = m_try + ell - n
-        if k < 0:
-            return (g_window[0], t_window[0])
-        # C(k, e) for e = g + m_try - t; absent (no exhaust string) below 0.
-        row_e = _comb_row(k, (max(0, g_window[0] + m_try - t_window[1]),
-                              g_window[1] + m_try - t_window[0]))
-        for g, c_g in row_g.items():
-            for t, c_t in row_t.items():
-                if c_g > row_e.get(g + m_try - t, 0) * c_t:
-                    return (g, t)
+    def __init__(self, n: int, ell: int, g_window: tuple[int, int], t_window: tuple[int, int]):
+        self.n, self.ell, self.g_window, self.t_window = n, ell, g_window, t_window
+        (g_lo, g_hi), (t_lo, t_hi) = g_window, t_window
+        gs = np.arange(g_lo, g_hi + 1)
+        self.log_g, self.log_t = _log_comb(ell, gs), _log_comb(n, np.arange(t_lo, t_hi + 1))
+        self.js = np.arange(g_lo - t_hi, g_hi - t_lo + 1)
+        self.top = np.full(len(self.js), -np.inf)
+        self.top_g = np.zeros(len(self.js), dtype=np.int64)
+        for i, log_t in enumerate(self.log_t):
+            start = t_hi - t_lo - i            # index of j = g_lo - t
+            seg = self.top[start:start + len(gs)]
+            vals = self.log_g - log_t
+            better = vals > seg
+            seg[better] = vals[better]
+            self.top_g[start:start + len(gs)][better] = gs[better]
+
+    def margins(self, m: int) -> np.ndarray:
+        """ln C(k, j + m) less ``top``, per diagonal."""
+        return _log_comb(m + self.ell - self.n, self.js + m) - self.top
+
+    def pair(self, i: int) -> tuple[int, int]:
+        """The binding pair of diagonal i."""
+        return int(self.top_g[i]), int(self.top_g[i] - self.js[i])
+
+    def violation(self, m: int) -> tuple[int, int] | None:
+        """A pair proven infeasible at m, or None when every pair is feasible."""
+        k = m + self.ell - self.n
+        log_e = _log_comb(k, self.js + m)
+        margins = log_e - self.top
+        delta = _margin_bound(self.ell + max(self.n, m))
+        worst = int(np.argmin(margins))
+        if margins[worst] <= -delta:
+            return self.pair(worst)
+        (g_lo, g_hi), (t_lo, t_hi) = self.g_window, self.t_window
+        for i in np.flatnonzero(margins < delta):
+            # The diagonal's other pairs, each certified or decided exactly.
+            j = int(self.js[i])
+            ts = np.arange(max(t_lo, g_lo - j), min(t_hi, g_hi - j) + 1)
+            x = _certify(log_e[i] - (self.log_g[ts + j - g_lo] - self.log_t[ts - t_lo]), delta,
+                         lambda x: _products_leq([(self.ell, int(ts[x]) + j)],
+                                                 [(k, j + m), (self.n, int(ts[x]))]))
+            if x is not None:
+                return int(ts[x]) + j, int(ts[x])
         return None
 
-    bad = first_infeasible(m)
-    while bad is not None:
-        m += 1
-        if m > ell + n:
-            raise InfeasibleFormationError("window infeasible at m = ell + n")
-        worst = bad
-        bad = first_infeasible(m)
-    while m > floor_m and first_infeasible(m - 1) is None:
-        m -= 1
-    if m > floor_m:
-        worst = first_infeasible(m - 1)
-    return m, worst
+
+def _formation_m(n: int, ell: int, g_window: tuple[int, int],
+                 t_window: tuple[int, int]) -> tuple[int, tuple[int, int]]:
+    """Smallest m feasible for every (Gibbs type, target type) pair of the
+    windows, and its binding pair: one proven infeasible at m - 1, or, when
+    m is the least m with a valid exhaust, the pair of smallest margin."""
+    if g_window[1] - t_window[0] > ell - n:
+        raise InfeasibleFormationError("a window pair violates e <= k at every m")
+    pairs = _Pairs(n, ell, g_window, t_window)
+    lo, hi = max(0, n - ell, t_window[1] - g_window[0]), ell + n
+    if pairs.violation(hi) is not None:
+        raise InfeasibleFormationError("window infeasible at m = ell + n")
+    m = _bisect(lambda m: pairs.violation(m) is None, lo, hi, largest=False)
+    return m, pairs.violation(m - 1) if m > lo else pairs.pair(int(np.argmin(pairs.margins(m))))
 
 
 def _formation_records(n: int, ell: int, m: int, g_window: tuple[int, int],
-                       t_window: tuple[int, int], exact: bool) -> Iterator[FormationRecord]:
-    """Checked record of every (g, t) in the windows, read from per-axis
-    rows of C(ell, g), C(n, t) and C(k, e), exact or log-gamma."""
-    comb = math.comb if exact else log_binomial
-    row_g, row_t = _comb_row(ell, g_window, comb), _comb_row(n, t_window, comb)
-    row_e = _comb_row(m + ell - n, (g_window[0] + m - t_window[1],
-                                    g_window[1] + m - t_window[0]), comb)
-    for g, c_g in row_g.items():
-        for t, c_t in row_t.items():
-            e = g + m - t
-            if exact:
-                out = row_e[e] * c_t
-                record = FormationRecord(g, t, e, m, math.log(c_g) if c_g else 0.0,
-                                         math.log(out), c_g, out)
-            else:
-                record = FormationRecord(g, t, e, m, c_g, row_e[e] + c_t)
-            record.check()
-            yield record
+                       t_window: tuple[int, int]) -> Iterator[FormationRecord]:
+    """Certified record of every (g, t) in the windows, row by row of g; a
+    record whose margin is not certified raises ValueError."""
+    k = m + ell - n
+    ts = np.arange(t_window[0], t_window[1] + 1)
+    log_t = _log_comb(n, ts)
+    delta = _margin_bound(ell + max(n, m))
+    for g in range(g_window[0], g_window[1] + 1):
+        log_g = float(_log_comb(ell, np.array([g]))[0])
+        log_out = _log_comb(k, g + m - ts) + log_t
+        if _certify(log_out - log_g, delta, lambda i: _products_leq(
+                [(ell, g)], [(k, g + m - int(ts[i])), (n, int(ts[i]))])) is not None:
+            raise ValueError("formation record violates the counting inequality")
+        for t, log_output in zip(ts.tolist(), log_out.tolist()):
+            yield FormationRecord(g, t, g + m - t, m, log_g, log_output)
 
 
 def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
-                   exact: bool | None = None,
-                   exact_threshold: int | None = None,
                    birkhoff_tolerance: float = 1e-3) -> FormationPlan:
     """Construct a formation plan with ell = ceil(m^(3/2)) Gibbs copies.
 
@@ -469,10 +437,6 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
         raise ValueError("n must be at least 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if exact_threshold is None:
-        from .distill import PLAN_EXACT_THRESHOLD
-
-        exact_threshold = PLAN_EXACT_THRESHOLD
     r_lim = rate_limit(p, beta)
     q = gibbs_weight(beta)
     free_target = abs(p - q) < 1e-12
@@ -482,7 +446,6 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
         ell, m = n, 0
         t_window = typical_range(n, p, width)
         g_window = t_window
-        exact_mode = (ell + n) <= exact_threshold if exact is None else exact
         t = t_window[0]
         window_types = [TypeDescriptor.two_level(n, t)
                         for t in range(t_window[0], t_window[1] + 1)]
@@ -497,8 +460,7 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
             cost_rate=math.inf,
             work_per_copy=0.0,
             failure_mass=binomial_outside_mass(n, p, t_window),
-            mode="exact" if exact_mode else "loggamma",
-            worst_type=next(_formation_records(n, ell, 0, (t, t), (t, t), exact_mode)),
+            worst_type=next(_formation_records(n, ell, 0, (t, t), (t, t))),
             free_target=True,
             gibbs_window=g_window,
             target_window=t_window,
@@ -509,18 +471,13 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
     m = m_prev
     ell = 0
     g_window = (0, 0)
-    exact_mode = True
     iterations = 0
     worst = (0, 0)
     for iterations in range(1, 25):
         ell = math.ceil(m_prev ** 1.5)
         g_window = typical_range(ell, q, width)
-        exact_mode = (ell + n) <= exact_threshold if exact is None else exact
         try:
-            if exact_mode:
-                m, worst = _formation_m_exact(n, ell, g_window, t_window)
-            else:
-                m, worst = _formation_m_loggamma(n, ell, g_window, t_window)
+            m, worst = _formation_m(n, ell, g_window, t_window)
         except InfeasibleFormationError:
             # Bath too small for the windows (some pair needs e > k at every
             # m); grow it and retry.
@@ -553,9 +510,8 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
         cost_rate=n / m if m else math.inf,
         work_per_copy=m / n,
         failure_mass=failure_mass,
-        mode="exact" if exact_mode else "loggamma",
         worst_type=next(_formation_records(n, ell, m, (worst[0], worst[0]),
-                                           (worst[1], worst[1]), exact_mode)),
+                                           (worst[1], worst[1]))),
         gibbs_window=g_window,
         target_window=t_window,
         fixed_point_iterations=iterations,
@@ -610,7 +566,6 @@ def build_formation_string_map(plan: FormationPlan,
     g, t = pair
     if not plan.covers(g, t):
         raise ValueError(f"(gibbs, target) pair {pair} is not covered by the plan")
-    if not formation_feasible(plan.n, t, plan.ell, g, plan.m,
-                              exact=plan.mode == "exact"):
+    if not formation_feasible(plan.n, t, plan.ell, g, plan.m):
         raise ValueError(f"pair {pair} has no feasible injection")
     return FormationStringMap(plan.ell, plan.n, plan.m, g, t)

@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
 from .core import DensityMatrix
-from .distill import DistillationPlan, StringMap, build_string_map
+from .distill import DistillationPlan, StringMap, _fixed_weight_strings, build_string_map
 from .form import FormationPlan, FormationStringMap, build_formation_string_map
 
 __all__ = [
@@ -80,18 +79,6 @@ class StringDistribution:
             key = tuple(string[i] for i in positions)
             out[key] = out.get(key, 0) + prob
         return out
-
-
-@lru_cache(maxsize=None)
-def _fixed_weight_strings(length: int, weight: int) -> tuple[Bits, ...]:
-    """All binary strings with the given weight, in lexicographic order."""
-    out = []
-    for positions in combinations(range(length), weight):
-        bits = [0] * length
-        for pos in positions:
-            bits[pos] = 1
-        out.append(tuple(bits))
-    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)

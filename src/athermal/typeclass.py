@@ -1,9 +1,9 @@
 """Exact method-of-types machinery.
 
 Type descriptors hold exact integer occupation counts; cardinalities are
-exact arbitrary-precision integers below a configurable size threshold and
-log-gamma approximations above it (the mode in use is recorded wherever it
-matters).  Entropies are in nats.
+exact arbitrary-precision integers, and their logarithms switch to log-gamma
+above a configurable size threshold.  The plan solvers certify their float
+margins instead (see :mod:`athermal.distill`).  Entropies are in nats.
 """
 
 from __future__ import annotations

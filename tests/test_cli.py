@@ -15,7 +15,7 @@ from athermal.cli import (
     write_string_distribution_csv,
 )
 from athermal.distill import plan_distillation
-from athermal.form import plan_formation
+from athermal.form import FormationPlan, plan_formation
 from athermal.simulate import thermal_input_distribution
 
 Q1 = math.exp(-1) / (1 + math.exp(-1))
@@ -50,6 +50,18 @@ class TestRateCommand:
         assert bits == pytest.approx(nats / math.log(2), abs=1e-12)
 
 
+def with_exact_counts(plan, record):
+    """A record as schema 1 and 2 listed it in exact mode: its six fields,
+    then the input and exhaust (or Gibbs and output) string counts."""
+    if isinstance(plan, FormationPlan):
+        counts = [math.comb(plan.ell, record.gibbs_ones),
+                  math.comb(plan.k, record.exhaust_ones) * math.comb(plan.n, record.target_ones)]
+    else:
+        counts = [math.comb(plan.ell, record.gibbs_ones) * math.comb(plan.n, record.resource_ones),
+                  math.comb(plan.k, record.exhaust_ones)]
+    return list(astuple(record)) + counts
+
+
 class TestPlanSerialization:
     def test_distillation_round_trip(self):
         plan = plan_distillation(12, 0.9, 1.0, width=1.0)
@@ -67,7 +79,7 @@ class TestPlanSerialization:
 
     def test_schema_carries_units(self):
         doc = plan_to_dict(plan_distillation(6, 0.9, 1.0, width=1.0))
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["units"]["log_cardinalities"] == "nats"
 
     @pytest.mark.parametrize("plan", [
@@ -75,15 +87,31 @@ class TestPlanSerialization:
         plan_formation(8, Q1, 1.0),
     ], ids=["distillation", "formation", "free-target"])
     def test_reads_schema_1(self, plan):
-        # A version-1 document also lists every per-type record, and left
-        # worst_type empty for free-target formation; both load as version 2.
+        # A version-1 document also lists every per-type record, names its
+        # solver mode, carries exact counts in its records, and left
+        # worst_type empty for free-target formation; all load as version 3.
         doc = json.loads(dumps_report(plan_to_dict(plan)))
-        v1 = dict(doc, schema_version=1, records_complete=True,
-                  per_type_maps=[list(astuple(r)) for r in plan.records()])
+        v1 = dict(doc, schema_version=1, records_complete=True, mode="exact",
+                  per_type_maps=[with_exact_counts(plan, r) for r in plan.records()])
         if getattr(plan, "free_target", False):
             v1["worst_type"] = None
         assert "per_type_maps" not in doc and "records_complete" not in doc
+        assert "mode" not in doc and len(doc["worst_type"]) == 6
         assert plan_from_dict(v1) == plan
+
+    @pytest.mark.parametrize("plan", [
+        plan_distillation(12, 0.9, 1.0, width=1.0), plan_formation(8, 0.8, 1.0, width=1.0),
+        plan_formation(8, Q1, 1.0), plan_distillation(3000, 0.75, 1.0),
+    ], ids=["distillation", "formation", "free-target", "loggamma"])
+    def test_reads_schema_2(self, plan):
+        # A version-2 document names its solver mode; exact-mode records
+        # carry two exact counts, log-gamma ones two nulls.
+        doc = json.loads(dumps_report(plan_to_dict(plan)))
+        exact = plan.ell + plan.n <= 2_000
+        v2 = dict(doc, schema_version=2, mode="exact" if exact else "loggamma",
+                  worst_type=(with_exact_counts(plan, plan.worst_type) if exact
+                              else doc["worst_type"] + [None, None]))
+        assert plan_from_dict(v2) == plan
 
     def test_plan_file_is_small(self, tmp_path):
         # O(windows): no per-type records, though the window has ~1e5 types.

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -40,21 +42,26 @@ def outside_reference(n, p, window):
     return float(binom.cdf(window[0] - 1, n, p) + binom.sf(window[1], n, p))
 
 
+def joint_shell_m(ell, n, g_window, r_window, count=math.comb):
+    """Largest m fitting every shell, in exact integers: shell s holds
+    sum C(ell, g) count(n, r) over its covered pairs, one math.comb per pair;
+    returns m and the shell sums."""
+    shells = {}
+    for g in range(g_window[0], g_window[1] + 1):
+        for r in range(r_window[0], r_window[1] + 1):
+            shells[g + r] = shells.get(g + r, 0) + math.comb(ell, g) * count(n, r)
+    m = min(shells)
+    while any(math.comb(ell + n - m, s - m) < c for s, c in shells.items()):
+        m -= 1
+    return m, shells
+
+
 def coherent_exact_m(plan, record):
     """Largest m fitting every shell of a coherent plan, in exact integers."""
-    n, ell = plan.n, plan.ell
-    cap_total = sum(math.comb(n, j) for j in range(record.eig_window[0],
-                                                    record.eig_window[1] + 1))
-    shells = {}
-    for g in range(plan.gibbs_window[0], plan.gibbs_window[1] + 1):
-        for block in record.blocks:
-            t = block.block_energy
-            shells[g + t] = shells.get(g + t, 0) + math.comb(ell, g) * min(math.comb(n, t),
-                                                                           cap_total)
-    m = min(shells)
-    while m > 0 and any(math.comb(ell + n - m, s - m) < c for s, c in shells.items()):
-        m -= 1
-    return m
+    cap_total = sum(math.comb(plan.n, j) for j in range(record.eig_window[0],
+                                                         record.eig_window[1] + 1))
+    return joint_shell_m(plan.ell, plan.n, plan.gibbs_window, plan.resource_window,
+                         lambda n, t: min(math.comb(n, t), cap_total))[0]
 
 
 class TestRateLimit:
@@ -139,7 +146,6 @@ class TestPlanDistillation:
     def test_per_type_records(self):
         for n, width in ((12, 1.0), (24, 1.0), (40, 1.2)):
             plan = plan_distillation(n, 0.9, 1.0, width=width)
-            assert plan.mode == "exact"
             records = list(plan.records())
             assert len(records) == plan.num_composite_types
             assert list(plan.per_type_maps) == records
@@ -147,18 +153,18 @@ class TestPlanDistillation:
             for rec in records:
                 # conservation of 1s and the counting inequality, exactly
                 assert rec.gibbs_ones + rec.resource_ones == rec.exhaust_ones + plan.m
-                assert rec.input_cardinality == (math.comb(plan.ell, rec.gibbs_ones)
-                                                 * math.comb(n, rec.resource_ones))
-                assert rec.exhaust_cardinality == math.comb(plan.k, rec.exhaust_ones)
-                assert rec.input_cardinality <= rec.exhaust_cardinality
+                inputs = math.comb(plan.ell, rec.gibbs_ones) * math.comb(n, rec.resource_ones)
+                assert inputs <= math.comb(plan.k, rec.exhaust_ones)
+                assert rec.log_input_cardinality == pytest.approx(math.log(inputs), rel=1e-12)
+                assert rec.log_exhaust_cardinality == pytest.approx(
+                    math.log(math.comb(plan.k, rec.exhaust_ones)), rel=1e-12)
 
     def test_records_in_loggamma_mode(self):
-        plan = plan_distillation(40, 0.9, 1.0, width=1.2, exact=False)
+        plan = plan_distillation(40, 0.9, 1.0, width=1.2)
         records = list(plan.records())
         assert len(records) == plan.num_composite_types
         assert plan.worst_type in records
         for rec in records:
-            assert rec.input_cardinality is None
             assert rec.log_input_cardinality == pytest.approx(
                 math.log(math.comb(plan.ell, rec.gibbs_ones) * math.comb(40, rec.resource_ones)),
                 rel=1e-12)
@@ -199,19 +205,16 @@ class TestPlanDistillation:
         ell = math.ceil((rate_limit(p, beta) * n) ** 1.5) if abs(p - q) > 1e-9 else 0
         g_window = typical_range(ell, q, width) if ell else (0, 0)
         r_window = typical_range(n, p, width)
-        shells = {}
-        for g in range(g_window[0], g_window[1] + 1):
-            for r in range(r_window[0], r_window[1] + 1):
-                shells[g + r] = shells.get(g + r, 0) + math.comb(ell, g) * math.comb(n, r)
-        m = min(shells)
-        while any(math.comb(ell + n - m, s - m) < c for s, c in shells.items()):
-            m -= 1
-        solved, (g, r) = distill._solve_window_exact(ell, n, g_window, r_window)
+        m, shells = joint_shell_m(ell, n, g_window, r_window)
+        solved, (g, r) = distill._solve_window(ell, n, g_window, r_window,
+                                               *distill._binomial_axis(n, r_window))
         assert solved == m
+        # The reported shell has the smallest exact margin (exact ties, as
+        # in full windows, may go either way).
         k = ell + n - m
-        binding = min(shells, key=lambda s: math.lgamma(k + 1) - math.lgamma(s - m + 1)
-                      - math.lgamma(k - s + m + 1) - math.log(shells[s]))
-        assert g + r == binding
+        ratio = {s: Fraction(math.comb(k, s - m), c) for s, c in shells.items()}
+        binding = g + r
+        assert ratio[binding] == min(ratio.values())
         assert math.comb(ell, g) * math.comb(n, r) == max(
             math.comb(ell, x) * math.comb(n, binding - x)
             for x in range(g_window[0], g_window[1] + 1)
@@ -225,19 +228,18 @@ class TestPlanDistillation:
         assert plan.failure_mass == pytest.approx(1 - bath * res, abs=1e-12)
 
     def test_solver_modes_agree(self):
-        # The log-gamma window solver must reproduce the exact-integer m.
+        # The certified window solver must reproduce the exact-integer m.
         for (n, p, beta, width) in [(150, 0.75, 1.0, 1.5), (150, 0.75, 1.0, 3.0),
                                     (100, 0.9, 1.0, 3.0), (80, 0.95, 2.0, 3.0),
                                     (60, 0.99, 4.0, 3.0)]:
-            exact = plan_distillation(n, p, beta, width, exact=True)
-            approx = plan_distillation(n, p, beta, width, exact=False)
-            assert exact.m == approx.m > 0
+            plan = plan_distillation(n, p, beta, width)
+            exact_m, _ = joint_shell_m(plan.ell, n, plan.gibbs_window, plan.resource_window)
+            assert plan.m == exact_m > 0
         # The coherent planner's shell solve against exact integer shells.
         for (c, p, n) in [(0.3, 0.75, 100), (0.45, 0.5, 300), (0.1, 0.9, 150)]:
             rho = DensityMatrix(np.array([[1 - p, c], [c, p]]))
-            exact, record = plan_distillation_general(rho, n, 1.0, exact=True)
-            approx, _ = plan_distillation_general(rho, n, 1.0, exact=False)
-            assert exact.m == approx.m == coherent_exact_m(exact, record)
+            plan, record = plan_distillation_general(rho, n, 1.0)
+            assert plan.m == coherent_exact_m(plan, record)
 
     @pytest.mark.parametrize("n,ell,m", [(100_000, 7_449_621, 36_457),
                                          (50_000, 2_633_839, 17_873)])
@@ -294,6 +296,81 @@ class TestShellKernel:
         self.check_against_exact(ell, n, typical_range(ell, gibbs_q(beta), width),
                                  typical_range(n, p, width))
         assert max(len(r) for r in runs) > 1
+
+
+def exact_log_ratio(top: int, bottom: int) -> float:
+    """ln(top / bottom) of two positive big integers, to 50 digits."""
+    with mpmath.workdps(50):
+        return float(mpmath.log(mpmath.mpf(top)) - mpmath.log(mpmath.mpf(bottom)))
+
+
+class TestCertifiedMargins:
+    @given(n=st.integers(1, 700), p=st.floats(0.5, 0.99), beta=st.floats(0.2, 3.0),
+           width=st.floats(0.5, 3.0), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_shell_margins_within_quarter_delta(self, n, p, beta, width, data):
+        # ell = ceil((R n)^1.5) <= 700^1.5, so ell + n stays below 2e4.
+        ell = math.ceil((rate_limit(p, beta) * n) ** 1.5)
+        g_window, r_window = typical_range(ell, gibbs_q(beta), width), typical_range(n, p, width)
+        shells = distill._Shells(ell, n, g_window, r_window, *distill._binomial_axis(n, r_window))
+        m = data.draw(st.integers(0, int(shells.shells[0])))
+        margins, delta = shells.margins(m), distill._margin_bound(ell + max(n, m))
+        for i in data.draw(st.lists(st.integers(0, len(margins) - 1), min_size=1, max_size=6)):
+            s = int(shells.shells[i])
+            inputs = sum(math.comb(ell, g) * math.comb(n, s - g)
+                         for g in range(max(g_window[0], s - r_window[1]),
+                                        min(g_window[1], s - r_window[0]) + 1))
+            ref = exact_log_ratio(math.comb(ell + n - m, s - m), inputs)
+            assert abs(margins[i] - ref) <= delta / 4
+
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)) | st.integers(1, 50),
+                    max_size=3),
+           st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)) | st.integers(1, 50),
+                    max_size=3))
+    @settings(max_examples=200)
+    def test_products_compare_exactly(self, lhs, rhs):
+        # Factors (x, y) stand for C(x, y) (y folded into [0, x]); common
+        # binomials, repeated ones included, cancel without changing the answer.
+        def fold(fs):
+            return [(f[0], f[1] % (f[0] + 1)) if isinstance(f, tuple) else f for f in fs]
+
+        def value(fs):
+            return math.prod(math.comb(*f) if isinstance(f, tuple) else f for f in fs)
+
+        lhs, rhs = fold(lhs), fold(rhs)
+        assert distill._products_leq(lhs, rhs) == (value(lhs) <= value(rhs))
+        assert distill._products_leq(lhs + lhs, lhs + rhs) == (value(lhs) <= value(rhs))
+
+    def test_zero_margins_go_to_exact_fallback(self, monkeypatch):
+        # Full windows at m = 0: shell s holds exactly C(ell + n, s) strings
+        # (Vandermonde), so every float margin is 0 up to rounding.
+        ell, n = 30, 20
+        shells = distill._Shells(ell, n, (0, ell), (0, n), *distill._binomial_axis(n, (0, n)))
+        assert np.all(np.abs(shells.margins(0)) < distill._margin_bound(ell + n))
+        decided = []
+        real = distill._Shells.fits
+        monkeypatch.setattr(distill._Shells, "fits",
+                            lambda self, s, m: decided.append(s) or real(self, s, m))
+        assert shells.violation(0) is None
+        assert sorted(decided) == list(range(ell + n + 1))
+
+    def test_one_string_short_is_infeasible(self):
+        # No bath and one resource count raised by a single string: shell
+        # 30 holds C(60, 30) + 1 strings for C(60, 30) exhaust strings, a
+        # shortfall far below float resolution.
+        n, r0 = 60, 30
+        log_r, _ = distill._binomial_axis(n, (0, n))
+        shells = distill._Shells(0, n, (0, 0), (0, n), log_r,
+                                 lambda r: math.comb(n, r) + (r == r0))
+        assert abs(shells.margins(0)[r0]) < distill._margin_bound(n)
+        assert shells.violation(0) == r0
+
+    def test_records_certify_exactly_tight_types(self):
+        # A no-resource plan (ell = 0, m = 0) maps each type onto itself:
+        # every record holds with equality.
+        plan = plan_distillation(200_000, Q1, 1.0)
+        records = list(itertools.islice(plan.records(), 3))
+        assert all(r.log_input_cardinality == r.log_exhaust_cardinality for r in records)
 
 
 class TestOutsideMass:

@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from athermal import form
 from athermal.core import gibbs_weight
-from athermal.distill import plan_distillation, rate_limit, solve_single_type
+from athermal.distill import _margin_bound, plan_distillation, rate_limit, solve_single_type
 from athermal.form import (
     FormationStringMap,
     InfeasibleFormationError,
@@ -79,7 +80,8 @@ class TestPlanFormation:
         assert plan.worst_type == records[0]
         for rec in records:
             assert rec.gibbs_ones == rec.target_ones and rec.exhaust_ones == 0
-            assert rec.gibbs_cardinality == rec.output_cardinality == math.comb(12, rec.target_ones)
+            assert rec.log_gibbs_cardinality == rec.log_output_cardinality == pytest.approx(
+                math.log(math.comb(12, rec.target_ones)), rel=1e-12)
 
     def test_reverse_conservation_of_dimension(self):
         plan = plan_formation(20, 0.75, 1.0, width=1.5)
@@ -88,51 +90,38 @@ class TestPlanFormation:
     def test_per_type_records(self):
         for n in (8, 15, 20):
             plan = plan_formation(n, 0.8, 1.0, width=1.2)
-            assert plan.mode == "exact"
             records = list(plan.records())
             n_gibbs = plan.gibbs_window[1] - plan.gibbs_window[0] + 1
             assert len(records) == n_gibbs * (plan.target_window[1] - plan.target_window[0] + 1)
             assert plan.worst_type in records
             for rec in records:
                 assert rec.gibbs_ones + plan.m == rec.exhaust_ones + rec.target_ones
-                assert rec.gibbs_cardinality == math.comb(plan.ell, rec.gibbs_ones)
-                assert rec.output_cardinality == (math.comb(plan.k, rec.exhaust_ones)
-                                                  * math.comb(n, rec.target_ones))
-                assert rec.gibbs_cardinality <= rec.output_cardinality
+                gibbs = math.comb(plan.ell, rec.gibbs_ones)
+                output = math.comb(plan.k, rec.exhaust_ones) * math.comb(n, rec.target_ones)
+                assert gibbs <= output
+                assert rec.log_gibbs_cardinality == pytest.approx(math.log(gibbs), rel=1e-12)
+                assert rec.log_output_cardinality == pytest.approx(math.log(output), rel=1e-12)
 
     @given(n=st.integers(1, 40), p=st.floats(0.3, 0.99), beta=st.floats(0.3, 3.0),
            width=st.floats(0.5, 2.5), growth=st.floats(1.0, 1.5))
     @settings(max_examples=40, deadline=None)
     def test_exact_refinement_matches_pair_scan(self, n, p, beta, width, growth):
-        # Reference: the refinement with one formation_feasible call per pair.
+        # Reference: one exact formation_feasible call per pair.  m is the
+        # least feasible m because every pair holds at m and the reported
+        # pair fails at m - 1, or m is the least m with a valid exhaust.
         ell = math.ceil((growth * max(1, math.ceil(n * rate_limit(p, beta)))) ** 1.5)
         g_window, t_window = typical_range(ell, gibbs_weight(beta), width), typical_range(n, p, width)
-
-        def first_infeasible(m_try):
-            for g in range(g_window[0], g_window[1] + 1):
-                for t in range(t_window[0], t_window[1] + 1):
-                    if not formation_feasible(n, t, ell, g, m_try):
-                        return (g, t)
-            return None
-
-        try:
-            m, worst = form._formation_m_loggamma(n, ell, g_window, t_window)
-        except InfeasibleFormationError:
+        pairs = [(g, t) for g in range(g_window[0], g_window[1] + 1)
+                 for t in range(t_window[0], t_window[1] + 1)]
+        if any(not formation_feasible(n, t, ell, g, ell + n) for g, t in pairs):
             with pytest.raises(InfeasibleFormationError):
-                form._formation_m_exact(n, ell, g_window, t_window)
+                form._formation_m(n, ell, g_window, t_window)
             return
-        floor_m = max(0, n - ell, t_window[1] - g_window[0])
-        while (bad := first_infeasible(m)) is not None:
-            m, worst = m + 1, bad
-            if m > ell + n:
-                with pytest.raises(InfeasibleFormationError):
-                    form._formation_m_exact(n, ell, g_window, t_window)
-                return
-        while m > floor_m and first_infeasible(m - 1) is None:
-            m -= 1
-        if m > floor_m:
-            worst = first_infeasible(m - 1)
-        assert form._formation_m_exact(n, ell, g_window, t_window) == (m, worst)
+        m, (g, t) = form._formation_m(n, ell, g_window, t_window)
+        assert all(formation_feasible(n, t_, ell, g_, m) for g_, t_ in pairs)
+        assert (g, t) in pairs
+        if m > max(0, n - ell, t_window[1] - g_window[0]):
+            assert not formation_feasible(n, t, ell, g, m - 1)
 
     def test_register_bits(self):
         plan = plan_formation(20, 0.75, 1.0, width=1.5)
@@ -164,10 +153,49 @@ class TestPlanFormation:
             assert pd.m <= pf.m
 
     def test_solver_modes_agree(self):
+        # The certified pair solve against an exact scan of every pair.
         for n in (60, 100):
-            exact = plan_formation(n, 0.75, 1.0, 1.5, exact=True)
-            approx = plan_formation(n, 0.75, 1.0, 1.5, exact=False)
-            assert exact.m == approx.m
+            plan = plan_formation(n, 0.75, 1.0, 1.5)
+            pairs = [(g, t) for g in range(plan.gibbs_window[0], plan.gibbs_window[1] + 1)
+                     for t in range(plan.target_window[0], plan.target_window[1] + 1)]
+            assert all(formation_feasible(n, t, plan.ell, g, plan.m) for g, t in pairs)
+            assert not all(formation_feasible(n, t, plan.ell, g, plan.m - 1) for g, t in pairs)
+
+
+class TestCertifiedPairs:
+    @given(n=st.integers(1, 400), p=st.floats(0.5, 0.99), beta=st.floats(0.3, 3.0),
+           width=st.floats(0.5, 2.5), growth=st.floats(1.0, 1.5), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_pair_margins_within_quarter_delta(self, n, p, beta, width, growth, data):
+        # ell <= (1.5 * 400)^1.5, so ell + n stays below 2e4.
+        ell = math.ceil((growth * max(1, math.ceil(n * rate_limit(p, beta)))) ** 1.5)
+        g_window, t_window = typical_range(ell, gibbs_weight(beta), width), typical_range(n, p, width)
+        assume(g_window[1] - t_window[0] <= ell - n)
+        pairs = form._Pairs(n, ell, g_window, t_window)
+        m = data.draw(st.integers(max(0, n - ell, t_window[1] - g_window[0]), ell + n))
+        margins, delta = pairs.margins(m), _margin_bound(ell + max(n, m))
+        k = m + ell - n
+        for i in data.draw(st.lists(st.integers(0, len(margins) - 1), min_size=1, max_size=6)):
+            g, t = pairs.pair(i)
+            with mpmath.workdps(50):
+                ref = float(mpmath.log(mpmath.mpf(math.comb(k, g + m - t) * math.comb(n, t)))
+                            - mpmath.log(mpmath.mpf(math.comb(ell, g))))
+            assert abs(margins[i] - ref) <= delta / 4
+
+    def test_tight_pairs_go_to_exact_fallback(self, monkeypatch):
+        # Target window {n}: at m = n every pair reads C(ell, g) <= C(ell, g)
+        # C(n, n), a margin of 0 that only the exact comparison decides.
+        n, ell = 20, 300
+        g_window = typical_range(ell, Q1, 3.0)
+        pairs = form._Pairs(n, ell, g_window, (n, n))
+        decided = []
+        real = form._products_leq
+        monkeypatch.setattr(form, "_products_leq",
+                            lambda lhs, rhs: decided.append(lhs) or real(lhs, rhs))
+        assert pairs.violation(n) is None
+        assert len(decided) == g_window[1] - g_window[0] + 1
+        assert pairs.violation(n - 1) is not None
+        assert form._formation_m(n, ell, g_window, (n, n))[0] == n
 
 
 class TestBirkhoffPartition:
