@@ -2,9 +2,10 @@
 
 Everything here is deliberately independent of the solver algebra: the
 feasibility oracle builds injections over explicitly enumerated strings
-(or counts them with a Pascal triangle), and plan execution applies the
-recorded per-type maps string by string, in exact rational arithmetic when
-requested.
+(or counts them with a Pascal triangle), and plan execution builds the
+plan's shell-preserving permutation of all 2^(ell+n) strings once, as an
+index array, and applies it to a dense input vector: integer numerators
+over one common denominator when exact, floats otherwise.
 """
 
 from __future__ import annotations
@@ -12,14 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import product
 from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
 from .core import DensityMatrix
-from .distill import DistillationPlan, StringMap, _fixed_weight_strings, build_string_map
+from .distill import DistillationPlan, _fixed_weight_strings, build_string_map
 from .form import FormationPlan, FormationStringMap, build_formation_string_map
 
 __all__ = [
@@ -49,36 +51,82 @@ class WorkBalanceError(AssertionError):
     """Energy bookkeeping failed on some trajectory; indicates a bug."""
 
 
-@dataclass(frozen=True)
+def _popcounts(length: int) -> np.ndarray:
+    """Weight of every string of the given length, indexed by its value."""
+    pop = np.zeros(1, dtype=np.int64)
+    for _ in range(length):
+        pop = np.concatenate((pop, pop + 1))
+    return pop
+
+
+def _strings(values: np.ndarray, length: int) -> list[Bits]:
+    """The strings spelled by ``values`` in binary, most significant bit first."""
+    table = list(product((0, 1), repeat=length))   # in increasing value order
+    return [table[x] for x in values.tolist()]
+
+
 class StringDistribution:
-    """Distribution over occupation strings, exact when built from Fractions."""
+    """Distribution over occupation strings of one length, held densely.
 
-    length: int
-    probs: Mapping[Bits, Fraction | float]
+    ``weights[x] / denominator`` is the mass of the string that spells x in
+    binary, most significant bit first.  Exact distributions hold Python-int
+    numerators (an object array) over one int denominator; float ones hold
+    float64 masses over 1.  ``probs`` maps each string of nonzero mass to its
+    mass, a Fraction when exact.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", dict(self.probs))
-        for string in self.probs:
-            if len(string) != self.length:
-                raise ValueError("support string of wrong length")
-        total = sum(self.probs.values())
-        if isinstance(total, Fraction):
-            if total != 1:
+    def __init__(self, length: int, probs: Mapping[Bits, Fraction | float] | None = None, *,
+                 weights: np.ndarray | None = None, denominator: int = 1):
+        if probs is not None:
+            if length > 24:
+                raise UnsupportedSizeError("string distributions capped at 24 qubits")
+            exact = all(isinstance(mass, Fraction) for mass in probs.values())
+            denominator = math.lcm(*(mass.denominator for mass in probs.values())) if exact else 1
+            weights = np.zeros(2 ** length, dtype=object if exact else float)
+            for string, mass in probs.items():
+                if len(string) != length:
+                    raise ValueError("support string of wrong length")
+                weights[int("".join(map(str, string)) or "0", 2)] += \
+                    int(mass * denominator) if exact else mass
+        if weights.shape != (2 ** length,):
+            raise ValueError("weight vector does not match the string length")
+        total = weights.sum()
+        if weights.dtype == object:
+            if total != denominator:
                 raise ValueError("exact probabilities must sum to 1")
         elif abs(float(total) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
+        self.length, self.weights, self.denominator = length, weights, denominator
 
     @property
     def is_rational(self) -> bool:
-        return all(isinstance(p, Fraction) for p in self.probs.values())
+        return self.weights.dtype == object
+
+    def _mass(self, weight) -> Fraction | float:
+        return Fraction(weight, self.denominator) if self.is_rational else float(weight)
+
+    @cached_property
+    def probs(self) -> dict[Bits, Fraction | float]:
+        return self.marginal(range(self.length))
+
+    def marginal_weights(self, positions: Iterable[int]) -> np.ndarray:
+        """Weights summed over every position not in ``positions``, indexed
+        by the value of the kept bits in the given order."""
+        positions = list(positions)
+        drop = [i for i in range(self.length) if i not in positions]
+        tensor = self.weights.reshape((2,) * self.length).sum(axis=tuple(drop), keepdims=True)
+        return tensor.transpose(positions + drop).reshape(-1)
 
     def marginal(self, positions: Iterable[int]) -> dict[Bits, Fraction | float]:
-        positions = tuple(positions)
-        out: dict[Bits, Fraction | float] = {}
-        for string, prob in self.probs.items():
-            key = tuple(string[i] for i in positions)
-            out[key] = out.get(key, 0) + prob
-        return out
+        positions = list(positions)
+        weights = self.marginal_weights(positions)
+        support = np.flatnonzero(weights)
+        return dict(zip(_strings(support, len(positions)),
+                        map(self._mass, weights[support].tolist())))
+
+    def float_marginal(self, positions: Iterable[int]) -> np.ndarray:
+        """The marginal as floats, one correctly rounded division per key."""
+        return np.asarray(self.marginal_weights(positions) / self.denominator, dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -141,32 +189,32 @@ def _rationalize(x: float, limit: int = 10 ** 9) -> Fraction:
     return Fraction(x).limit_denominator(limit)
 
 
+def _bernoulli_weights(x: Fraction | float, length: int) -> tuple[np.ndarray, int]:
+    """x^w (1-x)^(length-w) for w = 0..length over a common denominator: for
+    x = a/b the integers a^w (b-a)^(length-w) over b^length."""
+    exact = isinstance(x, Fraction)
+    a, b = (x.numerator, x.denominator) if exact else (x, 1)
+    return (np.array([a ** w * (b - a) ** (length - w) for w in range(length + 1)],
+                     dtype=object if exact else float), b ** length)
+
+
 def thermal_input_distribution(plan: DistillationPlan, rational: bool = True,
                                max_qubits: int = 20) -> StringDistribution:
     """gamma^(ell) (x) rho^(n) as an explicit string distribution.
 
-    In rational mode the weights q and p are replaced by nearby fractions
-    (denominators <= 1e9) so that probabilities add to exactly 1.
+    In rational mode the weights q = a/A and p = b/B are replaced by nearby
+    fractions (denominators <= 1e9): every string's mass is then an integer
+    numerator over A^ell B^n, and the numerator depends only on the type.
     """
     total = plan.ell + plan.n
     if total > max_qubits:
         raise UnsupportedSizeError(f"full enumeration capped at {max_qubits} qubits")
-    if rational:
-        q, p = _rationalize(plan.q), _rationalize(plan.p)
-        one = Fraction(1)
-    else:
-        q, p = plan.q, plan.p
-        one = 1.0
-    probs: dict[Bits, Fraction | float] = {}
-    for x in range(2 ** total):
-        bits = tuple((x >> (total - 1 - i)) & 1 for i in range(total))
-        g = sum(bits[: plan.ell])
-        r = sum(bits[plan.ell:])
-        weight = (q ** g) * ((one - q) ** (plan.ell - g)) \
-            * (p ** r) * ((one - p) ** (plan.n - r))
-        if weight != 0:
-            probs[bits] = weight
-    return StringDistribution(total, probs)
+    q, p = (_rationalize(plan.q), _rationalize(plan.p)) if rational else (plan.q, plan.p)
+    bath, bath_den = _bernoulli_weights(q, plan.ell)
+    resource, resource_den = _bernoulli_weights(p, plan.n)
+    weights = np.multiply.outer(bath, resource)[_popcounts(plan.ell)[:, None], _popcounts(plan.n)]
+    return StringDistribution(total, weights=weights.reshape(-1),
+                              denominator=bath_den * resource_den)
 
 
 def formation_input_distribution(plan: FormationPlan, rational: bool = True,
@@ -175,19 +223,30 @@ def formation_input_distribution(plan: FormationPlan, rational: bool = True,
     total = plan.ell + plan.m
     if total > max_qubits:
         raise UnsupportedSizeError(f"full enumeration capped at {max_qubits} qubits")
-    q = _rationalize(plan.q) if rational else plan.q
-    one = Fraction(1) if rational else 1.0
-    probs: dict[Bits, Fraction | float] = {}
-    for x in range(2 ** plan.ell):
-        bits = tuple((x >> (plan.ell - 1 - i)) & 1 for i in range(plan.ell))
-        g = sum(bits)
-        weight = (q ** g) * ((one - q) ** (plan.ell - g))
-        if weight != 0:
-            probs[bits + (1,) * plan.m] = weight
-    return StringDistribution(total, probs)
+    bath, den = _bernoulli_weights(_rationalize(plan.q) if rational else plan.q, plan.ell)
+    weights = np.zeros(2 ** total, dtype=bath.dtype)
+    weights[(np.arange(2 ** plan.ell) << plan.m) | ((1 << plan.m) - 1)] = \
+        bath[_popcounts(plan.ell)]
+    return StringDistribution(total, weights=weights, denominator=den)
 
 
-@dataclass(frozen=True)
+class _Trajectories:
+    """``ExecutionReport.trajectories``: unless given, derived on first read
+    from ``moves``, the values of the input strings of nonzero mass and of
+    their images."""
+
+    def __get__(self, report, owner=None):
+        if report is not None and report.__dict__.get("_trajectories") is None:
+            length = report.output.length
+            report.__dict__["_trajectories"] = tuple(zip(*(_strings(values, length)
+                                                           for values in report.moves)))
+        return None if report is None else report.__dict__["_trajectories"]
+
+    def __set__(self, report, value):
+        report.__dict__["_trajectories"] = value
+
+
+@dataclass(frozen=True, eq=False)
 class ExecutionReport:
     """Classical execution record: output distribution, work marginal, and
     the trajectories actually taken (input -> output string pairs)."""
@@ -195,8 +254,9 @@ class ExecutionReport:
     output: StringDistribution
     work_marginal: dict[Bits, Fraction | float]
     routed_failure_mass: Fraction | float
-    trajectories: tuple[tuple[Bits, Bits], ...]
-    kind: str
+    trajectories: tuple[tuple[Bits, Bits], ...] = _Trajectories()
+    kind: str = "distillation"
+    moves: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def execute_plan_classical(plan: DistillationPlan | FormationPlan,
@@ -212,66 +272,74 @@ def execute_plan_classical(plan: DistillationPlan | FormationPlan,
     return _execute_formation(plan, input_dist)
 
 
-def _uncovered_shell_map(plan: DistillationPlan, shell: int) -> dict[Bits, Bits]:
-    """Permutation branch for the shell's uncovered strings.
+def _lex_order(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lexicographic rank and unrank tables of the strings of one length.
 
-    Covered inputs occupy the first lexicographic exhaust ranks of the
-    shell (the maps stack contiguous ranges), so the uncovered strings are
-    matched, in order, to the remaining strings of the same total weight,
-    exactly as the quantum executor completes its permutation.
+    Within a weight, lexicographic order is increasing value, so a stable
+    sort by weight lists the weight classes in turn: ``order[start[w] + j]``
+    is the string of weight w and rank j, and ``rank[x]`` the rank of x.
     """
-    total = plan.ell + plan.n
-    covered_inputs = 0
-    for g in range(plan.gibbs_window[0], plan.gibbs_window[1] + 1):
-        r = shell - g
-        if plan.resource_window[0] <= r <= plan.resource_window[1]:
-            covered_inputs += math.comb(plan.ell, g) * math.comb(plan.n, r)
-    e = shell - plan.m
-    images = set()
-    if covered_inputs and 0 <= e <= plan.k:
-        from .distill import unrank_fixed_weight
+    pop = _popcounts(length)
+    order = np.argsort(pop, kind="stable")
+    start = np.concatenate(([0], np.cumsum(np.bincount(pop, minlength=length + 1))))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - start[pop[order]]
+    return order, start, rank
 
-        images = {unrank_fixed_weight(j, plan.k, e) + (1,) * plan.m
-                  for j in range(covered_inputs)}
-    uncovered, free = [], []
-    for bits in _fixed_weight_strings(total, shell):
-        g = sum(bits[: plan.ell])
-        r = shell - g
-        if not plan.covers(g, r):
-            uncovered.append(bits)
-        if bits not in images:
-            free.append(bits)
-    return dict(zip(uncovered, free))
+
+def _plan_permutation(plan: DistillationPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The plan's shell-preserving permutation: string x goes to perm[x].
+
+    A string of covered type (g, r) goes to the exhaust string of weight
+    g + r - m and rank offset + rank(bath) C(n, r) + rank(resource),
+    followed by m ones: the StringMap layout, with the offsets and shell
+    checks of build_string_map.  Each shell's uncovered strings go, in
+    increasing order, to its free strings, also in increasing order.
+    Returns perm and the mask of covered strings.
+    """
+    ell, n, m = plan.ell, plan.n, plan.m
+    (g_lo, g_hi), (r_lo, r_hi) = plan.gibbs_window, plan.resource_window
+    offset = np.zeros((ell + 1, n + 1), dtype=np.int64)
+    for g in range(g_lo, g_hi + 1):
+        for r in range(r_lo, r_hi + 1):
+            offset[g, r] = build_string_map(plan, (g, r)).shell_offset
+
+    x = np.arange(2 ** (ell + n))
+    bath, resource = x >> n, x & ((1 << n) - 1)
+    g, r = _popcounts(ell)[bath], _popcounts(n)[resource]
+    covered = (g_lo <= g) & (g <= g_hi) & (r_lo <= r) & (r <= r_hi)
+    src = np.flatnonzero(covered)
+    g, r = g[src], r[src]
+    binomial_n = np.array([math.comb(n, j) for j in range(n + 1)])
+    index = (offset[g, r] + _lex_order(ell)[2][bath[src]] * binomial_n[r]
+             + _lex_order(n)[2][resource[src]])
+    order, start, _ = _lex_order(plan.k)
+    perm = np.empty_like(x)
+    perm[src] = (order[start[g + r - m] + index] << m) | ((1 << m) - 1)
+
+    leftover, free = x[~covered], np.setdiff1d(x, perm[src])
+    assert leftover.size == free.size, "plan permutation is not a bijection"
+    weight = _popcounts(ell + n)
+    perm[leftover[np.argsort(weight[leftover], kind="stable")]] = \
+        free[np.argsort(weight[free], kind="stable")]
+    return perm, covered
 
 
 def _execute_distillation(plan: DistillationPlan,
                           input_dist: StringDistribution) -> ExecutionReport:
     if input_dist.length != plan.ell + plan.n:
         raise ValueError("input length does not match the plan")
-    maps: dict[tuple[int, int], StringMap] = {}
-    shell_maps: dict[int, dict[Bits, Bits]] = {}
-    out_probs: dict[Bits, Fraction | float] = {}
-    trajectories = []
-    routed = 0
-    for string, prob in sorted(input_dist.probs.items()):
-        bath, resource = string[: plan.ell], string[plan.ell:]
-        g, r = sum(bath), sum(resource)
-        key = (g, r)
-        if plan.covers(g, r):
-            if key not in maps:
-                maps[key] = build_string_map(plan, key)
-            out = maps[key].apply(bath, resource)
-        else:
-            shell = g + r
-            if shell not in shell_maps:
-                shell_maps[shell] = _uncovered_shell_map(plan, shell)
-            out = shell_maps[shell][string]
-            routed = routed + prob
-        out_probs[out] = out_probs.get(out, 0) + prob
-        trajectories.append((string, out))
-    output = StringDistribution(plan.k + plan.m, out_probs)
-    work = output.marginal(range(plan.k, plan.k + plan.m))
-    return ExecutionReport(output, work, routed, tuple(trajectories), "distillation")
+    perm, covered = _plan_permutation(plan)
+    weights = input_dist.weights
+    out = np.zeros_like(weights)
+    out[perm] = weights
+    output = StringDistribution(input_dist.length, weights=out,
+                                denominator=input_dist.denominator)
+    work = output.marginal(range(plan.k, input_dist.length))
+    routed = input_dist._mass(weights[~covered].sum())
+    support = np.flatnonzero(weights)
+    return ExecutionReport(output, work, routed, kind="distillation",
+                           moves=(support, perm[support]))
 
 
 def _execute_formation(plan: FormationPlan,
@@ -291,14 +359,9 @@ def _execute_formation(plan: FormationPlan,
     routed = 0
     for string, prob in sorted(input_dist.probs.items()):
         bath = string[: plan.ell]
-        work_register = string[plan.ell:]
-        if work_register != (1,) * plan.m:
-            routed = routed + prob
-            out_probs[string] = out_probs.get(string, 0) + prob
-            trajectories.append((string, string))
-            continue
         g = sum(bath)
-        if not plan.gibbs_window[0] <= g <= plan.gibbs_window[1]:
+        if (string[plan.ell:] != (1,) * plan.m
+                or not plan.gibbs_window[0] <= g <= plan.gibbs_window[1]):
             routed = routed + prob
             out_probs[string] = out_probs.get(string, 0) + prob
             trajectories.append((string, string))
@@ -351,81 +414,32 @@ def execute_plan_quantum(plan: DistillationPlan, max_qubits: int = 14,
                          input_probs: np.ndarray | None = None) -> ChannelReport:
     """Build the explicit permutation unitary of a plan and verify legality.
 
-    The permutation applies the per-type string maps on covered types and
-    completes each total-energy shell with the identity-ordered leftover
-    matching, so it commutes with H_tot exactly (integer weights).  The
-    channel is applied to gamma^(ell) (x) rho^(n) (or the supplied diagonal
-    input) and the work register compared with |1><1|^(m).
+    The permutation is the classical executor's, so it commutes with H_tot
+    exactly (integer weights).  The channel is applied to
+    gamma^(ell) (x) rho^(n) (or the supplied diagonal input) and the work
+    register compared with |1><1|^(m).
     """
     total = plan.ell + plan.n
     if total > max_qubits:
         raise UnsupportedSizeError(f"quantum execution capped at {max_qubits} qubits")
-
-    def bits_of(x: int) -> Bits:
-        return tuple((x >> (total - 1 - i)) & 1 for i in range(total))
-
-    def int_of(bits: Bits) -> int:
-        value = 0
-        for b in bits:
-            value = (value << 1) | b
-        return value
-
-    maps: dict[tuple[int, int], StringMap] = {}
-    perm = [-1] * (2 ** total)
-    images: dict[int, set[int]] = {}
-    domain_by_shell: dict[int, list[int]] = {}
-    for x in range(2 ** total):
-        bits = bits_of(x)
-        bath, resource = bits[: plan.ell], bits[plan.ell:]
-        g, r = sum(bath), sum(resource)
-        shell = g + r
-        if plan.covers(g, r):
-            key = (g, r)
-            if key not in maps:
-                maps[key] = build_string_map(plan, key)
-            y = int_of(maps[key].apply(bath, resource))
-            perm[x] = y
-            images.setdefault(shell, set()).add(y)
-            assert sum(bits_of(y)) == shell
-        else:
-            domain_by_shell.setdefault(shell, []).append(x)
-    # Complete every shell: unmapped states go to the unused states of the
-    # same shell, both in sorted order.
-    free_by_shell: dict[int, list[int]] = {}
-    for x in range(2 ** total):
-        shell = sum(bits_of(x))
-        if x not in images.get(shell, set()):
-            free_by_shell.setdefault(shell, []).append(x)
-    for shell, xs in domain_by_shell.items():
-        frees = free_by_shell.get(shell, [])
-        for x, y in zip(sorted(xs), sorted(frees)):
-            perm[x] = y
-    assert all(y >= 0 for y in perm)
-    assert len(set(perm)) == len(perm)
+    perm, _ = _plan_permutation(plan)
 
     # Exact commutator check: V e_x = e_perm(x), H diagonal by weight.
-    weights = np.array([sum(bits_of(x)) for x in range(2 ** total)])
-    commutator_nonzeros = int(np.count_nonzero(weights[np.array(perm)] - weights))
+    weights = _popcounts(total)
+    commutator_nonzeros = int(np.count_nonzero(weights[perm] - weights))
 
     if input_probs is None:
-        q, p = plan.q, plan.p
-        probs = np.ones(1)
-        for _ in range(plan.ell):
-            probs = np.kron(probs, np.array([1 - q, q]))
-        for _ in range(plan.n):
-            probs = np.kron(probs, np.array([1 - p, p]))
+        probs = thermal_input_distribution(plan, rational=False, max_qubits=max_qubits).weights
     else:
         probs = np.asarray(input_probs, dtype=float)
     out = np.zeros_like(probs)
-    out[np.array(perm)] = probs
+    out[perm] = probs
     trace_preserved = bool(abs(out.sum() - probs.sum()) < 1e-12)
 
-    # Work register marginal: the last m qubits.
-    work_dim = 2 ** plan.m
-    marg = out.reshape(2 ** plan.k, work_dim).sum(axis=0)
-    target = np.zeros(work_dim)
-    target[-1] = 1.0
-    work_distance = 0.5 * float(np.abs(marg - target).sum())
+    # Work register marginal (the last m qubits) against |1><1|^(m).
+    marg = out.reshape(2 ** plan.k, 2 ** plan.m).sum(axis=0)
+    marg[-1] -= 1.0
+    work_distance = 0.5 * float(np.abs(marg).sum())
 
     return ChannelReport(
         total_qubits=total,
@@ -433,7 +447,7 @@ def execute_plan_quantum(plan: DistillationPlan, max_qubits: int = 14,
         trace_preserved=trace_preserved,
         work_trace_distance=work_distance,
         failure_mass=plan.failure_mass,
-        permutation=tuple(perm),
+        permutation=tuple(perm.tolist()),
     )
 
 
@@ -452,18 +466,14 @@ class ExhaustReport:
     per_system_rel_entropy: float
 
 
-def _classical_rel_entropy(p: dict[Bits, float], q_probs: np.ndarray,
-                           length: int) -> float:
-    total = 0.0
-    for bits, mass in p.items():
-        mass = float(mass)
-        if mass <= 0.0:
-            continue
-        ref = 1.0
-        for i, b in enumerate(bits):
-            ref *= q_probs[b]
-        total += mass * (math.log(mass) - math.log(ref))
-    return max(total, 0.0)
+def _classical_rel_entropy(p: np.ndarray, q: float) -> float:
+    """D(p || gamma^(L)) for a dense distribution p over L-bit strings:
+    the sum of p (ln p - w ln q - (L - w) ln(1 - q)), w the string weight."""
+    length = p.size.bit_length() - 1
+    w = _popcounts(length)[p > 0]
+    p = p[p > 0]
+    total = np.sum(p * (np.log(p) - w * math.log(q) - (length - w) * math.log(1 - q)))
+    return max(float(total), 0.0)
 
 
 def exhaust_analysis(plan: DistillationPlan, block_size: int = 1,
@@ -477,39 +487,29 @@ def exhaust_analysis(plan: DistillationPlan, block_size: int = 1,
     reference uses the same (rationalized) weight as the executed input so
     the comparison is exact.
     """
+    if block_size < 1:
+        raise ValueError("block size must be at least 1")
     if execution is None:
         execution = execute_plan_classical(plan, thermal_input_distribution(plan))
         if reference_q is None:
             reference_q = float(_rationalize(plan.q))
     q = plan.q if reference_q is None else reference_q
-    gamma1 = np.array([1 - q, q])
 
-    exhaust = execution.output.marginal(range(plan.k))
-    exhaust = {s: float(p) for s, p in exhaust.items()}
-
+    output = execution.output
+    exhaust = StringDistribution(plan.k, weights=output.marginal_weights(range(plan.k)),
+                                 denominator=output.denominator)
     num_blocks = plan.k // block_size
     states, rel_ents, pinskers, distances = [], [], [], []
     for b in range(num_blocks):
-        positions = range(b * block_size, (b + 1) * block_size)
-        reduced: dict[Bits, float] = {}
-        for bits, mass in exhaust.items():
-            key = tuple(bits[i] for i in positions)
-            reduced[key] = reduced.get(key, 0.0) + float(mass)
-        dim = 2 ** block_size
-        vec = np.zeros(dim)
-        gamma_block = np.ones(dim)
-        for idx in range(dim):
-            key = tuple((idx >> (block_size - 1 - i)) & 1 for i in range(block_size))
-            vec[idx] = reduced.get(key, 0.0)
-            for b_ in key:
-                gamma_block[idx] *= gamma1[b_]
-        d_block = _classical_rel_entropy(reduced, gamma1, block_size)
+        vec = exhaust.float_marginal(range(b * block_size, (b + 1) * block_size))
+        gamma_block = _bernoulli_weights(q, block_size)[0][_popcounts(block_size)]
+        d_block = _classical_rel_entropy(vec, q)
         states.append(DensityMatrix.diagonal(vec / vec.sum()))
         rel_ents.append(d_block)
         pinskers.append(math.sqrt(2.0 * d_block))
         distances.append(0.5 * float(np.abs(vec - gamma_block).sum()))
 
-    d_total = _classical_rel_entropy(exhaust, gamma1, plan.k)
+    d_total = _classical_rel_entropy(exhaust.float_marginal(range(plan.k)), q)
     return ExhaustReport(
         block_size=block_size,
         num_blocks=num_blocks,

@@ -177,6 +177,14 @@ class TestExhaustCommand:
         for measured, bound in zip(doc["measured_trace_distances"], doc["pinsker_bounds"]):
             assert measured <= bound + 1e-9
 
+    @pytest.mark.parametrize("block_size", ["0", "-1"])
+    def test_nonpositive_block_size_is_domain_error(self, tmp_path, capsys, block_size):
+        out = tmp_path / "exhaust.json"
+        assert main(["exhaust", "--n", "2", "--p", "1.0", "--beta", "1.0",
+                     "--block-size", block_size, "--output", str(out)]) == 2
+        assert "block size" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFrameCommand:
     def test_reference_value(self, capsys):

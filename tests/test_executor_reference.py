@@ -1,0 +1,155 @@
+"""The dense permutation kernel against a string-by-string reference executor.
+
+The reference applies each covered type's StringMap to one string at a
+time, completes every total-1s shell by matching its uncovered strings to
+its free strings in sorted order, and accumulates Fraction masses built
+from Fraction products.  It shares only the per-type layout
+(build_string_map's shell offsets) with the kernel: ranking, unranking,
+leftover matching, input masses and marginals are all independent.
+"""
+
+import dataclasses
+from fractions import Fraction
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from athermal import simulate
+from athermal.core import DensityMatrix
+from athermal.distill import (
+    build_string_map,
+    gibbs_weight,
+    plan_distillation,
+    plan_distillation_general,
+)
+from athermal.simulate import (
+    execute_plan_classical,
+    execute_plan_quantum,
+    exhaust_analysis,
+    thermal_input_distribution,
+)
+
+
+def reference_permutation(plan) -> dict[tuple, tuple]:
+    """Image of every string of length ell + n, string by string."""
+    strings = list(product((0, 1), repeat=plan.ell + plan.n))   # sorted
+    maps, perm, images, uncovered = {}, {}, set(), {}
+    for s in strings:
+        bath, resource = s[:plan.ell], s[plan.ell:]
+        key = (sum(bath), sum(resource))
+        if plan.covers(*key):
+            if key not in maps:
+                maps[key] = build_string_map(plan, key)
+            perm[s] = maps[key].apply(bath, resource)
+            images.add(perm[s])
+        else:
+            uncovered.setdefault(sum(s), []).append(s)
+    free = {}
+    for s in strings:
+        if s not in images:
+            free.setdefault(sum(s), []).append(s)
+    for shell, xs in uncovered.items():
+        assert len(xs) == len(free[shell])
+        perm.update(zip(xs, free[shell]))
+    return perm
+
+
+def reference_input(plan) -> dict[tuple, Fraction]:
+    """gamma^(ell) (x) rho^(n) with the rationalized weights, as products."""
+    q = Fraction(plan.q).limit_denominator(10 ** 9)
+    p = Fraction(plan.p).limit_denominator(10 ** 9)
+    probs = {}
+    for s in product((0, 1), repeat=plan.ell + plan.n):
+        g, r = sum(s[:plan.ell]), sum(s[plan.ell:])
+        mass = q ** g * (1 - q) ** (plan.ell - g) * p ** r * (1 - p) ** (plan.n - r)
+        if mass:
+            probs[s] = mass
+    return probs
+
+
+def marginal(probs: dict, positions) -> dict:
+    out = {}
+    for s, mass in probs.items():
+        key = tuple(s[i] for i in positions)
+        out[key] = out.get(key, 0) + mass
+    return out
+
+
+def bits_value(bits) -> int:
+    return int("".join(map(str, bits)) or "0", 2)
+
+
+@given(n=st.integers(1, 4),
+       p=st.one_of(st.just(1.0), st.floats(0.55, 1.0), st.none()),
+       beta=st.floats(0.5, 2.0), width=st.floats(0.5, 3.0))
+@example(n=2, p=1.0, beta=1.0, width=3.0)
+@example(n=4, p=0.95, beta=1.0, width=0.75)
+@example(n=3, p=None, beta=1.0, width=1.0)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_reference_executor(n, p, beta, width):
+    # p = None stands for rho = gamma: a no-resource plan.
+    plan = plan_distillation(n, gibbs_weight(beta) if p is None else p, beta, width)
+    assume(plan.ell + plan.n <= 12)
+    total = plan.ell + plan.n
+    perm = reference_permutation(plan)
+    probs = reference_input(plan)
+    out = {}
+    for s, mass in probs.items():
+        out[perm[s]] = out.get(perm[s], 0) + mass
+    routed = sum((mass for s, mass in probs.items()
+                  if not plan.covers(sum(s[:plan.ell]), sum(s[plan.ell:]))), Fraction(0))
+
+    quantum = execute_plan_quantum(plan)
+    assert quantum.permutation == tuple(bits_value(perm[s])
+                                        for s in product((0, 1), repeat=total))
+    report = execute_plan_classical(plan, thermal_input_distribution(plan))
+    assert report.output.is_rational
+    assert report.trajectories == tuple((s, perm[s]) for s in sorted(probs))
+    assert report.output.probs == out
+    assert report.routed_failure_mass == routed
+    assert report.work_marginal == marginal(out, range(plan.k, total))
+    assert report.output.marginal(range(plan.k)) == marginal(out, range(plan.k))
+    for i in range(plan.k):
+        assert report.output.marginal([i]) == marginal(out, [i])
+
+    q = float(Fraction(plan.q).limit_denominator(10 ** 9))
+    exhaust = exhaust_analysis(plan, execution=report, reference_q=q)
+    for i, distance in enumerate(exhaust.measured_trace_distances):
+        mass_one = float(marginal(out, [i]).get((1,), 0))
+        assert distance == pytest.approx(abs(mass_one - q), abs=1e-12)
+
+
+class TestKernelSafetyChecks:
+    def test_coherent_plan_refused(self):
+        plan, _ = plan_distillation_general(DensityMatrix.pure([1, 1]), 3, 1.0)
+        assert plan.coherent and plan.ell + plan.n <= 14
+        with pytest.raises(ValueError, match="quasiclassical"):
+            execute_plan_quantum(plan)
+        with pytest.raises(ValueError, match="quasiclassical"):
+            execute_plan_classical(plan, thermal_input_distribution(plan))
+
+    def test_overflowing_shell_refused(self):
+        # Covering every bath type overfills the shells the plan's m was
+        # fitted to.
+        plan = plan_distillation(4, 0.95, 1.0, width=0.75)
+        wide = dataclasses.replace(plan, gibbs_window=(0, plan.ell))
+        with pytest.raises(ValueError, match="no feasible injection"):
+            execute_plan_quantum(wide)
+        with pytest.raises(ValueError, match="no feasible injection"):
+            execute_plan_classical(wide, thermal_input_distribution(wide))
+
+    def test_colliding_images_refused(self, monkeypatch):
+        # With every rank read as 0, the strings of one type share an image.
+        lex_order = simulate._lex_order
+
+        def rankless(length):
+            order, start, rank = lex_order(length)
+            return order, start, np.zeros_like(rank)
+
+        monkeypatch.setattr(simulate, "_lex_order", rankless)
+        plan = plan_distillation(4, 0.95, 1.0, width=0.75)
+        with pytest.raises(AssertionError, match="not a bijection"):
+            execute_plan_quantum(plan)

@@ -207,6 +207,11 @@ class TestExhaustAnalysis:
         assert report.num_blocks == plan.k // 2
         assert report.subadditivity_holds
 
+    def test_block_longer_than_exhaust_gives_no_blocks(self):
+        plan = plan_distillation(2, 1.0, 1.0)
+        report = exhaust_analysis(plan, block_size=plan.k + 1)
+        assert report.num_blocks == 0 and report.rel_entropies == ()
+
 
 class TestWorkBalanceAudit:
     def test_valid_plans_balance(self):
