@@ -11,18 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import chain, combinations, product
 from typing import Sequence
 
+import numpy as np
+from scipy.special import gammaln
+
 from .core import Hamiltonian, gibbs_state
-from .typeclass import (
-    EXACT_COUNT_THRESHOLD,
-    FrequencyVector,
-    TypeDescriptor,
-    log_type_cardinality,
-    shannon_entropy,
-    type_cardinality,
-)
+from .distill import _EPS, Factor, _products_leq
+from .typeclass import FrequencyVector, shannon_entropy
 
 __all__ = [
     "OccupationShift",
@@ -94,19 +92,68 @@ def _as_counts(total: int, f: FrequencyVector | Sequence) -> tuple[int, ...]:
     return apportion(total, [float(v) for v in values])
 
 
-def _log_multinomial(counts: Sequence[int]) -> float:
-    return log_type_cardinality(TypeDescriptor(tuple(counts)))
+def _log_multinomials(counts: np.ndarray) -> np.ndarray:
+    """ln M(c) = G(sum c + 1) - sum_i G(c_i + 1), G = gammaln, per row."""
+    return gammaln(counts.sum(axis=-1) + 1.0) - gammaln(counts + 1.0).sum(axis=-1)
+
+
+def _multinomial_factors(counts: Sequence[int]) -> list[Factor]:
+    """M(c) as the product of the binomials C(c_0 + ... + c_i, c_i), i >= 1."""
+    tops = np.cumsum(counts).tolist()
+    return [(tops[i], int(counts[i])) for i in range(1, len(tops))]
+
+
+def _margin_bound(total: int, d: int) -> float:
+    """delta_d(N) = 8 eps ((d + 6) N ln N + 4 (d + 1)): bound on the rounding
+    error of a float margin ln M(nu) - (ln M(a) + ln M(b)) over d levels,
+    N = sum nu = sum a + sum b.
+
+    Each ln M(c) of a vector of total t is G(t+1) less the sum of the d
+    values G(c_i+1), G = gammaln.  At integer points G >= 0 and
+    sum_i G(c_i+1) <= G(t+1) <= t ln t.  Rounding budget, eps = 2^-52:
+
+    - G errs by <= 2.5 eps relative where |G| > 1 and absolute below
+      (Cephes lgam, as in :func:`athermal.distill._margin_bound`); its d + 1
+      values total <= 2 t ln t: <= 2.5 eps (2 t ln t + d + 1).
+    - The d - 1 additions of the sum and the subtraction from G(t+1) round
+      values <= t ln t: <= d eps t ln t.
+    - Over nu, a and b, with n ln n + ell ln ell <= N ln N:
+      <= eps ((2d + 10) N ln N + 7.5 (d + 1)).
+    - ln M(a) + ln M(b) and the final difference round values <= N ln N:
+      <= 2 eps N ln N.
+
+    The total, eps ((2d + 12) N ln N + 7.5 (d + 1)), is below delta_d(N) / 4.
+    """
+    return 8.0 * _EPS * ((d + 6) * total * math.log(max(total, 1)) + 4 * (d + 1))
+
+
+class _CountingTest:
+    """Certified test M(nu) >= M(counts_rho) M(counts_bath) over output types nu."""
+
+    def __init__(self, counts_rho: Sequence[int], counts_bath: Sequence[int]):
+        self.lhs = _multinomial_factors(counts_rho) + _multinomial_factors(counts_bath)
+        self.lhs_log = float(_log_multinomials(np.array([counts_rho, counts_bath])).sum())
+        self.delta = _margin_bound(sum(counts_rho) + sum(counts_bath), len(counts_rho))
+
+    def decide(self, nus: np.ndarray, log_m: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """(holds, margins) for every row of ``nus`` (``log_m``: their ln M,
+        if known); only margins in (-delta, delta) go to exact integers."""
+        margins = (_log_multinomials(nus) if log_m is None else log_m) - self.lhs_log
+        holds = margins >= self.delta
+        for i in np.flatnonzero(np.abs(margins) < self.delta):
+            holds[i] = _products_leq(self.lhs, _multinomial_factors(nus[i]))
+        return holds, margins
 
 
 def unitarity_condition(f_rho: FrequencyVector | Sequence,
                         f_gamma: FrequencyVector | Sequence,
-                        shift: OccupationShift, n: int, ell: int,
-                        exact: bool | None = None) -> tuple[bool, float]:
-    """Exact multinomial unitarity check M(n f_rho) M(ell f_gamma) <= M((n+ell) nu).
+                        shift: OccupationShift, n: int, ell: int) -> tuple[bool, float]:
+    """Certified multinomial unitarity check M(n f_rho) M(ell f_gamma) <= M((n+ell) nu).
 
-    Returns (holds, margin) with margin = ln RHS - ln LHS in nats.  The
-    check is performed in exact integer arithmetic below the size
-    threshold and with log-gamma counting above it.
+    Returns (holds, margin) with margin = ln RHS - ln LHS in nats, a
+    log-gamma float within delta_d(n + ell) / 4 of the exact value;
+    ``holds`` is exact.
     """
     counts_rho = _as_counts(n, f_rho)
     counts_gamma = _as_counts(ell, f_gamma)
@@ -116,16 +163,8 @@ def unitarity_condition(f_rho: FrequencyVector | Sequence,
     nu = tuple(r + g - d for r, g, d in zip(counts_rho, counts_gamma, deltas))
     if any(v < 0 for v in nu):
         raise InvalidShiftError(f"shift drives occupation negative: nu = {nu}")
-    if exact is None:
-        exact = (n + ell) <= EXACT_COUNT_THRESHOLD
-    if exact:
-        lhs = type_cardinality(TypeDescriptor(counts_rho)) * type_cardinality(
-            TypeDescriptor(counts_gamma))
-        rhs = type_cardinality(TypeDescriptor(nu))
-        margin = math.log(rhs) - math.log(lhs)
-        return rhs >= lhs, margin
-    margin = _log_multinomial(nu) - _log_multinomial(counts_rho) - _log_multinomial(counts_gamma)
-    return margin >= 0.0, margin
+    holds, margins = _CountingTest(counts_rho, counts_gamma).decide(np.array([nu]))
+    return bool(holds[0]), float(margins[0])
 
 
 def classical_relative_entropy(f: Sequence[float], g: Sequence[float]) -> float:
@@ -158,8 +197,9 @@ class WorkLedger:
 
     ``extracted`` is the energy moved to the work ledger in the worst
     probed type pair; ``per_level_delta`` are the per-level occupation
-    decreases realizing it there, and ``feasibility_margin`` the exact
-    counting slack (nats) at that solution.
+    decreases realizing it there, and ``feasibility_margin`` the counting
+    slack (nats) at that solution, a float within delta_d(n + ell) / 4 of
+    the exact value (a feasible solution never reports a negative one).
     """
 
     extracted: float
@@ -179,65 +219,67 @@ class WorkLedger:
             raise ValueError("ledger energy does not match the integer count difference")
 
 
+@lru_cache(maxsize=1)
+def _compositions(total: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every composition of ``total`` into d parts, as int rows, with its ln M.
+
+    Stars and bars: d - 1 bars among total + d - 1 slots, less their index,
+    are nondecreasing cuts of [0, total]; the parts are the gaps.
+    """
+    count = math.comb(total + d - 1, d - 1)
+    bars = np.fromiter(chain.from_iterable(combinations(range(total + d - 1), d - 1)),
+                       dtype=np.int64, count=count * (d - 1)).reshape(count, d - 1)
+    nus = np.diff(bars - np.arange(d - 1), axis=1, prepend=0, append=total)
+    log_m = _log_multinomials(nus)
+    nus.flags.writeable = log_m.flags.writeable = False
+    return nus, log_m
+
+
+@lru_cache(maxsize=None)
+def _polish_steps(d: int) -> np.ndarray:
+    """Nonzero shifts in [-2, 2]^d that keep the total, in product order."""
+    steps = np.array(list(product(range(-2, 3), repeat=d)))
+    return steps[(steps.sum(axis=1) == 0) & steps.any(axis=1)]
+
+
 def _search_best_shift(counts_rho: tuple[int, ...], counts_bath: tuple[int, ...],
-                       energies: tuple[float, ...], exact: bool,
+                       energies: tuple[float, ...],
                        ) -> tuple[float, tuple[int, ...], float, bool, bool]:
-    """Maximize H . delta subject to the exact counting condition.
+    """Maximize H . delta subject to the certified counting condition.
 
     Returns (work, deltas, margin, exact_search, partial).  Exhaustive over
-    all output compositions when the space is small; otherwise a Gibbs-like
-    seed plus greedy unit moves and a radius-2 polish.
+    all output compositions when the space is small: the optimum is the
+    lexicographic maximum of (work, -deltas) over the feasible ones.
+    Otherwise a Gibbs-like seed plus greedy unit moves and a radius-2
+    polish, every accept or reject through the same certified test.
     """
     d = len(energies)
     total = sum(counts_rho) + sum(counts_bath)
-    s_vec = tuple(r + b for r, b in zip(counts_rho, counts_bath))
+    s_vec = np.add(counts_rho, counts_bath)
+    test = _CountingTest(counts_rho, counts_bath)
 
-    if exact:
-        lhs_exact = (type_cardinality(TypeDescriptor(counts_rho))
-                     * type_cardinality(TypeDescriptor(counts_bath)))
-        lhs_log = math.log(lhs_exact)
-    else:
-        lhs_exact = None
-        lhs_log = (_log_multinomial(counts_rho) + _log_multinomial(counts_bath))
+    def work_of(nus: np.ndarray) -> np.ndarray:
+        # Summed in level order, so each value equals sum((s - v) * e).
+        work = np.zeros(len(nus))
+        for i, e in enumerate(energies):
+            work = work + (s_vec[i] - nus[:, i]) * e
+        return work
 
-    def margin_of(nu: tuple[int, ...]) -> float:
-        if lhs_exact is not None:
-            return math.log(type_cardinality(TypeDescriptor(nu))) - lhs_log
-        return _log_multinomial(nu) - lhs_log
+    def result(nu: np.ndarray, exhaustive: bool, partial: bool):
+        (holds,), (margin,) = test.decide(nu[None])
+        return (float(work_of(nu[None])[0]), tuple(int(v) for v in s_vec - nu),
+                max(float(margin), 0.0) if holds else float(margin), exhaustive, partial)
 
-    def feasible(nu: tuple[int, ...]) -> bool:
-        if lhs_exact is not None:
-            return type_cardinality(TypeDescriptor(nu)) >= lhs_exact
-        return margin_of(nu) >= 0.0
-
-    def work_of(nu: tuple[int, ...]) -> float:
-        return sum((s - v) * e for s, v, e in zip(s_vec, nu, energies))
-
-    space = math.comb(total + d - 1, d - 1)
-    if space <= ENUMERATION_CAP:
-        best = None
-
-        def enumerate_nu(level: int, remaining: int, prefix: tuple[int, ...]):
-            nonlocal best
-            if level == d - 1:
-                nu = prefix + (remaining,)
-                if feasible(nu):
-                    w = work_of(nu)
-                    deltas = tuple(s - v for s, v in zip(s_vec, nu))
-                    key = (w, tuple(-v for v in deltas))
-                    if best is None or key > best[0]:
-                        best = (key, nu, deltas)
-                return
-            for c in range(remaining + 1):
-                enumerate_nu(level + 1, remaining - c, prefix + (c,))
-
-        enumerate_nu(0, total, ())
-        _, nu, deltas = best
-        return work_of(nu), deltas, margin_of(nu), True, False
+    if math.comb(total + d - 1, d - 1) <= ENUMERATION_CAP:
+        nus, log_m = _compositions(total, d)
+        holds, _ = test.decide(nus, log_m)
+        fits = nus[holds]
+        keys = (fits - s_vec).T[::-1]
+        return result(fits[np.lexsort((*keys, work_of(fits)))[-1]], True, False)
 
     # Seed: Gibbs-shaped output whose entropy rate matches the input count
     # rate, found by bisection on the effective inverse temperature.
-    target_rate = lhs_log / total
+    target_rate = test.lhs_log / total
 
     def gibbs_probs(beta_eff: float) -> list[float]:
         ground = min(energies)
@@ -250,79 +292,47 @@ def _search_best_shift(counts_rho: tuple[int, ...], counts_bath: tuple[int, ...]
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if shannon_entropy(gibbs_probs(mid)) > target_rate:
-            lo = mid
-        else:
-            hi = mid
-    nu = list(apportion(total, gibbs_probs(lo)))
+        if mid in (lo, hi):     # adjacent floats: no later step moves either end
+            break
+        lo, hi = (mid, hi) if shannon_entropy(gibbs_probs(mid)) > target_rate else (lo, mid)
+    nu = np.array(apportion(total, gibbs_probs(lo)))
 
-    def repair(nu: list[int]) -> None:
-        # Raise the multinomial by moving units toward emptier levels.
-        for _ in range(10 * total):
-            if margin_of(tuple(nu)) >= 0.0:
-                return
-            best_move, best_gain = None, -math.inf
-            for a in range(d):
-                if nu[a] == 0:
-                    continue
-                for b in range(d):
-                    if a == b:
-                        continue
-                    gain = math.log(nu[a]) - math.log(nu[b] + 1)
-                    if gain > best_gain:
-                        best_gain, best_move = gain, (a, b)
-            if best_move is None or best_gain <= 0.0:
-                return
-            a, b = best_move
-            nu[a] -= 1
-            nu[b] += 1
+    def first_feasible(cands: np.ndarray) -> np.ndarray | None:
+        cands = cands[(cands >= 0).all(axis=1)]
+        holds, _ = test.decide(cands)
+        return cands[np.argmax(holds)] if holds.any() else None
 
-    repair(nu)
-    partial = margin_of(tuple(nu)) < 0.0
+    # Repair: raise the multinomial by moving units toward emptier levels.
+    # The first of equal maxima wins, here and in the greedy moves below.
+    unit = np.eye(d, dtype=np.int64)
+    for _ in range(10 * total):
+        if first_feasible(nu[None]) is not None:
+            break
+        gain, a, b = max(((math.log(nu[a]) - math.log(nu[b] + 1), a, b)
+                          for a in range(d) if nu[a] for b in range(d) if b != a),
+                         key=lambda move: move[0], default=(0.0, 0, 0))
+        if gain <= 0.0:
+            break
+        nu += unit[b] - unit[a]
+    partial = first_feasible(nu[None]) is None
 
-    improved = True
-    while improved:
-        improved = False
-        current_margin = margin_of(tuple(nu))
-        best_move, best_gain = None, 0.0
-        for a in range(d):
-            if nu[a] == 0:
-                continue
-            for b in range(d):
-                if a == b:
-                    continue
-                gain = energies[a] - energies[b]
-                if gain <= best_gain:
-                    continue
-                dmargin = math.log(nu[a]) - math.log(nu[b] + 1)
-                if current_margin + dmargin >= 0.0:
-                    best_gain, best_move = gain, (a, b)
-        if best_move is not None:
-            a, b = best_move
-            nu[a] -= 1
-            nu[b] += 1
-            improved = True
+    # Greedy: the feasible unit move of largest energy gain (sorted is stable).
+    moves = sorted(((energies[a] - energies[b], a, b) for a in range(d) for b in range(d)
+                    if energies[a] - energies[b] > 0.0), key=lambda m: -m[0])
+    steps = np.array([unit[b] - unit[a] for _, a, b in moves], dtype=np.int64).reshape(-1, d)
+    while (nxt := first_feasible(nu + steps)) is not None:
+        nu = nxt
 
-    # Radius-2 polish around the incumbent.
-    radius = 2
-    improved = True
-    while improved:
-        improved = False
-        base_w = work_of(tuple(nu))
-        for delta in product(range(-radius, radius + 1), repeat=d):
-            if sum(delta) != 0 or all(v == 0 for v in delta):
-                continue
-            cand = tuple(nu[i] + delta[i] for i in range(d))
-            if any(v < 0 for v in cand):
-                continue
-            if work_of(cand) > base_w + 1e-12 and feasible(cand):
-                nu = list(cand)
-                improved = True
-                break
+    # Radius-2 polish around the incumbent: the first improving feasible step.
+    steps = _polish_steps(d)
+    while True:
+        cands = nu + steps
+        nxt = first_feasible(cands[work_of(cands) > work_of(nu[None])[0] + 1e-12])
+        if nxt is None:
+            break
+        nu = nxt
 
-    nu_t = tuple(nu)
-    deltas = tuple(s - v for s, v in zip(s_vec, nu_t))
-    return work_of(nu_t), deltas, margin_of(nu_t), False, partial
+    return result(nu, False, partial)
 
 
 def _corner_probes(total: int, freqs: Sequence[float], width: float) -> list[tuple[int, ...]]:
@@ -346,31 +356,39 @@ def _corner_probes(total: int, freqs: Sequence[float], width: float) -> list[tup
             moved[i] -= usable
             moved[j] += usable
             probes.append(tuple(moved))
-    seen = []
-    for p in probes:
-        if p not in seen:
-            seen.append(p)
-    return seen
+    return list(dict.fromkeys(probes))
 
 
 def max_work(f_rho: FrequencyVector | Sequence, hamiltonian: Hamiltonian,
-             beta: float, n: int, ell: int, width: float = 3.0,
-             exact: bool | None = None) -> WorkLedger:
+             beta: float, n: int, ell: int, width: float = 3.0) -> WorkLedger:
     """Worst-case-type maximal work from n resource and ell bath copies.
 
-    The per-type optimum is searched exactly (bounded enumeration) at small
-    sizes and by a seeded local search above; the reported work is the
-    minimum over the probed typical type pairs, matching a protocol that
-    must deliver the same ledger amount for every likely frequency pair.
+    The per-type optimum is searched exhaustively (bounded enumeration) at
+    small sizes and by a seeded local search above; the reported work is
+    the minimum over the probed typical type pairs, matching a protocol
+    that must deliver the same ledger amount for every likely frequency
+    pair.  ``width`` is the probe offset in standard deviations; width = 0
+    probes the centre type only.
     """
-    rho = f_rho.as_floats() if isinstance(f_rho, FrequencyVector) else tuple(float(v) for v in f_rho)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if ell < 0:
+        raise ValueError(f"ell must be nonnegative, got {ell}")
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    if not width >= 0:
+        raise ValueError(f"width must be nonnegative, got {width}")
+    if not isinstance(f_rho, FrequencyVector):
+        try:
+            f_rho = FrequencyVector(tuple(f_rho))
+        except ValueError as exc:
+            raise ValueError(f"f_rho is not a probability vector: {exc}") from None
+    rho = f_rho.as_floats()
     if len(rho) != hamiltonian.dim:
         raise ValueError("dimension mismatch with the Hamiltonian")
     if hamiltonian.dim > 6:
         raise ValueError("exact integer search supports d <= 6")
     gamma = gibbs_state(hamiltonian, beta).probs.probs
-    if exact is None:
-        exact = (n + ell) <= EXACT_COUNT_THRESHOLD
 
     rho_probes = _corner_probes(n, rho, width)
     bath_probes = _corner_probes(ell, gamma, width)
@@ -381,23 +399,16 @@ def max_work(f_rho: FrequencyVector | Sequence, hamiltonian: Hamiltonian,
     for cr in rho_probes:
         for cb in bath_probes:
             w, deltas, margin, was_exact, partial = _search_best_shift(
-                cr, cb, hamiltonian.energies, exact)
-            w = max(w, 0.0)
-            if w == 0.0:
-                deltas = tuple(0 for _ in deltas)
-                margin = max(margin, 0.0) if margin < 0 else margin
-            results.append((w, cr, cb, deltas, margin))
+                cr, cb, hamiltonian.energies)
+            results.append((max(w, 0.0), cr, cb, deltas, margin))
             exact_search_all &= was_exact
             partial_any |= partial
 
-    worst = min(results, key=lambda item: item[0])
-    w_star, cr_star, cb_star, deltas_star, margin_star = worst
+    w_star, cr_star, cb_star, deltas_star, margin_star = min(results, key=lambda item: item[0])
     if w_star == 0.0:
         deltas_star = tuple(0 for _ in hamiltonian.energies)
-        _, margin_star = unitarity_condition(
-            FrequencyVector(tuple(Fraction(c, n) for c in cr_star)),
-            FrequencyVector(tuple(Fraction(c, ell) for c in cb_star)),
-            OccupationShift.from_deltas(deltas_star, n), n, ell, exact=exact)
+        margin_star = float(_CountingTest(cr_star, cb_star).decide(
+            np.add([cr_star], [cb_star]))[1][0])
 
     bound = classical_relative_entropy(rho, gamma) / beta
     return WorkLedger(

@@ -1,9 +1,9 @@
 """Exact method-of-types machinery.
 
 Type descriptors hold exact integer occupation counts; cardinalities are
-exact arbitrary-precision integers, and their logarithms switch to log-gamma
-above a configurable size threshold.  The plan solvers certify their float
-margins instead (see :mod:`athermal.distill`).  Entropies are in nats.
+exact arbitrary-precision integers, and their logarithms are log-gamma
+floats.  The solvers certify their float margins against proven rounding
+bounds (see :mod:`athermal.distill`).  Entropies are in nats.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Iterator, Sequence
 __all__ = [
     "TypeDescriptor",
     "FrequencyVector",
-    "EXACT_COUNT_THRESHOLD",
     "type_cardinality",
     "log_type_cardinality",
     "log_binomial",
@@ -28,11 +27,6 @@ __all__ = [
     "shannon_entropy",
     "all_types",
 ]
-
-# Above this total, log_type_cardinality switches from exact integer
-# arithmetic to a log-gamma approximation (relative error < 1e-8).
-EXACT_COUNT_THRESHOLD = 10_000
-
 
 @dataclass(frozen=True)
 class TypeDescriptor:
@@ -120,15 +114,8 @@ def log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def log_type_cardinality(t: TypeDescriptor,
-                         exact_threshold: int = EXACT_COUNT_THRESHOLD) -> float:
-    """ln of the multinomial cardinality.
-
-    Exact-integer route below ``exact_threshold`` total systems, log-gamma
-    beyond (relative error below 1e-8).
-    """
-    if t.total <= exact_threshold:
-        return math.log(type_cardinality(t)) if t.total > 0 else 0.0
+def log_type_cardinality(t: TypeDescriptor) -> float:
+    """ln of the multinomial cardinality, by log-gamma."""
     result = math.lgamma(t.total + 1)
     for c in t.counts:
         result -= math.lgamma(c + 1)

@@ -1,10 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from athermal import multilevel
 from athermal.core import Hamiltonian, gibbs_state
 from athermal.distill import distill_feasible, solve_single_type
 from athermal.multilevel import (
@@ -16,7 +19,7 @@ from athermal.multilevel import (
     max_work,
     unitarity_condition,
 )
-from athermal.typeclass import TypeDescriptor, type_cardinality
+from athermal.typeclass import TypeDescriptor, all_types, type_cardinality
 
 H3 = Hamiltonian((0.0, 1.0, 2.0))
 H2 = Hamiltonian.two_level()
@@ -97,8 +100,10 @@ class TestUnitarityCondition:
         f_rho = fractions_over((30, 20, 10), 60)
         f_gam = fractions_over((40, 15, 5), 60)
         shift = OccupationShift.from_deltas((6, -3, -3), 60)
-        _, exact_margin = unitarity_condition(f_rho, f_gam, shift, 60, 60, exact=True)
-        _, approx_margin = unitarity_condition(f_rho, f_gam, shift, 60, 60, exact=False)
+        _, approx_margin = unitarity_condition(f_rho, f_gam, shift, 60, 60)
+        exact_margin = math.log(type_cardinality(TypeDescriptor((64, 38, 18)))) - math.log(
+            type_cardinality(TypeDescriptor((30, 20, 10)))
+            * type_cardinality(TypeDescriptor((40, 15, 5))))
         assert approx_margin == pytest.approx(exact_margin, rel=1e-9)
 
 
@@ -159,7 +164,7 @@ class TestMaxWork:
         from athermal.multilevel import _search_best_shift
         counts_rho, counts_bath = (0, 1, 3), (3, 1, 0)
         work, deltas, margin, exact, _ = _search_best_shift(
-            counts_rho, counts_bath, H3.energies, exact=True)
+            counts_rho, counts_bath, H3.energies)
         s = tuple(a + b for a, b in zip(counts_rho, counts_bath))
         lhs = (type_cardinality(TypeDescriptor(counts_rho))
                * type_cardinality(TypeDescriptor(counts_bath)))
@@ -177,13 +182,13 @@ class TestMaxWork:
         # m E0 (which also locks thermal weight into the work qubits).
         for (ell, g, n, r) in [(4, 1, 2, 2), (4, 2, 2, 1), (6, 2, 3, 3)]:
             from athermal.multilevel import _search_best_shift
-            work, *_ = _search_best_shift((n - r, r), (ell - g, g), H2.energies, exact=True)
+            work, *_ = _search_best_shift((n - r, r), (ell - g, g), H2.energies)
             assert work >= solve_single_type(ell, g, n, r) - 1e-12
 
     def test_matched_reference_instance(self):
         # On the two-level reference instance the two accountings agree.
         from athermal.multilevel import _search_best_shift
-        work, *_ = _search_best_shift((0, 2), (3, 1), H2.energies, exact=True)
+        work, *_ = _search_best_shift((0, 2), (3, 1), H2.energies)
         assert work == pytest.approx(solve_single_type(4, 1, 2, 2), abs=1e-12)
 
     def test_bound_with_vanishing_slack(self):
@@ -234,3 +239,100 @@ class TestExactImpliesAsymptotic:
             violations.append(max(worst, 0.0))
         assert violations[0] >= violations[1] >= violations[2]
         assert violations[-1] <= 10 * math.log(320) / 320
+
+
+def reference_best_shift(counts_rho, counts_bath, energies):
+    """Composition-by-composition exhaustive search in big integers: the
+    lexicographic maximum of (work, -deltas) over every output type nu with
+    M(nu) >= M(counts_rho) M(counts_bath).  Returns (work, deltas)."""
+    s_vec = tuple(r + b for r, b in zip(counts_rho, counts_bath))
+    lhs = (type_cardinality(TypeDescriptor(counts_rho))
+           * type_cardinality(TypeDescriptor(counts_bath)))
+    best = None
+    for nu in all_types(sum(s_vec), len(energies)):
+        if type_cardinality(nu) >= lhs:
+            deltas = tuple(s - v for s, v in zip(s_vec, nu.counts))
+            key = (sum(d * e for d, e in zip(deltas, energies)), tuple(-d for d in deltas))
+            if best is None or key > best:
+                best = key
+    return best[0], tuple(-v for v in best[1])
+
+
+def exact_log_ratio(top: int, bottom: int) -> float:
+    """ln(top / bottom) of two positive big integers, to 50 digits."""
+    with mpmath.workdps(50):
+        return float(mpmath.log(mpmath.mpf(top)) - mpmath.log(mpmath.mpf(bottom)))
+
+
+def composition(total, d):
+    """A strategy for compositions of total into d parts (sorted cuts)."""
+    return st.lists(st.integers(0, total), min_size=d - 1, max_size=d - 1).map(
+        lambda cuts: tuple(np.diff([0, *sorted(cuts), total]).tolist()))
+
+
+def counts_of(total, d, energies):
+    """Counts of total over d levels: any composition, a Gibbs apportionment,
+    or all in one level (pure inputs make one-level outputs exact ties)."""
+    gibbs = gibbs_state(Hamiltonian(tuple(float(e) for e in energies)), 1.0).probs.probs
+    return (composition(total, d) | st.just(apportion(total, gibbs))
+            | st.integers(0, d - 1).map(lambda i: tuple(total * (j == i) for j in range(d))))
+
+
+class TestCertifiedSearch:
+    @given(d=st.integers(2, 6), n=st.integers(1, 10_000), ell=st.integers(0, 10_000),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_margins_within_quarter_delta(self, d, n, ell, data):
+        counts_rho = data.draw(composition(n, d))
+        counts_bath = data.draw(composition(ell, d))
+        nu = data.draw(composition(n + ell, d))
+        test = multilevel._CountingTest(counts_rho, counts_bath)
+        _, (margin,) = test.decide(np.array([nu]))
+        ref = exact_log_ratio(type_cardinality(TypeDescriptor(nu)),
+                              type_cardinality(TypeDescriptor(counts_rho))
+                              * type_cardinality(TypeDescriptor(counts_bath)))
+        assert abs(margin - ref) <= multilevel._margin_bound(n + ell, d) / 4
+
+    @given(d=st.integers(2, 4), n=st.integers(1, 20), ell=st.integers(0, 20), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exhaustive_matches_reference(self, d, n, ell, data):
+        energies = tuple(float(e) for e in data.draw(
+            st.lists(st.integers(0, 3), min_size=d, max_size=d).map(sorted)))
+        counts_rho = data.draw(counts_of(n, d, energies))
+        counts_bath = data.draw(counts_of(ell, d, energies))
+        work, deltas, margin, exhaustive, partial = multilevel._search_best_shift(
+            counts_rho, counts_bath, energies)
+        assert exhaustive and not partial and margin >= 0.0
+        assert (work, deltas) == reference_best_shift(counts_rho, counts_bath, energies)
+
+    def test_tie_reaches_exact_comparator(self, monkeypatch):
+        # Pure inputs: M(counts_rho) M(counts_bath) = 1 = M((N, 0)), so the
+        # best output, everything in the ground level, has margin exactly 0
+        # and is accepted only by the exact comparison.
+        n, ell = 7, 5
+        decided = []
+        real = multilevel._products_leq
+        monkeypatch.setattr(multilevel, "_products_leq",
+                            lambda lhs, rhs: decided.append(rhs) or real(lhs, rhs))
+        work, deltas, margin, exhaustive, _ = multilevel._search_best_shift(
+            (0, n), (ell, 0), H2.energies)
+        assert [(n + ell, 0)] in decided
+        assert (work, deltas, margin, exhaustive) == (float(n), (-n, n), 0.0, True)
+
+
+class TestMaxWorkInputs:
+    @pytest.mark.parametrize("override,name", [
+        ({"n": 0}, "n"), ({"n": -1}, "n"), ({"ell": -1}, "ell"),
+        ({"beta": 0.0}, "beta"), ({"beta": -1.0}, "beta"), ({"width": -1.0}, "width"),
+        ({"f_rho": (0.2, 0.2, 0.2)}, "f_rho"), ({"f_rho": (0.5, 0.6, -0.1)}, "f_rho"),
+    ])
+    def test_bad_input_names_argument(self, override, name):
+        args = {"f_rho": (0.0, 0.0, 1.0), "hamiltonian": H3, "beta": 1.0, "n": 6, "ell": 6,
+                "width": 3.0, **override}
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            max_work(**args)
+
+    def test_zero_width_probes_centre_only(self):
+        ledger = max_work((0.1, 0.3, 0.6), H3, 1.0, 10, 10, width=0.0)
+        assert ledger.probes == (((1, 3, 6), apportion(10, gibbs_state(H3, 1.0).probs.probs),
+                                  ledger.extracted),)

@@ -57,10 +57,10 @@ class TestLogCardinality:
         assert upper == pytest.approx(100 * math.log(2) + math.log(100), abs=1e-12)
 
     def test_loggamma_matches_exact(self):
-        # Past the threshold the log-gamma route must stay within 1e-8 relative.
+        # The log-gamma route must stay within 1e-8 relative of the exact count.
         t = TypeDescriptor((7000, 4000, 1000))
         exact = math.log(type_cardinality(t))
-        approx = log_type_cardinality(t, exact_threshold=100)
+        approx = log_type_cardinality(t)
         assert abs(approx - exact) / exact < 1e-8
 
     @given(st.lists(st.integers(0, 40), min_size=2, max_size=4).filter(lambda c: sum(c) > 0))
