@@ -1,11 +1,15 @@
+import contextlib
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
+from athermal import coherent
 from athermal.coherent import (
     CoherentTarget,
     DegeneracyShortfallError,
@@ -16,6 +20,90 @@ from athermal.coherent import (
     joint_hamiltonian,
     shift_overlap,
 )
+
+
+def _reference_psi_vector(target: CoherentTarget, k: int, arrangement) -> np.ndarray:
+    """Dense 2^n amplitude vector of pi_g phi1^k phi2^(n-k); arrangement
+    lists the positions carrying phi1."""
+    n = target.n
+    phi1 = target.phi1
+    phi2 = target.phi2
+    single = [phi1 if i in arrangement else phi2 for i in range(n)]
+    vec = np.ones(1, dtype=complex)
+    for factor in single:
+        vec = np.kron(vec, factor)
+    return vec
+
+
+def reference_exact_formation_error(target: CoherentTarget, frame_n: int,
+                                    t_of: dict[int, int], k_window: tuple[int, int]
+                                    ) -> tuple[float, float]:
+    """The Gram-matrix route entry by entry: one vdot or one weight-resolved
+    sum per pair of vectors.  The vectorised ``_exact_formation_error`` must
+    reproduce it bit for bit."""
+    n = target.n
+    k_lo, k_hi = k_window
+    p_k = lambda k: (target.p ** k) * ((1 - target.p) ** (n - k))
+    weights_by_index = np.array([bin(x).count("1") for x in range(2 ** n)])
+
+    psi_list = []        # (k, dense psi vector)
+    for k in range(0, n + 1):
+        if p_k(k) == 0.0:
+            continue
+        for arrangement in combinations(range(n), k):
+            psi_list.append((k, _reference_psi_vector(target, k, set(arrangement))))
+
+    typical = [idx for idx, (k, _) in enumerate(psi_list) if k_lo <= k <= k_hi]
+
+    def frame_overlap(shift: int) -> float:
+        return shift_overlap(frame_n, abs(shift)) if abs(shift) <= frame_n else 0.0
+
+    m_typ = len(typical)
+    m_all = len(psi_list)
+    vectors = m_typ + m_all
+    gram = np.zeros((vectors, vectors), dtype=complex)
+    coeff = np.zeros(vectors)
+
+    def weight_resolved(psi_i, psi_j):
+        prod = np.conj(psi_i) * psi_j
+        sums = np.zeros(n + 1, dtype=complex)
+        np.add.at(sums, weights_by_index, prod)
+        return sums
+
+    for a_pos, idx_i in enumerate(typical):
+        k_i, psi_i = psi_list[idx_i]
+        coeff[a_pos] = p_k(k_i)
+        for b_pos, idx_j in enumerate(typical):
+            k_j, psi_j = psi_list[idx_j]
+            inner = np.vdot(psi_i, psi_j)
+            gram[a_pos, b_pos] = frame_overlap(t_of[k_i] - t_of[k_j]) * inner
+    for j, (k_j, psi_j) in enumerate(psi_list):
+        coeff[m_typ + j] = -p_k(k_j)
+        for i, (k_i, psi_i) in enumerate(psi_list):
+            gram[m_typ + j, m_typ + i] = np.vdot(psi_j, psi_i)
+    for a_pos, idx_i in enumerate(typical):
+        k_i, psi_i = psi_list[idx_i]
+        for j, (k_j, psi_j) in enumerate(psi_list):
+            sums = weight_resolved(psi_j, psi_i)
+            val = sum(
+                frame_overlap(t_of[k_i] - w) * sums[w]
+                for w in range(n + 1)
+            )
+            gram[m_typ + j, a_pos] = val
+            gram[a_pos, m_typ + j] = np.conj(val)
+
+    evals = np.linalg.eigvals(gram @ np.diag(coeff))
+    distance = 0.5 * float(np.abs(evals.real).sum())
+
+    fidelity = 0.0
+    for idx in typical:
+        k, psi = psi_list[idx]
+        probs = np.zeros(n + 1)
+        np.add.at(probs, weights_by_index, np.abs(psi) ** 2)
+        fidelity += p_k(k) * sum(
+            probs[w] * frame_overlap(t_of[k] - w) ** 2 for w in range(n + 1)
+        )
+    return distance, fidelity
 
 
 class TestShiftOverlap:
@@ -179,3 +267,118 @@ class TestFormationError:
             overlap = abs(np.vdot(psi, phi)) ** 2
             tdist = math.sqrt(max(0.0, 1 - overlap))
             assert tdist <= math.sqrt(2) * np.linalg.norm(psi - phi) + 1e-12
+
+
+@contextlib.contextmanager
+def _eigvals_spy():
+    """Record a copy of every matrix handed to np.linalg.eigvals."""
+    seen = []
+    original = np.linalg.eigvals
+
+    def spy(matrix):
+        seen.append(np.array(matrix, copy=True))
+        return original(matrix)
+
+    np.linalg.eigvals = spy
+    try:
+        yield seen
+    finally:
+        np.linalg.eigvals = original
+
+
+def _exact_inputs(target: CoherentTarget):
+    """Frame size, surrogate energies and k window, derived as
+    coherent_formation_error derives them for the exact routine."""
+    n = target.n
+    sqrt_n = math.sqrt(n)
+    k_lo = max(0, math.ceil(n * target.p - sqrt_n))
+    k_hi = min(n, math.floor(n * target.p + sqrt_n))
+    t_of = {k: round(target.mean_energy(k)) for k in range(k_lo, k_hi + 1)}
+    return 2 * math.ceil(n ** (2.0 / 3.0)) + 1, t_of, (k_lo, k_hi)
+
+
+class TestExactMatchesReference:
+    """The vectorised Gram assembly hands eigvals the reference's matrix."""
+
+    @given(n=st.integers(1, 6), a2=st.floats(0.0, 1.0),
+           phase_a=st.floats(0.0, 2 * math.pi), phase_b=st.floats(0.0, 2 * math.pi),
+           p=st.one_of(st.sampled_from([0.0, 1.0]),
+                       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    @example(n=3, a2=5e-324, phase_a=0.0, phase_b=1.0, p=0.75)
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical(self, n, a2, phase_a, phase_b, p):
+        target = CoherentTarget(a=math.sqrt(a2) * complex(math.cos(phase_a), math.sin(phase_a)),
+                                b=math.sqrt(1 - a2) * complex(math.cos(phase_b), math.sin(phase_b)),
+                                p=p, n=n)
+        args = _exact_inputs(target)
+        with _eigvals_spy() as seen:
+            result = coherent._exact_formation_error(target, *args)
+            expected = reference_exact_formation_error(target, *args)
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], seen[1])
+        # Signs of zero too: eigvals reads them (the example above moves by
+        # 2e-7 relative when only they differ).
+        assert seen[0].tobytes() == seen[1].tobytes()
+        assert result == expected
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_benchmark_points(self, n):
+        target = CoherentTarget(a=math.sqrt(0.1), b=math.sqrt(0.9), p=0.5, n=n)
+        with _eigvals_spy() as seen:
+            report = coherent_formation_error(target, exact=True)
+            expected = reference_exact_formation_error(target, *_exact_inputs(target))
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], seen[1])
+        assert seen[0].tobytes() == seen[1].tobytes()
+        assert report.exact_trace_distance == expected[0]
+        assert report.catalyst_fidelity == expected[1]
+
+
+class TestAnalyticMasses:
+    """Sector masses and k_tail come from log-space binomials at every n."""
+
+    @pytest.mark.parametrize("n", [1200, 5000])
+    @pytest.mark.parametrize("a2, p", [(0.5, 1.0), (0.1, 0.9)])
+    def test_large_n_tail_matches_scipy(self, n, a2, p):
+        report = coherent_formation_error(
+            CoherentTarget(a=math.sqrt(a2), b=math.sqrt(1 - a2), p=p, n=n))
+        assert report.exact_trace_distance is None
+        lo, hi = report.k_window
+        expected = binom.cdf(lo - 1, n, p) + binom.sf(hi, n, p)
+        assert report.k_tail == pytest.approx(expected, rel=1e-9, abs=0.0)
+        mass = sum(s.weight for s in report.sectors) + report.k_tail
+        assert mass == pytest.approx(1.0, rel=1e-9)
+        assert 0.0 <= report.analytic_bound <= 1.0 + 1e-12
+
+    # analytic_bound and k_tail of the former float products
+    # math.comb(n, k) * p**k * (1 - p)**(n - k), which overflow above n ~ 1030.
+    @pytest.mark.parametrize("n, a2, p, bound, tail", [
+        (4, 0.1, 0.5, 0.5064925597980107, 0.0),
+        (16, 0.5, 1.0, 1.0, 0.0),
+        (50, 0.1, 0.9, 0.5854414526204816, 0.001004619861786328),
+        (100, 0.37, 0.3, 0.9893071922587039, 0.021385615482580903),
+        (120, 0.2, 0.05, 0.8298527370982861, 0.00010416735634275906),
+        (150, 0.9, 0.01, 0.5361887415919696, 5.02250132254826e-10),
+        (200, 0.1, 0.9, 0.5271353129805084, 0.0008230585865298309),
+    ])
+    def test_small_n_values_kept(self, n, a2, p, bound, tail):
+        report = coherent_formation_error(
+            CoherentTarget(a=math.sqrt(a2), b=math.sqrt(1 - a2), p=p, n=n), exact=False)
+        assert report.analytic_bound == pytest.approx(bound, rel=1e-12, abs=0.0)
+        assert report.k_tail == pytest.approx(tail, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 7, 1200])
+    def test_edge_probabilities_keep_one_sector(self, n):
+        for p, k in ((0.0, 0), (1.0, n)):
+            report = coherent_formation_error(
+                CoherentTarget(a=math.sqrt(0.3), b=math.sqrt(0.7), p=p, n=n), exact=False)
+            assert [s.k for s in report.sectors] == [k]
+            assert report.sectors[0].weight == 1.0
+            assert report.k_tail == 0.0
+
+    def test_amplitude_just_above_one(self):
+        # The constructor admits |a|^2 + |b|^2 within 1e-12 of 1, so |b|^2
+        # can exceed 1; the excitation distribution treats it as 1.
+        reports = [coherent_formation_error(CoherentTarget(a=0.0, b=b, p=0.3, n=12), exact=False)
+                   for b in (1.0 + 1e-13, 1.0)]
+        assert reports[0].analytic_bound == pytest.approx(reports[1].analytic_bound, rel=1e-12)
