@@ -339,6 +339,13 @@ def _products_leq(lhs: list[Factor], rhs: list[Factor]) -> bool:
     return math.prod(map(_factor_value, left)) <= math.prod(map(_factor_value, right))
 
 
+def _identities(ell: int, k: int, gs, es, unit) -> np.ndarray:
+    """Where C(ell, g) u <= C(k, e) u' holds as an identity: k = ell,
+    e in {g, ell - g}, and ``unit`` marks u = u' = 1.  Structural ties of
+    this form are settled in one numpy pass rather than in exact integers."""
+    return unit & (k == ell) & ((es == gs) | (es == ell - gs))
+
+
 def _binomial_axis(n: int, window: tuple[int, int]
                    ) -> tuple[np.ndarray, Callable[[int], Factor]]:
     """ln C(n, r) over an inclusive window, and the exact count C(n, r) as
@@ -369,10 +376,14 @@ def _records(ell: int, n: int, m: int, g_window: tuple[int, int], r_window: tupl
     k = ell + n - m
     rs = np.arange(r_window[0], r_window[1] + 1)
     delta = _margin_bound(ell + max(n, m))
+    unit = np.isin(rs, [r for r in (0, n) if k == ell and r_window[0] <= r <= r_window[1]
+                        and _factor_value(factor_r(r)) == 1])
     for g in range(g_window[0], g_window[1] + 1):
         log_in = _log_comb(ell, np.array([g])) + log_r
         log_ex = _log_comb(k, g + rs - m)
-        if _certify(log_ex - log_in, delta, lambda i: _products_leq(
+        margins = log_ex - log_in
+        margins[_identities(ell, k, g, g + rs - m, unit)] = np.inf
+        if _certify(margins, delta, lambda i: _products_leq(
                 [(ell, g), factor_r(int(rs[i]))], [(k, g + int(rs[i]) - m)])) is not None:
             raise ValueError("per-type record violates the counting inequality")
         for r, li, le in zip(rs.tolist(), log_in.tolist(), log_ex.tolist()):
@@ -452,9 +463,24 @@ class _Shells:
             return _products_leq([(self.ell, gs[0]), self.factor_r(s - gs[0])], [exhaust])
         return sum(self.comb_g(g) * self.count_r(s - g) for g in gs) <= math.comb(*exhaust)
 
+    def identities(self) -> np.ndarray:
+        """Shells that fit by identity at m = n: a shell of one pair (g, r)
+        with R_r = 1 reads C(ell, g) <= C(ell, s - n)."""
+        (g_lo, g_hi), (r_lo, r_hi) = self.g_window, self.r_window
+        g = np.maximum(g_lo, self.shells - r_hi)
+        r = self.shells - g
+        unit = (g == np.minimum(g_hi, self.shells - r_lo)) & ((r == 0) | (r == self.n))
+        if unit.any():
+            unit &= np.isin(r, [x for x in (0, self.n) if self.count_r(x) == 1])
+        return _identities(self.ell, self.ell, g, self.shells - self.n, unit)
+
     def violation(self, m: int) -> int | None:
-        """A shell proven to overflow at m, or None when every shell fits."""
-        i = _certify(self.margins(m), _margin_bound(self.ell + max(self.n, m)),
+        """A shell proven to overflow at m, or None when every shell fits;
+        identities settle in one pass, without exact integers."""
+        margins = self.margins(m)
+        if m == self.n:
+            margins[self.identities()] = np.inf
+        i = _certify(margins, _margin_bound(self.ell + max(self.n, m)),
                      lambda i: self.fits(int(self.shells[i]), m))
         return None if i is None else int(self.shells[i])
 

@@ -22,6 +22,7 @@ from .core import gibbs_weight
 from .distill import (
     _bisect,
     _certify,
+    _identities,
     _log_comb,
     _margin_bound,
     _products_leq,
@@ -31,7 +32,7 @@ from .distill import (
     rate_limit,
     unrank_fixed_weight,
 )
-from .typeclass import TypeDescriptor, log_binomial, type_probability, typical_range
+from .typeclass import TypeDescriptor, type_probability, typical_range
 
 __all__ = [
     "InfeasibleFormationError",
@@ -57,21 +58,16 @@ class InfeasibleFormationError(RuntimeError):
     """
 
 
-def formation_feasible(n: int, target_ones: int, ell: int, gibbs_ones: int,
-                       m: int, exact: bool = True) -> bool:
+def formation_feasible(n: int, target_ones: int, ell: int, gibbs_ones: int, m: int) -> bool:
     """Whether C(ell,g) <= C(m+ell-n, g+m-t) C(n,t) with a valid exhaust."""
     k = m + ell - n
     e = gibbs_ones + m - target_ones
     if k < 0 or e < 0 or e > k:
         return False
-    if exact:
-        return math.comb(ell, gibbs_ones) <= math.comb(k, e) * math.comb(n, target_ones)
-    return log_binomial(ell, gibbs_ones) <= (log_binomial(k, e)
-                                             + log_binomial(n, target_ones))
+    return math.comb(ell, gibbs_ones) <= math.comb(k, e) * math.comb(n, target_ones)
 
 
-def solve_formation_single_type(n: int, target_ones: int, ell: int,
-                                gibbs_ones: int, exact: bool = True) -> int:
+def solve_formation_single_type(n: int, target_ones: int, ell: int, gibbs_ones: int) -> int:
     """Smallest m >= 0 making the formation inequality hold.
 
     The feasible set is upward closed in m; raises
@@ -81,11 +77,11 @@ def solve_formation_single_type(n: int, target_ones: int, ell: int,
         raise ValueError("one-counts out of range")
     lo = max(0, n - ell, target_ones - gibbs_ones)
     hi = ell + n
-    if not formation_feasible(n, target_ones, ell, gibbs_ones, hi, exact=exact):
+    if not formation_feasible(n, target_ones, ell, gibbs_ones, hi):
         raise InfeasibleFormationError(
             f"no feasible m <= {hi} for (n={n}, t={target_ones}, ell={ell}, g={gibbs_ones})"
         )
-    return _bisect(lambda m: formation_feasible(n, target_ones, ell, gibbs_ones, m, exact=exact),
+    return _bisect(lambda m: formation_feasible(n, target_ones, ell, gibbs_ones, m),
                    lo, hi, largest=False)
 
 
@@ -336,30 +332,64 @@ class FormationPlan:
     per_type_maps = property(records)
 
 
+def _pair_identities(n: int, ell: int, m: int, gs, ts) -> np.ndarray:
+    """Pairs whose inequality C(ell, g) <= C(k, e) C(n, t) is an identity:
+    one factor on the right is 1 and the other is C(ell, g) (at m = n, pairs
+    (g, n); for a free target, (t, t) at m = 0)."""
+    k, es = m + ell - n, gs + m - ts
+    return (_identities(ell, k, gs, es, (ts == 0) | (ts == n))
+            | _identities(ell, n, gs, ts, (es == 0) | (es == k)))
+
+
 class _Pairs:
     """(Gibbs type g, target type t) pairs of a formation window at every m.
 
     Pair (g, t) needs C(ell, g) <= C(k, e) C(n, t) with k = m + ell - n and
     e = j + m on its diagonal j = g - t, so each diagonal binds through its
-    pair of largest ln C(ell, g) - ln C(n, t): ``top``, at Gibbs count
-    ``top_g``.
+    pair of largest phi_j(g) = ln C(ell, g) - ln C(n, g - j): ``top``, at
+    Gibbs count ``top_g`` (the smallest g of a float tie).
+
+    Diagonal j holds g in [lo_j, hi_j], lo_j = max(g_lo, j + t_lo) and
+    hi_j = min(g_hi, j + t_hi).  Its step phi_j(g + 1) - phi_j(g) =
+    ln[(ell - g)(t + 1) / ((g + 1)(n - t))] has the sign of the integer
+    (ell - g)(t + 1) - (g + 1)(n - t) = (ell - n)(g + 1) - j (ell + 1): the
+    g^2 terms cancel, so the sign is exact and linear in g.  Hence
+
+    - ell > n: the sign goes from - to +, phi_j falls, then rises, and
+      peaks at lo_j or hi_j;
+    - ell = n: the sign is that of -j throughout, phi_j is monotone and
+      peaks at lo_j or hi_j;
+    - ell < n: the sign goes from + to -, phi_j rises while
+      g + 1 < x_j = j (ell + 1) / (ell - n) and falls after, so it peaks at
+      c_j = floor(x_j) clipped into [lo_j, hi_j], in an exact tie with
+      c_j - 1 when x_j is an integer.
+
+    So the real maximiser of every diagonal is one of lo_j, c_j - 1, c_j,
+    c_j + 1, hi_j (clipped), and ``top`` is the largest float value among
+    these candidates.  Float margins against it carry the pair bound of
+    :func:`distill._margin_bound`: a margin >= delta proves the maximiser's
+    pair, and so its whole diagonal, and one <= -delta refutes the pair at
+    ``top_g``.  The build costs O(|G| + |T|); c_j + 1 joins the candidates
+    so that a rounding-level near-tie resolves as a scan of the diagonal
+    would.
     """
 
     def __init__(self, n: int, ell: int, g_window: tuple[int, int], t_window: tuple[int, int]):
         self.n, self.ell, self.g_window, self.t_window = n, ell, g_window, t_window
         (g_lo, g_hi), (t_lo, t_hi) = g_window, t_window
-        gs = np.arange(g_lo, g_hi + 1)
-        self.log_g, self.log_t = _log_comb(ell, gs), _log_comb(n, np.arange(t_lo, t_hi + 1))
+        self.log_g = _log_comb(ell, np.arange(g_lo, g_hi + 1))
+        self.log_t = _log_comb(n, np.arange(t_lo, t_hi + 1))
         self.js = np.arange(g_lo - t_hi, g_hi - t_lo + 1)
-        self.top = np.full(len(self.js), -np.inf)
-        self.top_g = np.zeros(len(self.js), dtype=np.int64)
-        for i, log_t in enumerate(self.log_t):
-            start = t_hi - t_lo - i            # index of j = g_lo - t
-            seg = self.top[start:start + len(gs)]
-            vals = self.log_g - log_t
-            better = vals > seg
-            seg[better] = vals[better]
-            self.top_g[start:start + len(gs)][better] = gs[better]
+        self.lo = np.maximum(g_lo, self.js + t_lo)
+        self.hi = np.minimum(g_hi, self.js + t_hi)
+        c = self.js * (ell + 1) // (ell - n) if ell < n else self.lo
+        # Candidates in ascending g, so argmax breaks float ties to the smallest.
+        cands = np.clip(np.stack([self.lo, c - 1, c, c + 1, self.hi], axis=1),
+                        self.lo[:, None], self.hi[:, None])
+        vals = self.log_g[cands - g_lo] - self.log_t[cands - self.js[:, None] - t_lo]
+        best = np.argmax(vals, axis=1)
+        rows = np.arange(len(self.js))
+        self.top, self.top_g = vals[rows, best], cands[rows, best]
 
     def margins(self, m: int) -> np.ndarray:
         """ln C(k, j + m) less ``top``, per diagonal."""
@@ -378,16 +408,26 @@ class _Pairs:
         worst = int(np.argmin(margins))
         if margins[worst] <= -delta:
             return self.pair(worst)
-        (g_lo, g_hi), (t_lo, t_hi) = self.g_window, self.t_window
-        for i in np.flatnonzero(margins < delta):
-            # The diagonal's other pairs, each certified or decided exactly.
-            j = int(self.js[i])
-            ts = np.arange(max(t_lo, g_lo - j), min(t_hi, g_hi - j) + 1)
-            x = _certify(log_e[i] - (self.log_g[ts + j - g_lo] - self.log_t[ts - t_lo]), delta,
-                         lambda x: _products_leq([(self.ell, int(ts[x]) + j)],
-                                                 [(k, j + m), (self.n, int(ts[x]))]))
+        near = np.flatnonzero(margins < delta)
+        if not len(near):
+            return None
+        # Every pair of the diagonals their top pair leaves open, diagonal
+        # after diagonal, each one's pairs at offsets starts[r]:ends[r].
+        sizes = self.hi[near] - self.lo[near] + 1
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        gs = np.arange(ends[-1]) + np.repeat(self.lo[near] - starts, sizes)
+        ts = gs - np.repeat(self.js[near], sizes)
+        pair_margins = np.repeat(log_e[near], sizes) - (self.log_g[gs - self.g_window[0]]
+                                                       - self.log_t[ts - self.t_window[0]])
+        pair_margins[_pair_identities(self.n, self.ell, m, gs, ts)] = np.inf
+        for r in np.flatnonzero(np.minimum.reduceat(pair_margins, starts) < delta):
+            a, b = int(starts[r]), int(ends[r])
+            x = _certify(pair_margins[a:b], delta, lambda x: _products_leq(
+                [(self.ell, int(gs[a + x]))], [(k, int(gs[a + x] + m - ts[a + x])),
+                                               (self.n, int(ts[a + x]))]))
             if x is not None:
-                return int(ts[x]) + j, int(ts[x])
+                return int(gs[a + x]), int(ts[a + x])
         return None
 
 
@@ -417,7 +457,9 @@ def _formation_records(n: int, ell: int, m: int, g_window: tuple[int, int],
     for g in range(g_window[0], g_window[1] + 1):
         log_g = float(_log_comb(ell, np.array([g]))[0])
         log_out = _log_comb(k, g + m - ts) + log_t
-        if _certify(log_out - log_g, delta, lambda i: _products_leq(
+        margins = log_out - log_g
+        margins[_pair_identities(n, ell, m, g, ts)] = np.inf
+        if _certify(margins, delta, lambda i: _products_leq(
                 [(ell, g)], [(k, g + m - int(ts[i])), (n, int(ts[i]))])) is not None:
             raise ValueError("formation record violates the counting inequality")
         for t, log_output in zip(ts.tolist(), log_out.tolist()):

@@ -2,13 +2,20 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from athermal import form
+from athermal import distill, form
 from athermal.core import gibbs_weight
-from athermal.distill import _margin_bound, plan_distillation, rate_limit, solve_single_type
+from athermal.distill import (
+    _log_comb,
+    _margin_bound,
+    plan_distillation,
+    rate_limit,
+    solve_single_type,
+)
 from athermal.form import (
     FormationStringMap,
     InfeasibleFormationError,
@@ -23,6 +30,34 @@ from athermal.form import (
 from athermal.typeclass import TypeDescriptor, typical_mass, typical_range, typical_types
 
 Q1 = math.exp(-1) / (1 + math.exp(-1))
+
+
+def reference_pairs(n, ell, g_window, t_window):
+    """Per-diagonal maxima of ln C(ell, g) - ln C(n, t) by a scan of every
+    pair, one numpy pass per target type; a float tie keeps the smallest g."""
+    (g_lo, g_hi), (t_lo, t_hi) = g_window, t_window
+    gs = np.arange(g_lo, g_hi + 1)
+    log_g, log_t = _log_comb(ell, gs), _log_comb(n, np.arange(t_lo, t_hi + 1))
+    js = np.arange(g_lo - t_hi, g_hi - t_lo + 1)
+    top = np.full(len(js), -np.inf)
+    top_g = np.zeros(len(js), dtype=np.int64)
+    for i, lt in enumerate(log_t):
+        start = t_hi - t_lo - i            # index of j = g_lo - t
+        seg = top[start:start + len(gs)]
+        vals = log_g - lt
+        better = vals > seg
+        seg[better] = vals[better]
+        top_g[start:start + len(gs)][better] = gs[better]
+    return top, top_g
+
+
+def draw_window(data, top):
+    """An inclusive window in [0, top]; its ends often sit at 0 or top, and
+    it often holds a single type."""
+    end = st.sampled_from([0, top]) | st.integers(0, top)
+    a = data.draw(end)
+    return tuple(sorted((a, data.draw(st.just(a) | end))))
+
 
 
 class TestSolveFormation:
@@ -183,19 +218,104 @@ class TestCertifiedPairs:
             assert abs(margins[i] - ref) <= delta / 4
 
     def test_tight_pairs_go_to_exact_fallback(self, monkeypatch):
-        # Target window {n}: at m = n every pair reads C(ell, g) <= C(ell, g)
-        # C(n, n), a margin of 0 that only the exact comparison decides.
-        n, ell = 20, 300
-        g_window = typical_range(ell, Q1, 3.0)
-        pairs = form._Pairs(n, ell, g_window, (n, n))
+        # C(4, 2) = 6 = C(3, 2) C(2, 1): pair (2, 1) at m = 1 holds with
+        # equality, a margin of 0 that is no identity, so only the exact
+        # comparison decides it.
+        pairs = form._Pairs(2, 4, (2, 2), (1, 1))
         decided = []
         real = form._products_leq
         monkeypatch.setattr(form, "_products_leq",
-                            lambda lhs, rhs: decided.append(lhs) or real(lhs, rhs))
+                            lambda lhs, rhs: decided.append((lhs, rhs)) or real(lhs, rhs))
+        assert abs(pairs.margins(1)[0]) < _margin_bound(4 + 2)
+        assert pairs.violation(1) is None
+        assert decided == [([(4, 2)], [(3, 2), (2, 1)])]
+        assert pairs.violation(0) == (2, 1)
+        assert form._formation_m(2, 4, (2, 2), (1, 1)) == (1, (2, 1))
+
+
+class TestPairsBuild:
+    @given(n=st.integers(1, 400), regime=st.sampled_from(["below", "equal", "above"]),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_scan(self, n, regime, data):
+        # The step-sign candidates find the scan's maximum and its Gibbs
+        # count byte for byte, for ell below, at and above n.
+        ell = data.draw({"below": st.integers(0, n - 1), "equal": st.just(n),
+                         "above": st.integers(n + 1, 3 * n + 20)}[regime])
+        g_window, t_window = draw_window(data, ell), draw_window(data, n)
+        pairs = form._Pairs(n, ell, g_window, t_window)
+        top, top_g = reference_pairs(n, ell, g_window, t_window)
+        assert pairs.top.tobytes() == top.tobytes()
+        assert pairs.top_g.tobytes() == top_g.tobytes()
+
+    @pytest.mark.parametrize("n", [10_000, 50_000])
+    def test_benchmark_windows_match_reference_scan(self, n):
+        plan = plan_formation(n, 0.75, 1.0)
+        pairs = form._Pairs(n, plan.ell, plan.gibbs_window, plan.target_window)
+        top, top_g = reference_pairs(n, plan.ell, plan.gibbs_window, plan.target_window)
+        assert pairs.top.tobytes() == top.tobytes()
+        assert pairs.top_g.tobytes() == top_g.tobytes()
+
+    @given(n=st.integers(1, 39), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_top_g_maximises_exactly(self, n, data):
+        # ell + n <= 40: every top_g maximises C(ell, g) / C(n, g - j) over
+        # its diagonal in exact rationals.
+        ell = data.draw(st.integers(0, 40 - n))
+        g_window, t_window = draw_window(data, ell), draw_window(data, n)
+        pairs = form._Pairs(n, ell, g_window, t_window)
+        for i, j in enumerate(pairs.js.tolist()):
+            def ratio(g):
+                return Fraction(math.comb(ell, g), math.comb(n, g - j))
+            diagonal = range(max(g_window[0], j + t_window[0]), min(g_window[1], j + t_window[1]) + 1)
+            assert ratio(int(pairs.top_g[i])) == max(map(ratio, diagonal))
+
+
+class TestIdentityScreen:
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        calls = []
+        for module in (form, distill):
+            real = module._products_leq
+            monkeypatch.setattr(module, "_products_leq", lambda lhs, rhs, real=real:
+                                calls.append((lhs, rhs)) or real(lhs, rhs))
+        fits = distill._Shells.fits
+        monkeypatch.setattr(distill._Shells, "fits",
+                            lambda self, s, m: calls.append((s, m)) or fits(self, s, m))
+        return calls
+
+    def test_p1_plans_make_no_exact_call(self, exact_calls):
+        # p = 1: every pair (formation) or shell (distillation) at m = n is
+        # C(ell, g) <= C(ell, g), an identity settled without exact integers.
+        assert plan_formation(10**4, 1.0, 1.0).m == 10**4
+        assert plan_distillation(10**6, 1.0, 1.0).m == 10**6
+        assert exact_calls == []
+
+    def test_pair_identities(self, exact_calls):
+        # Target window {n}: at m = n every pair reads C(ell, g) <= C(ell, g) C(n, n).
+        n, ell = 20, 300
+        g_window = typical_range(ell, Q1, 3.0)
+        pairs = form._Pairs(n, ell, g_window, (n, n))
         assert pairs.violation(n) is None
-        assert len(decided) == g_window[1] - g_window[0] + 1
         assert pairs.violation(n - 1) is not None
         assert form._formation_m(n, ell, g_window, (n, n))[0] == n
+        # t = 0 and ell = 2g + n: C(10, 3) <= C(10, 7) C(4, 0).
+        pairs = form._Pairs(4, 10, (3, 3), (0, 0))
+        assert pairs.violation(4) is None
+        assert pairs.violation(3) == (3, 0)
+        assert exact_calls == []
+
+    def test_shell_identities(self, exact_calls):
+        # r = 0 and ell = 2g - n: shell g reads C(10, 7) C(4, 0) <= C(10, 3).
+        shells = distill._Shells(10, 4, (7, 7), (0, 0), *distill._binomial_axis(4, (0, 0)))
+        assert shells.violation(4) is None
+        assert shells.violation(5) == 7
+        assert exact_calls == []
+
+    def test_records_skip_identities(self, exact_calls):
+        plan = plan_formation(12, Q1, 1.0)
+        assert len(list(plan.records())) == plan.target_window[1] - plan.target_window[0] + 1
+        assert exact_calls == []
 
 
 class TestBirkhoffPartition:
