@@ -171,6 +171,15 @@ def read_string_distribution_csv(path: str) -> StringDistribution:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _emit(payload: str, path: str | None) -> None:
+    """Write a command's payload to ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
+
+
 def cmd_rate(args) -> int:
     beta = args.beta
     p = args.p
@@ -179,17 +188,10 @@ def cmd_rate(args) -> int:
     gamma = gibbs_state(h, beta)
     closed = rate_limit(p, beta)
     rho = DensityMatrix.diagonal([1 - p, p])
-    try:
-        if sigma_p == 1.0:
-            sigma = DensityMatrix.diagonal([0.0, 1.0])
-            via_entropy = interconversion_rate(rho, sigma, gamma)
-        else:
-            sigma = DensityMatrix.diagonal([1 - sigma_p, sigma_p])
-            via_entropy = interconversion_rate(rho, sigma, gamma)
-            closed = (rate_limit(p, beta) / rate_limit(sigma_p, beta))
-    except FreeTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sigma = DensityMatrix.diagonal([1 - sigma_p, sigma_p])
+    via_entropy = interconversion_rate(rho, sigma, gamma)
+    if sigma_p != 1.0:
+        closed /= rate_limit(sigma_p, beta)
     diff = abs(closed - via_entropy)
     print(f"closed_form_rate {closed!r} dimensionless")
     print(f"relative_entropy_rate {via_entropy!r} dimensionless")
@@ -203,12 +205,7 @@ def cmd_rate(args) -> int:
 
 def cmd_distill(args) -> int:
     plan = plan_distillation(args.n, args.p, args.beta, args.width)
-    payload = dumps_report(plan_to_dict(plan))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(dumps_report(plan_to_dict(plan)), args.output)
     print(f"summary n={plan.n} ell={plan.ell} m={plan.m} rate={plan.achieved_rate!r} "
           f"r_limit={plan.r_limit!r} failure_mass={plan.failure_mass!r}")
     return 0
@@ -216,12 +213,7 @@ def cmd_distill(args) -> int:
 
 def cmd_form(args) -> int:
     plan = plan_formation(args.n, args.p, args.beta, args.width)
-    payload = dumps_report(plan_to_dict(plan))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(dumps_report(plan_to_dict(plan)), args.output)
     print(f"summary n={plan.n} ell={plan.ell} m={plan.m} "
           f"work_per_copy={plan.work_per_copy!r} cost_rate={plan.cost_rate!r} "
           f"failure_mass={plan.failure_mass!r}")
@@ -241,12 +233,7 @@ def sweep_rows(p: float, beta: float, n_grid, width: float) -> list[str]:
 def cmd_sweep(args) -> int:
     n_grid = [int(x) for x in args.n_grid.split(",")]
     rows = sweep_rows(args.p, args.beta, n_grid, args.width)
-    payload = "\n".join(rows) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit("\n".join(rows) + "\n", args.output)
     print(f"sweep schema_version={SCHEMA_VERSION} rows={len(rows) - 1} "
           f"units=rate:dimensionless,deficit:dimensionless")
     return 0
@@ -273,19 +260,14 @@ def cmd_simulate(args) -> int:
         "work_register_success": float(success),
         "routed_failure_mass": float(execution.routed_failure_mass),
     }
-    payload = dumps_report(report)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(dumps_report(report), args.output)
     return 0
 
 
 def cmd_exhaust(args) -> int:
     plan = plan_distillation(args.n, args.p, args.beta, args.width)
     report = exhaust_analysis(plan, block_size=args.block_size)
-    payload = dumps_report({
+    _emit(dumps_report({
         "schema_version": SCHEMA_VERSION,
         "block_size": report.block_size,
         "num_blocks": report.num_blocks,
@@ -296,12 +278,7 @@ def cmd_exhaust(args) -> int:
         "per_system_rel_entropy": report.per_system_rel_entropy,
         "subadditivity_holds": report.subadditivity_holds,
         "units": {"rel_entropies": "nats", "trace_distances": "dimensionless"},
-    })
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    }), args.output)
     return 0
 
 
@@ -376,10 +353,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FreeTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:
+    except (FreeTargetError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -251,10 +251,10 @@ def coherent_formation_error(target: CoherentTarget, exact: bool | None = None,
     if exact and n > 10:
         raise ValueError("exact mode supports n <= 10")
 
-    frame_n = 2 * math.ceil(n ** (2.0 / 3.0)) + 1
     eb, ea = abs(target.b) ** 2, abs(target.a) ** 2
     pad_energy = round(n * (target.p * eb + (1 - target.p) * ea) - n ** (2.0 / 3.0))
     frame = ReferenceFrame.for_formation(n, max_gap=n, pad_energy=pad_energy)
+    frame_n = frame.window_size
 
     sqrt_n = math.sqrt(n)
     k_lo = max(0, math.ceil(n * target.p - sqrt_n))
@@ -277,6 +277,10 @@ def coherent_formation_error(target: CoherentTarget, exact: bool | None = None,
             raise DegeneracyShortfallError(
                 f"energy level {level} offers {math.comb(n, level)} labels but {count} are needed")
 
+    # Squared window-shift norms by clipped shift, and every excitation
+    # number t'; each sector sums its pmf over t' in ascending order.
+    err_sq = np.array([err_norm(shift, frame_n) ** 2 for shift in range(frame_n + 1)])
+    t_prime = np.arange(n + 1)
     sectors = []
     analytic = 0.0
     for k in present:
@@ -286,14 +290,10 @@ def coherent_formation_error(target: CoherentTarget, exact: bool | None = None,
         typ_lo = max(0, math.ceil(mu - sqrt_n))
         typ_hi = min(n, math.floor(mu + sqrt_n))
         pmf = _weight_distribution(target, k)
-        nu2_sq = 0.0
-        tail = 0.0
-        for t_prime in range(0, n + 1):
-            prob = float(pmf[t_prime]) if t_prime < len(pmf) else 0.0
-            if typ_lo <= t_prime <= typ_hi:
-                nu2_sq += prob * err_norm(abs(t_k - t_prime), frame_n) ** 2
-            else:
-                tail += prob
+        inside = (typ_lo <= t_prime) & (t_prime <= typ_hi)
+        shift_sq = err_sq[np.minimum(np.abs(t_k - t_prime), frame_n)]
+        nu2_sq = np.cumsum(np.where(inside, pmf * shift_sq, 0.0))[-1]
+        tail = np.cumsum(np.where(inside, 0.0, pmf))[-1]
         nu2 = math.sqrt(nu2_sq)
         nu3 = math.sqrt(max(tail, 0.0))
         nu1 = math.sqrt(max(tail, 0.0))

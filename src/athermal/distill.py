@@ -36,7 +36,6 @@ __all__ = [
     "rank_fixed_weight",
     "unrank_fixed_weight",
     "binomial_log_pmf",
-    "binomial_window_mass",
     "binomial_outside_mass",
 ]
 
@@ -224,12 +223,6 @@ def binomial_log_pmf(n: int, p: float, ks) -> np.ndarray:
                       - _bd0(k, n * p) - _bd0(n - k, n * (1.0 - p))
                       - 0.5 * (math.log(2 * math.pi) + np.log(k) + np.log1p(-k / n)))
     return out
-
-
-def binomial_window_mass(n: int, p: float, window: tuple[int, int]) -> float:
-    """Binomial(n, p) mass of an inclusive count window."""
-    lo, hi = window
-    return min(math.exp(logsumexp(binomial_log_pmf(n, p, np.arange(lo, hi + 1)))), 1.0)
 
 
 def binomial_outside_mass(n: int, p: float, window: tuple[int, int]) -> float:

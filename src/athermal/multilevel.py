@@ -20,7 +20,7 @@ from scipy.special import gammaln
 
 from .core import Hamiltonian, gibbs_state
 from .distill import _EPS, Factor, _products_leq
-from .typeclass import FrequencyVector, shannon_entropy
+from .typeclass import FrequencyVector, apportion, shannon_entropy
 
 __all__ = [
     "OccupationShift",
@@ -71,16 +71,6 @@ class OccupationShift:
                 raise ValueError(f"shift {v} does not give an integer count at n={n}")
             out.append(int(scaled))
         return tuple(out)
-
-
-def apportion(total: int, freqs: Sequence[float]) -> tuple[int, ...]:
-    """Integer counts summing to ``total`` by largest-remainder rounding."""
-    raw = [total * float(f) for f in freqs]
-    counts = [math.floor(v) for v in raw]
-    order = sorted(range(len(freqs)), key=lambda i: raw[i] - counts[i], reverse=True)
-    for i in order[: total - sum(counts)]:
-        counts[i] += 1
-    return tuple(counts)
 
 
 def _as_counts(total: int, f: FrequencyVector | Sequence) -> tuple[int, ...]:

@@ -2,10 +2,12 @@
 
 Everything here is deliberately independent of the solver algebra: the
 feasibility oracle builds injections over explicitly enumerated strings
-(or counts them with a Pascal triangle), and plan execution builds the
-plan's shell-preserving permutation of all 2^(ell+n) strings once, as an
-index array, and applies it to a dense input vector: integer numerators
-over one common denominator when exact, floats otherwise.
+(or counts them with a Pascal triangle).  Plan execution builds index
+arrays from one set of rank tables: a distillation plan's shell-preserving
+permutation of all 2^(ell+n) strings, applied to a dense input vector
+(integer numerators over one common denominator when exact, floats
+otherwise), and a formation plan's images of every covered string for
+every target type at once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import scipy.sparse as sp
 
 from .core import DensityMatrix
 from .distill import DistillationPlan, _fixed_weight_strings, build_string_map
-from .form import FormationPlan, FormationStringMap, build_formation_string_map
+from .form import FormationPlan, build_formation_string_map
 
 __all__ = [
     "StringDistribution",
@@ -264,8 +266,8 @@ def execute_plan_classical(plan: DistillationPlan | FormationPlan,
     """Apply the plan's per-type injections to an explicit distribution.
 
     Mass on types the plan does not cover is routed unchanged to a failure
-    branch and reported.  Probabilities are permuted, never mixed, so the
-    output masses sum to 1 exactly in rational mode.
+    branch and reported.  Distillation permutes probabilities, never mixes
+    them, so its output masses sum to 1 exactly in rational mode.
     """
     if isinstance(plan, DistillationPlan):
         return _execute_distillation(plan, input_dist)
@@ -344,46 +346,62 @@ def _execute_distillation(plan: DistillationPlan,
 
 def _execute_formation(plan: FormationPlan,
                        input_dist: StringDistribution) -> ExecutionReport:
-    if input_dist.length != plan.ell + plan.m:
+    """FormationStringMap's round robin over the whole (string x target)
+    grid: a covered string of bath rank i goes, for each target type t, to
+    target rank i mod C(n, t) and exhaust rank i div C(n, t) with its mass
+    times t's achieved Birkhoff weight; every other string stays put."""
+    ell, n, m, k, length = plan.ell, plan.n, plan.m, plan.k, input_dist.length
+    if length != ell + m:
         raise ValueError("input length does not match the plan")
-    # The type-distribution stage conditions on the Birkhoff partition: the
-    # output is the mixture over target types with the achieved weights.
-    t_lo, t_hi = plan.target_window
-    targets = list(range(t_lo, t_hi + 1))
-    weights = plan.birkhoff.achieved_weights
-    if len(weights) != len(targets):
+    (g_lo, g_hi), (t_lo, t_hi) = plan.gibbs_window, plan.target_window
+    mix = np.asarray(plan.birkhoff.achieved_weights, dtype=float)
+    if mix.size != t_hi - t_lo + 1:
         raise ValueError("birkhoff partition does not match the target window")
-    maps: dict[tuple[int, int], FormationStringMap] = {}
-    out_probs: dict[Bits, Fraction | float] = {}
-    trajectories = []
-    routed = 0
-    for string, prob in sorted(input_dist.probs.items()):
-        bath = string[: plan.ell]
-        g = sum(bath)
-        if (string[plan.ell:] != (1,) * plan.m
-                or not plan.gibbs_window[0] <= g <= plan.gibbs_window[1]):
-            routed = routed + prob
-            out_probs[string] = out_probs.get(string, 0) + prob
-            trajectories.append((string, string))
-            continue
-        for t, w in zip(targets, weights):
-            key = (g, t)
-            if key not in maps:
-                maps[key] = build_formation_string_map(plan, key)
-            target_bits, exhaust_bits = maps[key].apply(bath)
-            out = target_bits + exhaust_bits
-            mass = prob * w
-            if mass != 0:
-                out_probs[out] = out_probs.get(out, 0) + mass
-                trajectories.append((string, out))
-    # Mixing weights are floats, so renormalize the tiny float slop away
-    # unless the distribution is exactly rational.
-    total = sum(out_probs.values())
-    if not isinstance(total, Fraction) and abs(float(total) - 1.0) > 1e-15:
-        out_probs = {s: p / total for s, p in out_probs.items()}
-    output = StringDistribution(plan.n + plan.k, out_probs)
-    target_marginal = output.marginal(range(plan.n))
-    return ExecutionReport(output, target_marginal, routed, tuple(trajectories), "formation")
+    for pair in product(range(g_lo, g_hi + 1), range(t_lo, t_hi + 1)):
+        build_formation_string_map(plan, pair)
+
+    weights = input_dist.weights
+    x = np.flatnonzero(weights)
+    g = _popcounts(ell)[x >> m]
+    covered = ((x & ((1 << m) - 1)) == (1 << m) - 1) & (g_lo <= g) & (g <= g_hi)
+    t = np.arange(t_lo, t_hi + 1)
+    binomial_n = np.array([math.comb(n, j) for j in t])
+    i = _lex_order(ell)[2][x[covered, None] >> m]
+    (order_n, start_n, _), (order_k, start_k, _) = _lex_order(n), _lex_order(k)
+    images = ((order_n[start_n[t] + i % binomial_n] << k)
+              | order_k[start_k[g[covered, None] + m - t] + i // binomial_n])
+    assert np.unique(images).size == images.size, "formation images collide"
+
+    # One row per string of nonzero mass, one column per target type; an
+    # uncovered string keeps its whole mass in the first column.
+    dst = np.repeat(x[:, None], t.size, axis=1)
+    dst[covered] = images
+    share = np.zeros(dst.shape)
+    share[covered], share[~covered, 0] = mix, 1.0
+    moved = input_dist.float_marginal(range(length))[x, None] * share
+    keep = moved != 0
+    src, dst, mixed = (np.broadcast_to(a, dst.shape)[keep]
+                       for a in (x[:, None], dst, covered[:, None]))
+    out = np.bincount(dst, weights=moved[keep], minlength=2 ** length)
+
+    # Images are distinct, so a cell sums at most one unmoved and one mixed
+    # mass, bit for bit as string by string.  The renormalising total adds
+    # the cells in first-touch order, exactly over the leading cells whose
+    # only mass is exact.
+    cells, first = np.unique(dst, return_index=True)
+    touch = cells[np.argsort(first)]
+    lone = ~np.isin(touch, dst[mixed]) & input_dist.is_rational
+    lead = int(np.logical_and.accumulate(lone).sum())
+    if lead == touch.size:   # nothing was mixed: the input, exactly
+        output = input_dist
+    else:
+        head = float(input_dist._mass(weights[touch[:lead]].sum()))
+        total = np.cumsum(np.append(head, out[touch[lead:]]))[-1]
+        output = StringDistribution(length, weights=out / total
+                                    if abs(total - 1.0) > 1e-15 else out)
+    routed = input_dist._mass(np.cumsum(np.append(0, weights[x[~covered]]))[-1])
+    return ExecutionReport(output, output.marginal(range(n)), routed,
+                           kind="formation", moves=(src, dst))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ __all__ = [
     "log_type_cardinality",
     "log_binomial",
     "cardinality_bounds",
+    "apportion",
     "typical_types",
     "typical_mass",
     "typical_range",
@@ -180,6 +181,16 @@ def typical_range(n: int, f: float, width: float) -> tuple[int, int]:
     return lo, hi
 
 
+def apportion(total: int, freqs: Sequence[float]) -> tuple[int, ...]:
+    """Integer counts summing to ``total`` by largest-remainder rounding."""
+    raw = [total * float(f) for f in freqs]
+    counts = [math.floor(v) for v in raw]
+    order = sorted(range(len(freqs)), key=lambda i: raw[i] - counts[i], reverse=True)
+    for i in order[: total - sum(counts)]:
+        counts[i] += 1
+    return tuple(counts)
+
+
 def typical_types(n: int, probs: FrequencyVector | Sequence[float],
                   width: float) -> list[TypeDescriptor]:
     """All types whose per-level counts deviate from the rounded means by
@@ -210,12 +221,7 @@ def typical_types(n: int, probs: FrequencyVector | Sequence[float],
     if not out:
         # Degenerate window (possible only for tiny n*width): fall back to
         # the largest-remainder apportionment of the means.
-        counts = [math.floor(n * f) for f in freqs]
-        rema = sorted(range(len(freqs)), key=lambda i: n * freqs[i] - counts[i],
-                      reverse=True)
-        for i in rema[: n - sum(counts)]:
-            counts[i] += 1
-        out.append(TypeDescriptor(tuple(counts)))
+        out.append(TypeDescriptor(apportion(n, freqs)))
     return out
 
 

@@ -221,11 +221,16 @@ class TestPlanDistillation:
             if r_window[0] <= binding - x <= r_window[1])
 
     def test_failure_mass_is_window_complement(self):
-        from athermal.distill import binomial_window_mass
+        def window_mass(n, p, window):
+            # Exact binomial mass of the window at the float p's exact value.
+            p = Fraction(p)
+            return sum(math.comb(n, k) * p ** k * (1 - p) ** (n - k)
+                       for k in range(window[0], window[1] + 1))
+
         plan = plan_distillation(30, 0.8, 1.0, width=1.5)
-        bath = binomial_window_mass(plan.ell, plan.q, plan.gibbs_window)
-        res = binomial_window_mass(plan.n, plan.p, plan.resource_window)
-        assert plan.failure_mass == pytest.approx(1 - bath * res, abs=1e-12)
+        bath = window_mass(plan.ell, plan.q, plan.gibbs_window)
+        res = window_mass(plan.n, plan.p, plan.resource_window)
+        assert plan.failure_mass == pytest.approx(float(1 - bath * res), abs=1e-12)
 
     def test_solver_modes_agree(self):
         # The certified window solver must reproduce the exact-integer m.
