@@ -159,12 +159,6 @@ def build_Uinv(system_unitary: np.ndarray, system_energies: Sequence[int],
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
-def joint_hamiltonian(system_energies: Sequence[int], frame: ReferenceFrame) -> sp.csr_matrix:
-    energies = np.asarray([int(e) for e in system_energies])
-    diag = (energies[:, None] + np.arange(frame.num_levels)[None, :]).reshape(-1)
-    return sp.diags(diag.astype(float)).tocsr()
-
-
 @dataclass(frozen=True)
 class CoherentTarget:
     """n copies of rho = p |phi1><phi1| + (1-p) |phi2><phi2|.

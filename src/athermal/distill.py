@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
-from itertools import combinations
+from functools import cache, partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -26,15 +25,11 @@ __all__ = [
     "DistillationPlan",
     "BlockRecord",
     "BlockDiagonalizationRecord",
-    "StringMap",
     "rate_limit",
     "solve_single_type",
     "distill_feasible",
     "plan_distillation",
     "plan_distillation_general",
-    "build_string_map",
-    "rank_fixed_weight",
-    "unrank_fixed_weight",
     "binomial_log_pmf",
     "binomial_outside_mass",
 ]
@@ -496,18 +491,6 @@ def _solve_window(ell: int, n: int, g_window: tuple[int, int], r_window: tuple[i
     return m, (g, s - g)
 
 
-def shell_input_counts(ell: int, n: int, g_window: tuple[int, int],
-                       r_window: tuple[int, int]) -> dict[int, int]:
-    """Exact number of covered input strings per total-1s shell."""
-    row_r = [math.comb(n, r) for r in range(r_window[0], r_window[1] + 1)]
-    sums: dict[int, int] = {}
-    for g in range(g_window[0], g_window[1] + 1):
-        c_g = math.comb(ell, g)
-        for r, c_r in enumerate(row_r, r_window[0]):
-            sums[g + r] = sums.get(g + r, 0) + c_g * c_r
-    return sums
-
-
 def plan_distillation(n: int, p: float, beta: float, width: float = 3.0) -> DistillationPlan:
     """Construct a distillation plan with ell = ceil((R n)^(3/2)) bath copies.
 
@@ -662,121 +645,3 @@ def plan_distillation_general(rho: DensityMatrix, n: int, beta: float, width: fl
         num_composite_types=(g_window[1] - g_window[0] + 1) * len(blocks),
     )
     return plan, record
-
-
-# ---------------------------------------------------------------------------
-# Explicit string maps
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _fixed_weight_strings(length: int, weight: int) -> tuple[tuple[int, ...], ...]:
-    """All binary strings with the given weight, in lexicographic order."""
-    out = []
-    for positions in combinations(range(length), weight):
-        bits = [0] * length
-        for pos in positions:
-            bits[pos] = 1
-        out.append(tuple(bits))
-    return tuple(sorted(out))
-
-
-def rank_fixed_weight(bits: tuple[int, ...]) -> int:
-    """Lexicographic rank of a binary string among strings of its weight."""
-    rank = 0
-    ones_left = sum(bits)
-    length = len(bits)
-    for i, b in enumerate(bits):
-        if b:
-            rank += math.comb(length - i - 1, ones_left)
-            ones_left -= 1
-    return rank
-
-
-def unrank_fixed_weight(rank: int, length: int, weight: int) -> tuple[int, ...]:
-    """Inverse of :func:`rank_fixed_weight`."""
-    if not 0 <= rank < math.comb(length, weight):
-        raise ValueError("rank out of range")
-    bits = []
-    ones_left = weight
-    for i in range(length):
-        zero_branch = math.comb(length - i - 1, ones_left)
-        if rank < zero_branch:
-            bits.append(0)
-        else:
-            rank -= zero_branch
-            bits.append(1)
-            ones_left -= 1
-    return tuple(bits)
-
-
-@dataclass(frozen=True)
-class StringMap:
-    """Explicit injection for one composite type of a distillation plan.
-
-    Input strings (bath substring of weight g, resource substring of weight
-    r, enumerated lexicographically) map to consecutive exhaust strings of
-    weight e in lexicographic order, with m trailing 1s appended.  Types
-    sharing a total-1s shell receive disjoint rank ranges through
-    ``shell_offset``, so the union over the whole plan stays injective.
-    Every pair conserves total 1s.
-    """
-
-    ell: int
-    n: int
-    m: int
-    gibbs_ones: int
-    resource_ones: int
-    shell_offset: int = 0
-
-    @property
-    def k(self) -> int:
-        return self.ell + self.n - self.m
-
-    @property
-    def exhaust_ones(self) -> int:
-        return self.gibbs_ones + self.resource_ones - self.m
-
-    @property
-    def input_cardinality(self) -> int:
-        return math.comb(self.ell, self.gibbs_ones) * math.comb(self.n, self.resource_ones)
-
-    def apply(self, bath: tuple[int, ...], resource: tuple[int, ...]) -> tuple[int, ...]:
-        if len(bath) != self.ell or sum(bath) != self.gibbs_ones:
-            raise ValueError("bath string does not match the composite type")
-        if len(resource) != self.n or sum(resource) != self.resource_ones:
-            raise ValueError("resource string does not match the composite type")
-        index = (self.shell_offset
-                 + rank_fixed_weight(bath) * math.comb(self.n, self.resource_ones)
-                 + rank_fixed_weight(resource))
-        exhaust = unrank_fixed_weight(index, self.k, self.exhaust_ones)
-        return exhaust + (1,) * self.m
-
-    def pairs(self):
-        """Yield every (input string, output string) pair; small sizes only."""
-        for bath in _fixed_weight_strings(self.ell, self.gibbs_ones):
-            for resource in _fixed_weight_strings(self.n, self.resource_ones):
-                yield bath + resource, self.apply(bath, resource)
-
-
-def build_string_map(plan: DistillationPlan, composite: tuple[int, int]) -> StringMap:
-    """Explicit injection for a composite type covered by the plan.
-
-    Within the type's total-1s shell, covered types are laid out in
-    ascending bath-count order; the shell-sum feasibility built into the
-    plan guarantees the offsets stay below C(k, e).
-    """
-    g, r = composite
-    if plan.coherent:
-        raise ValueError("string maps apply to quasiclassical plans only")
-    if not plan.covers(g, r):
-        raise ValueError(f"composite type {composite} is not covered by the plan")
-    s = g + r
-    offset = 0
-    for g_prev in range(plan.gibbs_window[0], g):
-        r_prev = s - g_prev
-        if plan.resource_window[0] <= r_prev <= plan.resource_window[1]:
-            offset += math.comb(plan.ell, g_prev) * math.comb(plan.n, r_prev)
-    map_ = StringMap(plan.ell, plan.n, plan.m, g, r, shell_offset=offset)
-    if offset + map_.input_cardinality > math.comb(map_.k, map_.exhaust_ones):
-        raise ValueError(f"composite type {composite} has no feasible injection")
-    return map_

@@ -28,9 +28,7 @@ from .distill import (
     _products_leq,
     binomial_log_pmf,
     binomial_outside_mass,
-    rank_fixed_weight,
     rate_limit,
-    unrank_fixed_weight,
 )
 from .typeclass import TypeDescriptor, type_probability, typical_range
 
@@ -40,8 +38,6 @@ __all__ = [
     "FormationPlan",
     "BirkhoffSpan",
     "BirkhoffPartition",
-    "FormationStringMap",
-    "build_formation_string_map",
     "solve_formation_single_type",
     "formation_feasible",
     "plan_formation",
@@ -118,7 +114,9 @@ class BirkhoffPartition:
 
     ``sets[k]`` collects the strings whose conditional unitary is U_k; the
     greedy largest-first construction keeps ``max_deviation`` at or below
-    the largest single string weight.
+    the largest single string weight.  Grouped spans index the type-major
+    lexicographic layout (all weight-0 strings first, then weight-1, ...);
+    an ungrouped partition stores the original string index in ``ones``.
     """
 
     ell: int
@@ -129,29 +127,6 @@ class BirkhoffPartition:
     tolerance: float
     within_tolerance: bool
     grouped: bool = True
-
-    def explicit_sets(self) -> list[list[int]]:
-        """Expand spans into flat string indices; small index spaces only.
-
-        Grouped partitions use the type-major lexicographic layout (all
-        weight-0 strings first, then weight-1, ...); ungrouped partitions
-        store the original string index in the ``ones`` slot.
-        """
-        if not self.grouped:
-            return [sorted(span.ones for span in spans) for spans in self.sets]
-        offsets = {}
-        acc = 0
-        for ones in range(self.ell + 1):
-            offsets[ones] = acc
-            acc += math.comb(self.ell, ones)
-        out = []
-        for spans in self.sets:
-            indices: list[int] = []
-            for span in spans:
-                base = offsets[span.ones] + span.start
-                indices.extend(range(base, base + span.count))
-            out.append(sorted(indices))
-        return out
 
 
 def _greedy_fill(groups: list[tuple[float, int, int]], targets: Sequence[float],
@@ -482,78 +457,52 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
     r_lim = rate_limit(p, beta)
     q = gibbs_weight(beta)
     free_target = abs(p - q) < 1e-12
+    t_window = typical_range(n, p, width)
 
     if free_target:
         # Forming Gibbs states is free: take ell = n thermal copies as-is.
-        ell, m = n, 0
-        t_window = typical_range(n, p, width)
+        ell, m, iterations = n, 0, 0
         g_window = t_window
-        t = t_window[0]
-        window_types = [TypeDescriptor.two_level(n, t)
-                        for t in range(t_window[0], t_window[1] + 1)]
-        targets = type_distribution(n, p, window_types)
-        ell_b = _birkhoff_bath_size(q, birkhoff_tolerance)
-        birkhoff = gibbs_type_birkhoff(ell_b, q, targets, birkhoff_tolerance)
-        n_types = g_window[1] - g_window[0] + 1
-        return FormationPlan(
-            n=n, ell=ell, m=0, k=0, p=p, beta=beta, width=width,
-            register_bits=max(0, (n_types - 1)).bit_length(),
-            birkhoff=birkhoff,
-            cost_rate=math.inf,
-            work_per_copy=0.0,
-            failure_mass=binomial_outside_mass(n, p, t_window),
-            worst_type=next(_formation_records(n, ell, 0, (t, t), (t, t))),
-            free_target=True,
-            gibbs_window=g_window,
-            target_window=t_window,
-        )
-
-    t_window = typical_range(n, p, width)
-    m_prev = max(1, math.ceil(n * r_lim))
-    m = m_prev
-    ell = 0
-    g_window = (0, 0)
-    iterations = 0
-    worst = (0, 0)
-    for iterations in range(1, 25):
-        ell = math.ceil(m_prev ** 1.5)
-        g_window = typical_range(ell, q, width)
-        try:
-            m, worst = _formation_m(n, ell, g_window, t_window)
-        except InfeasibleFormationError:
-            # Bath too small for the windows (some pair needs e > k at every
-            # m); grow it and retry.
-            m_prev = max(m_prev + 1, math.ceil(m_prev * 1.3))
-            continue
-        if m <= m_prev or abs(m - m_prev) <= max(1, m_prev // 1000):
-            break
-        m_prev = m
+        worst = (t_window[0], t_window[0])
+        failure_mass = binomial_outside_mass(n, p, t_window)
     else:
-        raise InfeasibleFormationError("formation fixed point did not settle")
-
-    k = m + ell - n
-    n_types = g_window[1] - g_window[0] + 1
-    register_bits = max(0, (n_types - 1)).bit_length()
-
-    bath_out = binomial_outside_mass(ell, q, g_window)
-    target_out = binomial_outside_mass(n, p, t_window)
-    failure_mass = bath_out + target_out - bath_out * target_out
+        m_prev = max(1, math.ceil(n * r_lim))
+        for iterations in range(1, 25):
+            ell = math.ceil(m_prev ** 1.5)
+            g_window = typical_range(ell, q, width)
+            try:
+                m, worst = _formation_m(n, ell, g_window, t_window)
+            except InfeasibleFormationError:
+                # Bath too small for the windows (some pair needs e > k at
+                # every m); grow it and retry.
+                m_prev = max(m_prev + 1, math.ceil(m_prev * 1.3))
+                continue
+            if m <= m_prev or abs(m - m_prev) <= max(1, m_prev // 1000):
+                break
+            m_prev = m
+        else:
+            raise InfeasibleFormationError("formation fixed point did not settle")
+        bath_out = binomial_outside_mass(ell, q, g_window)
+        target_out = binomial_outside_mass(n, p, t_window)
+        failure_mass = bath_out + target_out - bath_out * target_out
 
     window_types = [TypeDescriptor.two_level(n, t)
                     for t in range(t_window[0], t_window[1] + 1)]
     targets = type_distribution(n, p, window_types)
     ell_b = _birkhoff_bath_size(q, birkhoff_tolerance)
     birkhoff = gibbs_type_birkhoff(ell_b, q, targets, birkhoff_tolerance)
+    n_types = g_window[1] - g_window[0] + 1
 
     return FormationPlan(
-        n=n, ell=ell, m=m, k=k, p=p, beta=beta, width=width,
-        register_bits=register_bits,
+        n=n, ell=ell, m=m, k=m + ell - n, p=p, beta=beta, width=width,
+        register_bits=max(0, (n_types - 1)).bit_length(),
         birkhoff=birkhoff,
         cost_rate=n / m if m else math.inf,
         work_per_copy=m / n,
         failure_mass=failure_mass,
         worst_type=next(_formation_records(n, ell, m, (worst[0], worst[0]),
                                            (worst[1], worst[1]))),
+        free_target=free_target,
         gibbs_window=g_window,
         target_window=t_window,
         fixed_point_iterations=iterations,
@@ -566,48 +515,3 @@ def _birkhoff_bath_size(q: float, tolerance: float) -> int:
     if top >= 1.0:
         raise ValueError("degenerate Gibbs weight")
     return max(1, math.ceil(math.log(tolerance) / math.log(top)))
-
-
-@dataclass(frozen=True)
-class FormationStringMap:
-    """Explicit injection for one (Gibbs type, target type) pair.
-
-    Gibbs strings (lexicographic within their type) are assigned round
-    robin: input rank i maps to target string i mod N_T and exhaust string
-    i div N_T, so exhaust sets of distinct target strings differ in size by
-    at most one and the traced-out output is uniform over the target type
-    up to total variation (#targets)/(#inputs).
-    """
-
-    ell: int
-    n: int
-    m: int
-    gibbs_ones: int
-    target_ones: int
-
-    @property
-    def k(self) -> int:
-        return self.m + self.ell - self.n
-
-    @property
-    def exhaust_ones(self) -> int:
-        return self.gibbs_ones + self.m - self.target_ones
-
-    def apply(self, gibbs_string: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if len(gibbs_string) != self.ell or sum(gibbs_string) != self.gibbs_ones:
-            raise ValueError("Gibbs string does not match the type")
-        n_targets = math.comb(self.n, self.target_ones)
-        i = rank_fixed_weight(gibbs_string)
-        target = unrank_fixed_weight(i % n_targets, self.n, self.target_ones)
-        exhaust = unrank_fixed_weight(i // n_targets, self.k, self.exhaust_ones)
-        return target, exhaust
-
-
-def build_formation_string_map(plan: FormationPlan,
-                               pair: tuple[int, int]) -> FormationStringMap:
-    g, t = pair
-    if not plan.covers(g, t):
-        raise ValueError(f"(gibbs, target) pair {pair} is not covered by the plan")
-    if not formation_feasible(plan.n, t, plan.ell, g, plan.m):
-        raise ValueError(f"pair {pair} has no feasible injection")
-    return FormationStringMap(plan.ell, plan.n, plan.m, g, t)

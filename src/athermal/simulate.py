@@ -16,15 +16,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
 from .core import DensityMatrix
-from .distill import DistillationPlan, _fixed_weight_strings, build_string_map
-from .form import FormationPlan, build_formation_string_map
+from .distill import DistillationPlan
+from .form import FormationPlan, formation_feasible
 
 __all__ = [
     "StringDistribution",
@@ -63,8 +63,7 @@ def _popcounts(length: int) -> np.ndarray:
 
 def _strings(values: np.ndarray, length: int) -> list[Bits]:
     """The strings spelled by ``values`` in binary, most significant bit first."""
-    table = list(product((0, 1), repeat=length))   # in increasing value order
-    return [table[x] for x in values.tolist()]
+    return list(map(tuple, ((values[:, None] >> np.arange(length - 1, -1, -1)) & 1).tolist()))
 
 
 class StringDistribution:
@@ -144,6 +143,18 @@ def _pascal_binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return _pascal_row(n)[k]
+
+
+@lru_cache(maxsize=None)
+def _fixed_weight_strings(length: int, weight: int) -> tuple[Bits, ...]:
+    """All binary strings with the given weight, in lexicographic order."""
+    out = []
+    for positions in combinations(range(length), weight):
+        bits = [0] * length
+        for pos in positions:
+            bits[pos] = 1
+        out.append(tuple(bits))
+    return tuple(sorted(out))
 
 
 def oracle_max_m(ell: int, gibbs_ones: int, n: int, resource_ones: int) -> int:
@@ -292,32 +303,39 @@ def _lex_order(length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _plan_permutation(plan: DistillationPlan) -> tuple[np.ndarray, np.ndarray]:
     """The plan's shell-preserving permutation: string x goes to perm[x].
 
-    A string of covered type (g, r) goes to the exhaust string of weight
-    g + r - m and rank offset + rank(bath) C(n, r) + rank(resource),
-    followed by m ones: the StringMap layout, with the offsets and shell
-    checks of build_string_map.  Each shell's uncovered strings go, in
-    increasing order, to its free strings, also in increasing order.
-    Returns perm and the mask of covered strings.
+    Within a total-1s shell s = g + r the covered types are laid out in
+    ascending g: a string of covered type (g, r) goes to the exhaust string
+    of weight s - m and rank offset + rank(bath) C(n, r) + rank(resource),
+    followed by m ones, where offset counts the shell's covered strings of
+    smaller g.  A type whose ranks reach C(k, s - m) has no feasible
+    injection.  Each shell's uncovered strings go, in increasing order, to
+    its free strings, also in increasing order.  Returns perm and the mask
+    of covered strings.
     """
+    if plan.coherent:
+        raise ValueError("string maps apply to quasiclassical plans only")
     ell, n, m = plan.ell, plan.n, plan.m
     (g_lo, g_hi), (r_lo, r_hi) = plan.gibbs_window, plan.resource_window
-    offset = np.zeros((ell + 1, n + 1), dtype=np.int64)
-    for g in range(g_lo, g_hi + 1):
-        for r in range(r_lo, r_hi + 1):
-            offset[g, r] = build_string_map(plan, (g, r)).shell_offset
-
     x = np.arange(2 ** (ell + n))
     bath, resource = x >> n, x & ((1 << n) - 1)
     g, r = _popcounts(ell)[bath], _popcounts(n)[resource]
     covered = (g_lo <= g) & (g <= g_hi) & (r_lo <= r) & (r <= r_hi)
     src = np.flatnonzero(covered)
-    g, r = g[src], r[src]
+    g, r, e = g[src], r[src], g[src] + r[src] - m
+    # Sorted by (shell, g), a string's type starts at the number of covered
+    # strings of smaller key, and its shell at the number of smaller shells.
+    key = (g + r) * (ell + 1) + g
+    ordered = np.sort(key)
     binomial_n = np.array([math.comb(n, j) for j in range(n + 1)])
-    index = (offset[g, r] + _lex_order(ell)[2][bath[src]] * binomial_n[r]
-             + _lex_order(n)[2][resource[src]])
+    index = (np.searchsorted(ordered, key) - np.searchsorted(ordered, key - g)
+             + _lex_order(ell)[2][bath[src]] * binomial_n[r] + _lex_order(n)[2][resource[src]])
     order, start, _ = _lex_order(plan.k)
+    bad = np.flatnonzero((e < 0) | (index >= np.diff(start)[np.maximum(e, 0)]))
+    if bad.size:
+        raise ValueError(f"composite type {(int(g[bad[0]]), int(r[bad[0]]))} "
+                         "has no feasible injection")
     perm = np.empty_like(x)
-    perm[src] = (order[start[g + r - m] + index] << m) | ((1 << m) - 1)
+    perm[src] = (order[start[e] + index] << m) | ((1 << m) - 1)
 
     leftover, free = x[~covered], np.setdiff1d(x, perm[src])
     assert leftover.size == free.size, "plan permutation is not a bijection"
@@ -346,10 +364,12 @@ def _execute_distillation(plan: DistillationPlan,
 
 def _execute_formation(plan: FormationPlan,
                        input_dist: StringDistribution) -> ExecutionReport:
-    """FormationStringMap's round robin over the whole (string x target)
-    grid: a covered string of bath rank i goes, for each target type t, to
-    target rank i mod C(n, t) and exhaust rank i div C(n, t) with its mass
-    times t's achieved Birkhoff weight; every other string stays put."""
+    """Round robin over the whole (string x target) grid: a covered string
+    of bath rank i goes, for each target type t, to target rank i mod
+    C(n, t) and exhaust rank i div C(n, t) with its mass times t's achieved
+    Birkhoff weight; every other string stays put.  A free target covers
+    only the identity pairs, so a covered string of Gibbs type g takes
+    t = g with share 1 and is its own image: the output is the input."""
     ell, n, m, k, length = plan.ell, plan.n, plan.m, plan.k, input_dist.length
     if length != ell + m:
         raise ValueError("input length does not match the plan")
@@ -357,15 +377,18 @@ def _execute_formation(plan: FormationPlan,
     mix = np.asarray(plan.birkhoff.achieved_weights, dtype=float)
     if mix.size != t_hi - t_lo + 1:
         raise ValueError("birkhoff partition does not match the target window")
-    for pair in product(range(g_lo, g_hi + 1), range(t_lo, t_hi + 1)):
-        build_formation_string_map(plan, pair)
+    for g in range(g_lo, g_hi + 1):
+        for t in (g,) if plan.free_target else range(t_lo, t_hi + 1):
+            if not formation_feasible(n, t, ell, g, m):
+                raise ValueError(f"pair {(g, t)} has no feasible injection")
 
     weights = input_dist.weights
     x = np.flatnonzero(weights)
     g = _popcounts(ell)[x >> m]
     covered = ((x & ((1 << m) - 1)) == (1 << m) - 1) & (g_lo <= g) & (g <= g_hi)
-    t = np.arange(t_lo, t_hi + 1)
-    binomial_n = np.array([math.comb(n, j) for j in t])
+    t, mix = ((g[covered, None], np.ones(1)) if plan.free_target
+              else (np.arange(t_lo, t_hi + 1), mix))
+    binomial_n = np.array([math.comb(n, j) for j in range(n + 1)])[t]
     i = _lex_order(ell)[2][x[covered, None] >> m]
     (order_n, start_n, _), (order_k, start_k, _) = _lex_order(n), _lex_order(k)
     images = ((order_n[start_n[t] + i % binomial_n] << k)
@@ -374,14 +397,15 @@ def _execute_formation(plan: FormationPlan,
 
     # One row per string of nonzero mass, one column per target type; an
     # uncovered string keeps its whole mass in the first column.
-    dst = np.repeat(x[:, None], t.size, axis=1)
+    dst = np.repeat(x[:, None], mix.size, axis=1)
     dst[covered] = images
     share = np.zeros(dst.shape)
     share[covered], share[~covered, 0] = mix, 1.0
     moved = input_dist.float_marginal(range(length))[x, None] * share
     keep = moved != 0
+    # A free target moves each covered string whole onto itself: nothing mixes.
     src, dst, mixed = (np.broadcast_to(a, dst.shape)[keep]
-                       for a in (x[:, None], dst, covered[:, None]))
+                       for a in (x[:, None], dst, covered[:, None] & (not plan.free_target)))
     out = np.bincount(dst, weights=moved[keep], minlength=2 ** length)
 
     # Images are distinct, so a cell sums at most one unmoved and one mixed
@@ -414,10 +438,6 @@ class ChannelReport:
     work_trace_distance: float
     failure_mass: float
     permutation: tuple[int, ...]
-
-    @property
-    def energy_conserving(self) -> bool:
-        return self.commutator_nonzeros == 0
 
     def unitary(self) -> sp.csr_matrix:
         """The permutation as an explicit sparse matrix V e_x = e_perm(x)."""

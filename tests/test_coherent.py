@@ -17,9 +17,9 @@ from athermal.coherent import (
     build_Uinv,
     coherent_formation_error,
     err_norm,
-    joint_hamiltonian,
     shift_overlap,
 )
+from strings_reference import joint_hamiltonian
 
 
 def _reference_psi_vector(target: CoherentTarget, k: int, arrangement) -> np.ndarray:

@@ -15,19 +15,21 @@ from athermal.core import DensityMatrix, binary_entropy, gibbs_state, Hamiltonia
 from athermal.distill import (
     binomial_log_pmf,
     binomial_outside_mass,
-    build_string_map,
     distill_feasible,
     plan_distillation,
     plan_distillation_general,
-    rank_fixed_weight,
     rate_limit,
-    shell_input_counts,
     solve_single_type,
-    unrank_fixed_weight,
-    StringMap,
 )
 from athermal.simulate import oracle_max_m
 from athermal.typeclass import typical_range
+from strings_reference import (
+    StringMap,
+    build_string_map,
+    rank_fixed_weight,
+    shell_input_counts,
+    unrank_fixed_weight,
+)
 
 Q1 = math.exp(-1) / (1 + math.exp(-1))
 COHERENT_RHO = DensityMatrix(np.array([[0.25, 0.3], [0.3, 0.75]]))

@@ -3,11 +3,13 @@
 The distillation reference applies each covered type's StringMap to one
 string at a time, completes every total-1s shell by matching its
 uncovered strings to its free strings in sorted order, and accumulates
-Fraction masses built from Fraction products.  It shares only the
-per-type layout (build_string_map's shell offsets) with the kernel:
-ranking, unranking, leftover matching, input masses and marginals are all
-independent.  The formation reference applies FormationStringMap one
-string and one target type at a time and accumulates into a dict.
+Fraction masses built from Fraction products.  The formation reference
+applies FormationStringMap one string and one target type at a time and
+accumulates into a dict.  Both layouts come from ``strings_reference``
+and share no layout code with the kernel: shell offsets, the round robin,
+ranking and unranking are written there string by string, and leftover
+matching, input masses and marginals here.  Only the counting inequality
+``formation_feasible`` is common to both.
 """
 
 import dataclasses
@@ -22,17 +24,11 @@ from hypothesis import strategies as st
 from athermal import simulate
 from athermal.core import DensityMatrix
 from athermal.distill import (
-    build_string_map,
     gibbs_weight,
     plan_distillation,
     plan_distillation_general,
 )
-from athermal.form import (
-    FormationPlan,
-    FormationStringMap,
-    build_formation_string_map,
-    plan_formation,
-)
+from athermal.form import FormationPlan, plan_formation
 from athermal.simulate import (
     Bits,
     ExecutionReport,
@@ -43,6 +39,7 @@ from athermal.simulate import (
     formation_input_distribution,
     thermal_input_distribution,
 )
+from strings_reference import FormationStringMap, build_formation_string_map, build_string_map
 
 
 def reference_permutation(plan) -> dict[tuple, tuple]:
@@ -137,7 +134,8 @@ def test_kernel_matches_reference_executor(n, p, beta, width):
 def reference_formation(plan: FormationPlan,
                         input_dist: StringDistribution) -> ExecutionReport:
     """The string-by-string formation executor: one FormationStringMap.apply
-    per (covered string, target type), accumulated into a dict."""
+    per (covered string, target type), accumulated into a dict.  A free
+    target covers only the identity pairs: Gibbs type g takes t = g whole."""
     if input_dist.length != plan.ell + plan.m:
         raise ValueError("input length does not match the plan")
     # The type-distribution stage conditions on the Birkhoff partition: the
@@ -160,7 +158,7 @@ def reference_formation(plan: FormationPlan,
             out_probs[string] = out_probs.get(string, 0) + prob
             trajectories.append((string, string))
             continue
-        for t, w in zip(targets, weights):
+        for t, w in [(g, 1)] if plan.free_target else zip(targets, weights):
             key = (g, t)
             if key not in maps:
                 maps[key] = build_formation_string_map(plan, key)
@@ -194,6 +192,7 @@ def mixed_formation_input(plan) -> StringDistribution:
        beta=st.floats(0.5, 2.0), width=st.floats(0.5, 3.0))
 @example(n=4, p=0.95, beta=1.0, width=0.75)
 @example(n=3, p=0.8, beta=1.0, width=1.0)
+@example(n=4, p=gibbs_weight(1.0), beta=1.0, width=1.0)   # a free target
 @settings(max_examples=40, deadline=None)
 def test_formation_kernel_matches_reference_executor(n, p, beta, width):
     plan = plan_formation(n, p, beta, width)
@@ -267,3 +266,11 @@ class TestKernelSafetyChecks:
         plan = plan_formation(3, 0.8, 1.0, width=1.0)
         with pytest.raises(AssertionError, match="formation images collide"):
             execute_plan_classical(plan, formation_input_distribution(plan))
+
+
+def test_formation_pair_without_injection_refused():
+    # Covering every bath type adds pairs the plan's m was not fitted to.
+    plan = plan_formation(3, 0.8, 1.0, width=1.0)
+    wide = dataclasses.replace(plan, gibbs_window=(0, plan.ell))
+    with pytest.raises(ValueError, match="no feasible injection"):
+        execute_plan_classical(wide, formation_input_distribution(wide))

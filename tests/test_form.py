@@ -17,10 +17,8 @@ from athermal.distill import (
     solve_single_type,
 )
 from athermal.form import (
-    FormationStringMap,
     InfeasibleFormationError,
     birkhoff_partition,
-    build_formation_string_map,
     formation_feasible,
     gibbs_type_birkhoff,
     plan_formation,
@@ -28,6 +26,7 @@ from athermal.form import (
     type_distribution,
 )
 from athermal.typeclass import TypeDescriptor, typical_mass, typical_range, typical_types
+from strings_reference import build_formation_string_map, explicit_sets
 
 Q1 = math.exp(-1) / (1 + math.exp(-1))
 
@@ -322,11 +321,11 @@ class TestBirkhoffPartition:
     def test_single_target(self):
         part = birkhoff_partition([0.25, 0.25, 0.5], [1.0], tolerance=0.6)
         assert part.max_deviation == pytest.approx(0.0, abs=1e-12)
-        assert part.explicit_sets() == [[0, 1, 2]]
+        assert explicit_sets(part) == [[0, 1, 2]]
 
     def test_exact_even_split(self):
         part = birkhoff_partition([1 / 8] * 8, [0.5, 0.5], tolerance=0.2)
-        sets = part.explicit_sets()
+        sets = explicit_sets(part)
         assert sorted(len(s) for s in sets) == [4, 4]
         assert part.max_deviation == pytest.approx(0.0, abs=1e-12)
 
@@ -347,7 +346,7 @@ class TestBirkhoffPartition:
         part = birkhoff_partition(weights, targets, tolerance=1.0)
         assert part.max_deviation <= max(weights) + 1e-9
         # and the sets partition the index space
-        flat = sorted(i for s in part.explicit_sets() for i in s)
+        flat = sorted(i for s in explicit_sets(part) for i in s)
         assert flat == list(range(len(weights)))
 
     def test_entropy_ledger_logarithmic(self):
@@ -367,7 +366,7 @@ class TestBirkhoffPartition:
         part = gibbs_type_birkhoff(10, Q1, [float(t) for t in targets], tolerance=max_weight)
         assert part.max_deviation <= max_weight + 1e-12
         assert max_weight == pytest.approx(0.043604, abs=1e-6)
-        sets = part.explicit_sets()
+        sets = explicit_sets(part)
         assert sorted(i for s in sets for i in s) == list(range(2 ** 10))
 
 

@@ -130,6 +130,27 @@ class TestFormationExecution:
         report = execute_plan_classical(plan, formation_input_distribution(plan))
         assert work_balance_audit(plan, report)["balanced"]
 
+    @pytest.mark.parametrize("n,width", [(2, 3.0), (8, 1.0)])
+    def test_free_target_is_identity(self, n, width):
+        # A free target covers only the identity pairs (t, t): every covered
+        # string is its own image, and the rest is routed unchanged.
+        plan = plan_formation(n, Q1, 1.0, width)
+        assert plan.free_target and plan.m == 0
+        dist = formation_input_distribution(plan)
+        report = execute_plan_classical(plan, dist)
+        assert report.output.probs == dist.probs
+        floats = formation_input_distribution(plan, rational=False)
+        assert np.abs(execute_plan_classical(plan, floats).output.weights
+                      - floats.weights).max() <= 1e-15
+        q = Fraction(plan.q).limit_denominator(10 ** 9)
+        lo, hi = plan.gibbs_window
+        outside = sum((math.comb(n, g) * q ** g * (1 - q) ** (n - g)
+                       for g in range(n + 1) if not lo <= g <= hi), Fraction(0))
+        assert report.routed_failure_mass == outside
+        assert (outside > 0) == (width < 3.0)
+        assert len(report.trajectories) == 2 ** n
+        assert all(src == dst for src, dst in report.trajectories)
+
 
 class TestQuantumExecution:
     def test_commutator_exactly_zero(self):
