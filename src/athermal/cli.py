@@ -4,11 +4,12 @@ All reports are JSON with sorted keys (byte-identical across runs for
 identical configurations); sweep grids are CSV with a fixed header.  Exit
 codes: 0 success, 1 internal error, 2 domain error (e.g. a free target).
 
-Plan documents are O(windows): schema version 3 stores the parameters,
+Plan documents are O(windows): schema version 4 stores the parameters,
 windows and binding record of a plan, never its per-type records, which
-the plan derives on demand.  Version-1 and version-2 documents are still
-read: their per-type records and solver ``mode`` are ignored, and their
-binding record is cut to its first six fields.
+the plan derives on demand, nor its Birkhoff partition, which is derived
+on load and must reproduce the stored summary.  Version-1 to -3 documents
+are still read: their per-type records, solver ``mode`` and Birkhoff sets
+and weights are ignored, and their binding record is cut to six fields.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     FreeTargetError,
     Hamiltonian,
     gibbs_state,
+    gibbs_weight,
     interconversion_rate,
     relative_entropy,
 )
@@ -32,11 +34,11 @@ from .coherent import shift_overlap
 from .distill import DistillationPlan, PerTypeRecord, plan_distillation, rate_limit
 from .form import (
     BirkhoffPartition,
-    BirkhoffSpan,
     FormationPlan,
     FormationRecord,
     _formation_records,
     plan_formation,
+    target_birkhoff,
 )
 from .simulate import (
     StringDistribution,
@@ -57,7 +59,7 @@ __all__ = [
     "read_string_distribution_csv",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 SWEEP_HEADER = "n,ell,m,rate,deficit,failure_mass"
 
 
@@ -84,14 +86,15 @@ _UNITS = {
 }
 
 
+# The fields of a Birkhoff partition that a formation document stores.
+_BIRKHOFF_SUMMARY = ("ell", "tolerance", "max_deviation", "within_tolerance", "grouped")
+
+
 def _to_json(value):
     """A plan field as JSON: records as lists of their fields, the Birkhoff
-    partition as an object whose spans are [ones, start, count] lists,
-    tuples as lists, infinities as null."""
+    partition as its summary, tuples as lists, infinities as null."""
     if isinstance(value, BirkhoffPartition):
-        doc = {f.name: _to_json(getattr(value, f.name)) for f in fields(value) if f.name != "sets"}
-        return {**doc, "sets": [[[s.ones, s.start, s.count] for s in spans]
-                                for spans in value.sets]}
+        return {name: getattr(value, name) for name in _BIRKHOFF_SUMMARY}
     if is_dataclass(value):
         return list(astuple(value))
     if isinstance(value, tuple):
@@ -106,14 +109,15 @@ def plan_to_dict(plan: DistillationPlan | FormationPlan) -> dict:
 
 
 def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
-    """Rebuild a plan from a schema-3, -2 or -1 document.
+    """Rebuild a plan from a schema-4, -3, -2 or -1 document.
 
     Keys that are not plan fields are ignored, among them the per-type
     records of schema 1 (``per_type_maps``, ``records_complete``) and the
     ``mode`` of schemas 1 and 2.  Their records may carry two trailing
     exact counts, which are cut off.  Schema 1 left ``worst_type`` empty
     for free-target formation plans; it is derived here as
-    :func:`plan_formation` does.
+    :func:`plan_formation` does, as is the Birkhoff partition, whose stored
+    summary must agree (ValueError otherwise).
     """
     cls = {"distillation": DistillationPlan, "formation": FormationPlan}.get(data["kind"])
     if cls is None:
@@ -124,11 +128,11 @@ def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
         if name in kw and kw[name] is None:
             kw[name] = math.inf
     if cls is FormationPlan:
-        b = data["birkhoff"]
-        kw["birkhoff"] = BirkhoffPartition(**{
-            **b, "target_weights": tuple(b["target_weights"]),
-            "achieved_weights": tuple(b["achieved_weights"]),
-            "sets": tuple(tuple(BirkhoffSpan(*s) for s in spans) for spans in b["sets"])})
+        stored = data["birkhoff"]
+        kw["birkhoff"] = target_birkhoff(kw["n"], kw["p"], gibbs_weight(kw["beta"]),
+                                         kw["target_window"], stored["tolerance"])
+        if any(stored[name] != getattr(kw["birkhoff"], name) for name in _BIRKHOFF_SUMMARY):
+            raise ValueError("Birkhoff summary disagrees with the partition the plan derives")
     if kw["worst_type"] is not None:
         record = PerTypeRecord if cls is DistillationPlan else FormationRecord
         kw["worst_type"] = record(*kw["worst_type"][:len(fields(record))])
@@ -146,8 +150,7 @@ def write_string_distribution_csv(dist: StringDistribution, path: str) -> None:
     for string in sorted(dist.probs):
         prob = dist.probs[string]
         frac = prob if isinstance(prob, Fraction) else Fraction(prob).limit_denominator(10 ** 15)
-        text = "".join(str(b) for b in string)
-        lines.append(f"{text},{frac.numerator},{frac.denominator}")
+        lines.append(f"{''.join(map(str, string))},{frac.numerator},{frac.denominator}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -157,14 +160,9 @@ def read_string_distribution_csv(path: str) -> StringDistribution:
         lines = fh.read().strip().split("\n")
     if lines[0] != "string,numerator,denominator":
         raise ValueError("unexpected CSV header")
-    probs = {}
-    length = None
-    for line in lines[1:]:
-        text, num, den = line.split(",")
-        bits = tuple(int(c) for c in text)
-        length = len(bits) if length is None else length
-        probs[bits] = Fraction(int(num), int(den))
-    return StringDistribution(length, probs)
+    rows = [line.split(",") for line in lines[1:]]
+    probs = {tuple(map(int, text)): Fraction(int(num), int(den)) for text, num, den in rows}
+    return StringDistribution(len(rows[0][0]), probs)
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +179,14 @@ def _emit(payload: str, path: str | None) -> None:
 
 
 def cmd_rate(args) -> int:
-    beta = args.beta
-    p = args.p
-    sigma_p = args.sigma_p
-    h = Hamiltonian.two_level()
-    gamma = gibbs_state(h, beta)
-    closed = rate_limit(p, beta)
+    p, sigma_p = args.p, args.sigma_p
+    gamma = gibbs_state(Hamiltonian.two_level(), args.beta)
+    closed = rate_limit(p, args.beta)
     rho = DensityMatrix.diagonal([1 - p, p])
     sigma = DensityMatrix.diagonal([1 - sigma_p, sigma_p])
     via_entropy = interconversion_rate(rho, sigma, gamma)
     if sigma_p != 1.0:
-        closed /= rate_limit(sigma_p, beta)
+        closed /= rate_limit(sigma_p, args.beta)
     diff = abs(closed - via_entropy)
     print(f"closed_form_rate {closed!r} dimensionless")
     print(f"relative_entropy_rate {via_entropy!r} dimensionless")

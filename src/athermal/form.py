@@ -43,6 +43,7 @@ __all__ = [
     "plan_formation",
     "birkhoff_partition",
     "gibbs_type_birkhoff",
+    "target_birkhoff",
     "type_distribution",
 ]
 
@@ -486,17 +487,10 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
         target_out = binomial_outside_mass(n, p, t_window)
         failure_mass = bath_out + target_out - bath_out * target_out
 
-    window_types = [TypeDescriptor.two_level(n, t)
-                    for t in range(t_window[0], t_window[1] + 1)]
-    targets = type_distribution(n, p, window_types)
-    ell_b = _birkhoff_bath_size(q, birkhoff_tolerance)
-    birkhoff = gibbs_type_birkhoff(ell_b, q, targets, birkhoff_tolerance)
-    n_types = g_window[1] - g_window[0] + 1
-
     return FormationPlan(
         n=n, ell=ell, m=m, k=m + ell - n, p=p, beta=beta, width=width,
-        register_bits=max(0, (n_types - 1)).bit_length(),
-        birkhoff=birkhoff,
+        register_bits=max(0, g_window[1] - g_window[0]).bit_length(),
+        birkhoff=target_birkhoff(n, p, q, t_window, birkhoff_tolerance),
         cost_rate=n / m if m else math.inf,
         work_per_copy=m / n,
         failure_mass=failure_mass,
@@ -509,9 +503,16 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
     )
 
 
-def _birkhoff_bath_size(q: float, tolerance: float) -> int:
-    """Smallest ell with max(q, 1-q)^ell <= tolerance."""
+def target_birkhoff(n: int, p: float, q: float, t_window: tuple[int, int],
+                    tolerance: float) -> BirkhoffPartition:
+    """The type-distribution stage of a formation plan: the Gibbs-type
+    Birkhoff partition over the smallest bath ell with max(q, 1-q)^ell <=
+    tolerance, whose targets are the binomial masses of the target window's
+    one-counts, renormalised as :func:`type_distribution` does."""
     top = max(q, 1.0 - q)
     if top >= 1.0:
         raise ValueError("degenerate Gibbs weight")
-    return max(1, math.ceil(math.log(tolerance) / math.log(top)))
+    logs = binomial_log_pmf(n, float(p), np.arange(t_window[0], t_window[1] + 1))
+    masses = np.exp(logs - logs.max())
+    return gibbs_type_birkhoff(max(1, math.ceil(math.log(tolerance) / math.log(top))), q,
+                               (masses / masses.sum()).tolist(), tolerance)

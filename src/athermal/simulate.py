@@ -122,8 +122,12 @@ class StringDistribution:
         positions = list(positions)
         weights = self.marginal_weights(positions)
         support = np.flatnonzero(weights)
-        return dict(zip(_strings(support, len(positions)),
-                        map(self._mass, weights[support].tolist())))
+        masses = weights[support].tolist()
+        if self.is_rational:
+            # One Fraction (and one gcd) per distinct weight, not per string.
+            shared = {w: self._mass(w) for w in set(masses)}
+            masses = map(shared.__getitem__, masses)
+        return dict(zip(_strings(support, len(positions)), masses))
 
     def float_marginal(self, positions: Iterable[int]) -> np.ndarray:
         """The marginal as floats, one correctly rounded division per key."""
@@ -186,8 +190,8 @@ def oracle_max_m(ell: int, gibbs_ones: int, n: int, resource_ones: int) -> int:
         if e > k:
             continue
         if enumerate_strings:
-            outputs = [s + (1,) * m for s in _fixed_weight_strings(k, e)]
-            if len(inputs) <= len(outputs):
+            if len(inputs) <= len(_fixed_weight_strings(k, e)):
+                outputs = [s + (1,) * m for s in _fixed_weight_strings(k, e)]
                 mapping = dict(zip(inputs, outputs))
                 assert len(set(mapping.values())) == len(mapping)
                 assert all(sum(src) == sum(dst) for src, dst in mapping.items())

@@ -62,6 +62,19 @@ def with_exact_counts(plan, record):
     return list(astuple(record)) + counts
 
 
+def with_birkhoff_sets(doc: dict, plan) -> dict:
+    """A document as schemas 1-3 wrote it: a formation plan's Birkhoff
+    partition in full, its target and achieved weights and each set's
+    [ones, start, count] spans beside the summary."""
+    if not isinstance(plan, FormationPlan):
+        return doc
+    b = plan.birkhoff
+    return dict(doc, birkhoff=dict(
+        doc["birkhoff"], target_weights=list(b.target_weights),
+        achieved_weights=list(b.achieved_weights),
+        sets=[[[s.ones, s.start, s.count] for s in spans] for spans in b.sets]))
+
+
 class TestPlanSerialization:
     def test_distillation_round_trip(self):
         plan = plan_distillation(12, 0.9, 1.0, width=1.0)
@@ -79,7 +92,7 @@ class TestPlanSerialization:
 
     def test_schema_carries_units(self):
         doc = plan_to_dict(plan_distillation(6, 0.9, 1.0, width=1.0))
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert doc["units"]["log_cardinalities"] == "nats"
 
     @pytest.mark.parametrize("plan", [
@@ -89,10 +102,10 @@ class TestPlanSerialization:
     def test_reads_schema_1(self, plan):
         # A version-1 document also lists every per-type record, names its
         # solver mode, carries exact counts in its records, and left
-        # worst_type empty for free-target formation; all load as version 3.
+        # worst_type empty for free-target formation; all load as version 4.
         doc = json.loads(dumps_report(plan_to_dict(plan)))
-        v1 = dict(doc, schema_version=1, records_complete=True, mode="exact",
-                  per_type_maps=[with_exact_counts(plan, r) for r in plan.records()])
+        v1 = dict(with_birkhoff_sets(doc, plan), schema_version=1, records_complete=True,
+                  mode="exact", per_type_maps=[with_exact_counts(plan, r) for r in plan.records()])
         if getattr(plan, "free_target", False):
             v1["worst_type"] = None
         assert "per_type_maps" not in doc and "records_complete" not in doc
@@ -108,10 +121,59 @@ class TestPlanSerialization:
         # carry two exact counts, log-gamma ones two nulls.
         doc = json.loads(dumps_report(plan_to_dict(plan)))
         exact = plan.ell + plan.n <= 2_000
-        v2 = dict(doc, schema_version=2, mode="exact" if exact else "loggamma",
+        v2 = dict(with_birkhoff_sets(doc, plan), schema_version=2,
+                  mode="exact" if exact else "loggamma",
                   worst_type=(with_exact_counts(plan, plan.worst_type) if exact
                               else doc["worst_type"] + [None, None]))
         assert plan_from_dict(v2) == plan
+
+    @pytest.mark.parametrize("plan", [
+        plan_formation(8, 0.8, 1.0, width=1.0), plan_formation(8, Q1, 1.0),
+    ], ids=["formation", "free-target"])
+    def test_reads_schema_3(self, plan):
+        # A version-3 formation document spells out its Birkhoff partition;
+        # the stored sets and weights are ignored and the partition derived.
+        doc = json.loads(dumps_report(plan_to_dict(plan)))
+        assert set(doc["birkhoff"]) == {"ell", "tolerance", "max_deviation",
+                                        "within_tolerance", "grouped"}
+        v3 = dict(with_birkhoff_sets(doc, plan), schema_version=3)
+        assert len(v3["birkhoff"]["sets"]) == plan.target_window[1] - plan.target_window[0] + 1
+        assert plan_from_dict(v3) == plan
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_deviation", 0.5), ("within_tolerance", False), ("tolerance", 0.01), ("ell", 3)])
+    def test_tampered_birkhoff_summary_refused(self, field, value):
+        # A summary the derived partition does not reproduce is a domain
+        # error (ValueError, exit code 2 on the command line).
+        doc = json.loads(dumps_report(plan_to_dict(plan_formation(8, 0.8, 1.0, width=1.0))))
+        doc["birkhoff"][field] = value
+        with pytest.raises(ValueError, match="Birkhoff summary"):
+            plan_from_dict(doc)
+
+    @pytest.mark.parametrize("beta", [1.0, 3.0, 5.0])
+    def test_formation_round_trip_across_beta(self, beta):
+        q = math.exp(-beta) / (1 + math.exp(-beta))
+        plans = [plan_formation(20, 0.75, beta), plan_formation(8, q, beta)]
+        assert plans[1].free_target
+        for plan in plans:
+            payload = dumps_report(plan_to_dict(plan))
+            rebuilt = plan_from_dict(json.loads(payload))
+            assert rebuilt == plan
+            assert dumps_report(plan_to_dict(rebuilt)) == payload
+        if beta == 5.0:
+            # The Birkhoff bath is long enough here that C(ell_b, t), and so
+            # span offsets, pass 2^63.
+            assert max(s.start + s.count for spans in plans[0].birkhoff.sets
+                       for s in spans) > 2 ** 63
+
+    def test_formation_plan_file_is_small(self, tmp_path):
+        # O(windows): neither per-type records nor the Birkhoff partition,
+        # though the target window has ~1,300 types.
+        out = tmp_path / "form.json"
+        assert main(["form", "--n", "50000", "--p", "0.75", "--output", str(out)]) == 0
+        plan = plan_from_dict(json.loads(out.read_text()))
+        assert len(plan.birkhoff.sets) > 1_000 and plan.birkhoff.within_tolerance
+        assert out.stat().st_size < 4096
 
     def test_plan_file_is_small(self, tmp_path):
         # O(windows): no per-type records, though the window has ~1e5 types.

@@ -68,6 +68,21 @@ class TestStringDistribution:
         dist = StringDistribution(2, {(0, 1): Fraction(1, 4), (1, 1): Fraction(3, 4)})
         assert dist.marginal([1]) == {(1,): Fraction(1)}
 
+    def test_marginal_equals_per_string_fractions(self):
+        # Strings of one type share a weight, and marginal builds one
+        # Fraction per distinct weight; the result must equal one Fraction
+        # per support string exactly, for the full and a permuted marginal.
+        dist = formation_input_distribution(plan_formation(3, 0.8, 1.0, width=1.0))
+        for positions in (list(range(dist.length)), [2, 0, 1]):
+            weights = dist.marginal_weights(positions)
+            expected = {tuple(int(c) for c in format(x, f"0{len(positions)}b")):
+                        Fraction(int(w), dist.denominator)
+                        for x, w in enumerate(weights) if w}
+            got = dist.marginal(positions)
+            assert len(set(got.values())) < len(got)
+            assert got == expected and list(got) == list(expected)
+            assert all(type(mass) is Fraction for mass in got.values())
+
     def test_thermal_input_is_exact(self):
         plan = plan_distillation(2, 0.75, 1.0, width=1.0)
         dist = thermal_input_distribution(plan)
