@@ -4,12 +4,14 @@ All reports are JSON with sorted keys (byte-identical across runs for
 identical configurations); sweep grids are CSV with a fixed header.  Exit
 codes: 0 success, 1 internal error, 2 domain error (e.g. a free target).
 
-Plan documents are O(windows): schema version 4 stores the parameters,
+Plan documents are O(windows): schema version 5 stores the parameters,
 windows and binding record of a plan, never its per-type records, which
-the plan derives on demand, nor its Birkhoff partition, which is derived
-on load and must reproduce the stored summary.  Version-1 to -3 documents
-are still read: their per-type records, solver ``mode`` and Birkhoff sets
-and weights are ignored, and their binding record is cut to six fields.
+the plan derives on demand, nor its Birkhoff partition, which the
+log-space fill derives on load at any beta and which must reproduce the
+stored summary.  Version-1 to -4 documents are still read: their per-type
+records, solver ``mode`` and Birkhoff sets and weights are ignored, their
+binding record is cut to six fields, and their ``max_deviation`` (from the
+former heap fill, off in the last digits) is not compared.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ __all__ = [
     "read_string_distribution_csv",
 ]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 SWEEP_HEADER = "n,ell,m,rate,deficit,failure_mass"
 
 
@@ -109,7 +111,7 @@ def plan_to_dict(plan: DistillationPlan | FormationPlan) -> dict:
 
 
 def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
-    """Rebuild a plan from a schema-4, -3, -2 or -1 document.
+    """Rebuild a plan from a schema-5, -4, -3, -2 or -1 document.
 
     Keys that are not plan fields are ignored, among them the per-type
     records of schema 1 (``per_type_maps``, ``records_complete``) and the
@@ -117,7 +119,8 @@ def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
     exact counts, which are cut off.  Schema 1 left ``worst_type`` empty
     for free-target formation plans; it is derived here as
     :func:`plan_formation` does, as is the Birkhoff partition, whose stored
-    summary must agree (ValueError otherwise).
+    summary must agree (ValueError otherwise; before schema 5 but for
+    ``max_deviation``).
     """
     cls = {"distillation": DistillationPlan, "formation": FormationPlan}.get(data["kind"])
     if cls is None:
@@ -131,7 +134,8 @@ def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
         stored = data["birkhoff"]
         kw["birkhoff"] = target_birkhoff(kw["n"], kw["p"], gibbs_weight(kw["beta"]),
                                          kw["target_window"], stored["tolerance"])
-        if any(stored[name] != getattr(kw["birkhoff"], name) for name in _BIRKHOFF_SUMMARY):
+        if any(stored[name] != getattr(kw["birkhoff"], name) for name in _BIRKHOFF_SUMMARY
+               if name != "max_deviation" or data["schema_version"] >= 5):
             raise ValueError("Birkhoff summary disagrees with the partition the plan derives")
     if kw["worst_type"] is not None:
         record = PerTypeRecord if cls is DistillationPlan else FormationRecord

@@ -242,7 +242,7 @@ def binomial_outside_mass(n: int, p: float, window: tuple[int, int]) -> float:
             k, block = last + step, 2 * block
             ratio = odds * ((n - last) / (last + 1) if step > 0 else last / (n - last + 1))
             rest = logs[-1] + math.log(ratio / (1.0 - ratio)) if 0.0 < ratio < 1.0 else math.inf
-            if rest <= tail + math.log(1e-16):
+            if rest <= tail + _LOG_RESOLUTION:
                 break
         total = np.logaddexp(total, tail)
     return min(float(np.exp(total)), 1.0)
@@ -250,6 +250,8 @@ def binomial_outside_mass(n: int, p: float, window: tuple[int, int]) -> float:
 
 # Machine epsilon of IEEE doubles, 2^-52.
 _EPS = float(np.finfo(float).eps)
+# A tail this far below the sum it joins cannot move it (float resolution).
+_LOG_RESOLUTION = math.log(1e-16)
 
 
 def _margin_bound(big: int) -> float:

@@ -5,21 +5,21 @@ onto one target type, a conditional stage extending this to all typical
 Gibbs types through a log-sized register, and a type-distribution stage
 that reproduces the target's mixture over types with the Birkhoff
 primitive (probabilistic energy-commuting unitaries conditioned on extra
-Gibbs strings).
+Gibbs strings), filled in log space one Gibbs type class at a time, so it
+serves every beta up to about 707.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import gibbs_weight
 from .distill import (
+    _LOG_RESOLUTION,
     _bisect,
     _certify,
     _identities,
@@ -30,7 +30,7 @@ from .distill import (
     binomial_outside_mass,
     rate_limit,
 )
-from .typeclass import TypeDescriptor, type_probability, typical_range
+from .typeclass import typical_range
 
 __all__ = [
     "InfeasibleFormationError",
@@ -44,7 +44,6 @@ __all__ = [
     "birkhoff_partition",
     "gibbs_type_birkhoff",
     "target_birkhoff",
-    "type_distribution",
 ]
 
 
@@ -100,8 +99,7 @@ class FormationRecord:
             raise ValueError("formation record violates the counting inequality")
 
 
-@dataclass(frozen=True)
-class BirkhoffSpan:
+class BirkhoffSpan(NamedTuple):
     """A contiguous run of lexicographic ranks inside one Gibbs type class."""
 
     ones: int
@@ -118,6 +116,8 @@ class BirkhoffPartition:
     the largest single string weight.  Grouped spans index the type-major
     lexicographic layout (all weight-0 strings first, then weight-1, ...);
     an ungrouped partition stores the original string index in ``ones``.
+    Set ``rest`` (or None) also holds every string of the classes no span
+    lists, up to 2^ell of them.
     """
 
     ell: int
@@ -128,63 +128,64 @@ class BirkhoffPartition:
     tolerance: float
     within_tolerance: bool
     grouped: bool = True
+    rest: int | None = None
 
 
-def _greedy_fill(groups: list[tuple[float, int, int]], targets: Sequence[float],
-                 ell: int, tolerance: float, grouped: bool = True) -> BirkhoffPartition:
-    """Largest-first, most-deficient-bin greedy over weight groups.
+def _fill(classes: Iterable[tuple[int, float, int]], targets: Sequence[float], ell: int,
+          tolerance: float, grouped: bool, stopped: bool = False) -> BirkhoffPartition:
+    """Largest-first, most-deficient-bin greedy over weight classes.
 
-    groups: (single-string weight, multiplicity, ones-count) triples.
+    ``classes`` yields (ones, ln w, multiplicity), heaviest w first; each is
+    one numpy pass over the target bins.  Bins whose deficit d is at least
+    w take floor(d / w) strings, then bins still short take one, most
+    deficient first in both rounds, and the most deficient bin the rest.
+    Counts run in units of 2^e strings, e the least shift bringing the
+    multiplicity below 2^53, so units and offsets are exact floats.  With
+    ``stopped``, the classes left out go to ``rest``.
     """
-    n_sets = len(targets)
-    spans: list[list[BirkhoffSpan]] = [[] for _ in range(n_sets)]
-    achieved = [0.0] * n_sets
-    heap = [(-float(t), k) for k, t in enumerate(targets)]
-    heapq.heapify(heap)
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    targets = np.array(targets, dtype=float)
+    achieved = np.zeros_like(targets)
+    heaviest, columns = -math.inf, []
+    for t, log_w, mult in classes:
+        heaviest, shift = max(heaviest, log_w), max(0, mult.bit_length() - 53)
+        log_unit, left = log_w + shift * math.log(2), mult / 2 ** shift
+        deficit = targets - achieved
+        order = np.argsort(-deficit, kind="stable")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quota = np.floor(np.exp(np.log(deficit[order]) - log_unit))
+        quota[~(quota >= 1.0)] = 0.0            # d < w, or d <= 0 (log nan or -inf)
+        units = np.minimum(quota, np.maximum(
+            left - np.concatenate(([0.0], np.cumsum(quota)[:-1])), 0.0))
+        left -= units.sum()
+        if left > 0:
+            deficit[order] -= units * math.exp(log_unit)
+            short = np.argsort(-deficit, kind="stable")[:np.count_nonzero(deficit > 0)]
+            tops = np.minimum(1.0, np.maximum(left - np.arange(len(short)), 0.0))
+            deficit[short] -= tops * math.exp(log_unit)
+            order = np.concatenate((order, short, [np.argmax(deficit)]))
+            units = np.concatenate((units, tops, [max(0.0, left - len(short))]))
+        takers, units = order[units > 0], units[units > 0]
+        achieved += np.bincount(takers, units * math.exp(log_unit), len(targets))
+        # A bin taking two allocations in a row takes one span.
+        first = np.flatnonzero(np.concatenate(([True], takers[1:] != takers[:-1])))
+        starts = (np.cumsum(units) - units)[first].astype(np.int64).astype(object) << shift
+        columns.append((takers[first], np.full(len(first), t), starts,
+                        np.append(starts[1:], mult) - starts))
 
-    max_weight = max((w for w, mult, _ in groups if mult > 0), default=0.0)
-
-    for weight, mult, ones in sorted(groups, key=lambda x: (-x[0], x[2])):
-        offset = 0
-        remaining = mult
-        while remaining > 0:
-            neg_d, k = heapq.heappop(heap)
-            deficit = -neg_d
-            if weight <= 0.0 or deficit <= 0.0:
-                # Zero-weight groups, or float slop past all targets: dump.
-                chunk = remaining
-            else:
-                # Fill the most-deficient bin up to its target in one span;
-                # single items handle the sub-weight remainder, keeping the
-                # deviation below the largest single weight.
-                chunk = min(remaining, max(1, math.floor(deficit / weight)))
-            spans[k].append(BirkhoffSpan(ones, offset, chunk))
-            achieved[k] += chunk * weight
-            offset += chunk
-            remaining -= chunk
-            heapq.heappush(heap, (-(deficit - chunk * weight), k))
-
-    merged = []
-    for k in range(n_sets):
-        runs: list[BirkhoffSpan] = []
-        for span in sorted(spans[k], key=lambda s: (s.ones, s.start)):
-            if runs and runs[-1].ones == span.ones and runs[-1].start + runs[-1].count == span.start:
-                runs[-1] = BirkhoffSpan(span.ones, runs[-1].start, runs[-1].count + span.count)
-            else:
-                runs.append(span)
-        merged.append(tuple(runs))
-
-    deviation = max(abs(a - float(t)) for a, t in zip(achieved, targets))
+    bins, ones, starts, counts = map(np.concatenate, zip(*columns))
+    order = np.argsort(bins, kind="stable")
+    spans = list(map(BirkhoffSpan._make, zip(ones[order].tolist(), starts[order].tolist(),
+                                             counts[order].tolist())))
+    edges = np.cumsum(np.bincount(bins, minlength=len(targets))).tolist()
+    deviation = float(np.max(np.abs(achieved - targets)))
     return BirkhoffPartition(
-        ell=ell,
-        target_weights=tuple(float(t) for t in targets),
-        sets=tuple(merged),
-        achieved_weights=tuple(achieved),
-        max_deviation=deviation,
-        tolerance=tolerance,
-        within_tolerance=bool(deviation <= tolerance + 1e-12 and max_weight <= tolerance + 1e-12),
-        grouped=grouped,
-    )
+        ell=ell, target_weights=tuple(targets.tolist()),
+        sets=tuple(tuple(spans[a:b]) for a, b in zip([0] + edges, edges)),
+        achieved_weights=tuple(achieved.tolist()), max_deviation=deviation, tolerance=tolerance,
+        within_tolerance=bool(max(deviation, math.exp(heaviest)) <= tolerance + 1e-12),
+        grouped=grouped, rest=int(np.argmax(targets - achieved)) if stopped else None)
 
 
 def birkhoff_partition(weights: Sequence[float], targets: Sequence[float],
@@ -195,50 +196,40 @@ def birkhoff_partition(weights: Sequence[float], targets: Sequence[float],
     <= tolerance; otherwise the result carries the best greedy deviation
     with ``within_tolerance`` cleared.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    if abs(sum(float(w) for w in weights) - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1")
-    if abs(sum(float(t) for t in targets) - 1.0) > 1e-9:
-        raise ValueError("targets must sum to 1")
-    # Each string is its own group; the ones-slot stores the string index
+    if max(abs(math.fsum(map(float, xs)) - 1.0) for xs in (weights, targets)) > 1e-9:
+        raise ValueError("weights and targets must each sum to 1")
+    # Each string is its own class; the ones-slot stores the string index
     # so explicit indices can be recovered from the spans.
-    groups = [(float(w), 1, i) for i, w in enumerate(weights)]
-    return _greedy_fill(groups, targets, ell=len(groups), tolerance=tolerance,
-                        grouped=False)
+    log_w = [math.log(w) if w > 0 else -math.inf for w in map(float, weights)]
+    classes = sorted(((i, w, 1) for i, w in enumerate(log_w)), key=lambda c: -c[1])
+    return _fill(classes, targets, len(log_w), tolerance, grouped=False)
 
 
 def gibbs_type_birkhoff(ell: int, q: float, targets: Sequence[float],
                         tolerance: float) -> BirkhoffPartition:
     """Birkhoff partition over the 2^ell Gibbs eigenstrings, grouped by type.
 
-    Strings of equal weight q^t (1-q)^(ell-t) are handled in blocks, so the
-    construction scales with the number of types rather than of strings.
+    With u = min(q, 1 - q), the class of s u-letters holds C(ell, s) strings
+    of weight u^s (1-u)^(ell-s), heaviest at s = 0, and Binomial(ell, u)
+    mass; weights and masses stay in logs.  The fill visits s = 0, 1, ...
+    up to the first class past the mode whose log-concave tail bound pmf
+    r / (1 - r), r the next step ratio, is below the float resolution of
+    the weight sums; every later string goes to the ``rest`` set.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    groups = []
-    for ones in range(ell + 1):
-        weight = (q ** ones) * ((1.0 - q) ** (ell - ones))
-        groups.append((weight, math.comb(ell, ones), ones))
-    return _greedy_fill(groups, targets, ell=ell, tolerance=tolerance)
-
-
-def type_distribution(n: int, p, window: Sequence[TypeDescriptor]):
-    """Renormalized binomial type probabilities over a window of types."""
-    if not window:
-        raise ValueError("window must be nonempty")
-    if isinstance(p, (Fraction, int)):
-        masses = [type_probability(t, (1 - p, p)) for t in window]
-        total = sum(masses)
-        if total == 0:
-            raise ValueError("window has zero mass under the source")
-        return [m / total for m in masses]
-    logs = binomial_log_pmf(n, float(p), [t.ones for t in window])
-    if logs.max() == -np.inf:
-        raise ValueError("window has zero mass under the source")
-    masses = np.exp(logs - logs.max())
-    return (masses / masses.sum()).tolist()
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"degenerate Gibbs weight q = {q!r}")
+    u, size, stop = min(q, 1.0 - q), 16, []
+    while not len(stop):
+        size *= 4
+        s = np.arange(min(ell, size) + 1)
+        ratio = u / (1.0 - u) * (float(ell) - s) / (s + 1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tail = binomial_log_pmf(ell, u, s) + np.log(ratio / (1.0 - ratio))
+        stop = np.flatnonzero((ratio < 1.0) & (tail <= _LOG_RESOLUTION))
+    s = s[:stop[0] + 1]
+    log_w = (s * math.log(u) + (float(ell) - s) * math.log1p(-u)).tolist()
+    classes = ((t if q <= 0.5 else ell - t, log_w[t], math.comb(ell, t)) for t in range(len(s)))
+    return _fill(classes, targets, ell, tolerance, grouped=True, stopped=len(s) <= ell)
 
 
 @dataclass(frozen=True)
@@ -507,12 +498,13 @@ def target_birkhoff(n: int, p: float, q: float, t_window: tuple[int, int],
                     tolerance: float) -> BirkhoffPartition:
     """The type-distribution stage of a formation plan: the Gibbs-type
     Birkhoff partition over the smallest bath ell with max(q, 1-q)^ell <=
-    tolerance, whose targets are the binomial masses of the target window's
-    one-counts, renormalised as :func:`type_distribution` does."""
-    top = max(q, 1.0 - q)
-    if top >= 1.0:
-        raise ValueError("degenerate Gibbs weight")
+    tolerance (through log1p, so only beta above about 707 leaves no finite
+    ell), targeting the renormalised binomial masses of the target window."""
+    u = min(q, 1.0 - q)
+    size = math.log(tolerance) / math.log1p(-u) if u > 0.0 else math.inf
+    if not math.isfinite(size):
+        raise ValueError(f"degenerate Gibbs weight q = {q!r}: no finite Birkhoff bath")
     logs = binomial_log_pmf(n, float(p), np.arange(t_window[0], t_window[1] + 1))
     masses = np.exp(logs - logs.max())
-    return gibbs_type_birkhoff(max(1, math.ceil(math.log(tolerance) / math.log(top))), q,
-                               (masses / masses.sum()).tolist(), tolerance)
+    return gibbs_type_birkhoff(max(1, math.ceil(size)), q, (masses / masses.sum()).tolist(),
+                               tolerance)

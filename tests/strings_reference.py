@@ -181,7 +181,8 @@ def explicit_sets(partition: BirkhoffPartition) -> list[list[int]]:
 
     Grouped partitions use the type-major lexicographic layout (all
     weight-0 strings first, then weight-1, ...); ungrouped partitions
-    store the original string index in the ``ones`` slot.
+    store the original string index in the ``ones`` slot.  Every string of
+    a type class no span lists belongs to the set ``partition.rest``.
     """
     if not partition.grouped:
         return [sorted(span.ones for span in spans) for spans in partition.sets]
@@ -196,8 +197,12 @@ def explicit_sets(partition: BirkhoffPartition) -> list[list[int]]:
         for span in spans:
             base = offsets[span.ones] + span.start
             indices.extend(range(base, base + span.count))
-        out.append(sorted(indices))
-    return out
+        out.append(indices)
+    listed = {span.ones for spans in partition.sets for span in spans}
+    for ones in set(offsets) - listed:
+        size = math.comb(partition.ell, ones)
+        out[partition.rest].extend(range(offsets[ones], offsets[ones] + size))
+    return [sorted(indices) for indices in out]
 
 
 def shell_input_counts(ell: int, n: int, g_window: tuple[int, int],

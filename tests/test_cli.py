@@ -75,6 +75,21 @@ def with_birkhoff_sets(doc: dict, plan) -> dict:
         sets=[[[s.ones, s.start, s.count] for s in spans] for spans in b.sets]))
 
 
+# A schema-4 formation document, written before the log-space Birkhoff fill.
+SCHEMA_4_FORMATION = {
+    "beta": 3.0,
+    "birkhoff": {"ell": 143, "grouped": True, "max_deviation": 4.372728309901696e-15,
+                 "tolerance": 0.001, "within_tolerance": True},
+    "cost_rate": 1.0, "ell": 90, "failure_mass": 5.547917681402276e-11,
+    "fixed_point_iterations": 3, "free_target": False, "gibbs_window": [0, 32], "k": 90,
+    "kind": "formation", "m": 20, "n": 20, "p": 0.75, "register_bits": 6, "schema_version": 4,
+    "target_window": [2, 20],
+    "units": {"beta": "1/E0", "cost_rate": "copies per E0", "failure_mass": "dimensionless",
+              "log_cardinalities": "nats", "work_per_copy": "E0 per copy"},
+    "width": 3.0, "work_per_copy": 1.0, "worst_type": [0, 20, 0, 20, 0.0, 0.0],
+}
+
+
 class TestPlanSerialization:
     def test_distillation_round_trip(self):
         plan = plan_distillation(12, 0.9, 1.0, width=1.0)
@@ -92,7 +107,7 @@ class TestPlanSerialization:
 
     def test_schema_carries_units(self):
         doc = plan_to_dict(plan_distillation(6, 0.9, 1.0, width=1.0))
-        assert doc["schema_version"] == 4
+        assert doc["schema_version"] == 5
         assert doc["units"]["log_cardinalities"] == "nats"
 
     @pytest.mark.parametrize("plan", [
@@ -140,6 +155,24 @@ class TestPlanSerialization:
         assert len(v3["birkhoff"]["sets"]) == plan.target_window[1] - plan.target_window[0] + 1
         assert plan_from_dict(v3) == plan
 
+    def test_reads_schema_4(self):
+        # `form --n 20 --p 0.75 --beta 3` as schema 4 wrote it.  The heap
+        # fill of that version left max_deviation at 4.4e-15, the log-space
+        # fill reaches 4.0e-16; every other summary field must still agree.
+        v4 = SCHEMA_4_FORMATION
+        plan = plan_from_dict(json.loads(json.dumps(v4)))
+        assert plan == plan_formation(20, 0.75, 3.0)
+        assert plan.birkhoff.max_deviation != v4["birkhoff"]["max_deviation"]
+        for name in ("ell", "tolerance", "within_tolerance", "grouped"):
+            assert getattr(plan.birkhoff, name) == v4["birkhoff"][name]
+        tampered = json.loads(json.dumps(v4))
+        tampered["birkhoff"]["ell"] += 1
+        with pytest.raises(ValueError, match="Birkhoff summary"):
+            plan_from_dict(tampered)
+        # From schema 5 on, max_deviation is compared too.
+        with pytest.raises(ValueError, match="Birkhoff summary"):
+            plan_from_dict(dict(json.loads(json.dumps(v4)), schema_version=5))
+
     @pytest.mark.parametrize("field,value", [
         ("max_deviation", 0.5), ("within_tolerance", False), ("tolerance", 0.01), ("ell", 3)])
     def test_tampered_birkhoff_summary_refused(self, field, value):
@@ -150,12 +183,13 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match="Birkhoff summary"):
             plan_from_dict(doc)
 
-    @pytest.mark.parametrize("beta", [1.0, 3.0, 5.0])
+    @pytest.mark.parametrize("beta", [1.0, 3.0, 5.0, 5.5, 7.0, 10.0, 20.0, 35.0, 50.0])
     def test_formation_round_trip_across_beta(self, beta):
         q = math.exp(-beta) / (1 + math.exp(-beta))
         plans = [plan_formation(20, 0.75, beta), plan_formation(8, q, beta)]
         assert plans[1].free_target
         for plan in plans:
+            assert plan.birkhoff.within_tolerance
             payload = dumps_report(plan_to_dict(plan))
             rebuilt = plan_from_dict(json.loads(payload))
             assert rebuilt == plan
@@ -278,6 +312,11 @@ class TestPlanCommands:
         doc = json.loads(out.read_text())
         assert doc["kind"] == "formation"
         assert doc["m"] + doc["ell"] == doc["n"] + doc["k"]
+
+    def test_form_degenerate_gibbs_weight(self, capsys):
+        # At beta = 800 the Gibbs weight underflows to 0: no finite bath.
+        assert main(["form", "--n", "20", "--p", "0.75", "--beta", "800"]) == 2
+        assert "Gibbs weight" in capsys.readouterr().err
 
     def test_identical_config_identical_bytes(self, tmp_path):
         paths = [tmp_path / "p1.json", tmp_path / "p2.json"]

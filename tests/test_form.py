@@ -1,3 +1,4 @@
+import heapq
 import math
 from fractions import Fraction
 
@@ -17,15 +18,17 @@ from athermal.distill import (
     solve_single_type,
 )
 from athermal.form import (
+    BirkhoffPartition,
+    BirkhoffSpan,
     InfeasibleFormationError,
     birkhoff_partition,
     formation_feasible,
     gibbs_type_birkhoff,
     plan_formation,
     solve_formation_single_type,
-    type_distribution,
+    target_birkhoff,
 )
-from athermal.typeclass import TypeDescriptor, typical_mass, typical_range, typical_types
+from athermal.typeclass import typical_range
 from strings_reference import build_formation_string_map, explicit_sets
 
 Q1 = math.exp(-1) / (1 + math.exp(-1))
@@ -48,6 +51,64 @@ def reference_pairs(n, ell, g_window, t_window):
         seg[better] = vals[better]
         top_g[start:start + len(gs)][better] = gs[better]
     return top, top_g
+
+
+def reference_greedy_fill(groups, targets, ell, tolerance, grouped=True):
+    """The heap greedy the log-space fill replaced: a heap of bin deficits,
+    one pop per span, chunks floor(deficit / weight) in exact integers, and
+    a merge pass over each set's spans.  groups: (single-string weight,
+    multiplicity, ones-count) triples."""
+    n_sets = len(targets)
+    spans = [[] for _ in range(n_sets)]
+    achieved = [0.0] * n_sets
+    heap = [(-float(t), k) for k, t in enumerate(targets)]
+    heapq.heapify(heap)
+    max_weight = max((w for w, mult, _ in groups if mult > 0), default=0.0)
+    for weight, mult, ones in sorted(groups, key=lambda x: (-x[0], x[2])):
+        offset, remaining = 0, mult
+        while remaining > 0:
+            neg_d, k = heapq.heappop(heap)
+            deficit = -neg_d
+            if weight <= 0.0 or deficit <= 0.0:
+                chunk = remaining
+            else:
+                chunk = min(remaining, max(1, math.floor(deficit / weight)))
+            spans[k].append(BirkhoffSpan(ones, offset, chunk))
+            achieved[k] += chunk * weight
+            offset += chunk
+            remaining -= chunk
+            heapq.heappush(heap, (-(deficit - chunk * weight), k))
+    merged = []
+    for k in range(n_sets):
+        runs = []
+        for span in sorted(spans[k], key=lambda s: (s.ones, s.start)):
+            if runs and runs[-1].ones == span.ones and runs[-1].start + runs[-1].count == span.start:
+                runs[-1] = BirkhoffSpan(span.ones, runs[-1].start, runs[-1].count + span.count)
+            else:
+                runs.append(span)
+        merged.append(tuple(runs))
+    deviation = max(abs(a - float(t)) for a, t in zip(achieved, targets))
+    return BirkhoffPartition(
+        ell=ell, target_weights=tuple(float(t) for t in targets), sets=tuple(merged),
+        achieved_weights=tuple(achieved), max_deviation=deviation, tolerance=tolerance,
+        within_tolerance=bool(deviation <= tolerance + 1e-12 and max_weight <= tolerance + 1e-12),
+        grouped=grouped)
+
+
+def reference_gibbs_groups(ell, q):
+    """Every type class of ell Gibbs strings: (weight, C(ell, t), t)."""
+    return [(q ** t * (1.0 - q) ** (ell - t), math.comb(ell, t), t) for t in range(ell + 1)]
+
+
+def check_fill(part, weights):
+    """The sets partition the string indices, each achieved weight is its
+    set's string weight sum, and no bin misses its target by more than the
+    largest single weight."""
+    sets = explicit_sets(part)
+    assert sorted(i for s in sets for i in s) == list(range(len(weights)))
+    for achieved, indices in zip(part.achieved_weights, sets):
+        assert abs(achieved - math.fsum(weights[i] for i in indices)) <= 1e-12
+    assert part.max_deviation <= max(weights)
 
 
 def draw_window(data, top):
@@ -361,33 +422,96 @@ class TestBirkhoffPartition:
         # ell = 10 Gibbs strings at beta = 1, targets from a binomial over
         # three type classes; deviation bounded by the largest weight
         # (1-q)^10, computed directly.
-        targets = type_distribution(2, 0.75, list(typical_types(2, (0.25, 0.75), 5)))
+        targets = target_birkhoff(2, 0.75, Q1, typical_range(2, 0.75, 5), 1e-3).target_weights
+        assert len(targets) == 3
         max_weight = (1 - Q1) ** 10
-        part = gibbs_type_birkhoff(10, Q1, [float(t) for t in targets], tolerance=max_weight)
+        part = gibbs_type_birkhoff(10, Q1, targets, tolerance=max_weight)
         assert part.max_deviation <= max_weight + 1e-12
         assert max_weight == pytest.approx(0.043604, abs=1e-6)
         sets = explicit_sets(part)
         assert sorted(i for s in sets for i in s) == list(range(2 ** 10))
 
 
+class TestLogSpaceFill:
+    @given(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=24),
+           st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_explicit_weights(self, raw_weights, raw_targets):
+        weights = [w / sum(raw_weights) for w in raw_weights]
+        targets = [t / sum(raw_targets) for t in raw_targets]
+        check_fill(birkhoff_partition(weights, targets, tolerance=1.0), weights)
+
+    @given(ell=st.integers(1, 12), q=st.floats(0.0, 0.5, exclude_min=True),
+           raw_targets=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_gibbs_classes(self, ell, q, raw_targets):
+        # Strings in the type-major layout; a small q stops the fill early
+        # and leaves the tail classes to the rest set.
+        targets = [t / sum(raw_targets) for t in raw_targets]
+        part = gibbs_type_birkhoff(ell, q, targets, tolerance=1.0)
+        ts = np.repeat(np.arange(ell + 1), [math.comb(ell, t) for t in range(ell + 1)])
+        check_fill(part, (q ** ts * (1.0 - q) ** (ell - ts)).tolist())
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0, 5.0])
+    def test_matches_heap_reference_on_plan_grid(self, beta):
+        # The bath size of the former ln(max(q, 1-q)) formula, achieved
+        # weights within 1e-12 and a deviation no larger than the heap
+        # fill's, on the formation plans' own targets.
+        q = gibbs_weight(beta)
+        for n in (1, 2, 5, 8, 20, 100, 1000, 10**4, 5 * 10**4):
+            for p in (0.0, 0.6, 0.75, 0.95, 1.0):
+                part = target_birkhoff(n, p, q, typical_range(n, p, 3.0), 1e-3)
+                assert part.ell == math.ceil(math.log(1e-3) / math.log(max(q, 1 - q)))
+                ref = reference_greedy_fill(reference_gibbs_groups(part.ell, q),
+                                            part.target_weights, part.ell, 1e-3)
+                gap = np.subtract(part.achieved_weights, ref.achieved_weights)
+                assert np.abs(gap).max() <= 1e-12
+                assert part.max_deviation <= ref.max_deviation + 1e-15
+                assert part.within_tolerance
+
+    @pytest.mark.parametrize("beta", [5.5, 7.0, 10.0, 20.0, 35.0, 50.0, 700.0])
+    def test_every_beta_within_tolerance(self, beta):
+        # The bath grows like 1/q (3.4e9 strings at beta = 20, 1e304 at
+        # beta = 700); the fill visits a few dozen classes and sends the
+        # rest to one set.
+        q = gibbs_weight(beta)
+        part = target_birkhoff(20, 0.75, q, typical_range(20, 0.75, 3.0), 1e-3)
+        # The smallest bath whose heaviest string, (1 - q)^ell, is within
+        # tolerance: ell ln(1/(1-q)) lies in [ln 1e3, ln 1e3 + ln(1/(1-q))].
+        step = -math.log1p(-q)
+        assert math.log(1e3) - 1e-9 <= part.ell * step <= math.log(1e3) + step + 1e-9
+        assert part.within_tolerance and part.rest is not None
+        assert len({s.ones for spans in part.sets for s in spans}) < 100
+        assert math.fsum(part.achieved_weights) == pytest.approx(1.0, abs=1e-12)
+
+
+def exact_target_weights(n, p, window):
+    """Binomial(n, p) masses over an inclusive window, renormalised, in
+    exact rationals."""
+    p = Fraction(p)
+    masses = [math.comb(n, t) * p ** t * (1 - p) ** (n - t)
+              for t in range(window[0], window[1] + 1)]
+    return [m / sum(masses) for m in masses]
+
+
 class TestTypeDistribution:
+    # The targets of the type-distribution stage, from target_birkhoff,
+    # against exact math.comb / Fraction masses.
     def test_point_mass(self):
-        window = typical_types(6, (0.0, 1.0), 3.0)
-        assert type_distribution(6, 1, window) == [Fraction(1)]
+        window = typical_range(6, 1.0, 3.0)
+        assert target_birkhoff(6, 1.0, Q1, window, 1e-3).target_weights == (1.0,)
 
     def test_exact_binomial(self):
-        window = [TypeDescriptor((2, 0)), TypeDescriptor((1, 1)), TypeDescriptor((0, 2))]
-        dist = type_distribution(2, Fraction(1, 2), window)
-        assert dist == [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
+        weights = target_birkhoff(2, 0.5, Q1, (0, 2), 1e-3).target_weights
+        assert weights == pytest.approx([0.25, 0.5, 0.25], rel=1e-15)
 
     def test_window_mass_consistency(self):
-        p = Fraction(3, 4)
-        window = typical_types(20, (1 - p, p), 1.0)
-        dist = type_distribution(20, p, window)
-        mass = typical_mass(20, (1 - p, p), window)
-        # renormalized masses times the window mass recover the raw masses
-        raw = [typical_mass(20, (1 - p, p), [t]) for t in window]
-        assert [d * mass for d in dist] == raw
+        for n in range(1, 21):
+            for p in (0.1, 0.5, 0.75, 0.95):
+                for window in (typical_range(n, p, 1.0), (0, n)):
+                    weights = target_birkhoff(n, p, Q1, window, 1e-3).target_weights
+                    exact = exact_target_weights(n, p, window)
+                    assert weights == pytest.approx([float(w) for w in exact], rel=1e-12)
 
 
 class TestFormationStringMap:
