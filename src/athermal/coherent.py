@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .distill import binomial_log_pmf, binomial_outside_mass
 
@@ -26,7 +24,6 @@ __all__ = [
     "DegeneracyShortfallError",
     "shift_overlap",
     "err_norm",
-    "build_Uinv",
     "coherent_formation_error",
 ]
 
@@ -103,60 +100,6 @@ def err_norm(shift: int, window_size: int) -> float:
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     return math.sqrt(2.0 * min(shift, window_size) / window_size)
-
-
-def build_Uinv(system_unitary: np.ndarray, system_energies: Sequence[int],
-               frame: ReferenceFrame) -> sp.csr_matrix:
-    """Joint unitary acting as ``system_unitary`` with frame-compensated shifts.
-
-    Within every total-energy shell whose frame partners all exist, the
-    block is the system unitary; shells clipped by the frame boundary act
-    as the identity.  The result commutes with the joint Hamiltonian
-    exactly and is unitary on the padded space.
-    """
-    u = np.asarray(system_unitary, dtype=complex)
-    energies = [int(e) for e in system_energies]
-    d = u.shape[0]
-    if u.shape != (d, d) or len(energies) != d:
-        raise ValueError("unitary and energy list sizes disagree")
-    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-10:
-        raise ValueError("system operator is not unitary")
-    gaps = {abs(ei - ej) for i, ei in enumerate(energies)
-            for j, ej in enumerate(energies) if abs(u[i, j]) > 1e-14}
-    max_gap = max(gaps, default=0)
-    if frame.window_size <= max_gap:
-        raise ValueError(
-            f"invalid frame: window of {frame.window_size} levels cannot span gaps up to {max_gap}")
-    if frame.window_start < max_gap or (frame.num_levels - frame.window_start
-                                        - frame.window_size) < max_gap:
-        raise ValueError("invalid frame: padding thinner than the largest gap")
-
-    nf = frame.num_levels
-    dim = d * nf
-    rows, cols, vals = [], [], []
-    index = lambda i, f: i * nf + f
-
-    covered = np.zeros(dim, dtype=bool)
-    shells: dict[int, list[tuple[int, int]]] = {}
-    for i in range(d):
-        for f in range(nf):
-            shells.setdefault(energies[i] + f, []).append((i, f))
-    for total, members in shells.items():
-        complete = len(members) == d and len({i for i, _ in members}) == d
-        if complete:
-            for (j, fj) in members:
-                for (i, fi) in members:
-                    if abs(u[i, j]) > 0.0:
-                        rows.append(index(i, fi))
-                        cols.append(index(j, fj))
-                        vals.append(u[i, j])
-                covered[index(j, fj)] = True
-    for idx in range(dim):
-        if not covered[idx]:
-            rows.append(idx)
-            cols.append(idx)
-            vals.append(1.0)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
 @dataclass(frozen=True)

@@ -223,7 +223,7 @@ def gibbs_type_birkhoff(ell: int, q: float, targets: Sequence[float],
         size *= 4
         s = np.arange(min(ell, size) + 1)
         ratio = u / (1.0 - u) * (float(ell) - s) / (s + 1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             tail = binomial_log_pmf(ell, u, s) + np.log(ratio / (1.0 - ratio))
         stop = np.flatnonzero((ratio < 1.0) & (tail <= _LOG_RESOLUTION))
     s = s[:stop[0] + 1]

@@ -16,10 +16,9 @@ from itertools import chain, combinations, product
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import Hamiltonian, gibbs_state
-from .distill import _EPS, Factor, _products_leq
+from .distill import _EPS, Factor, _log_factorial, _products_leq
 from .typeclass import FrequencyVector, apportion, shannon_entropy
 
 __all__ = [
@@ -83,8 +82,8 @@ def _as_counts(total: int, f: FrequencyVector | Sequence) -> tuple[int, ...]:
 
 
 def _log_multinomials(counts: np.ndarray) -> np.ndarray:
-    """ln M(c) = G(sum c + 1) - sum_i G(c_i + 1), G = gammaln, per row."""
-    return gammaln(counts.sum(axis=-1) + 1.0) - gammaln(counts + 1.0).sum(axis=-1)
+    """ln M(c) = ln (sum c)! - sum_i ln c_i!, per row."""
+    return _log_factorial(counts.sum(axis=-1)) - _log_factorial(counts).sum(axis=-1)
 
 
 def _multinomial_factors(counts: Sequence[int]) -> list[Factor]:
@@ -98,14 +97,13 @@ def _margin_bound(total: int, d: int) -> float:
     error of a float margin ln M(nu) - (ln M(a) + ln M(b)) over d levels,
     N = sum nu = sum a + sum b.
 
-    Each ln M(c) of a vector of total t is G(t+1) less the sum of the d
-    values G(c_i+1), G = gammaln.  At integer points G >= 0 and
-    sum_i G(c_i+1) <= G(t+1) <= t ln t.  Rounding budget, eps = 2^-52:
+    Each ln M(c) of a vector of total t is G(t) less the sum of the d
+    values G(c_i), G = ln k! (:func:`athermal.distill._log_factorial`).
+    G >= 0 and sum_i G(c_i) <= G(t) <= t ln t.  Rounding budget, eps = 2^-52:
 
-    - G errs by <= 2.5 eps relative where |G| > 1 and absolute below
-      (Cephes lgam, as in :func:`athermal.distill._margin_bound`); its d + 1
-      values total <= 2 t ln t: <= 2.5 eps (2 t ln t + d + 1).
-    - The d - 1 additions of the sum and the subtraction from G(t+1) round
+    - G errs by <= 2.5 eps relative (see :func:`athermal.distill._margin_bound`);
+      its d + 1 values total <= 2 t ln t: <= 2.5 eps (2 t ln t + d + 1).
+    - The d - 1 additions of the sum and the subtraction from G(t) round
       values <= t ln t: <= d eps t ln t.
     - Over nu, a and b, with n ln n + ell ln ell <= N ln N:
       <= eps ((2d + 10) N ln N + 7.5 (d + 1)).

@@ -20,7 +20,6 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import DensityMatrix
 from .distill import DistillationPlan
@@ -442,14 +441,6 @@ class ChannelReport:
     work_trace_distance: float
     failure_mass: float
     permutation: tuple[int, ...]
-
-    def unitary(self) -> sp.csr_matrix:
-        """The permutation as an explicit sparse matrix V e_x = e_perm(x)."""
-        dim = len(self.permutation)
-        return sp.csr_matrix(
-            (np.ones(dim), (np.array(self.permutation), np.arange(dim))),
-            shape=(dim, dim),
-        )
 
 
 def execute_plan_quantum(plan: DistillationPlan, max_qubits: int = 14,

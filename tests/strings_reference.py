@@ -5,8 +5,9 @@ string-by-string definitions the tests check it against: fixed-weight
 ranking, a distillation plan's per-type injection (types of one total-1s
 shell at consecutive rank offsets), a formation plan's round robin, the
 flat index sets of a Birkhoff partition, the exact covered-string counts
-per shell, and the joint system-plus-frame Hamiltonian.  Nothing here is
-imported by ``athermal``.
+per shell, the joint system-plus-frame Hamiltonian with the frame-compensated
+joint unitary acting on it, and a permutation as an explicit sparse unitary.
+Nothing here is imported by ``athermal``.
 """
 
 from __future__ import annotations
@@ -222,3 +223,64 @@ def joint_hamiltonian(system_energies: Sequence[int], frame: ReferenceFrame) -> 
     energies = np.asarray([int(e) for e in system_energies])
     diag = (energies[:, None] + np.arange(frame.num_levels)[None, :]).reshape(-1)
     return sp.diags(diag.astype(float)).tocsr()
+
+
+def build_Uinv(system_unitary: np.ndarray, system_energies: Sequence[int],
+               frame: ReferenceFrame) -> sp.csr_matrix:
+    """Joint unitary acting as ``system_unitary`` with frame-compensated shifts.
+
+    Within every total-energy shell whose frame partners all exist, the
+    block is the system unitary; shells clipped by the frame boundary act
+    as the identity.  The result commutes with the joint Hamiltonian
+    exactly and is unitary on the padded space.
+    """
+    u = np.asarray(system_unitary, dtype=complex)
+    energies = [int(e) for e in system_energies]
+    d = u.shape[0]
+    if u.shape != (d, d) or len(energies) != d:
+        raise ValueError("unitary and energy list sizes disagree")
+    if np.max(np.abs(u.conj().T @ u - np.eye(d))) > 1e-10:
+        raise ValueError("system operator is not unitary")
+    gaps = {abs(ei - ej) for i, ei in enumerate(energies)
+            for j, ej in enumerate(energies) if abs(u[i, j]) > 1e-14}
+    max_gap = max(gaps, default=0)
+    if frame.window_size <= max_gap:
+        raise ValueError(
+            f"invalid frame: window of {frame.window_size} levels cannot span gaps up to {max_gap}")
+    if frame.window_start < max_gap or (frame.num_levels - frame.window_start
+                                        - frame.window_size) < max_gap:
+        raise ValueError("invalid frame: padding thinner than the largest gap")
+
+    nf = frame.num_levels
+    dim = d * nf
+    rows, cols, vals = [], [], []
+    index = lambda i, f: i * nf + f
+
+    covered = np.zeros(dim, dtype=bool)
+    shells: dict[int, list[tuple[int, int]]] = {}
+    for i in range(d):
+        for f in range(nf):
+            shells.setdefault(energies[i] + f, []).append((i, f))
+    for total, members in shells.items():
+        complete = len(members) == d and len({i for i, _ in members}) == d
+        if complete:
+            for (j, fj) in members:
+                for (i, fi) in members:
+                    if abs(u[i, j]) > 0.0:
+                        rows.append(index(i, fi))
+                        cols.append(index(j, fj))
+                        vals.append(u[i, j])
+                covered[index(j, fj)] = True
+    for idx in range(dim):
+        if not covered[idx]:
+            rows.append(idx)
+            cols.append(idx)
+            vals.append(1.0)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
+def permutation_unitary(permutation: Sequence[int]) -> sp.csr_matrix:
+    """A string permutation as an explicit sparse matrix V e_x = e_perm(x)."""
+    dim = len(permutation)
+    return sp.csr_matrix((np.ones(dim), (np.array(permutation), np.arange(dim))),
+                         shape=(dim, dim))

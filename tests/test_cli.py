@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +89,11 @@ SCHEMA_4_FORMATION = {
               "log_cardinalities": "nats", "work_per_copy": "E0 per copy"},
     "width": 3.0, "work_per_copy": 1.0, "worst_type": [0, 20, 0, 20, 0.0, 0.0],
 }
+
+
+# `athermal form --n N --p 0.75 --beta B` documents as schema 5 first wrote them.
+SCHEMA_5_FORMATION = json.loads(
+    (Path(__file__).parent / "data" / "formation_schema5.json").read_text())
 
 
 class TestPlanSerialization:
@@ -199,6 +205,20 @@ class TestPlanSerialization:
             # span offsets, pass 2^63.
             assert max(s.start + s.count for spans in plans[0].birkhoff.sets
                        for s in spans) > 2 ** 63
+
+    @pytest.mark.parametrize("command", sorted(SCHEMA_5_FORMATION))
+    def test_reads_schema_5_documents(self, command):
+        # Documents the first schema-5 writer produced, log-factorials from
+        # scipy's gammaln.  They load, and today's writer reproduces every
+        # field but the worst type's log cardinalities, which may move in
+        # their last digits.
+        doc = SCHEMA_5_FORMATION[command]
+        fresh = plan_formation(doc["n"], doc["p"], doc["beta"])
+        assert plan_from_dict(json.loads(json.dumps(doc))).birkhoff == fresh.birkhoff
+        rewritten, stored = plan_to_dict(fresh), dict(doc)
+        worst, stored_worst = rewritten.pop("worst_type"), stored.pop("worst_type")
+        assert rewritten == stored and worst[:4] == stored_worst[:4]
+        assert worst[4:] == pytest.approx(stored_worst[4:], rel=1e-14)
 
     def test_formation_plan_file_is_small(self, tmp_path):
         # O(windows): neither per-type records nor the Birkhoff partition,

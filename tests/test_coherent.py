@@ -14,12 +14,11 @@ from athermal.coherent import (
     CoherentTarget,
     DegeneracyShortfallError,
     ReferenceFrame,
-    build_Uinv,
     coherent_formation_error,
     err_norm,
     shift_overlap,
 )
-from strings_reference import joint_hamiltonian
+from strings_reference import build_Uinv, joint_hamiltonian
 
 
 def _reference_psi_vector(target: CoherentTarget, k: int, arrangement) -> np.ndarray:

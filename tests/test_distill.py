@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import gammaln, logsumexp
 from scipy.stats import binom
 
 from athermal import distill
@@ -21,6 +22,7 @@ from athermal.distill import (
     rate_limit,
     solve_single_type,
 )
+from athermal.form import plan_formation
 from athermal.simulate import oracle_max_m
 from athermal.typeclass import typical_range
 from strings_reference import (
@@ -427,6 +429,66 @@ class TestBinomialLogPmf:
             for p in (0.1, 0.5, 0.9):
                 for k, value in zip(range(n + 1), binomial_log_pmf(n, p, np.arange(n + 1))):
                     assert value == pytest.approx(self.reference(n, p, k), rel=1e-13, abs=1e-13)
+
+
+class TestLogFactorial:
+    @staticmethod
+    def relative_errors(ks):
+        values = distill._log_factorial(np.asarray(ks))
+        with mpmath.workdps(40):
+            return [abs((mpmath.mpf(float(v)) - mpmath.loggamma(k + 1)) / mpmath.loggamma(k + 1))
+                    for k, v in zip(ks, values.tolist())]
+
+    def test_small_values_pinned_to_gammaln(self):
+        # Bit for bit, so documents whose Birkhoff summary reads these
+        # values load as they were written.
+        assert distill._log_factorial(np.arange(16)).tolist() == gammaln(np.arange(16) + 1).tolist()
+
+    def test_within_margin_bound_budget(self):
+        # The margin bounds budget 2.5 eps relative error per log-factorial.
+        rng = np.random.default_rng(20130)
+        ks = [*range(2, 2001), *rng.integers(2001, 10**8, 3000).tolist(), 7_517_287]
+        assert max(self.relative_errors(ks)) <= 2.5 * distill._EPS
+
+    def test_table_and_direct_paths_agree(self):
+        # Arrays below 2^16 read the table; larger ones evaluate directly.
+        ks = np.arange(2 ** 16 + 1)
+        assert distill._log_factorial(ks)[:-1].tolist() == distill._log_factorial(ks[:-1]).tolist()
+        assert (distill._log_factorial(ks[16:])[:-1].tolist()
+                == distill._log_factorial(ks[16:-1]).tolist())
+
+    def test_poles_and_empty(self):
+        # Negative k reads +inf, as log-gamma's poles do, on both paths.
+        big = distill._log_factorial(np.array([-1, 2 ** 20, -5]))
+        assert big[[0, 2]].tolist() == [math.inf, math.inf] and math.isfinite(big[1])
+        assert distill._log_factorial(np.array([-1, 3])).tolist() == [math.inf, math.log(6)]
+        assert distill._log_factorial(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_stirlerr_does_not_overflow(self):
+        assert distill._stirlerr(np.array([1e155, 1e300])).tolist() == pytest.approx(
+            [1 / 12e155, 1 / 12e300], rel=1e-15)
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("logs", [
+        [-math.inf, -math.inf], [-3.5], [0.0], [700.0, 0.0, -700.0],
+        list(np.linspace(-700.0, 0.0, 1001)), list(np.linspace(-1400.0, -700.0, 513)),
+        [-745.0, -740.0], [1e-300, 0.0]])
+    def test_matches_scipy(self, logs):
+        assert distill._log_sum_exp(np.array(logs)) == pytest.approx(
+            float(logsumexp(logs)), rel=4 * distill._EPS, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("planner,p,beta", [
+    (plan_distillation, 5e-324, 1.0), (plan_formation, 5e-324, 1.0),
+    (plan_formation, 0.75, 707.5)])
+def test_extreme_binomials_plan_without_warning(planner, p, beta):
+    # Binomial(20, 5e-324) has a subnormal mean, which the deviance must not
+    # divide by; at beta = 707.5 the Birkhoff bath holds ~1.3e308 strings,
+    # so x + mean passes the float range.
+    planner(20, p, beta)
 
 
 class TestStringRanking:

@@ -1,9 +1,10 @@
 """Both planners over n <= 200, p in [0, 1], beta in [0.05, 60] and width
-in [0.5, 4]: every draw plans without raising, and each plan's binding
-shell or pair is re-checked in exact integers at m and m +- 1."""
+in [0.5, 4]: every draw plans without raising or warning, and each plan's
+binding shell or pair is re-checked in exact integers at m and m +- 1."""
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ DRAWS = dict(n=st.integers(1, 200), p=st.floats(0.0, 1.0), beta=st.floats(0.05, 
              width=st.floats(0.5, 4.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(**DRAWS)
 @settings(max_examples=80, deadline=None)
 def test_distillation_plan(n, p, beta, width):
@@ -37,6 +39,7 @@ def test_distillation_plan(n, p, beta, width):
         assert not all(fits(s, m + 1) for s in counts)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(**DRAWS)
 @settings(max_examples=80, deadline=None)
 def test_formation_plan(n, p, beta, width):
