@@ -61,9 +61,8 @@ class ReferenceFrame:
         levels, padded on both sides by the largest energy shift."""
         window = 2 * math.ceil(n ** (2.0 / 3.0)) + 1
         gap = n if max_gap is None else max_gap
-        pad = pad_energy if pad_energy is not None else 0
         return cls(window_size=window, window_start=gap,
-                   num_levels=window + 2 * gap, pad_energy=pad)
+                   num_levels=window + 2 * gap, pad_energy=pad_energy or 0)
 
     @property
     def amplitude(self) -> float:
@@ -134,9 +133,7 @@ class CoherentTarget:
 
     def mean_energy(self, k: int) -> float:
         """Average energy of Psi_{k,g} (k factors of phi1)."""
-        eb = abs(self.b) ** 2
-        ea = abs(self.a) ** 2
-        return k * eb + (self.n - k) * ea
+        return k * abs(self.b) ** 2 + (self.n - k) * abs(self.a) ** 2
 
 
 @dataclass(frozen=True)
@@ -232,8 +229,7 @@ def coherent_formation_error(target: CoherentTarget, exact: bool | None = None,
         nu2_sq = np.cumsum(np.where(inside, pmf * shift_sq, 0.0))[-1]
         tail = np.cumsum(np.where(inside, 0.0, pmf))[-1]
         nu2 = math.sqrt(nu2_sq)
-        nu3 = math.sqrt(max(tail, 0.0))
-        nu1 = math.sqrt(max(tail, 0.0))
+        nu1 = nu3 = math.sqrt(max(tail, 0.0))
         sector_bound = min(1.0, math.sqrt(2.0) * (nu1 + nu2 + nu3))
         analytic += weight * sector_bound
         sectors.append(SectorAnalysis(
@@ -300,22 +296,28 @@ def _exact_formation_error(target: CoherentTarget, frame_n: int, t_of: dict[int,
     # excitation number w of each computational component, with u_i's frame
     # overlap frame_w[i, w] against the padding level w.
     rows = list(psi)
-    inner = np.array([[np.vdot(u, v) for v in rows] for u in rows])
+    inner = np.empty((len(rows), len(rows)), dtype=complex)
+    for i, u in enumerate(rows):
+        inner[i] = list(map(np.vdot, [u] * len(rows), rows))
     frame_w = overlap(t_typ[:, None] - np.arange(n + 1)[None, :])
     conj_psi = psi.conj()
     psi_typ = psi[typical]
     prob_typ = np.abs(psi_typ) ** 2
     excitations = np.array([bin(x).count("1") for x in range(2 ** n)])
+    # One outer product at a time into two buffers: no 2^n-deep product tensor.
     mixed = np.zeros((len(rows), len(psi_typ)), dtype=complex)
+    sums, product = np.empty_like(mixed), np.empty_like(mixed)
     fidelity_k = np.zeros(len(psi_typ))
     for w in range(n + 1):
-        sums = np.zeros_like(mixed)
+        sums.fill(0)
         probs = np.zeros(len(psi_typ))
         for x in np.flatnonzero(excitations == w):
-            sums += conj_psi[:, x, None] * psi_typ[None, :, x]
+            np.add(sums, np.multiply(conj_psi[:, x, None], psi_typ[None, :, x], out=product),
+                   out=sums)
             probs += prob_typ[:, x]
-        mixed = mixed + frame_w[:, w] * sums
+        np.add(mixed, np.multiply(frame_w[:, w], sums, out=product), out=mixed)
         fidelity_k = fidelity_k + probs * frame_w[:, w] ** 2
+    del sums, product
 
     gram = np.block([
         [overlap(t_typ[:, None] - t_typ[None, :]) * inner[np.ix_(typical, typical)],

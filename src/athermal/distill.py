@@ -541,11 +541,14 @@ def _solve_window(ell: int, n: int, g_window: tuple[int, int], r_window: tuple[i
     Joint unitarity needs one injection over ALL covered pairs at once, so
     every shell must fit (:class:`_Shells`); the feasible set is downward
     closed in m and contains m = 0 (Vandermonde).  Also returns the largest
-    single pair of the shell of smallest margin at m, for reporting.
+    single pair of the binding shell, the lowest whose margin at m is within
+    delta(N) of the least: margins tied exactly (each fully covered shell's
+    at m = 0) then report one shell whatever their rounding.
     """
     shells = _Shells(ell, n, g_window, r_window, log_r, factor_r)
     m = _bisect(lambda m: shells.violation(m) is None, 0, int(shells.shells[0]), largest=True)
-    s = int(shells.shells[np.argmin(shells.margins(m))])
+    margins = shells.margins(m)
+    s = int(shells.shells[np.argmax(margins <= margins.min() + _margin_bound(ell + max(n, m)))])
     gs = np.arange(max(g_window[0], s - r_window[1]), min(g_window[1], s - r_window[0]) + 1)
     g = int(gs[np.argmax(shells.log_g[gs - g_window[0]] + log_r[s - gs - r_window[0]])])
     return m, (g, s - g)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -148,25 +147,23 @@ def _pascal_binomial(n: int, k: int) -> int:
     return _pascal_row(n)[k]
 
 
+# Weight of every string the oracle enumerates (at most 14 qubits), by value.
+_ORACLE_WEIGHTS = _popcounts(14)
+
+
 @lru_cache(maxsize=None)
-def _fixed_weight_strings(length: int, weight: int) -> tuple[Bits, ...]:
-    """All binary strings with the given weight, in lexicographic order."""
-    out = []
-    for positions in combinations(range(length), weight):
-        bits = [0] * length
-        for pos in positions:
-            bits[pos] = 1
-        out.append(tuple(bits))
-    return tuple(sorted(out))
+def _fixed_weight_codes(length: int, weight: int) -> np.ndarray:
+    """Values of all strings with the given weight, ascending (lexicographic)."""
+    return np.flatnonzero(_popcounts(length) == weight)
 
 
 def oracle_max_m(ell: int, gibbs_ones: int, n: int, resource_ones: int) -> int:
     """Largest m admitting an explicit injection, by direct construction.
 
-    For ell + n <= 14 the injection is actually built over enumerated
-    strings and its injectivity and energy conservation verified; up to 24
-    the string sets are counted with a Pascal triangle.  Must agree with
-    solve_single_type everywhere.
+    For ell + n <= 14 the injection is built over enumerated strings, as
+    their values, and its injectivity and energy conservation verified; up
+    to 24 the string sets are counted with a Pascal triangle.  Must agree
+    with solve_single_type everywhere.
     """
     if ell + n > 24:
         raise UnsupportedSizeError("oracle supports ell + n <= 24")
@@ -176,9 +173,8 @@ def oracle_max_m(ell: int, gibbs_ones: int, n: int, resource_ones: int) -> int:
     total_ones = gibbs_ones + resource_ones
 
     if enumerate_strings:
-        inputs = [b + r
-                  for b in _fixed_weight_strings(ell, gibbs_ones)
-                  for r in _fixed_weight_strings(n, resource_ones)]
+        inputs = ((_fixed_weight_codes(ell, gibbs_ones)[:, None] << n)
+                  | _fixed_weight_codes(n, resource_ones)[None, :]).ravel()
     else:
         input_count = (_pascal_binomial(ell, gibbs_ones)
                        * _pascal_binomial(n, resource_ones))
@@ -189,15 +185,14 @@ def oracle_max_m(ell: int, gibbs_ones: int, n: int, resource_ones: int) -> int:
         if e > k:
             continue
         if enumerate_strings:
-            if len(inputs) <= len(_fixed_weight_strings(k, e)):
-                outputs = [s + (1,) * m for s in _fixed_weight_strings(k, e)]
-                mapping = dict(zip(inputs, outputs))
-                assert len(set(mapping.values())) == len(mapping)
-                assert all(sum(src) == sum(dst) for src, dst in mapping.items())
+            codes = _fixed_weight_codes(k, e)
+            if len(inputs) <= len(codes):
+                outputs = (codes[:len(inputs)] << m) | (2 ** m - 1)
+                assert (outputs[1:] > outputs[:-1]).all()
+                assert (_ORACLE_WEIGHTS[inputs] == _ORACLE_WEIGHTS[outputs]).all()
                 return m
-        else:
-            if input_count <= _pascal_binomial(k, e):
-                return m
+        elif input_count <= _pascal_binomial(k, e):
+            return m
     return 0
 
 

@@ -2,7 +2,8 @@
 
 The engine executes plans on index arrays.  This module keeps the
 string-by-string definitions the tests check it against: fixed-weight
-ranking, a distillation plan's per-type injection (types of one total-1s
+ranking, the brute-force feasibility oracle on tuples of bits, a
+distillation plan's per-type injection (types of one total-1s
 shell at consecutive rank offsets), a formation plan's round robin, the
 flat index sets of a Birkhoff partition, the exact covered-string counts
 per shell, the joint system-plus-frame Hamiltonian with the frame-compensated
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -53,9 +55,43 @@ def unrank_fixed_weight(rank: int, length: int, weight: int) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def fixed_weight_strings(length: int, weight: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def fixed_weight_strings(length: int, weight: int) -> tuple[tuple[int, ...], ...]:
     """All strings of one weight, in lexicographic order."""
-    return [unrank_fixed_weight(i, length, weight) for i in range(math.comb(length, weight))]
+    return tuple(unrank_fixed_weight(i, length, weight) for i in range(math.comb(length, weight)))
+
+
+def reference_oracle_max_m(ell: int, gibbs_ones: int, n: int, resource_ones: int) -> int:
+    """The brute-force feasibility oracle on tuples of bits.
+
+    For ell + n <= 14 the injection is built string by string, bath-major
+    inputs onto the exhaust strings of weight e in lexicographic order with
+    m 1s appended, and its injectivity and energy conservation verified; up
+    to 24 the string sets are counted.
+    """
+    enumerate_strings = ell + n <= 14
+    total_ones = gibbs_ones + resource_ones
+    if enumerate_strings:
+        inputs = [b + r
+                  for b in fixed_weight_strings(ell, gibbs_ones)
+                  for r in fixed_weight_strings(n, resource_ones)]
+    else:
+        input_count = math.comb(ell, gibbs_ones) * math.comb(n, resource_ones)
+    for m in range(total_ones, -1, -1):
+        k = ell + n - m
+        e = total_ones - m
+        if e > k:
+            continue
+        if enumerate_strings:
+            if len(inputs) <= len(fixed_weight_strings(k, e)):
+                outputs = [s + (1,) * m for s in fixed_weight_strings(k, e)]
+                mapping = dict(zip(inputs, outputs))
+                assert len(set(mapping.values())) == len(mapping)
+                assert all(sum(src) == sum(dst) for src, dst in mapping.items())
+                return m
+        elif input_count <= math.comb(k, e):
+            return m
+    return 0
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -331,6 +332,23 @@ class TestExactMatchesReference:
         assert seen[0].tobytes() == seen[1].tobytes()
         assert report.exact_trace_distance == expected[0]
         assert report.catalyst_fidelity == expected[1]
+
+
+def test_exact_mode_peak_allocation():
+    # Before the mixed block accumulated into two preallocated buffers, n = 8
+    # (a^2 = 0.1, p = 0.5) traced a peak of 20.3 to 20.9 MB; the bound
+    # allows 1 MB above that.  The block built as one 3-D product tensor
+    # (256 x 238 x 256 complex values) would hold about 250 MB.
+    coherent_formation_error(CoherentTarget(a=math.sqrt(0.1), b=math.sqrt(0.9), p=0.5, n=4),
+                             exact=True)
+    target = CoherentTarget(a=math.sqrt(0.1), b=math.sqrt(0.9), p=0.5, n=8)
+    tracemalloc.start()
+    try:
+        coherent_formation_error(target, exact=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (20.9 + 1.0) * 1e6
 
 
 class TestAnalyticMasses:

@@ -200,6 +200,34 @@ class TestPlanDistillation:
         # A no-resource plan (p = q) still names a (trivially binding) type.
         assert plan_distillation(20, Q1, 1.0).worst_type.m == 0
 
+    @pytest.mark.parametrize("n, p, beta", [(5, 0.99, 0.5), (20, 0.6, 1.0), (20, 0.75, 1.0),
+                                            (50, 0.6, 1.0)])
+    @pytest.mark.parametrize("direction", [np.inf, -np.inf])
+    def test_worst_pair_ignores_rounding_at_m0(self, monkeypatch, n, p, beta, direction):
+        # At m = 0 every fully covered shell has margin exactly 0
+        # (Vandermonde); the lowest shell within delta(N) of the least
+        # margin binds, so one ulp on every ln k! moves no reported pair.
+        plan = plan_distillation(n, p, beta)
+        assert plan.m == 0
+        log_factorial = distill._log_factorial
+
+        def nudged(k):
+            value = log_factorial(k)
+            return np.where(np.isfinite(value), np.nextafter(value, direction), value)
+
+        monkeypatch.setattr(distill, "_log_factorial", nudged)
+        moved = plan_distillation(n, p, beta)
+        assert (moved.ell, moved.m, moved.k, moved.gibbs_window, moved.resource_window) \
+            == (plan.ell, plan.m, plan.k, plan.gibbs_window, plan.resource_window)
+        assert (moved.worst_type.gibbs_ones, moved.worst_type.resource_ones) \
+            == (plan.worst_type.gibbs_ones, plan.worst_type.resource_ones)
+        # The binding shell is the lowest of least exhaust-to-input ratio,
+        # found here in exact integers.
+        counts = shell_input_counts(plan.ell, n, plan.gibbs_window, plan.resource_window)
+        ratios = {s: Fraction(math.comb(plan.k, s), count) for s, count in counts.items()}
+        assert plan.worst_type.gibbs_ones + plan.worst_type.resource_ones \
+            == min(sorted(ratios), key=ratios.get)
+
     @given(n=st.integers(1, 60), p=st.floats(0.05, 0.99), beta=st.floats(0.2, 3.0),
            width=st.floats(0.5, 3.0))
     @settings(max_examples=40, deadline=None)

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from athermal import simulate
 from athermal.distill import DistillationPlan, PerTypeRecord, plan_distillation, solve_single_type
 from athermal.form import plan_formation
 from athermal.simulate import (
@@ -18,7 +20,7 @@ from athermal.simulate import (
     thermal_input_distribution,
     work_balance_audit,
 )
-from strings_reference import permutation_unitary
+from strings_reference import permutation_unitary, reference_oracle_max_m
 
 Q1 = math.exp(-1) / (1 + math.exp(-1))
 
@@ -57,6 +59,41 @@ class TestOracle:
     def test_size_cap(self):
         with pytest.raises(UnsupportedSizeError):
             oracle_max_m(20, 5, 10, 5)
+
+    def test_matches_tuple_reference_where_enumerated(self):
+        for total in range(15):
+            for ell in range(total + 1):
+                n = total - ell
+                for g in range(ell + 1):
+                    for r in range(n + 1):
+                        assert oracle_max_m(ell, g, n, r) == reference_oracle_max_m(ell, g, n, r)
+
+    def test_matches_tuple_reference_to_24(self):
+        rng = random.Random(0)
+        for _ in range(300):
+            total = rng.randint(1, 24)
+            ell = rng.randint(0, total)
+            g, r = rng.randint(0, ell), rng.randint(0, total - ell)
+            assert oracle_max_m(ell, g, total - ell, r) \
+                == reference_oracle_max_m(ell, g, total - ell, r)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda codes: np.insert(codes, 1, codes[0]),            # an entry twice
+        lambda codes: codes ^ (np.arange(len(codes)) == 0),     # a bit of the first flipped
+    ], ids=["duplicate", "flipped-bit"])
+    def test_corrupt_exhaust_table_trips_a_check(self, monkeypatch, corrupt):
+        # (6, 2, 4, 3) reaches m = 1 through the exhaust tables (5, 0) ..
+        # (9, 4), none of which is an input table.
+        codes = simulate._fixed_weight_codes
+
+        def corrupted(length, weight):
+            table = codes(length, weight)
+            return table if (length, weight) in {(6, 2), (4, 3)} else corrupt(table)
+
+        assert oracle_max_m(6, 2, 4, 3) == 1
+        monkeypatch.setattr(simulate, "_fixed_weight_codes", corrupted)
+        with pytest.raises(AssertionError):
+            oracle_max_m(6, 2, 4, 3)
 
 
 class TestStringDistribution:
