@@ -67,12 +67,14 @@ def solve_single_type(ell: int, gibbs_ones: int, n: int, resource_ones: int,
                       exact: bool = True) -> int:
     """Largest m such that the per-type counting inequality holds.
 
-    The feasible set is downward closed in m, so a binary search applies.
-    m = 0 is always feasible (Vandermonde), hence the result is >= 0.
+    The feasible set is downward closed in m and holds m = 0 (Vandermonde):
+    :func:`_search` finds its edge, steered by float log-binomial margins.
     """
     if not 0 <= gibbs_ones <= ell or not 0 <= resource_ones <= n:
         raise ValueError("one-counts out of range")
-    return _bisect(lambda m: distill_feasible(ell, gibbs_ones, n, resource_ones, m, exact=exact),
+    log_in = log_binomial(ell, gibbs_ones) + log_binomial(n, resource_ones)
+    return _search(lambda m: (distill_feasible(ell, gibbs_ones, n, resource_ones, m, exact=exact),
+                              log_binomial(ell + n - m, gibbs_ones + resource_ones - m) - log_in),
                    0, gibbs_ones + resource_ones, largest=True)
 
 
@@ -353,18 +355,33 @@ def _certify(margins: np.ndarray, delta: float, holds: Callable[[int], bool]) ->
     return next((int(i) for i in np.flatnonzero(margins < delta) if not holds(int(i))), None)
 
 
-def _bisect(feasible: Callable[[int], bool], lo: int, hi: int, largest: bool) -> int:
-    """Monotone search over [lo, hi]: the largest feasible value of a
-    downward-closed set containing lo, or the smallest of an upward-closed
-    set containing hi."""
-    while lo < hi:
-        if largest:
-            mid = (lo + hi + 1) // 2
-            lo, hi = (mid, hi) if feasible(mid) else (lo, mid - 1)
+def _search(probe: Callable[[int], tuple[bool, float]], lo: int, hi: int, largest: bool) -> int:
+    """The largest m in [lo, hi] of a downward-closed set containing lo, or
+    the smallest of an upward-closed set containing hi.  ``probe(m)`` gives
+    (m in the set, a float margin crossing zero at its edge); only membership
+    moves the bracket, so the result is bisection's whatever the margins.
+    They pick the next m just past the crossing by regula falsi with Illinois
+    halving (Dowell & Jarratt 1971); the midpoint is taken where they are not
+    finite or do not straddle zero, and once as many steps failed to halve
+    the bracket as bisection takes in all (Brent 1973), so at most twice
+    bisection's probes run, plus both ends."""
+    good, bad = (lo, hi) if largest else (hi, lo)
+    if lo == hi or (far := probe(bad))[0]:
+        return bad
+    f_good, f_bad, moved, spare = probe(good)[1], far[1], None, (abs(bad - good) - 1).bit_length()
+    while (width := abs(bad - good)) > 1:
+        x = (good + bad) // 2
+        if spare and -math.inf < f_bad < 0 <= f_good < math.inf:
+            step = math.ceil(width * (f_good / (f_good - f_bad)))
+            x = good + min(max(step, 1), width - 1) * (1 if bad > good else -1)
+        holds, f = probe(x)
+        if holds:
+            good, f_good, f_bad = x, f, f_bad / 2 if moved == "good" else f_bad
         else:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if feasible(mid) else (mid + 1, hi)
-    return lo
+            bad, f_bad, f_good = x, f, f_good / 2 if moved == "bad" else f_good
+        moved = "good" if holds else "bad"
+        spare -= 2 * abs(bad - good) > width + 1
+    return good
 
 
 Factor = tuple[int, int] | int      # (x, y) stands for C(x, y), an int for itself
@@ -522,15 +539,15 @@ class _Shells:
             unit &= np.isin(r, [x for x in (0, self.n) if self.count_r(x) == 1])
         return _identities(self.ell, self.ell, g, self.shells - self.n, unit)
 
-    def violation(self, m: int) -> int | None:
-        """A shell proven to overflow at m, or None when every shell fits;
+    def violation(self, m: int) -> tuple[int | None, float]:
+        """(A shell proven to overflow at m or None, the least float margin);
         identities settle in one pass, without exact integers."""
         margins = self.margins(m)
         if m == self.n:
             margins[self.identities()] = np.inf
         i = _certify(margins, _margin_bound(self.ell + max(self.n, m)),
                      lambda i: self.fits(int(self.shells[i]), m))
-        return None if i is None else int(self.shells[i])
+        return None if i is None else int(self.shells[i]), float(margins.min())
 
 
 def _solve_window(ell: int, n: int, g_window: tuple[int, int], r_window: tuple[int, int],
@@ -540,13 +557,15 @@ def _solve_window(ell: int, n: int, g_window: tuple[int, int], r_window: tuple[i
 
     Joint unitarity needs one injection over ALL covered pairs at once, so
     every shell must fit (:class:`_Shells`); the feasible set is downward
-    closed in m and contains m = 0 (Vandermonde).  Also returns the largest
-    single pair of the binding shell, the lowest whose margin at m is within
+    closed in m, holds m = 0 (Vandermonde), and :func:`_search` finds its
+    edge from the least shell margins.  Also returns the largest single pair
+    of the binding shell, the lowest whose margin at m is within
     delta(N) of the least: margins tied exactly (each fully covered shell's
     at m = 0) then report one shell whatever their rounding.
     """
     shells = _Shells(ell, n, g_window, r_window, log_r, factor_r)
-    m = _bisect(lambda m: shells.violation(m) is None, 0, int(shells.shells[0]), largest=True)
+    m = _search(lambda m: ((v := shells.violation(m))[0] is None, v[1]),
+                0, int(shells.shells[0]), largest=True)
     margins = shells.margins(m)
     s = int(shells.shells[np.argmax(margins <= margins.min() + _margin_bound(ell + max(n, m)))])
     gs = np.arange(max(g_window[0], s - r_window[1]), min(g_window[1], s - r_window[0]) + 1)

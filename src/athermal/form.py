@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -20,17 +21,17 @@ import numpy as np
 from .core import gibbs_weight
 from .distill import (
     _LOG_RESOLUTION,
-    _bisect,
     _certify,
     _identities,
     _log_comb,
     _margin_bound,
     _products_leq,
+    _search,
     binomial_log_pmf,
     binomial_outside_mass,
     rate_limit,
 )
-from .typeclass import typical_range
+from .typeclass import log_binomial, typical_range
 
 __all__ = [
     "InfeasibleFormationError",
@@ -66,8 +67,9 @@ def formation_feasible(n: int, target_ones: int, ell: int, gibbs_ones: int, m: i
 def solve_formation_single_type(n: int, target_ones: int, ell: int, gibbs_ones: int) -> int:
     """Smallest m >= 0 making the formation inequality hold.
 
-    The feasible set is upward closed in m; raises
-    InfeasibleFormationError when even m = ell + n fails.
+    The feasible set is upward closed in m: :func:`distill._search` finds
+    its edge from log-binomial margins.  Raises InfeasibleFormationError
+    when even m = ell + n fails.
     """
     if not 0 <= gibbs_ones <= ell or not 0 <= target_ones <= n:
         raise ValueError("one-counts out of range")
@@ -77,7 +79,9 @@ def solve_formation_single_type(n: int, target_ones: int, ell: int, gibbs_ones: 
         raise InfeasibleFormationError(
             f"no feasible m <= {hi} for (n={n}, t={target_ones}, ell={ell}, g={gibbs_ones})"
         )
-    return _bisect(lambda m: formation_feasible(n, target_ones, ell, gibbs_ones, m),
+    log_in = log_binomial(ell, gibbs_ones) - log_binomial(n, target_ones)
+    return _search(lambda m: (formation_feasible(n, target_ones, ell, gibbs_ones, m),
+                              log_binomial(m + ell - n, gibbs_ones + m - target_ones) - log_in),
                    lo, hi, largest=False)
 
 
@@ -366,18 +370,19 @@ class _Pairs:
         """The binding pair of diagonal i."""
         return int(self.top_g[i]), int(self.top_g[i] - self.js[i])
 
-    def violation(self, m: int) -> tuple[int, int] | None:
-        """A pair proven infeasible at m, or None when every pair is feasible."""
+    def violation(self, m: int) -> tuple[tuple[int, int] | None, float]:
+        """(A pair proven infeasible at m or None, the least diagonal margin)."""
         k = m + self.ell - self.n
         log_e = _log_comb(k, self.js + m)
         margins = log_e - self.top
         delta = _margin_bound(self.ell + max(self.n, m))
         worst = int(np.argmin(margins))
-        if margins[worst] <= -delta:
-            return self.pair(worst)
+        least = float(margins[worst])
+        if least <= -delta:
+            return self.pair(worst), least
         near = np.flatnonzero(margins < delta)
         if not len(near):
-            return None
+            return None, least
         # Every pair of the diagonals their top pair leaves open, diagonal
         # after diagonal, each one's pairs at offsets starts[r]:ends[r].
         sizes = self.hi[near] - self.lo[near] + 1
@@ -394,23 +399,26 @@ class _Pairs:
                 [(self.ell, int(gs[a + x]))], [(k, int(gs[a + x] + m - ts[a + x])),
                                                (self.n, int(ts[a + x]))]))
             if x is not None:
-                return int(gs[a + x]), int(ts[a + x])
-        return None
+                return (int(gs[a + x]), int(ts[a + x])), least
+        return None, least
 
 
 def _formation_m(n: int, ell: int, g_window: tuple[int, int],
                  t_window: tuple[int, int]) -> tuple[int, tuple[int, int]]:
     """Smallest m feasible for every (Gibbs type, target type) pair of the
     windows, and its binding pair: one proven infeasible at m - 1, or, when
-    m is the least m with a valid exhaust, the pair of smallest margin."""
+    m is the least m with a valid exhaust, the pair of smallest margin.
+    :func:`distill._search` finds m from the least diagonal margins; its
+    probes are kept, so those at m = ell + n and m - 1 run once."""
     if g_window[1] - t_window[0] > ell - n:
         raise InfeasibleFormationError("a window pair violates e <= k at every m")
     pairs = _Pairs(n, ell, g_window, t_window)
+    violation = cache(pairs.violation)
     lo, hi = max(0, n - ell, t_window[1] - g_window[0]), ell + n
-    if pairs.violation(hi) is not None:
+    if violation(hi)[0] is not None:
         raise InfeasibleFormationError("window infeasible at m = ell + n")
-    m = _bisect(lambda m: pairs.violation(m) is None, lo, hi, largest=False)
-    return m, pairs.violation(m - 1) if m > lo else pairs.pair(int(np.argmin(pairs.margins(m))))
+    m = _search(lambda m: ((v := violation(m))[0] is None, v[1]), lo, hi, largest=False)
+    return m, violation(m - 1)[0] if m > lo else pairs.pair(int(np.argmin(pairs.margins(m))))
 
 
 def _formation_records(n: int, ell: int, m: int, g_window: tuple[int, int],

@@ -155,14 +155,10 @@ def _window_center(n: int, f: float) -> int:
     lo = math.floor(mu)
     if mu - lo != 0.5:
         return round(mu)
-    hi = lo + 1
-    # Compare binomial pmf at the two candidates; ties go to the lower count.
-    if 0 < f < 1:
-        log_ratio = (log_binomial(n, hi) - log_binomial(n, lo)
-                     + math.log(f) - math.log(1 - f))
-        if log_ratio > 0:
-            return hi
-    return lo
+    # pmf(lo + 1) / pmf(lo) = (n - lo) f / ((lo + 1) (1 - f)), compared in
+    # exact rationals; ties go to the lower count.
+    f = Fraction(f)
+    return lo + ((n - lo) * f > (lo + 1) * (1 - f))
 
 
 def typical_range(n: int, f: float, width: float) -> tuple[int, int]:

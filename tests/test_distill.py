@@ -388,7 +388,7 @@ class TestCertifiedMargins:
         real = distill._Shells.fits
         monkeypatch.setattr(distill._Shells, "fits",
                             lambda self, s, m: decided.append(s) or real(self, s, m))
-        assert shells.violation(0) is None
+        assert shells.violation(0)[0] is None
         assert sorted(decided) == list(range(ell + n + 1))
 
     def test_one_string_short_is_infeasible(self):
@@ -400,7 +400,7 @@ class TestCertifiedMargins:
         shells = distill._Shells(0, n, (0, 0), (0, n), log_r,
                                  lambda r: math.comb(n, r) + (r == r0))
         assert abs(shells.margins(0)[r0]) < distill._margin_bound(n)
-        assert shells.violation(0) == r0
+        assert shells.violation(0)[0] == r0
 
     def test_records_certify_exactly_tight_types(self):
         # A no-resource plan (ell = 0, m = 0) maps each type onto itself:

@@ -287,9 +287,9 @@ class TestCertifiedPairs:
         monkeypatch.setattr(form, "_products_leq",
                             lambda lhs, rhs: decided.append((lhs, rhs)) or real(lhs, rhs))
         assert abs(pairs.margins(1)[0]) < _margin_bound(4 + 2)
-        assert pairs.violation(1) is None
+        assert pairs.violation(1)[0] is None
         assert decided == [([(4, 2)], [(3, 2), (2, 1)])]
-        assert pairs.violation(0) == (2, 1)
+        assert pairs.violation(0)[0] == (2, 1)
         assert form._formation_m(2, 4, (2, 2), (1, 1)) == (1, (2, 1))
 
 
@@ -356,20 +356,20 @@ class TestIdentityScreen:
         n, ell = 20, 300
         g_window = typical_range(ell, Q1, 3.0)
         pairs = form._Pairs(n, ell, g_window, (n, n))
-        assert pairs.violation(n) is None
-        assert pairs.violation(n - 1) is not None
+        assert pairs.violation(n)[0] is None
+        assert pairs.violation(n - 1)[0] is not None
         assert form._formation_m(n, ell, g_window, (n, n))[0] == n
         # t = 0 and ell = 2g + n: C(10, 3) <= C(10, 7) C(4, 0).
         pairs = form._Pairs(4, 10, (3, 3), (0, 0))
-        assert pairs.violation(4) is None
-        assert pairs.violation(3) == (3, 0)
+        assert pairs.violation(4)[0] is None
+        assert pairs.violation(3)[0] == (3, 0)
         assert exact_calls == []
 
     def test_shell_identities(self, exact_calls):
         # r = 0 and ell = 2g - n: shell g reads C(10, 7) C(4, 0) <= C(10, 3).
         shells = distill._Shells(10, 4, (7, 7), (0, 0), *distill._binomial_axis(4, (0, 0)))
-        assert shells.violation(4) is None
-        assert shells.violation(5) == 7
+        assert shells.violation(4)[0] is None
+        assert shells.violation(5)[0] == 7
         assert exact_calls == []
 
     def test_records_skip_identities(self, exact_calls):

@@ -101,6 +101,24 @@ class TestTypicalTypes:
         # n=2, f=0.25: the mean count 0.5 rounds to 0, the likelier count.
         assert typical_range(2, 0.25, 0.05) == (0, 0)
 
+    def test_half_integer_means_round_by_exact_pmf(self):
+        # Every f = (2j + 1) / (2n) whose float mean n f is a half-integer:
+        # the centre is the count of larger exact pmf, the lower one on a
+        # tie (f = 0.5 and odd n, as at n = 5).
+        assert typical_range(5, 0.5, 0.3) == (2, 2)
+        checked = 0
+        for n in range(1, 301):
+            for j in range(n):
+                f = (2 * j + 1) / (2 * n)
+                lo = math.floor(n * f)
+                if n * f - lo != 0.5:
+                    continue
+                ratio = (Fraction(math.comb(n, lo + 1), math.comb(n, lo))
+                         * Fraction(f) / (1 - Fraction(f)))
+                assert typical_range(n, f, 1e-6) == ((lo + 1,) * 2 if ratio > 1 else (lo,) * 2)
+                checked += 1
+        assert checked > 40_000
+
 
 class TestTypicalMass:
     def test_full_window_exact_one(self):
