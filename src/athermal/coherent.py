@@ -294,30 +294,40 @@ def _exact_formation_error(target: CoherentTarget, frame_n: int, t_of: dict[int,
     # Inner products: <v_i | v_j> = <psi_i | psi_j>;  <u_i | u_j> =
     # overlap(t_ki - t_kj) <psi_i | psi_j>;  <v_j | u_i> resolves by the
     # excitation number w of each computational component, with u_i's frame
-    # overlap frame_w[i, w] against the padding level w.
-    rows = list(psi)
-    inner = np.empty((len(rows), len(rows)), dtype=complex)
-    for i, u in enumerate(rows):
-        inner[i] = list(map(np.vdot, [u] * len(rows), rows))
+    # overlap frame_w[i, w] against the padding level w.  One vecdot call
+    # runs the same BLAS zdotc per pair as np.vdot.
+    inner = np.vecdot(psi[:, None, :], psi[None, :, :])
     frame_w = overlap(t_typ[:, None] - np.arange(n + 1)[None, :])
-    conj_psi = psi.conj()
-    psi_typ = psi[typical]
-    prob_typ = np.abs(psi_typ) ** 2
-    excitations = np.array([bin(x).count("1") for x in range(2 ** n)])
-    # One outer product at a time into two buffers: no 2^n-deep product tensor.
-    mixed = np.zeros((len(rows), len(psi_typ)), dtype=complex)
-    sums, product = np.empty_like(mixed), np.empty_like(mixed)
-    fidelity_k = np.zeros(len(psi_typ))
-    for w in range(n + 1):
-        sums.fill(0)
-        probs = np.zeros(len(psi_typ))
-        for x in np.flatnonzero(excitations == w):
-            np.add(sums, np.multiply(conj_psi[:, x, None], psi_typ[None, :, x], out=product),
-                   out=sums)
-            probs += prob_typ[:, x]
-        np.add(mixed, np.multiply(frame_w[:, w], sums, out=product), out=mixed)
+    # The mixed block from x-major copies (string x's amplitudes in one
+    # contiguous row), 64 rows at a time so that the running sums stay in
+    # cache.  Every string adds its outer product to the sums in ascending
+    # x within each weight.  Both operands stay 2-D, (rows, 1) x (1, typical):
+    # with a 1-D second operand NumPy multiplies a 1 x 1 block in another
+    # loop, which rounds differently from the reference's.
+    conj_x = np.ascontiguousarray(psi.conj().T)
+    typ_x = np.ascontiguousarray(psi[typical].T)
+    excitations = np.bitwise_count(np.arange(2 ** n))
+    by_weight = [np.flatnonzero(excitations == w) for w in range(n + 1)]
+    mixed = np.zeros((len(psi), len(t_typ)), dtype=complex)
+    block = min(64, len(psi))
+    buffers = np.empty((2, block, len(t_typ)), dtype=complex)
+    for lo in range(0, len(psi), block):
+        part = mixed[lo:lo + block]
+        sums, product = buffers[:, :len(part)]
+        for w, strings in enumerate(by_weight):
+            sums.fill(0)
+            for x in strings:
+                np.add(sums, np.multiply(conj_x[x, lo:lo + block, None], typ_x[x, None, :],
+                                         out=product), out=sums)
+            np.add(part, np.multiply(frame_w[:, w], sums, out=product), out=part)
+    del conj_x, buffers, sums, product
+    prob_x = np.abs(typ_x) ** 2
+    fidelity_k = np.zeros(len(t_typ))
+    for w, strings in enumerate(by_weight):
+        probs = np.zeros(len(t_typ))
+        for x in strings:
+            probs += prob_x[x]
         fidelity_k = fidelity_k + probs * frame_w[:, w] ** 2
-    del sums, product
 
     gram = np.block([
         [overlap(t_typ[:, None] - t_typ[None, :]) * inner[np.ix_(typical, typical)],

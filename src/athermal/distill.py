@@ -512,10 +512,16 @@ class _Shells:
         self.shells = np.arange(g_window[0] + r_window[0], g_window[1] + r_window[1] + 1)
         self.log_sums = _shell_log_sums(self.log_g, log_r)
         self.comb_g = cache(partial(math.comb, ell))
+        self._margins: dict[int, np.ndarray] = {}
 
     def margins(self, m: int) -> np.ndarray:
-        """ln C(ell+n-m, s-m) less ln of the shell's input strings, per shell."""
-        return _log_comb(self.ell + self.n - m, self.shells - m) - self.log_sums
+        """ln C(ell+n-m, s-m) less ln of the shell's input strings, per
+        shell; computed once per m and read-only."""
+        if (margins := self._margins.get(m)) is None:
+            margins = _log_comb(self.ell + self.n - m, self.shells - m) - self.log_sums
+            margins.flags.writeable = False
+            self._margins[m] = margins
+        return margins
 
     def fits(self, s: int, m: int) -> bool:
         """Whether shell s fits at m, in exact integers.  A shell of one
@@ -544,7 +550,7 @@ class _Shells:
         identities settle in one pass, without exact integers."""
         margins = self.margins(m)
         if m == self.n:
-            margins[self.identities()] = np.inf
+            margins = np.where(self.identities(), np.inf, margins)
         i = _certify(margins, _margin_bound(self.ell + max(self.n, m)),
                      lambda i: self.fits(int(self.shells[i]), m))
         return None if i is None else int(self.shells[i]), float(margins.min())
@@ -566,7 +572,7 @@ def _solve_window(ell: int, n: int, g_window: tuple[int, int], r_window: tuple[i
     shells = _Shells(ell, n, g_window, r_window, log_r, factor_r)
     m = _search(lambda m: ((v := shells.violation(m))[0] is None, v[1]),
                 0, int(shells.shells[0]), largest=True)
-    margins = shells.margins(m)
+    margins = shells.margins(m)       # the probe's, before identities read +inf
     s = int(shells.shells[np.argmax(margins <= margins.min() + _margin_bound(ell + max(n, m)))])
     gs = np.arange(max(g_window[0], s - r_window[1]), min(g_window[1], s - r_window[0]) + 1)
     g = int(gs[np.argmax(shells.log_g[gs - g_window[0]] + log_r[s - gs - r_window[0]])])

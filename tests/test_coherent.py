@@ -305,6 +305,14 @@ class TestExactMatchesReference:
            p=st.one_of(st.sampled_from([0.0, 1.0]),
                        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
     @example(n=3, a2=5e-324, phase_a=0.0, phase_b=1.0, p=0.75)
+    # The mixed block runs 64 rows at a time, so from n = 7 on (2^n rows
+    # when 0 < p < 1) more than one block runs; at p = 0 or 1 one row does.
+    @example(n=7, a2=0.3, phase_a=0.4, phase_b=2.0, p=0.45)
+    @example(n=7, a2=0.6, phase_a=5.1, phase_b=0.3, p=0.0)
+    @example(n=7, a2=0.6, phase_a=5.1, phase_b=0.3, p=1.0)
+    @example(n=7, a2=5e-324, phase_a=0.0, phase_b=1.0, p=0.75)
+    @example(n=8, a2=0.2, phase_a=1.3, phase_b=4.4, p=0.03)
+    @example(n=8, a2=0.7, phase_a=2.9, phase_b=0.8, p=0.97)
     @settings(max_examples=60, deadline=None)
     def test_bit_identical(self, n, a2, phase_a, phase_b, p):
         target = CoherentTarget(a=math.sqrt(a2) * complex(math.cos(phase_a), math.sin(phase_a)),
@@ -316,8 +324,8 @@ class TestExactMatchesReference:
             expected = reference_exact_formation_error(target, *args)
         assert len(seen) == 2
         assert np.array_equal(seen[0], seen[1])
-        # Signs of zero too: eigvals reads them (the example above moves by
-        # 2e-7 relative when only they differ).
+        # Signs of zero too: eigvals reads them (the n = 3, a^2 = 5e-324
+        # example moves by 2e-7 relative when only they differ).
         assert seen[0].tobytes() == seen[1].tobytes()
         assert result == expected
 
