@@ -38,7 +38,7 @@ from .form import (
     BirkhoffPartition,
     FormationPlan,
     FormationRecord,
-    _formation_records,
+    formation_record,
     plan_formation,
     target_birkhoff,
 )
@@ -142,7 +142,7 @@ def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
         kw["worst_type"] = record(*kw["worst_type"][:len(fields(record))])
     elif kw.get("free_target"):
         t = kw["target_window"][0]
-        kw["worst_type"] = next(_formation_records(kw["n"], kw["ell"], 0, (t, t), (t, t)))
+        kw["worst_type"] = formation_record(kw["n"], kw["ell"], 0, t, t)
     else:
         raise ValueError("plan document without a worst type")
     return cls(**kw)

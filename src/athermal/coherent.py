@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .distill import binomial_log_pmf, binomial_outside_mass
+from .counting import binomial_log_pmf, binomial_outside_mass
 
 __all__ = [
     "ReferenceFrame",

@@ -19,19 +19,19 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .core import gibbs_weight
-from .distill import (
-    _LOG_RESOLUTION,
-    _certify,
-    _identities,
-    _log_comb,
-    _margin_bound,
-    _products_leq,
-    _search,
+from .counting import (
+    LOG_RESOLUTION,
     binomial_log_pmf,
     binomial_outside_mass,
-    rate_limit,
+    certify,
+    identities,
+    log_comb,
+    margin_bound,
+    products_leq,
+    search,
 )
-from .typeclass import log_binomial, typical_range
+from .distill import rate_limit
+from .typeclass import typical_range
 
 __all__ = [
     "InfeasibleFormationError",
@@ -41,6 +41,7 @@ __all__ = [
     "BirkhoffPartition",
     "solve_formation_single_type",
     "formation_feasible",
+    "formation_record",
     "plan_formation",
     "birkhoff_partition",
     "gibbs_type_birkhoff",
@@ -67,7 +68,7 @@ def formation_feasible(n: int, target_ones: int, ell: int, gibbs_ones: int, m: i
 def solve_formation_single_type(n: int, target_ones: int, ell: int, gibbs_ones: int) -> int:
     """Smallest m >= 0 making the formation inequality hold.
 
-    The feasible set is upward closed in m: :func:`distill._search` finds
+    The feasible set is upward closed in m: :func:`.counting.search` finds
     its edge from log-binomial margins.  Raises InfeasibleFormationError
     when even m = ell + n fails.
     """
@@ -79,10 +80,10 @@ def solve_formation_single_type(n: int, target_ones: int, ell: int, gibbs_ones: 
         raise InfeasibleFormationError(
             f"no feasible m <= {hi} for (n={n}, t={target_ones}, ell={ell}, g={gibbs_ones})"
         )
-    log_in = log_binomial(ell, gibbs_ones) - log_binomial(n, target_ones)
-    return _search(lambda m: (formation_feasible(n, target_ones, ell, gibbs_ones, m),
-                              log_binomial(m + ell - n, gibbs_ones + m - target_ones) - log_in),
-                   lo, hi, largest=False)
+    log_in = log_comb(ell, gibbs_ones) - log_comb(n, target_ones)
+    return search(lambda m: (formation_feasible(n, target_ones, ell, gibbs_ones, m),
+                             log_comb(m + ell - n, gibbs_ones + m - target_ones) - log_in),
+                  lo, hi, largest=False)
 
 
 @dataclass(frozen=True)
@@ -229,7 +230,7 @@ def gibbs_type_birkhoff(ell: int, q: float, targets: Sequence[float],
         ratio = u / (1.0 - u) * (float(ell) - s) / (s + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             tail = binomial_log_pmf(ell, u, s) + np.log(ratio / (1.0 - ratio))
-        stop = np.flatnonzero((ratio < 1.0) & (tail <= _LOG_RESOLUTION))
+        stop = np.flatnonzero((ratio < 1.0) & (tail <= LOG_RESOLUTION))
     s = s[:stop[0] + 1]
     log_w = (s * math.log(u) + (float(ell) - s) * math.log1p(-u)).tolist()
     classes = ((t if q <= 0.5 else ell - t, log_w[t], math.comb(ell, t)) for t in range(len(s)))
@@ -308,8 +309,8 @@ def _pair_identities(n: int, ell: int, m: int, gs, ts) -> np.ndarray:
     one factor on the right is 1 and the other is C(ell, g) (at m = n, pairs
     (g, n); for a free target, (t, t) at m = 0)."""
     k, es = m + ell - n, gs + m - ts
-    return (_identities(ell, k, gs, es, (ts == 0) | (ts == n))
-            | _identities(ell, n, gs, ts, (es == 0) | (es == k)))
+    return (identities(ell, k, gs, es, (ts == 0) | (ts == n))
+            | identities(ell, n, gs, ts, (es == 0) | (es == k)))
 
 
 class _Pairs:
@@ -338,7 +339,7 @@ class _Pairs:
     So the real maximiser of every diagonal is one of lo_j, c_j - 1, c_j,
     c_j + 1, hi_j (clipped), and ``top`` is the largest float value among
     these candidates.  Float margins against it carry the pair bound of
-    :func:`distill._margin_bound`: a margin >= delta proves the maximiser's
+    :func:`.counting.margin_bound`: a margin >= delta proves the maximiser's
     pair, and so its whole diagonal, and one <= -delta refutes the pair at
     ``top_g``.  The build costs O(|G| + |T|); c_j + 1 joins the candidates
     so that a rounding-level near-tie resolves as a scan of the diagonal
@@ -348,8 +349,8 @@ class _Pairs:
     def __init__(self, n: int, ell: int, g_window: tuple[int, int], t_window: tuple[int, int]):
         self.n, self.ell, self.g_window, self.t_window = n, ell, g_window, t_window
         (g_lo, g_hi), (t_lo, t_hi) = g_window, t_window
-        self.log_g = _log_comb(ell, np.arange(g_lo, g_hi + 1))
-        self.log_t = _log_comb(n, np.arange(t_lo, t_hi + 1))
+        self.log_g = log_comb(ell, np.arange(g_lo, g_hi + 1))
+        self.log_t = log_comb(n, np.arange(t_lo, t_hi + 1))
         self.js = np.arange(g_lo - t_hi, g_hi - t_lo + 1)
         self.lo = np.maximum(g_lo, self.js + t_lo)
         self.hi = np.minimum(g_hi, self.js + t_hi)
@@ -364,7 +365,7 @@ class _Pairs:
 
     def margins(self, m: int) -> np.ndarray:
         """ln C(k, j + m) less ``top``, per diagonal."""
-        return _log_comb(m + self.ell - self.n, self.js + m) - self.top
+        return log_comb(m + self.ell - self.n, self.js + m) - self.top
 
     def pair(self, i: int) -> tuple[int, int]:
         """The binding pair of diagonal i."""
@@ -373,9 +374,9 @@ class _Pairs:
     def violation(self, m: int) -> tuple[tuple[int, int] | None, float]:
         """(A pair proven infeasible at m or None, the least diagonal margin)."""
         k = m + self.ell - self.n
-        log_e = _log_comb(k, self.js + m)
+        log_e = log_comb(k, self.js + m)
         margins = log_e - self.top
-        delta = _margin_bound(self.ell + max(self.n, m))
+        delta = margin_bound(self.ell + max(self.n, m))
         worst = int(np.argmin(margins))
         least = float(margins[worst])
         if least <= -delta:
@@ -395,7 +396,7 @@ class _Pairs:
         pair_margins[_pair_identities(self.n, self.ell, m, gs, ts)] = np.inf
         for r in np.flatnonzero(np.minimum.reduceat(pair_margins, starts) < delta):
             a, b = int(starts[r]), int(ends[r])
-            x = _certify(pair_margins[a:b], delta, lambda x: _products_leq(
+            x = certify(pair_margins[a:b], delta, lambda x: products_leq(
                 [(self.ell, int(gs[a + x]))], [(k, int(gs[a + x] + m - ts[a + x])),
                                                (self.n, int(ts[a + x]))]))
             if x is not None:
@@ -408,7 +409,7 @@ def _formation_m(n: int, ell: int, g_window: tuple[int, int],
     """Smallest m feasible for every (Gibbs type, target type) pair of the
     windows, and its binding pair: one proven infeasible at m - 1, or, when
     m is the least m with a valid exhaust, the pair of smallest margin.
-    :func:`distill._search` finds m from the least diagonal margins; its
+    :func:`.counting.search` finds m from the least diagonal margins; its
     probes are kept, so those at m = ell + n and m - 1 run once."""
     if g_window[1] - t_window[0] > ell - n:
         raise InfeasibleFormationError("a window pair violates e <= k at every m")
@@ -417,7 +418,7 @@ def _formation_m(n: int, ell: int, g_window: tuple[int, int],
     lo, hi = max(0, n - ell, t_window[1] - g_window[0]), ell + n
     if violation(hi)[0] is not None:
         raise InfeasibleFormationError("window infeasible at m = ell + n")
-    m = _search(lambda m: ((v := violation(m))[0] is None, v[1]), lo, hi, largest=False)
+    m = search(lambda m: ((v := violation(m))[0] is None, v[1]), lo, hi, largest=False)
     return m, violation(m - 1)[0] if m > lo else pairs.pair(int(np.argmin(pairs.margins(m))))
 
 
@@ -427,18 +428,25 @@ def _formation_records(n: int, ell: int, m: int, g_window: tuple[int, int],
     record whose margin is not certified raises ValueError."""
     k = m + ell - n
     ts = np.arange(t_window[0], t_window[1] + 1)
-    log_t = _log_comb(n, ts)
-    delta = _margin_bound(ell + max(n, m))
+    log_t = log_comb(n, ts)
+    delta = margin_bound(ell + max(n, m))
     for g in range(g_window[0], g_window[1] + 1):
-        log_g = float(_log_comb(ell, np.array([g]))[0])
-        log_out = _log_comb(k, g + m - ts) + log_t
+        log_g = float(log_comb(ell, np.array([g]))[0])
+        log_out = log_comb(k, g + m - ts) + log_t
         margins = log_out - log_g
         margins[_pair_identities(n, ell, m, g, ts)] = np.inf
-        if _certify(margins, delta, lambda i: _products_leq(
+        if certify(margins, delta, lambda i: products_leq(
                 [(ell, g)], [(k, g + m - int(ts[i])), (n, int(ts[i]))])) is not None:
             raise ValueError("formation record violates the counting inequality")
         for t, log_output in zip(ts.tolist(), log_out.tolist()):
             yield FormationRecord(g, t, g + m - t, m, log_g, log_output)
+
+
+def formation_record(n: int, ell: int, m: int, gibbs_ones: int,
+                     target_ones: int) -> FormationRecord:
+    """The certified record of one (Gibbs type, target type) pair at m."""
+    return next(_formation_records(n, ell, m, (gibbs_ones, gibbs_ones),
+                                   (target_ones, target_ones)))
 
 
 def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
@@ -493,8 +501,7 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
         cost_rate=n / m if m else math.inf,
         work_per_copy=m / n,
         failure_mass=failure_mass,
-        worst_type=next(_formation_records(n, ell, m, (worst[0], worst[0]),
-                                           (worst[1], worst[1]))),
+        worst_type=formation_record(n, ell, m, *worst),
         free_target=free_target,
         gibbs_window=g_window,
         target_window=t_window,

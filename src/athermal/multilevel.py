@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Hamiltonian, gibbs_state
-from .distill import _EPS, Factor, _log_factorial, _products_leq
+from .counting import Factor, log_factorial, multinomial_margin_bound, products_leq
 from .typeclass import FrequencyVector, apportion, shannon_entropy
 
 __all__ = [
@@ -83,7 +83,7 @@ def _as_counts(total: int, f: FrequencyVector | Sequence) -> tuple[int, ...]:
 
 def _log_multinomials(counts: np.ndarray) -> np.ndarray:
     """ln M(c) = ln (sum c)! - sum_i ln c_i!, per row."""
-    return _log_factorial(counts.sum(axis=-1)) - _log_factorial(counts).sum(axis=-1)
+    return log_factorial(counts.sum(axis=-1)) - log_factorial(counts).sum(axis=-1)
 
 
 def _multinomial_factors(counts: Sequence[int]) -> list[Factor]:
@@ -92,36 +92,13 @@ def _multinomial_factors(counts: Sequence[int]) -> list[Factor]:
     return [(tops[i], int(counts[i])) for i in range(1, len(tops))]
 
 
-def _margin_bound(total: int, d: int) -> float:
-    """delta_d(N) = 8 eps ((d + 6) N ln N + 4 (d + 1)): bound on the rounding
-    error of a float margin ln M(nu) - (ln M(a) + ln M(b)) over d levels,
-    N = sum nu = sum a + sum b.
-
-    Each ln M(c) of a vector of total t is G(t) less the sum of the d
-    values G(c_i), G = ln k! (:func:`athermal.distill._log_factorial`).
-    G >= 0 and sum_i G(c_i) <= G(t) <= t ln t.  Rounding budget, eps = 2^-52:
-
-    - G errs by <= 2.5 eps relative (see :func:`athermal.distill._margin_bound`);
-      its d + 1 values total <= 2 t ln t: <= 2.5 eps (2 t ln t + d + 1).
-    - The d - 1 additions of the sum and the subtraction from G(t) round
-      values <= t ln t: <= d eps t ln t.
-    - Over nu, a and b, with n ln n + ell ln ell <= N ln N:
-      <= eps ((2d + 10) N ln N + 7.5 (d + 1)).
-    - ln M(a) + ln M(b) and the final difference round values <= N ln N:
-      <= 2 eps N ln N.
-
-    The total, eps ((2d + 12) N ln N + 7.5 (d + 1)), is below delta_d(N) / 4.
-    """
-    return 8.0 * _EPS * ((d + 6) * total * math.log(max(total, 1)) + 4 * (d + 1))
-
-
 class _CountingTest:
     """Certified test M(nu) >= M(counts_rho) M(counts_bath) over output types nu."""
 
     def __init__(self, counts_rho: Sequence[int], counts_bath: Sequence[int]):
         self.lhs = _multinomial_factors(counts_rho) + _multinomial_factors(counts_bath)
         self.lhs_log = float(_log_multinomials(np.array([counts_rho, counts_bath])).sum())
-        self.delta = _margin_bound(sum(counts_rho) + sum(counts_bath), len(counts_rho))
+        self.delta = multinomial_margin_bound(sum(counts_rho) + sum(counts_bath), len(counts_rho))
 
     def decide(self, nus: np.ndarray, log_m: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +107,7 @@ class _CountingTest:
         margins = (_log_multinomials(nus) if log_m is None else log_m) - self.lhs_log
         holds = margins >= self.delta
         for i in np.flatnonzero(np.abs(margins) < self.delta):
-            holds[i] = _products_leq(self.lhs, _multinomial_factors(nus[i]))
+            holds[i] = products_leq(self.lhs, _multinomial_factors(nus[i]))
         return holds, margins
 
 

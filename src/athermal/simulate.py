@@ -53,10 +53,7 @@ class WorkBalanceError(AssertionError):
 
 def _popcounts(length: int) -> np.ndarray:
     """Weight of every string of the given length, indexed by its value."""
-    pop = np.zeros(1, dtype=np.int64)
-    for _ in range(length):
-        pop = np.concatenate((pop, pop + 1))
-    return pop
+    return np.bitwise_count(np.arange(2 ** length)).astype(np.int64)
 
 
 def _strings(values: np.ndarray, length: int) -> list[Bits]:
@@ -147,10 +144,6 @@ def _pascal_binomial(n: int, k: int) -> int:
     return _pascal_row(n)[k]
 
 
-# Weight of every string the oracle enumerates (at most 14 qubits), by value.
-_ORACLE_WEIGHTS = _popcounts(14)
-
-
 @lru_cache(maxsize=None)
 def _fixed_weight_codes(length: int, weight: int) -> np.ndarray:
     """Values of all strings with the given weight, ascending (lexicographic)."""
@@ -189,7 +182,7 @@ def oracle_max_m(ell: int, gibbs_ones: int, n: int, resource_ones: int) -> int:
             if len(inputs) <= len(codes):
                 outputs = (codes[:len(inputs)] << m) | (2 ** m - 1)
                 assert (outputs[1:] > outputs[:-1]).all()
-                assert (_ORACLE_WEIGHTS[inputs] == _ORACLE_WEIGHTS[outputs]).all()
+                assert (np.bitwise_count(inputs) == np.bitwise_count(outputs)).all()
                 return m
         elif input_count <= _pascal_binomial(k, e):
             return m

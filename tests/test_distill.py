@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 from scipy.stats import binom
 
-from athermal import distill
+from athermal import counting, distill
 from athermal.core import DensityMatrix, binary_entropy, gibbs_state, Hamiltonian, relative_entropy
+from athermal.counting import binomial_log_pmf, binomial_outside_mass
 from athermal.distill import (
-    binomial_log_pmf,
-    binomial_outside_mass,
     distill_feasible,
     plan_distillation,
     plan_distillation_general,
@@ -209,14 +208,16 @@ class TestPlanDistillation:
         # margin binds, so one ulp on every ln k! moves no reported pair.
         plan = plan_distillation(n, p, beta)
         assert plan.m == 0
-        log_factorial = distill._log_factorial
+        log_factorial, calls = counting.log_factorial, []
 
         def nudged(k):
             value = log_factorial(k)
+            calls.append(k)
             return np.where(np.isfinite(value), np.nextafter(value, direction), value)
 
-        monkeypatch.setattr(distill, "_log_factorial", nudged)
+        monkeypatch.setattr(counting, "log_factorial", nudged)
         moved = plan_distillation(n, p, beta)
+        assert calls
         assert (moved.ell, moved.m, moved.k, moved.gibbs_window, moved.resource_window) \
             == (plan.ell, plan.m, plan.k, plan.gibbs_window, plan.resource_window)
         assert (moved.worst_type.gibbs_ones, moved.worst_type.resource_ones) \
@@ -306,7 +307,7 @@ class TestShellKernel:
         return np.array([math.log(math.comb(big, k)) for k in range(window[0], window[1] + 1)])
 
     def check_against_exact(self, ell, n, g_window, r_window):
-        sums = distill._shell_log_sums(self.exact_logs(ell, g_window),
+        sums = counting.shell_log_sums(self.exact_logs(ell, g_window),
                                        self.exact_logs(n, r_window))
         s_lo = g_window[0] + r_window[0]
         exact = shell_input_counts(ell, n, g_window, r_window)
@@ -328,8 +329,8 @@ class TestShellKernel:
     def test_multi_run_windows(self, monkeypatch, ell, n, p, beta, width):
         # Extreme p and beta: the tilted vectors span more than one run.
         runs = []
-        real = distill._runs
-        monkeypatch.setattr(distill, "_runs", lambda v: runs.append(real(v)) or runs[-1])
+        real = counting._runs
+        monkeypatch.setattr(counting, "_runs", lambda v: runs.append(real(v)) or runs[-1])
         self.check_against_exact(ell, n, typical_range(ell, gibbs_q(beta), width),
                                  typical_range(n, p, width))
         assert max(len(r) for r in runs) > 1
@@ -351,7 +352,7 @@ class TestCertifiedMargins:
         g_window, r_window = typical_range(ell, gibbs_q(beta), width), typical_range(n, p, width)
         shells = distill._Shells(ell, n, g_window, r_window, *distill._binomial_axis(n, r_window))
         m = data.draw(st.integers(0, int(shells.shells[0])))
-        margins, delta = shells.margins(m), distill._margin_bound(ell + max(n, m))
+        margins, delta = shells.margins(m), counting.margin_bound(ell + max(n, m))
         for i in data.draw(st.lists(st.integers(0, len(margins) - 1), min_size=1, max_size=6)):
             s = int(shells.shells[i])
             inputs = sum(math.comb(ell, g) * math.comb(n, s - g)
@@ -375,15 +376,15 @@ class TestCertifiedMargins:
             return math.prod(math.comb(*f) if isinstance(f, tuple) else f for f in fs)
 
         lhs, rhs = fold(lhs), fold(rhs)
-        assert distill._products_leq(lhs, rhs) == (value(lhs) <= value(rhs))
-        assert distill._products_leq(lhs + lhs, lhs + rhs) == (value(lhs) <= value(rhs))
+        assert counting.products_leq(lhs, rhs) == (value(lhs) <= value(rhs))
+        assert counting.products_leq(lhs + lhs, lhs + rhs) == (value(lhs) <= value(rhs))
 
     def test_zero_margins_go_to_exact_fallback(self, monkeypatch):
         # Full windows at m = 0: shell s holds exactly C(ell + n, s) strings
         # (Vandermonde), so every float margin is 0 up to rounding.
         ell, n = 30, 20
         shells = distill._Shells(ell, n, (0, ell), (0, n), *distill._binomial_axis(n, (0, n)))
-        assert np.all(np.abs(shells.margins(0)) < distill._margin_bound(ell + n))
+        assert np.all(np.abs(shells.margins(0)) < counting.margin_bound(ell + n))
         decided = []
         real = distill._Shells.fits
         monkeypatch.setattr(distill._Shells, "fits",
@@ -399,7 +400,7 @@ class TestCertifiedMargins:
         log_r, _ = distill._binomial_axis(n, (0, n))
         shells = distill._Shells(0, n, (0, 0), (0, n), log_r,
                                  lambda r: math.comb(n, r) + (r == r0))
-        assert abs(shells.margins(0)[r0]) < distill._margin_bound(n)
+        assert abs(shells.margins(0)[r0]) < counting.margin_bound(n)
         assert shells.violation(0)[0] == r0
 
     def test_records_certify_exactly_tight_types(self):
@@ -462,7 +463,7 @@ class TestBinomialLogPmf:
 class TestLogFactorial:
     @staticmethod
     def relative_errors(ks):
-        values = distill._log_factorial(np.asarray(ks))
+        values = counting.log_factorial(np.asarray(ks))
         with mpmath.workdps(40):
             return [abs((mpmath.mpf(float(v)) - mpmath.loggamma(k + 1)) / mpmath.loggamma(k + 1))
                     for k, v in zip(ks, values.tolist())]
@@ -470,31 +471,31 @@ class TestLogFactorial:
     def test_small_values_pinned_to_gammaln(self):
         # Bit for bit, so documents whose Birkhoff summary reads these
         # values load as they were written.
-        assert distill._log_factorial(np.arange(16)).tolist() == gammaln(np.arange(16) + 1).tolist()
+        assert counting.log_factorial(np.arange(16)).tolist() == gammaln(np.arange(16) + 1).tolist()
 
     def test_within_margin_bound_budget(self):
         # The margin bounds budget 2.5 eps relative error per log-factorial.
         rng = np.random.default_rng(20130)
         ks = [*range(2, 2001), *rng.integers(2001, 10**8, 3000).tolist(), 7_517_287]
-        assert max(self.relative_errors(ks)) <= 2.5 * distill._EPS
+        assert max(self.relative_errors(ks)) <= 2.5 * counting.EPS
 
     def test_table_and_direct_paths_agree(self):
         # Arrays below 2^16 read the table; larger ones evaluate directly.
         ks = np.arange(2 ** 16 + 1)
-        assert distill._log_factorial(ks)[:-1].tolist() == distill._log_factorial(ks[:-1]).tolist()
-        assert (distill._log_factorial(ks[16:])[:-1].tolist()
-                == distill._log_factorial(ks[16:-1]).tolist())
+        assert counting.log_factorial(ks)[:-1].tolist() == counting.log_factorial(ks[:-1]).tolist()
+        assert (counting.log_factorial(ks[16:])[:-1].tolist()
+                == counting.log_factorial(ks[16:-1]).tolist())
 
     def test_poles_and_empty(self):
         # Negative k reads +inf, as log-gamma's poles do, on both paths.
-        big = distill._log_factorial(np.array([-1, 2 ** 20, -5]))
+        big = counting.log_factorial(np.array([-1, 2 ** 20, -5]))
         assert big[[0, 2]].tolist() == [math.inf, math.inf] and math.isfinite(big[1])
-        assert distill._log_factorial(np.array([-1, 3])).tolist() == [math.inf, math.log(6)]
-        assert distill._log_factorial(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+        assert counting.log_factorial(np.array([-1, 3])).tolist() == [math.inf, math.log(6)]
+        assert counting.log_factorial(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
 
     @pytest.mark.filterwarnings("error")
     def test_stirlerr_does_not_overflow(self):
-        assert distill._stirlerr(np.array([1e155, 1e300])).tolist() == pytest.approx(
+        assert counting.stirlerr(np.array([1e155, 1e300])).tolist() == pytest.approx(
             [1 / 12e155, 1 / 12e300], rel=1e-15)
 
 
@@ -504,8 +505,8 @@ class TestLogSumExp:
         list(np.linspace(-700.0, 0.0, 1001)), list(np.linspace(-1400.0, -700.0, 513)),
         [-745.0, -740.0], [1e-300, 0.0]])
     def test_matches_scipy(self, logs):
-        assert distill._log_sum_exp(np.array(logs)) == pytest.approx(
-            float(logsumexp(logs)), rel=4 * distill._EPS, abs=0.0)
+        assert counting.log_sum_exp(np.array(logs)) == pytest.approx(
+            float(logsumexp(logs)), rel=4 * counting.EPS, abs=0.0)
 
 
 @pytest.mark.filterwarnings("error")

@@ -10,13 +10,8 @@ from hypothesis import strategies as st
 
 from athermal import distill, form
 from athermal.core import gibbs_weight
-from athermal.distill import (
-    _log_comb,
-    _margin_bound,
-    plan_distillation,
-    rate_limit,
-    solve_single_type,
-)
+from athermal.counting import log_comb, margin_bound
+from athermal.distill import plan_distillation, rate_limit, solve_single_type
 from athermal.form import (
     BirkhoffPartition,
     BirkhoffSpan,
@@ -39,7 +34,7 @@ def reference_pairs(n, ell, g_window, t_window):
     pair, one numpy pass per target type; a float tie keeps the smallest g."""
     (g_lo, g_hi), (t_lo, t_hi) = g_window, t_window
     gs = np.arange(g_lo, g_hi + 1)
-    log_g, log_t = _log_comb(ell, gs), _log_comb(n, np.arange(t_lo, t_hi + 1))
+    log_g, log_t = log_comb(ell, gs), log_comb(n, np.arange(t_lo, t_hi + 1))
     js = np.arange(g_lo - t_hi, g_hi - t_lo + 1)
     top = np.full(len(js), -np.inf)
     top_g = np.zeros(len(js), dtype=np.int64)
@@ -268,7 +263,7 @@ class TestCertifiedPairs:
         assume(g_window[1] - t_window[0] <= ell - n)
         pairs = form._Pairs(n, ell, g_window, t_window)
         m = data.draw(st.integers(max(0, n - ell, t_window[1] - g_window[0]), ell + n))
-        margins, delta = pairs.margins(m), _margin_bound(ell + max(n, m))
+        margins, delta = pairs.margins(m), margin_bound(ell + max(n, m))
         k = m + ell - n
         for i in data.draw(st.lists(st.integers(0, len(margins) - 1), min_size=1, max_size=6)):
             g, t = pairs.pair(i)
@@ -283,10 +278,10 @@ class TestCertifiedPairs:
         # comparison decides it.
         pairs = form._Pairs(2, 4, (2, 2), (1, 1))
         decided = []
-        real = form._products_leq
-        monkeypatch.setattr(form, "_products_leq",
+        real = form.products_leq
+        monkeypatch.setattr(form, "products_leq",
                             lambda lhs, rhs: decided.append((lhs, rhs)) or real(lhs, rhs))
-        assert abs(pairs.margins(1)[0]) < _margin_bound(4 + 2)
+        assert abs(pairs.margins(1)[0]) < margin_bound(4 + 2)
         assert pairs.violation(1)[0] is None
         assert decided == [([(4, 2)], [(3, 2), (2, 1)])]
         assert pairs.violation(0)[0] == (2, 1)
@@ -336,8 +331,8 @@ class TestIdentityScreen:
     def exact_calls(self, monkeypatch):
         calls = []
         for module in (form, distill):
-            real = module._products_leq
-            monkeypatch.setattr(module, "_products_leq", lambda lhs, rhs, real=real:
+            real = module.products_leq
+            monkeypatch.setattr(module, "products_leq", lambda lhs, rhs, real=real:
                                 calls.append((lhs, rhs)) or real(lhs, rhs))
         fits = distill._Shells.fits
         monkeypatch.setattr(distill._Shells, "fits",

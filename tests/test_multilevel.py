@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from athermal import multilevel
+from athermal import counting, multilevel
 from athermal.core import Hamiltonian, gibbs_state
 from athermal.distill import distill_feasible, solve_single_type
 from athermal.multilevel import (
@@ -19,10 +20,20 @@ from athermal.multilevel import (
     max_work,
     unitarity_condition,
 )
-from athermal.typeclass import TypeDescriptor, all_types, type_cardinality
 
 H3 = Hamiltonian((0.0, 1.0, 2.0))
 H2 = Hamiltonian.two_level()
+
+
+def multinomial(counts):
+    """Exact M(c) = (sum c)! / prod c_i!."""
+    return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
+
+
+def compositions(total, d):
+    """Every composition of total into d nonnegative parts (stars and bars)."""
+    for bars in itertools.combinations(range(total + d - 1), d - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, total + d - 1)))
 
 
 def fractions_over(counts, total):
@@ -64,9 +75,8 @@ class TestUnitarityCondition:
         holds, margin = unitarity_condition(f_rho, f_gam, shift, 6, 6)
         assert holds and margin >= 0.0
         # margin equals ln[M(joint)/(M_rho M_gam)] exactly
-        joint = type_cardinality(TypeDescriptor((6, 3, 3)))
-        sep = (type_cardinality(TypeDescriptor((2, 2, 2)))
-               * type_cardinality(TypeDescriptor((4, 1, 1))))
+        joint = multinomial((6, 3, 3))
+        sep = multinomial((2, 2, 2)) * multinomial((4, 1, 1))
         assert margin == pytest.approx(math.log(joint) - math.log(sep), abs=1e-12)
 
     def test_all_mass_to_one_level_fails(self):
@@ -101,9 +111,8 @@ class TestUnitarityCondition:
         f_gam = fractions_over((40, 15, 5), 60)
         shift = OccupationShift.from_deltas((6, -3, -3), 60)
         _, approx_margin = unitarity_condition(f_rho, f_gam, shift, 60, 60)
-        exact_margin = math.log(type_cardinality(TypeDescriptor((64, 38, 18)))) - math.log(
-            type_cardinality(TypeDescriptor((30, 20, 10)))
-            * type_cardinality(TypeDescriptor((40, 15, 5))))
+        exact_margin = math.log(multinomial((64, 38, 18))) - math.log(
+            multinomial((30, 20, 10)) * multinomial((40, 15, 5)))
         assert approx_margin == pytest.approx(exact_margin, rel=1e-9)
 
 
@@ -166,13 +175,12 @@ class TestMaxWork:
         work, deltas, margin, exact, _ = _search_best_shift(
             counts_rho, counts_bath, H3.energies)
         s = tuple(a + b for a, b in zip(counts_rho, counts_bath))
-        lhs = (type_cardinality(TypeDescriptor(counts_rho))
-               * type_cardinality(TypeDescriptor(counts_bath)))
+        lhs = multinomial(counts_rho) * multinomial(counts_bath)
         best = -1.0
         for n0 in range(9):
             for n1 in range(9 - n0):
                 nu = (n0, n1, 8 - n0 - n1)
-                if type_cardinality(TypeDescriptor(nu)) >= lhs:
+                if multinomial(nu) >= lhs:
                     w = sum((si - vi) * e for si, vi, e in zip(s, nu, H3.energies))
                     best = max(best, w)
         assert work == pytest.approx(best, abs=1e-12)
@@ -246,12 +254,11 @@ def reference_best_shift(counts_rho, counts_bath, energies):
     lexicographic maximum of (work, -deltas) over every output type nu with
     M(nu) >= M(counts_rho) M(counts_bath).  Returns (work, deltas)."""
     s_vec = tuple(r + b for r, b in zip(counts_rho, counts_bath))
-    lhs = (type_cardinality(TypeDescriptor(counts_rho))
-           * type_cardinality(TypeDescriptor(counts_bath)))
+    lhs = multinomial(counts_rho) * multinomial(counts_bath)
     best = None
-    for nu in all_types(sum(s_vec), len(energies)):
-        if type_cardinality(nu) >= lhs:
-            deltas = tuple(s - v for s, v in zip(s_vec, nu.counts))
+    for nu in compositions(sum(s_vec), len(energies)):
+        if multinomial(nu) >= lhs:
+            deltas = tuple(s - v for s, v in zip(s_vec, nu))
             key = (sum(d * e for d, e in zip(deltas, energies)), tuple(-d for d in deltas))
             if best is None or key > best:
                 best = key
@@ -288,10 +295,8 @@ class TestCertifiedSearch:
         nu = data.draw(composition(n + ell, d))
         test = multilevel._CountingTest(counts_rho, counts_bath)
         _, (margin,) = test.decide(np.array([nu]))
-        ref = exact_log_ratio(type_cardinality(TypeDescriptor(nu)),
-                              type_cardinality(TypeDescriptor(counts_rho))
-                              * type_cardinality(TypeDescriptor(counts_bath)))
-        assert abs(margin - ref) <= multilevel._margin_bound(n + ell, d) / 4
+        ref = exact_log_ratio(multinomial(nu), multinomial(counts_rho) * multinomial(counts_bath))
+        assert abs(margin - ref) <= counting.multinomial_margin_bound(n + ell, d) / 4
 
     @given(d=st.integers(2, 4), n=st.integers(1, 20), ell=st.integers(0, 20), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -311,8 +316,8 @@ class TestCertifiedSearch:
         # and is accepted only by the exact comparison.
         n, ell = 7, 5
         decided = []
-        real = multilevel._products_leq
-        monkeypatch.setattr(multilevel, "_products_leq",
+        real = multilevel.products_leq
+        monkeypatch.setattr(multilevel, "products_leq",
                             lambda lhs, rhs: decided.append(rhs) or real(lhs, rhs))
         work, deltas, margin, exhaustive, _ = multilevel._search_best_shift(
             (0, n), (ell, 0), H2.energies)

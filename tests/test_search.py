@@ -1,4 +1,4 @@
-"""The monotone search behind every planner's m: ``distill._search`` against
+"""The monotone search behind every planner's m: ``counting.search`` against
 plain bisection, on arbitrary predicates and margins and on whole plans."""
 
 import itertools
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from athermal import distill, form
+from athermal import counting, distill, form
 from athermal.cli import plan_to_dict
 from athermal.core import DensityMatrix
 
@@ -68,11 +68,11 @@ class TestSearch:
             probed.append(m)
             return inside(m), MARGINS[kind](m, edge, inside(m), data.draw)
 
-        assert distill._search(probe, lo, hi, largest) == reference_bisect(inside, lo, hi, largest)
+        assert counting.search(probe, lo, hi, largest) == reference_bisect(inside, lo, hi, largest)
         assert len(probed) <= probe_budget(lo, hi)
 
     def test_single_point_range_probes_nothing(self):
-        assert distill._search(lambda m: pytest.fail("probed"), 7, 7, largest=True) == 7
+        assert counting.search(lambda m: pytest.fail("probed"), 7, 7, largest=True) == 7
 
     @pytest.mark.parametrize("largest", [True, False])
     def test_steered_margins_fall_back_to_bisection(self, largest):
@@ -86,7 +86,7 @@ class TestSearch:
             inside = m <= edge if largest else m >= edge
             return inside, 1e-300 if inside else -1e300
 
-        assert distill._search(probe, lo, hi, largest) == edge
+        assert counting.search(probe, lo, hi, largest) == edge
         assert len(probed) <= probe_budget(lo, hi)
 
 
@@ -102,16 +102,18 @@ def grid_plans():
         yield json.dumps(plan_to_dict(form.plan_formation(n, p, beta, width)))
 
 
-def bisecting(probe, lo, hi, largest):
-    return reference_bisect(lambda m: probe(m)[0], lo, hi, largest)
-
-
 class TestPlans:
     def test_plans_equal_bisection_byte_for_byte(self, monkeypatch):
-        searched = list(grid_plans())
+        searched, bisected = list(grid_plans()), []
+
+        def bisecting(probe, lo, hi, largest):
+            bisected.append((lo, hi))
+            return reference_bisect(lambda m: probe(m)[0], lo, hi, largest)
+
         for module in (distill, form):
-            monkeypatch.setattr(module, "_search", bisecting)
+            monkeypatch.setattr(module, "search", bisecting)
         assert list(grid_plans()) == searched
+        assert bisected
 
     @pytest.mark.parametrize("plan, n", [(distill.plan_distillation, 10**5),
                                          (distill.plan_distillation, 5 * 10**4),
@@ -121,14 +123,14 @@ class TestPlans:
         # Bisection takes 18 to 22 probes per search at these plans.  No m
         # is evaluated twice: formation reuses its check at m = ell + n and
         # its last probe, m - 1, for the binding pair.
-        probed, evaluated, real = [], [], distill._search
+        probed, evaluated, real = [], [], counting.search
 
         def recording(probe, lo, hi, largest):
             probed.append([])
             return real(lambda m: probed[-1].append(m) or probe(m), lo, hi, largest)
 
         for module in (distill, form):
-            monkeypatch.setattr(module, "_search", recording)
+            monkeypatch.setattr(module, "search", recording)
         for cls in (distill._Shells, form._Pairs):
             monkeypatch.setattr(cls, "violation", lambda self, m, real=cls.violation:
                                 evaluated.append(m) or real(self, m))

@@ -95,6 +95,13 @@ class TestOracle:
         with pytest.raises(AssertionError):
             oracle_max_m(6, 2, 4, 3)
 
+    def test_popcounts_are_signed_string_weights(self):
+        # Signed, since the executors subtract m from sums of them.
+        for length in (0, 1, 9):
+            weights = simulate._popcounts(length)
+            assert weights.dtype == np.int64
+            assert weights.tolist() == [bin(x).count("1") for x in range(2 ** length)]
+
 
 class TestStringDistribution:
     def test_exact_normalization(self):

@@ -1,24 +1,33 @@
+"""The method of types as the planners use it: type cardinalities (the
+multinomials of ``multilevel``), typical count windows (``typeclass``), their
+binomial masses (``counting``), entropies and frequency vectors."""
+
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from athermal.typeclass import (
-    FrequencyVector,
-    TypeDescriptor,
-    all_types,
-    cardinality_bounds,
-    log_binomial,
-    log_type_cardinality,
-    shannon_entropy,
-    type_cardinality,
-    type_probability,
-    typical_mass,
-    typical_range,
-    typical_types,
+from athermal.counting import (
+    binomial_log_pmf,
+    binomial_outside_mass,
+    factor_value,
+    log_comb,
+    multinomial_margin_bound,
 )
+from athermal.multilevel import _as_counts, _compositions, _log_multinomials, _multinomial_factors
+from athermal.typeclass import FrequencyVector, apportion, shannon_entropy, typical_range
+
+
+def cardinality(counts):
+    """Exact M(counts), as the product of multilevel's binomial factors."""
+    return math.prod(map(factor_value, _multinomial_factors(counts)))
+
+
+def log_cardinality(counts):
+    return float(_log_multinomials(np.array(counts)))
 
 
 class TestTypeCardinality:
@@ -29,73 +38,77 @@ class TestTypeCardinality:
         ((0, 5), 1),
     ])
     def test_examples(self, counts, expected):
-        assert type_cardinality(TypeDescriptor(counts)) == expected
+        assert cardinality(counts) == expected
+        assert math.exp(log_cardinality(counts)) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("n,d", [(8, 2), (10, 3), (12, 2), (7, 4)])
     def test_multinomial_theorem(self, n, d):
-        # Cardinalities over all types of fixed n sum to d^n exactly.
-        total = sum(type_cardinality(t) for t in all_types(n, d))
-        assert total == d ** n
+        # The compositions of n are every type once, and their cardinalities
+        # sum to d^n exactly.
+        nus, log_m = _compositions(n, d)
+        assert len({tuple(nu) for nu in nus.tolist()}) == len(nus) == math.comb(n + d - 1, d - 1)
+        assert (nus.sum(axis=1) == n).all() and (nus >= 0).all()
+        assert sum(cardinality(nu) for nu in nus.tolist()) == d ** n
+        assert log_m.tolist() == _log_multinomials(nus).tolist()
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            TypeDescriptor((3, -1))
+            FrequencyVector((Fraction(3, 2), Fraction(-1, 2)))
 
 
 class TestLogCardinality:
     def test_small_exact(self):
-        assert log_type_cardinality(TypeDescriptor((2, 2))) == pytest.approx(
-            math.log(6), abs=1e-14)
-        assert log_type_cardinality(TypeDescriptor((0, 9))) == 0.0
+        assert log_cardinality((2, 2)) == pytest.approx(math.log(6), abs=1e-14)
+        assert log_cardinality((0, 9)) == 0.0
 
     def test_balanced_hundred(self):
-        t = TypeDescriptor((50, 50))
         exact = math.log(math.comb(100, 50))
-        assert log_type_cardinality(t) == pytest.approx(exact, abs=1e-12)
-        lower, upper = cardinality_bounds(t)
-        assert lower <= exact <= upper
-        assert upper == pytest.approx(100 * math.log(2) + math.log(100), abs=1e-12)
+        assert log_cardinality((50, 50)) == pytest.approx(exact, abs=1e-12)
+        assert float(log_comb(100, 50)) == pytest.approx(exact, abs=1e-12)
+        assert exact <= 100 * shannon_entropy((0.5, 0.5))
 
     def test_loggamma_matches_exact(self):
-        # The log-gamma route must stay within 1e-8 relative of the exact count.
-        t = TypeDescriptor((7000, 4000, 1000))
-        exact = math.log(type_cardinality(t))
-        approx = log_type_cardinality(t)
-        assert abs(approx - exact) / exact < 1e-8
+        # The log-gamma value stays within its share of the certified bound.
+        counts = (7000, 4000, 1000)
+        exact = math.log(cardinality(counts))
+        assert abs(log_cardinality(counts) - exact) <= multinomial_margin_bound(12000, 3) / 4
 
     @given(st.lists(st.integers(0, 40), min_size=2, max_size=4).filter(lambda c: sum(c) > 0))
     @settings(max_examples=80)
     def test_sandwich(self, counts):
-        t = TypeDescriptor(tuple(counts))
-        lower, upper = cardinality_bounds(t)
-        value = math.log(type_cardinality(t))
-        assert lower - 1e-9 <= value <= upper + 1e-9
+        # (n + 1)^-d e^(n H) <= M <= e^(n H) (Csiszar-Koerner, ch. 2).
+        n, d = sum(counts), len(counts)
+        value = math.log(cardinality(counts))
+        entropy = n * shannon_entropy([c / n for c in counts])
+        assert entropy - d * math.log(n + 1) - 1e-9 <= value <= entropy + 1e-9
+        assert abs(log_cardinality(counts) - value) <= multinomial_margin_bound(n, d) / 4
 
     def test_log_binomial_out_of_range(self):
-        assert log_binomial(5, 9) == -math.inf
+        assert log_comb(5, 9) == -math.inf
+        assert log_comb(5, -1) == -math.inf
 
 
 class TestTypicalTypes:
     def test_deterministic_source(self):
-        window = typical_types(4, (0.0, 1.0), width=3.0)
-        assert window == [TypeDescriptor((0, 4))]
+        assert typical_range(4, 1.0, 3.0) == (4, 4)
+        assert typical_range(4, 0.0, 3.0) == (0, 0)
 
     def test_symmetric_window(self):
         # n=100, p=1/2, width 3: counts within 30 of 50.
-        window = typical_types(100, (0.5, 0.5), width=3.0)
-        ones = sorted(t.counts[1] for t in window)
-        assert ones == list(range(20, 81))
         assert typical_range(100, 0.5, 3.0) == (20, 80)
 
     def test_window_nonempty_for_tiny_n(self):
-        assert typical_types(1, (0.5, 0.5), width=0.1)
+        lo, hi = typical_range(1, 0.5, 0.1)
+        assert 0 <= lo <= hi <= 1
 
     def test_three_level_window_simplex(self):
-        window = typical_types(12, (0.6, 0.3, 0.1), width=1.0)
-        assert window
-        for t in window:
-            assert t.total == 12
-            assert all(c >= 0 for c in t.counts)
+        # The apportioned type lies on the simplex and in every level's window.
+        freqs = (0.6, 0.3, 0.1)
+        counts = apportion(12, freqs)
+        assert sum(counts) == 12
+        for c, f in zip(counts, freqs):
+            lo, hi = typical_range(12, f, 1.0)
+            assert 0 <= lo <= c <= hi
 
     def test_half_integer_rounds_toward_mode(self):
         # n=2, f=0.25: the mean count 0.5 rounds to 0, the likelier count.
@@ -122,33 +135,23 @@ class TestTypicalTypes:
 
 class TestTypicalMass:
     def test_full_window_exact_one(self):
-        window = list(all_types(6, 2))
-        mass = typical_mass(6, (Fraction(1, 3), Fraction(2, 3)), window)
-        assert mass == Fraction(1)
+        assert binomial_outside_mass(6, 2 / 3, (0, 6)) == 0.0
 
     def test_deterministic_mass(self):
-        window = typical_types(25, (0.0, 1.0), width=1.0)
-        assert typical_mass(25, (Fraction(0), Fraction(1)), window) == Fraction(1)
+        assert binomial_outside_mass(25, 1.0, typical_range(25, 1.0, 1.0)) == 0.0
 
     def test_hoeffding_bound(self):
-        # Exact binomial tail mass against the Hoeffding guarantee.
-        for n, p, width in [(100, Fraction(1, 2), 3.0), (60, Fraction(1, 4), 2.0),
-                            (40, Fraction(3, 4), 1.5)]:
-            window = typical_types(n, (1 - p, p), width)
-            mass = typical_mass(n, (1 - p, p), window)
-            assert float(mass) >= 1 - 2 * math.exp(-2 * width ** 2)
+        # The window's binomial mass against the Hoeffding guarantee.
+        for n, p, width in [(100, 0.5, 3.0), (60, 0.25, 2.0), (40, 0.75, 1.5)]:
+            outside = binomial_outside_mass(n, p, typical_range(n, p, width))
+            assert outside <= 2 * math.exp(-2 * width ** 2)
 
     @given(width=st.floats(0.3, 4.0))
     @settings(max_examples=30)
     def test_window_monotone_in_width(self, width):
-        p = Fraction(2, 5)
-        narrow = typical_mass(30, (1 - p, p), typical_types(30, (1 - p, p), width))
-        wide = typical_mass(30, (1 - p, p), typical_types(30, (1 - p, p), width + 0.5))
-        assert wide >= narrow
-
-    def test_wrong_total_rejected(self):
-        with pytest.raises(ValueError):
-            typical_mass(5, (0.5, 0.5), [TypeDescriptor((2, 2))])
+        narrow = binomial_outside_mass(30, 0.4, typical_range(30, 0.4, width))
+        wide = binomial_outside_mass(30, 0.4, typical_range(30, 0.4, width + 0.5))
+        assert wide <= narrow
 
 
 class TestShannonEntropy:
@@ -177,16 +180,16 @@ class TestFrequencyVector:
             FrequencyVector((0.3, 0.6))
 
     def test_from_descriptor(self):
-        f = TypeDescriptor((3, 9)).frequencies()
-        assert f.freqs == (Fraction(1, 4), Fraction(3, 4))
+        # The exact frequencies of a type give back its counts.
+        f = FrequencyVector((Fraction(3, 12), Fraction(9, 12)))
         assert f.is_rational
+        assert _as_counts(12, f) == (3, 9)
 
 
 class TestTypeProbability:
     def test_exact_binomial(self):
-        t = TypeDescriptor((1, 1))
-        assert type_probability(t, (Fraction(1, 2), Fraction(1, 2))) == Fraction(1, 2)
+        # One string of each level in two draws at p = 1/2.
+        assert math.exp(binomial_log_pmf(2, 0.5, [1])[0]) == pytest.approx(0.5, rel=1e-15)
 
     def test_float_route(self):
-        t = TypeDescriptor((2, 2))
-        assert type_probability(t, (0.5, 0.5)) == pytest.approx(6 / 16, abs=1e-12)
+        assert math.exp(binomial_log_pmf(4, 0.5, [2])[0]) == pytest.approx(6 / 16, abs=1e-12)
