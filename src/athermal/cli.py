@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--sigma-p", type=float, default=1.0,
                         help="excited weight of the target state (default: pure excited)")
     p_rate.add_argument("--bits", action="store_true", help="also print bits")
-    common(p_rate)
+    p_rate.add_argument("--beta", type=float, default=1.0, help="inverse temperature (1/E0)")
     p_rate.set_defaults(func=cmd_rate)
 
     p_d = sub.add_parser("distill", help="construct a distillation plan")

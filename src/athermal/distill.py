@@ -287,20 +287,52 @@ def _solve_window(ell: int, n: int, g_window: tuple[int, int], r_window: tuple[i
 
     Joint unitarity needs one injection over ALL covered pairs at once, so
     every shell must fit (:class:`_Shells`); the feasible set is downward
-    closed in m, holds m = 0 (Vandermonde), and :func:`.counting.search`
-    finds its edge from the least shell margins.  Also returns the largest single pair
+    closed in m and holds m = 0 (Vandermonde, as R_r <= C(n, r)), so the
+    margins there, near ties at a small bath, only steer
+    :func:`.counting.search` to its edge.  Also returns the largest single pair
     of the binding shell, the lowest whose margin at m is within
     delta(N) of the least: margins tied exactly (each fully covered shell's
     at m = 0) then report one shell whatever their rounding.
     """
     shells = _Shells(ell, n, g_window, r_window, log_r, factor_r)
-    m = search(lambda m: ((v := shells.violation(m))[0] is None, v[1]),
+    m = search(lambda m: (True, float(shells.margins(0).min())) if m == 0
+               else ((v := shells.violation(m))[0] is None, v[1]),
                0, int(shells.shells[0]), largest=True)
     margins = shells.margins(m)       # the probe's, before identities read +inf
     s = int(shells.shells[np.argmax(margins <= margins.min() + margin_bound(ell + max(n, m)))])
     gs = np.arange(max(g_window[0], s - r_window[1]), min(g_window[1], s - r_window[0]) + 1)
     g = int(gs[np.argmax(shells.log_g[gs - g_window[0]] + log_r[s - gs - r_window[0]])])
     return m, (g, s - g)
+
+
+def _plan(n: int, p: float, beta: float, width: float, r_lim: float,
+          r_window: tuple[int, int],
+          axis: Callable[[tuple[int, int]], tuple[np.ndarray, Callable[[int], Factor]]],
+          failure: Callable[[float], float], coherent: bool = False) -> DistillationPlan:
+    """The plan with ell = ceil(max(R n, 0)^(3/2)) bath copies for a resource
+    whose string counts over a window are ``axis(window)``; ``failure``
+    joins the bath's outside mass with the resource's."""
+    q = gibbs_weight(beta)
+    no_resource = not coherent and abs(p - q) < 1e-12
+    ell = 0 if no_resource else math.ceil(max(r_lim * n, 0.0) ** 1.5)
+    g_window = typical_range(ell, q, width) if ell > 0 else (0, 0)
+    if no_resource:
+        m, (g, r) = 0, (g_window[0], r_window[0])
+    else:
+        m, (g, r) = _solve_window(ell, n, g_window, r_window, *axis(r_window))
+    return DistillationPlan(
+        n=n, ell=ell, m=m, k=ell + n - m, p=p, beta=beta, width=width,
+        failure_mass=failure(0.0 if ell == 0 else binomial_outside_mass(ell, q, g_window)),
+        achieved_rate=m / n,
+        epsilon=(n / ell) if ell > 0 else math.inf,
+        r_limit=r_lim,
+        worst_type=next(_records(ell, n, m, (g, g), (r, r), *axis((r, r)))),
+        no_resource=no_resource,
+        coherent=coherent,
+        gibbs_window=g_window,
+        resource_window=r_window,
+        num_composite_types=(g_window[1] - g_window[0] + 1) * (r_window[1] - r_window[0] + 1),
+    )
 
 
 def plan_distillation(n: int, p: float, beta: float, width: float = 3.0) -> DistillationPlan:
@@ -315,37 +347,10 @@ def plan_distillation(n: int, p: float, beta: float, width: float = 3.0) -> Dist
         raise ValueError("n must be at least 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    r_lim = rate_limit(p, beta)
-    q = gibbs_weight(beta)
-    no_resource = abs(p - q) < 1e-12
-
-    ell = 0 if no_resource else math.ceil((r_lim * n) ** 1.5)
-    g_window = typical_range(ell, q, width) if ell > 0 else (0, 0)
     r_window = typical_range(n, p, width)
-
-    num_types = (g_window[1] - g_window[0] + 1) * (r_window[1] - r_window[0] + 1)
-
-    if no_resource:
-        m, (g, r) = 0, (g_window[0], r_window[0])
-    else:
-        m, (g, r) = _solve_window(ell, n, g_window, r_window, *_binomial_axis(n, r_window))
-
-    bath_out = 0.0 if ell == 0 else binomial_outside_mass(ell, q, g_window)
     resource_out = binomial_outside_mass(n, p, r_window)
-    failure_mass = bath_out + resource_out - bath_out * resource_out
-
-    return DistillationPlan(
-        n=n, ell=ell, m=m, k=ell + n - m, p=p, beta=beta, width=width,
-        failure_mass=failure_mass,
-        achieved_rate=m / n,
-        epsilon=(n / ell) if ell > 0 else math.inf,
-        r_limit=r_lim,
-        worst_type=next(_records(ell, n, m, (g, g), (r, r), *_binomial_axis(n, (r, r)))),
-        no_resource=no_resource,
-        gibbs_window=g_window,
-        resource_window=r_window,
-        num_composite_types=num_types,
-    )
+    return _plan(n, p, beta, width, rate_limit(p, beta), r_window, partial(_binomial_axis, n),
+                 lambda bath_out: bath_out + resource_out - bath_out * resource_out)
 
 
 # ---------------------------------------------------------------------------
@@ -410,50 +415,19 @@ def plan_distillation_general(rho: DensityMatrix, n: int, beta: float, width: fl
     blocks = [BlockRecord(t, log_dim, log_dim if diagonal else min(log_dim, log_cap_total))
               for t, log_dim in enumerate(log_dims, e_window[0])]
 
-    energy_tail = binomial_outside_mass(n, a, e_window)
-    eig_tail = binomial_outside_mass(n, lam, eig_window)
-
     record = BlockDiagonalizationRecord(
-        mean_energy=a,
-        entropy=entropy,
-        eig_window=eig_window,
-        log_rank_cap_total=log_cap_total,
-        blocks=tuple(blocks),
-        energy_tail=energy_tail,
-        eig_tail=eig_tail,
-    )
+        mean_energy=a, entropy=entropy, eig_window=eig_window, log_rank_cap_total=log_cap_total,
+        blocks=tuple(blocks), energy_tail=binomial_outside_mass(n, a, e_window),
+        eig_tail=binomial_outside_mass(n, lam, eig_window))
 
     if diagonal:
         return plan_distillation(n, a, beta, width), record
 
     # Coherent case: per (bath type, energy block), the injection must
     # absorb C(ell, g) * rank_cap(t) strings into C(k, g + t - m).
-    q = gibbs_weight(beta)
     d_rho = -entropy + beta * a + math.log(1.0 + math.exp(-beta))
     d_one = beta + math.log(1.0 + math.exp(-beta))
-    r_lim = d_rho / d_one
-    ell = math.ceil(max(r_lim * n, 0.0) ** 1.5)
-    g_window = typical_range(ell, q, width) if ell > 0 else (0, 0)
-
-    # Joint feasibility: every total-energy shell s = g + t must absorb the
-    # summed string budgets of the covered (bath type, block) pairs.
-    m, (g_worst, t_worst) = _solve_window(ell, n, g_window, e_window,
-                                          *_cap_axis(n, record, e_window))
-
-    bath_out = 0.0 if ell == 0 else binomial_outside_mass(ell, q, g_window)
-    failure = min(1.0, bath_out + energy_tail + 2.0 * math.sqrt(eig_tail))
-
-    plan = DistillationPlan(
-        n=n, ell=ell, m=m, k=ell + n - m, p=a, beta=beta, width=width,
-        failure_mass=failure,
-        achieved_rate=m / n,
-        epsilon=(n / ell) if ell > 0 else math.inf,
-        r_limit=r_lim,
-        worst_type=next(_records(ell, n, m, (g_worst, g_worst), (t_worst, t_worst),
-                                 *_cap_axis(n, record, (t_worst, t_worst)))),
-        coherent=True,
-        gibbs_window=g_window,
-        resource_window=e_window,
-        num_composite_types=(g_window[1] - g_window[0] + 1) * len(blocks),
-    )
-    return plan, record
+    return _plan(n, a, beta, width, d_rho / d_one, e_window, partial(_cap_axis, n, record),
+                 lambda bath_out: min(1.0, bath_out + record.energy_tail
+                                      + 2.0 * math.sqrt(record.eig_tail)),
+                 coherent=True), record

@@ -34,6 +34,7 @@ from .distill import rate_limit
 from .typeclass import typical_range
 
 __all__ = [
+    "BIRKHOFF_TOLERANCE",
     "InfeasibleFormationError",
     "FormationRecord",
     "FormationPlan",
@@ -47,6 +48,10 @@ __all__ = [
     "gibbs_type_birkhoff",
     "target_birkhoff",
 ]
+
+
+# Largest deviation of the type-distribution stage's weights from the target's.
+BIRKHOFF_TOLERANCE = 1e-3
 
 
 class InfeasibleFormationError(RuntimeError):
@@ -449,8 +454,7 @@ def formation_record(n: int, ell: int, m: int, gibbs_ones: int,
                                    (target_ones, target_ones)))
 
 
-def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
-                   birkhoff_tolerance: float = 1e-3) -> FormationPlan:
+def plan_formation(n: int, p: float, beta: float, width: float = 3.0) -> FormationPlan:
     """Construct a formation plan with ell = ceil(m^(3/2)) Gibbs copies.
 
     The bath size depends on the solved m, so the pair (ell, m) is settled
@@ -475,7 +479,9 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
         failure_mass = binomial_outside_mass(n, p, t_window)
     else:
         m_prev = max(1, math.ceil(n * r_lim))
-        for iterations in range(1, 25):
+        # Near the Gibbs weight m_prev starts far below the m the windows
+        # need, and the bath-too-small branch takes O(log n) steps to reach it.
+        for iterations in range(1, 25 + n.bit_length()):
             ell = math.ceil(m_prev ** 1.5)
             g_window = typical_range(ell, q, width)
             try:
@@ -497,7 +503,7 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0,
     return FormationPlan(
         n=n, ell=ell, m=m, k=m + ell - n, p=p, beta=beta, width=width,
         register_bits=max(0, g_window[1] - g_window[0]).bit_length(),
-        birkhoff=target_birkhoff(n, p, q, t_window, birkhoff_tolerance),
+        birkhoff=target_birkhoff(n, p, q, t_window, BIRKHOFF_TOLERANCE),
         cost_rate=n / m if m else math.inf,
         work_per_copy=m / n,
         failure_mass=failure_mass,

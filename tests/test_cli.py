@@ -43,6 +43,12 @@ class TestRateCommand:
         assert main(["rate", "--p", "0.75", "--beta", "1.0",
                      "--sigma-p", repr(Q1)]) == 2
 
+    @pytest.mark.parametrize("flag", ["--width", "--output"])
+    def test_planner_options_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rate", "--p", "0.75", flag, "1"])
+        assert exc.value.code == 2 and flag in capsys.readouterr().err
+
     def test_bits_column_optional(self, capsys):
         assert main(["rate", "--p", "0.75", "--beta", "1.0", "--bits"]) == 0
         out = capsys.readouterr().out
@@ -332,6 +338,14 @@ class TestPlanCommands:
         doc = json.loads(out.read_text())
         assert doc["kind"] == "formation"
         assert doc["m"] + doc["ell"] == doc["n"] + doc["k"]
+
+    @pytest.mark.parametrize("argv", [
+        ["distill", "--n", "100", "--p", "0.04742587417856589", "--beta", "3"],
+        ["sweep", "--n-grid", "10,100", "--p", "0.04742587417856589", "--beta", "3"],
+        ["form", "--n", "100000", "--p", "0.27"]])
+    def test_near_gibbs_commands_succeed(self, argv, tmp_path, capsys):
+        assert main(argv + ["--output", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_form_degenerate_gibbs_weight(self, capsys):
         # At beta = 800 the Gibbs weight underflows to 0: no finite bath.

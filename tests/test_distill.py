@@ -136,6 +136,29 @@ class TestPlanDistillation:
         plan = plan_distillation(20, Q1, 1.0)
         assert plan.no_resource and plan.m == 0 and plan.achieved_rate == 0.0
 
+    @pytest.mark.parametrize("beta", [1.0, 3.0])
+    @pytest.mark.parametrize("offset", [-1e-9, -1e-10, -2e-12, 2e-12, 1e-10, 1e-9])
+    def test_rate_rounding_near_gibbs_plans_nothing(self, beta, offset):
+        # Within ~1e-9 of q the rate limit rounds to +-1e-17: a negative one
+        # takes no bath, as in the coherent planner, instead of (R n)^(3/2)
+        # turning complex.
+        plan = plan_distillation(100, gibbs_q(beta) + offset, beta)
+        assert plan.m == 0 and plan.ell <= 1 and not plan.no_resource
+
+    def test_near_gibbs_plans_certify_no_shell_exactly(self, monkeypatch):
+        # A small bath (114 at n = 1e5, 17 for the coherent plan) makes every
+        # shell a Vandermonde near-tie at m = 0; that m holds by Vandermonde
+        # and is not certified, so no shell needs exact integers.
+        def refuse(self, s, m):
+            raise AssertionError(f"exact fallback for shell {s} at m = {m}")
+
+        monkeypatch.setattr(distill._Shells, "fits", refuse)
+        plan = plan_distillation(10**5, 0.28, 1.0)
+        assert plan.m == 0 and plan.ell == 114
+        rho = DensityMatrix(np.array([[1 - Q1, 0.02], [0.02, Q1]]))
+        plan, _ = plan_distillation_general(rho, 10**4, 1.0)
+        assert plan.m == 0 and plan.ell == 17
+
     def test_pure_excited(self):
         plan = plan_distillation(50, 1.0, 1.0)
         assert plan.m >= 1

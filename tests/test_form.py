@@ -173,6 +173,15 @@ class TestPlanFormation:
             assert rec.log_gibbs_cardinality == rec.log_output_cardinality == pytest.approx(
                 math.log(math.comb(12, rec.target_ones)), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    @pytest.mark.parametrize("p", [0.269, 0.27])
+    def test_near_gibbs_fixed_point_settles(self, n, p):
+        # m_prev starts at 1 here and the bath-too-small branch grows it by
+        # 1.3x per step: 24 steps were too few from n = 1e5 on.
+        plan = plan_formation(n, p, 1.0)
+        assert 24 < plan.fixed_point_iterations < 24 + n.bit_length()
+        assert plan.m + plan.ell == plan.n + plan.k
+
     def test_reverse_conservation_of_dimension(self):
         plan = plan_formation(20, 0.75, 1.0, width=1.5)
         assert plan.m + plan.ell == plan.n + plan.k
