@@ -93,7 +93,7 @@ _BIRKHOFF_SUMMARY = ("ell", "tolerance", "max_deviation", "within_tolerance", "g
 
 
 def _to_json(value):
-    """A plan field as JSON: records as lists of their fields, the Birkhoff
+    """A plan or report field as JSON: records as lists of their fields, the Birkhoff
     partition as its summary, tuples as lists, infinities as null."""
     if isinstance(value, BirkhoffPartition):
         return {name: getattr(value, name) for name in _BIRKHOFF_SUMMARY}
@@ -104,10 +104,16 @@ def _to_json(value):
     return None if isinstance(value, float) and math.isinf(value) else value
 
 
+def _document(obj, **extra) -> dict:
+    """Every field of a plan or report dataclass as JSON, the schema version
+    and ``extra``."""
+    doc = {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
+    return {**doc, "schema_version": SCHEMA_VERSION, **extra}
+
+
 def plan_to_dict(plan: DistillationPlan | FormationPlan) -> dict:
     kind = "distillation" if isinstance(plan, DistillationPlan) else "formation"
-    doc = {f.name: _to_json(getattr(plan, f.name)) for f in fields(plan)}
-    return {**doc, "schema_version": SCHEMA_VERSION, "kind": kind, "units": _UNITS[kind]}
+    return _document(plan, kind=kind, units=_UNITS[kind])
 
 
 def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
@@ -173,13 +179,16 @@ def read_string_distribution_csv(path: str) -> StringDistribution:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _emit(payload: str, path: str | None) -> None:
-    """Write a command's payload to ``path``, or to stdout without one."""
+def _emit(payload: str, path: str | None, summary: str | None = None) -> None:
+    """Write a command's document to ``path``, or to stdout without one; the
+    summary line then goes to stderr, so that stdout parses on its own."""
     if path:
         with open(path, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
+    if summary is not None:
+        print(summary, file=sys.stdout if path else sys.stderr)
 
 
 def cmd_rate(args) -> int:
@@ -204,16 +213,16 @@ def cmd_rate(args) -> int:
 
 def cmd_distill(args) -> int:
     plan = plan_distillation(args.n, args.p, args.beta, args.width)
-    _emit(dumps_report(plan_to_dict(plan)), args.output)
-    print(f"summary n={plan.n} ell={plan.ell} m={plan.m} rate={plan.achieved_rate!r} "
+    _emit(dumps_report(plan_to_dict(plan)), args.output,
+          f"summary n={plan.n} ell={plan.ell} m={plan.m} rate={plan.achieved_rate!r} "
           f"r_limit={plan.r_limit!r} failure_mass={plan.failure_mass!r}")
     return 0
 
 
 def cmd_form(args) -> int:
     plan = plan_formation(args.n, args.p, args.beta, args.width)
-    _emit(dumps_report(plan_to_dict(plan)), args.output)
-    print(f"summary n={plan.n} ell={plan.ell} m={plan.m} "
+    _emit(dumps_report(plan_to_dict(plan)), args.output,
+          f"summary n={plan.n} ell={plan.ell} m={plan.m} "
           f"work_per_copy={plan.work_per_copy!r} cost_rate={plan.cost_rate!r} "
           f"failure_mass={plan.failure_mass!r}")
     return 0
@@ -232,8 +241,8 @@ def sweep_rows(p: float, beta: float, n_grid, width: float) -> list[str]:
 def cmd_sweep(args) -> int:
     n_grid = [int(x) for x in args.n_grid.split(",")]
     rows = sweep_rows(args.p, args.beta, n_grid, args.width)
-    _emit("\n".join(rows) + "\n", args.output)
-    print(f"sweep schema_version={SCHEMA_VERSION} rows={len(rows) - 1} "
+    _emit("\n".join(rows) + "\n", args.output,
+          f"sweep schema_version={SCHEMA_VERSION} rows={len(rows) - 1} "
           f"units=rate:dimensionless,deficit:dimensionless")
     return 0
 
@@ -245,6 +254,8 @@ def cmd_simulate(args) -> int:
         "plan": {"n": plan.n, "ell": plan.ell, "m": plan.m, "k": plan.k},
         "units": {"work_trace_distance": "dimensionless"},
     }
+    # The classical input's qubit cap fails here, before any quantum work.
+    dist = thermal_input_distribution(plan)
     if plan.ell + plan.n <= args.max_qubits:
         channel = execute_plan_quantum(plan, max_qubits=args.max_qubits)
         report["quantum"] = {
@@ -253,7 +264,7 @@ def cmd_simulate(args) -> int:
             "work_trace_distance": channel.work_trace_distance,
             "failure_mass": channel.failure_mass,
         }
-    execution = execute_plan_classical(plan, thermal_input_distribution(plan))
+    execution = execute_plan_classical(plan, dist)
     success = execution.work_marginal.get((1,) * plan.m, 0)
     report["classical"] = {
         "work_register_success": float(success),
@@ -266,18 +277,8 @@ def cmd_simulate(args) -> int:
 def cmd_exhaust(args) -> int:
     plan = plan_distillation(args.n, args.p, args.beta, args.width)
     report = exhaust_analysis(plan, block_size=args.block_size)
-    _emit(dumps_report({
-        "schema_version": SCHEMA_VERSION,
-        "block_size": report.block_size,
-        "num_blocks": report.num_blocks,
-        "rel_entropies": list(report.rel_entropies),
-        "pinsker_bounds": list(report.pinsker_bounds),
-        "measured_trace_distances": list(report.measured_trace_distances),
-        "total_rel_entropy": report.total_rel_entropy,
-        "per_system_rel_entropy": report.per_system_rel_entropy,
-        "subadditivity_holds": report.subadditivity_holds,
-        "units": {"rel_entropies": "nats", "trace_distances": "dimensionless"},
-    }), args.output)
+    units = {"rel_entropies": "nats", "trace_distances": "dimensionless"}
+    _emit(dumps_report(_document(report, units=units)), args.output)
     return 0
 
 
@@ -294,10 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def planner(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--p", type=float, required=True)
         p.add_argument("--beta", type=float, default=1.0, help="inverse temperature (1/E0)")
         p.add_argument("--width", type=float, default=3.0, help="typicality window width")
-        p.add_argument("--output", type=str, default=None, help="output path")
+        p.add_argument("--output", type=str, default=None, help="output path (default: stdout)")
+        p.set_defaults(func=func)
+        return p
 
     p_rate = sub.add_parser("rate", help="interconversion rate by both routes")
     p_rate.add_argument("--p", type=float, required=True)
@@ -307,37 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--beta", type=float, default=1.0, help="inverse temperature (1/E0)")
     p_rate.set_defaults(func=cmd_rate)
 
-    p_d = sub.add_parser("distill", help="construct a distillation plan")
-    p_d.add_argument("--n", type=int, required=True)
-    p_d.add_argument("--p", type=float, required=True)
-    common(p_d)
-    p_d.set_defaults(func=cmd_distill)
-
-    p_f = sub.add_parser("form", help="construct a formation plan")
-    p_f.add_argument("--n", type=int, required=True)
-    p_f.add_argument("--p", type=float, required=True)
-    common(p_f)
-    p_f.set_defaults(func=cmd_form)
-
-    p_s = sub.add_parser("sweep", help="rate-convergence CSV over an n grid")
-    p_s.add_argument("--n-grid", type=str, required=True, help="comma-separated n values")
-    p_s.add_argument("--p", type=float, required=True)
-    common(p_s)
-    p_s.set_defaults(func=cmd_sweep)
-
-    p_sim = sub.add_parser("simulate", help="execute a small plan exactly")
+    planner("distill", cmd_distill, "construct a distillation plan").add_argument(
+        "--n", type=int, required=True)
+    planner("form", cmd_form, "construct a formation plan").add_argument(
+        "--n", type=int, required=True)
+    planner("sweep", cmd_sweep, "rate-convergence CSV over an n grid").add_argument(
+        "--n-grid", type=str, required=True, help="comma-separated n values")
+    p_sim = planner("simulate", cmd_simulate, "execute a small plan exactly")
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--p", type=float, required=True)
     p_sim.add_argument("--max-qubits", type=int, default=14)
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_ex = sub.add_parser("exhaust", help="exhaust-state structure report")
+    p_ex = planner("exhaust", cmd_exhaust, "exhaust-state structure report")
     p_ex.add_argument("--n", type=int, required=True)
-    p_ex.add_argument("--p", type=float, required=True)
     p_ex.add_argument("--block-size", type=int, default=1)
-    common(p_ex)
-    p_ex.set_defaults(func=cmd_exhaust)
 
     p_fr = sub.add_parser("frame", help="reference-frame shift overlap")
     p_fr.add_argument("--N", type=int, required=True)

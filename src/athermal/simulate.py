@@ -20,7 +20,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import DensityMatrix
 from .distill import DistillationPlan
 from .form import FormationPlan, formation_feasible
 
@@ -478,7 +477,6 @@ class ExhaustReport:
 
     block_size: int
     num_blocks: int
-    reduced_states: tuple[DensityMatrix, ...]
     rel_entropies: tuple[float, ...]
     pinsker_bounds: tuple[float, ...]
     measured_trace_distances: tuple[float, ...]
@@ -520,12 +518,11 @@ def exhaust_analysis(plan: DistillationPlan, block_size: int = 1,
     exhaust = StringDistribution(plan.k, weights=output.marginal_weights(range(plan.k)),
                                  denominator=output.denominator)
     num_blocks = plan.k // block_size
-    states, rel_ents, pinskers, distances = [], [], [], []
+    rel_ents, pinskers, distances = [], [], []
     for b in range(num_blocks):
         vec = exhaust.float_marginal(range(b * block_size, (b + 1) * block_size))
         gamma_block = _bernoulli_weights(q, block_size)[0][_popcounts(block_size)]
         d_block = _classical_rel_entropy(vec, q)
-        states.append(DensityMatrix.diagonal(vec / vec.sum()))
         rel_ents.append(d_block)
         pinskers.append(math.sqrt(2.0 * d_block))
         distances.append(0.5 * float(np.abs(vec - gamma_block).sum()))
@@ -534,7 +531,6 @@ def exhaust_analysis(plan: DistillationPlan, block_size: int = 1,
     return ExhaustReport(
         block_size=block_size,
         num_blocks=num_blocks,
-        reduced_states=tuple(states),
         rel_entropies=tuple(rel_ents),
         pinsker_bounds=tuple(pinskers),
         measured_trace_distances=tuple(distances),

@@ -71,7 +71,10 @@ def _window_center(n: int, f: float) -> int:
 
 def typical_range(n: int, f: float, width: float) -> tuple[int, int]:
     """Inclusive count window [center - w sqrt(n), center + w sqrt(n)] clipped
-    to [0, n]; deterministic levels (f in {0, 1}) pin their exact count."""
+    to [0, n]; deterministic levels (f in {0, 1}) pin their exact count.
+    The width must be finite and nonnegative (ValueError otherwise)."""
+    if not 0.0 <= width < math.inf:
+        raise ValueError(f"window width must be finite and nonnegative, got {width}")
     if f <= 0.0:
         return 0, 0
     if f >= 1.0:

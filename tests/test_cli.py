@@ -1,6 +1,8 @@
+import csv
+import io
 import json
 import math
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from athermal.cli import (
 )
 from athermal.distill import plan_distillation
 from athermal.form import FormationPlan, plan_formation
-from athermal.simulate import thermal_input_distribution
+from athermal.simulate import ExhaustReport, thermal_input_distribution
 
 Q1 = math.exp(-1) / (1 + math.exp(-1))
 
@@ -289,6 +291,15 @@ class TestSimulateCommand:
         assert doc["quantum"]["commutator_nonzeros"] == 0
         assert doc["quantum"]["work_trace_distance"] <= doc["quantum"]["failure_mass"] + 1e-12
 
+    def test_classical_cap_fails_before_quantum_work(self, monkeypatch, capsys):
+        # 21 qubits: under --max-qubits 24, but over the classical input's 20.
+        def refuse(*args, **kwargs):
+            raise AssertionError("quantum execution ran")
+        monkeypatch.setattr("athermal.cli.execute_plan_quantum", refuse)
+        assert main(["simulate", "--n", "7", "--p", "0.95", "--width", "0.75",
+                     "--max-qubits", "24"]) == 2
+        assert "capped at 20 qubits" in capsys.readouterr().err
+
 
 class TestExhaustCommand:
     def test_pinsker_columnwise(self, tmp_path):
@@ -306,6 +317,12 @@ class TestExhaustCommand:
                      "--block-size", block_size, "--output", str(out)]) == 2
         assert "block size" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_report_is_every_field(self, tmp_path):
+        out = tmp_path / "exhaust.json"
+        assert main(["exhaust", "--n", "3", "--p", "0.95", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert set(doc) == {f.name for f in fields(ExhaustReport)} | {"schema_version", "units"}
 
 
 class TestFrameCommand:
@@ -346,6 +363,34 @@ class TestPlanCommands:
     def test_near_gibbs_commands_succeed(self, argv, tmp_path, capsys):
         assert main(argv + ["--output", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv,parse,summary", [
+        (["distill", "--n", "20"], json.loads, "summary n=20 "),
+        (["form", "--n", "20"], json.loads, "summary n=20 "),
+        (["sweep", "--n-grid", "10,100"], lambda text: list(csv.reader(io.StringIO(text))),
+         "sweep schema_version=5 rows=2 "),
+    ], ids=["distill", "form", "sweep"])
+    def test_stdout_holds_the_document_alone(self, argv, parse, summary, tmp_path, capsys):
+        # Without --output the summary goes to stderr, so stdout parses and
+        # equals the file --output writes, where the summary is on stdout.
+        argv = argv + ["--p", "0.75"]
+        assert main(argv) == 0
+        piped = capsys.readouterr()
+        assert main(argv + ["--output", str(tmp_path / "doc")]) == 0
+        beside_file = capsys.readouterr()
+        assert piped.out == (tmp_path / "doc").read_text()
+        assert parse(piped.out)
+        assert piped.err == beside_file.out and piped.err.startswith(summary)
+        assert piped.err.count("\n") == 1 and beside_file.err == ""
+
+    @pytest.mark.parametrize("width", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["distill", "--n", "20"], ["form", "--n", "20"], ["sweep", "--n-grid", "20"],
+        ["simulate", "--n", "3"], ["exhaust", "--n", "3"]], ids=lambda argv: argv[0])
+    def test_bad_width_is_domain_error(self, argv, width, capsys):
+        assert main(argv + ["--p", "0.75", f"--width={width}"]) == 2
+        captured = capsys.readouterr()
+        assert "width" in captured.err and captured.out == ""
 
     def test_form_degenerate_gibbs_weight(self, capsys):
         # At beta = 800 the Gibbs weight underflows to 0: no finite bath.

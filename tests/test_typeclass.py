@@ -132,6 +132,16 @@ class TestTypicalTypes:
                 checked += 1
         assert checked > 40_000
 
+    @pytest.mark.parametrize("width", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("f", [0.0, 0.3, 1.0])
+    def test_bad_width_rejected(self, width, f):
+        # A negative width would collapse every window to its centre.
+        with pytest.raises(ValueError, match="width"):
+            typical_range(10, f, width)
+
+    def test_zero_width_is_the_centre(self):
+        assert typical_range(10, 0.3, 0.0) == (3, 3)
+
 
 class TestTypicalMass:
     def test_full_window_exact_one(self):
