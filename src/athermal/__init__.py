@@ -16,7 +16,6 @@ from .core import (
     gibbs_state,
     interconversion_rate,
     relative_entropy,
-    reversed_monotone,
     trace_distance,
     von_neumann_entropy,
 )

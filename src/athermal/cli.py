@@ -43,6 +43,7 @@ from .form import (
     target_birkhoff,
 )
 from .simulate import (
+    INPUT_MAX_QUBITS,
     StringDistribution,
     execute_plan_classical,
     execute_plan_quantum,
@@ -248,13 +249,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.max_qubits > INPUT_MAX_QUBITS:
+        raise ValueError(f"--max-qubits {args.max_qubits} cannot take effect: the classical "
+                         f"input is capped at {INPUT_MAX_QUBITS} qubits")
     plan = plan_distillation(args.n, args.p, args.beta, args.width)
     report = {
         "schema_version": SCHEMA_VERSION,
         "plan": {"n": plan.n, "ell": plan.ell, "m": plan.m, "k": plan.k},
         "units": {"work_trace_distance": "dimensionless"},
     }
-    # The classical input's qubit cap fails here, before any quantum work.
     dist = thermal_input_distribution(plan)
     if plan.ell + plan.n <= args.max_qubits:
         channel = execute_plan_quantum(plan, max_qubits=args.max_qubits)

@@ -191,6 +191,8 @@ def binomial_outside_mass(n: int, p: float, window: tuple[int, int]) -> float:
 # Largest spread, in nats, of one run of a tilted log vector: the product of
 # two run-relative exponentials stays above exp(-600), inside double range.
 _RUN_SPAN = 300.0
+# Longest piece of a run that the pruning test of shell_log_sums bounds as one.
+_RUN_LENGTH = 1024
 
 
 def _runs(v: np.ndarray) -> list[tuple[int, int, float, np.ndarray]]:
@@ -206,6 +208,25 @@ def _runs(v: np.ndarray) -> list[tuple[int, int, float, np.ndarray]]:
     return runs
 
 
+def _kept_pairs(va: np.ndarray, vb: np.ndarray, bounds_a: np.ndarray, bounds_b: np.ndarray,
+                slack: float) -> np.ndarray:
+    """Which piece pairs may hold eps/4K of a shell they reach, K pairs in
+    all (the test is derived in :func:`margin_bound`).  A pair is bounded
+    by top_a + top_b + ln(overlap), a shell by the max-plus path, which
+    takes the larger next step of either vector (b's l-th after l of its
+    own and every a step at least as large): a term of every shell, its
+    largest when both are concave."""
+    at = np.arange(len(vb) - 1) + np.searchsorted(-np.diff(va), -np.diff(vb), side="right")
+    j = np.concatenate(([0], np.cumsum(np.bincount(at, minlength=len(va) + len(vb) - 2))))
+    path = va[np.arange(len(j)) - j] + vb[j]
+    sa, ea, sb, eb = bounds_a[:-1], bounds_a[1:], bounds_b[:-1], bounds_b[1:]
+    ends = np.stack(np.broadcast_arrays(sa[:, None] + sb, ea[:, None] + eb - 1), axis=-1)
+    floor = np.minimum.reduceat(np.append(path, np.inf), ends.ravel())[::2]
+    top = (np.maximum.reduceat(va, sa)[:, None] + np.maximum.reduceat(vb, sb)
+           + np.log(np.minimum((ea - sa)[:, None], eb - sb)))
+    return top >= floor.reshape(top.shape) + (math.log(EPS / 4 / top.size) - slack)
+
+
 def shell_log_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """ln sum_{i+j=s} exp(a_i + b_j) for every shell s = 0 .. len(a)+len(b)-2.
 
@@ -213,17 +234,34 @@ def shell_log_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     linear space and suffers no cancellation.  Both vectors are shifted to
     their peaks and tilted by one common slope theta (the mean slope of the
     longer one; shell s picks up e^(theta s), removed at the end), then cut
-    into runs of at most _RUN_SPAN nats.  Each pair of runs is convolved
-    from run-relative exponentials and log-added into its shell slice.
+    into runs of at most _RUN_SPAN nats and pieces of at most _RUN_LENGTH
+    entries.  Piece pairs certified below eps/4 of their shells are
+    skipped (:func:`_kept_pairs`).  Of each pair of runs, the span of its
+    kept pieces is convolved from run-relative exponentials as one block
+    (the whole runs where nothing is skipped) and log-added into its slice.
     """
     longer = a if len(a) >= len(b) else b
     theta = (longer[0] - longer[-1]) / (len(longer) - 1) if len(longer) > 1 else 0.0
-    b_runs = _runs((b - b.max()) + theta * np.arange(len(b)))
+    va, vb = ((x - x.max()) + theta * np.arange(len(x)) for x in (a, b))
+    runs_a, runs_b = _runs(va), _runs(vb)
+    bounds_a, bounds_b = (np.append([i for r in runs for i in range(r[0], r[1], _RUN_LENGTH)],
+                                    runs[-1][1]) for runs in (runs_a, runs_b))     # piece starts, end
+    kept = np.ones((len(bounds_a) - 1, len(bounds_b) - 1), bool)
+    if len(a) * len(b) > _RUN_LENGTH ** 2:      # a smaller window cannot repay the test
+        slack = 8 * EPS * (float(np.ptp(a) + np.ptp(b)) + abs(theta) * (len(a) + len(b)) + 32)
+        kept = _kept_pairs(va, vb, bounds_a, bounds_b, slack)
     out = np.full(len(a) + len(b) - 1, -np.inf)
-    for a0, a1, a_top, a_exp in _runs((a - a.max()) + theta * np.arange(len(a))):
-        for b0, b1, b_top, b_exp in b_runs:
-            seg = out[a0 + b0:a1 + b1 - 1]
-            np.logaddexp(seg, np.log(np.convolve(a_exp, b_exp)) + (a_top + b_top), out=seg)
+    for a0, a1, a_top, a_exp in runs_a:
+        p0, p1 = np.searchsorted(bounds_a, (a0, a1))
+        for b0, b1, b_top, b_exp in runs_b:
+            q0, q1 = np.searchsorted(bounds_b, (b0, b1))
+            rows, cols = (np.flatnonzero(kept[p0:p1, q0:q1].any(axis=k)) for k in (1, 0))
+            if rows.size:
+                i0, i1 = bounds_a[p0 + rows[0]], bounds_a[p0 + rows[-1] + 1]
+                j0, j1 = bounds_b[q0 + cols[0]], bounds_b[q0 + cols[-1] + 1]
+                seg = out[i0 + j0:i1 + j1 - 1]
+                conv = np.convolve(a_exp[i0 - a0:i1 - a0], b_exp[j0 - b0:j1 - b0])
+                np.logaddexp(seg, np.log(conv) + (a_top + b_top), out=seg)
     return (out - theta * np.arange(len(out))) + (a.max() + b.max())
 
 
@@ -248,10 +286,20 @@ def margin_bound(big: int) -> float:
     - A shell sum (:func:`shell_log_sums`) shifts, tilts and untilts values
       of size <= 2N ln 2 and convolves <= N + 1 positive products (relative
       error <= (N + 2) eps); a coherent rank cap adds a log-sum of <= n + 1
-      terms.  In all <= eps (6N + 8).
+      terms.  The run pairs it skips hold < eps/4 of every shell they reach
+      (below).  In all <= eps (6N + 8.25).
     - The final difference rounds once; |margin| <= 2N: <= eps N.
 
-    The total, eps (12 N ln N + 9N + 49), stays below delta(N).
+    The total, eps (12 N ln N + 9N + 49.25), stays below delta(N).
+
+    Skipped pairs: of K piece pairs, one is skipped when top_a + top_b +
+    ln(overlap) lies below the least max-plus path term of its shells plus
+    ln(eps/4K), less the slack 8 eps (V + 32).  A path term is a term of
+    its shell, so the skipped pairs hold < eps/4 of it.  With u = eps/2,
+    V_x = spread(x) + |theta| len(x) and V = V_a + V_b, a tilted value
+    errs by <= 2u V_x (1 + u): the two tops by <= eps V, the path term (one
+    more sum) by <= 1.5 eps V, and the test's sums, of size <= V + 80, by
+    <= eps (1.5 V + 110).  In all < 8 eps (V + 32).
     """
     return 16.0 * EPS * (big * math.log(big) + big + 4)
 

@@ -30,6 +30,7 @@ __all__ = [
     "ChannelReport",
     "WorkBalanceError",
     "UnsupportedSizeError",
+    "INPUT_MAX_QUBITS",
     "oracle_max_m",
     "thermal_input_distribution",
     "formation_input_distribution",
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 Bits = tuple[int, ...]
+INPUT_MAX_QUBITS = 20
 
 
 class UnsupportedSizeError(ValueError):
@@ -202,7 +204,7 @@ def _bernoulli_weights(x: Fraction | float, length: int) -> tuple[np.ndarray, in
 
 
 def thermal_input_distribution(plan: DistillationPlan, rational: bool = True,
-                               max_qubits: int = 20) -> StringDistribution:
+                               max_qubits: int = INPUT_MAX_QUBITS) -> StringDistribution:
     """gamma^(ell) (x) rho^(n) as an explicit string distribution.
 
     In rational mode the weights q = a/A and p = b/B are replaced by nearby
@@ -221,7 +223,7 @@ def thermal_input_distribution(plan: DistillationPlan, rational: bool = True,
 
 
 def formation_input_distribution(plan: FormationPlan, rational: bool = True,
-                                 max_qubits: int = 20) -> StringDistribution:
+                                 max_qubits: int = INPUT_MAX_QUBITS) -> StringDistribution:
     """gamma^(ell) (x) |1><1|^(m) as an explicit string distribution."""
     total = plan.ell + plan.m
     if total > max_qubits:

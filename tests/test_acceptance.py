@@ -18,8 +18,6 @@ from athermal.core import (
     DensityMatrix,
     Hamiltonian,
     binary_entropy,
-    continuity_bound_check,
-    continuity_constant,
     gibbs_state,
     relative_entropy,
 )
@@ -32,6 +30,7 @@ from athermal.simulate import (
     oracle_max_m,
 )
 from conftest import random_density, random_hamiltonian
+from continuity_reference import continuity_bound_check, continuity_constant
 
 
 def verdict(index: int, passed: bool, detail: str) -> None:

@@ -300,6 +300,20 @@ class TestSimulateCommand:
                      "--max-qubits", "24"]) == 2
         assert "capped at 20 qubits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_qubits", ["21", "24"])
+    def test_max_qubits_above_input_cap_refused(self, monkeypatch, capsys, max_qubits):
+        # n = 2 fits every cap; the option alone is refused, before any planning.
+        def refuse(*args, **kwargs):
+            raise AssertionError("planning ran")
+        monkeypatch.setattr("athermal.cli.plan_distillation", refuse)
+        assert main(["simulate", "--n", "2", "--p", "1.0", "--max-qubits", max_qubits]) == 2
+        err = capsys.readouterr().err
+        assert f"--max-qubits {max_qubits}" in err and "capped at 20 qubits" in err
+
+    def test_max_qubits_at_input_cap_runs(self, capsys):
+        assert main(["simulate", "--n", "2", "--p", "1.0", "--max-qubits", "20"]) == 0
+        assert json.loads(capsys.readouterr().out)["quantum"]["commutator_nonzeros"] == 0
+
 
 class TestExhaustCommand:
     def test_pinsker_columnwise(self, tmp_path):

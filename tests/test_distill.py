@@ -324,6 +324,32 @@ class TestPlanDistillation:
         assert deficits[0] > deficits[1] > deficits[2]
 
 
+def reference_runs(v):
+    """Contiguous runs of v spanning <= 300 nats, as (start, stop, top, exp(v - top))."""
+    runs, start = [], 0
+    while start < len(v):
+        spread = np.maximum.accumulate(v[start:]) - np.minimum.accumulate(v[start:])
+        stop = start + int(np.searchsorted(spread, 300.0, side="right"))
+        top = v[start:stop].max()
+        runs.append((start, stop, top, np.exp(v[start:stop] - top)))
+        start = stop
+    return runs
+
+
+def reference_shell_log_sums(a, b):
+    """The shell log-sums without pruning: both vectors tilted by one slope,
+    cut into runs of <= 300 nats, and every pair of runs convolved."""
+    longer = a if len(a) >= len(b) else b
+    theta = (longer[0] - longer[-1]) / (len(longer) - 1) if len(longer) > 1 else 0.0
+    b_runs = reference_runs((b - b.max()) + theta * np.arange(len(b)))
+    out = np.full(len(a) + len(b) - 1, -np.inf)
+    for a0, a1, a_top, a_exp in reference_runs((a - a.max()) + theta * np.arange(len(a))):
+        for b0, b1, b_top, b_exp in b_runs:
+            seg = out[a0 + b0:a1 + b1 - 1]
+            np.logaddexp(seg, np.log(np.convolve(a_exp, b_exp)) + (a_top + b_top), out=seg)
+    return (out - theta * np.arange(len(out))) + (a.max() + b.max())
+
+
 class TestShellKernel:
     @staticmethod
     def exact_logs(big, window):
@@ -357,6 +383,64 @@ class TestShellKernel:
         self.check_against_exact(ell, n, typical_range(ell, gibbs_q(beta), width),
                                  typical_range(n, p, width))
         assert max(len(r) for r in runs) > 1
+
+    @staticmethod
+    def window_logs(ell, n, p, beta, width):
+        g_window, r_window = typical_range(ell, gibbs_q(beta), width), typical_range(n, p, width)
+        return (counting.log_comb(ell, np.arange(g_window[0], g_window[1] + 1)),
+                counting.log_comb(n, np.arange(r_window[0], r_window[1] + 1)))
+
+    @staticmethod
+    def assert_matches_reference(a, b):
+        # Log-sums within 1e-13 of each other: shell sums within 1e-13 relative.
+        sums, ref = counting.shell_log_sums(a, b), reference_shell_log_sums(a, b)
+        assert np.max(np.abs(sums - ref)) <= 1e-13
+
+    @given(ell=st.integers(100_000, 1_000_000), n=st.integers(300, 3_000),
+           p=st.floats(0.5, 0.999), beta=st.floats(0.2, 8.0), width=st.floats(2.0, 6.0))
+    @settings(max_examples=40, deadline=None)
+    def test_pruned_windows_match_reference(self, ell, n, p, beta, width):
+        # Long bath windows against short, steep resource ones: most run pairs
+        # lie far below the shells they reach.
+        self.assert_matches_reference(*self.window_logs(ell, n, p, beta, width))
+
+    @given(n=st.integers(1, 100_000), beta=st.floats(0.2, 3.0), offset=st.floats(1e-4, 0.02),
+           width=st.floats(0.5, 4.0))
+    @settings(max_examples=30, deadline=None)
+    def test_near_gibbs_windows_equal_reference(self, n, beta, offset, width):
+        # p just above the Gibbs weight: ell = (R n)^1.5 is small, nothing is
+        # pruned, and the kernel convolves exactly the reference's run pairs.
+        p = gibbs_q(beta) + offset
+        ell = max(1, math.ceil((rate_limit(p, beta) * n) ** 1.5))
+        a, b = self.window_logs(ell, n, p, beta, width)
+        real, kept = counting._kept_pairs, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "_kept_pairs", lambda *args: kept.append(real(*args)) or kept[-1])
+            sums = counting.shell_log_sums(a, b)
+        assert np.array_equal(sums, reference_shell_log_sums(a, b))
+        assert all(k.all() for k in kept)
+
+    @given(len_a=st.integers(1, 3_000), len_b=st.integers(1, 3_000),
+           step=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_walks_match_reference(self, len_a, len_b, step, seed):
+        # The pruning bound holds without concavity: the max-plus path then
+        # yields some term of each shell rather than its largest.
+        rng = np.random.default_rng(seed)
+        self.assert_matches_reference(np.cumsum(rng.uniform(-step, step, len_a)),
+                                      np.cumsum(rng.uniform(-step, step, len_b)))
+
+    def test_pruning_skips_pairs_on_a_large_window(self, monkeypatch):
+        # The distill n = 1e5 window at p = 0.75: 16,377 bath counts against
+        # 1,897 resource counts.
+        a, b = self.window_logs(7_449_621, 100_000, 0.75, 1.0, 3.0)
+        ref = reference_shell_log_sums(a, b)
+        products, real = [], np.convolve
+        monkeypatch.setattr(counting.np, "convolve",
+                            lambda x, y: products.append(len(x) * len(y)) or real(x, y))
+        sums = counting.shell_log_sums(a, b)
+        assert np.max(np.abs(sums - ref)) <= 1e-13
+        assert 0 < sum(products) < 0.2 * len(a) * len(b)
 
 
 def exact_log_ratio(top: int, bottom: int) -> float:
