@@ -200,8 +200,20 @@ def _runs(v: np.ndarray) -> list[tuple[int, int, float, np.ndarray]]:
     (start, stop, top, exp(v[start:stop] - top))."""
     runs, start = [], 0
     while start < len(v):
-        spread = np.maximum.accumulate(v[start:]) - np.minimum.accumulate(v[start:])
-        stop = start + int(np.searchsorted(spread, _RUN_SPAN, side="right"))
+        # Windows of doubling width join the run while its max and min stay
+        # within _RUN_SPAN; the prefix spread is scanned only in the window
+        # that passes it.  Each run costs O(its length), and the stop is the
+        # one a scan over all of v[start:] finds (max and min are exact).
+        stop, hi, lo, width = start, v[start], v[start], 64
+        while stop < len(v):
+            window = v[stop:stop + width]
+            w_hi, w_lo = np.maximum(hi, window.max()), np.minimum(lo, window.min())
+            if not w_hi - w_lo <= _RUN_SPAN:
+                spread = (np.maximum(np.maximum.accumulate(window), hi)
+                          - np.minimum(np.minimum.accumulate(window), lo))
+                stop += int(np.searchsorted(spread, _RUN_SPAN, side="right"))
+                break
+            stop, hi, lo, width = stop + len(window), w_hi, w_lo, 2 * width
         top = v[start:stop].max()
         runs.append((start, stop, top, np.exp(v[start:stop] - top)))
         start = stop

@@ -292,13 +292,22 @@ class TestSimulateCommand:
         assert doc["quantum"]["work_trace_distance"] <= doc["quantum"]["failure_mass"] + 1e-12
 
     def test_classical_cap_fails_before_quantum_work(self, monkeypatch, capsys):
-        # 21 qubits: under --max-qubits 24, but over the classical input's 20.
+        # A 21-qubit plan under the default --max-qubits: planning runs, then
+        # the classical input's enumeration refuses it at its 20-qubit cap,
+        # and no quantum execution runs.
+        planned = []
+
+        def plan(*args, **kwargs):
+            planned.append(plan_distillation(*args, **kwargs))
+            return planned[-1]
+
         def refuse(*args, **kwargs):
             raise AssertionError("quantum execution ran")
+        monkeypatch.setattr("athermal.cli.plan_distillation", plan)
         monkeypatch.setattr("athermal.cli.execute_plan_quantum", refuse)
-        assert main(["simulate", "--n", "7", "--p", "0.95", "--width", "0.75",
-                     "--max-qubits", "24"]) == 2
-        assert "capped at 20 qubits" in capsys.readouterr().err
+        assert main(["simulate", "--n", "7", "--p", "0.95", "--width", "0.75"]) == 2
+        assert [p.ell + p.n for p in planned] == [21]
+        assert "full enumeration capped at 20 qubits" in capsys.readouterr().err
 
     @pytest.mark.parametrize("max_qubits", ["21", "24"])
     def test_max_qubits_above_input_cap_refused(self, monkeypatch, capsys, max_qubits):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scipy.special import gammaln, logsumexp
@@ -429,6 +429,19 @@ class TestShellKernel:
         rng = np.random.default_rng(seed)
         self.assert_matches_reference(np.cumsum(rng.uniform(-step, step, len_a)),
                                       np.cumsum(rng.uniform(-step, step, len_b)))
+
+    @given(length=st.integers(1, 5_000), step=st.floats(0.01, 200.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(length=4_097, step=0.0, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_runs_equal_full_scan(self, length, step, seed):
+        # The windowed scan of _runs cuts the runs of the full scan, bit for
+        # bit, from one run over the whole vector to hundreds of short ones.
+        rng = np.random.default_rng(seed)
+        v = np.cumsum(rng.uniform(-step, step, length))
+        runs, ref = counting._runs(v), reference_runs(v)
+        assert [r[:3] for r in runs] == [r[:3] for r in ref]
+        assert all(r[3].tobytes() == f[3].tobytes() for r, f in zip(runs, ref))
 
     def test_pruning_skips_pairs_on_a_large_window(self, monkeypatch):
         # The distill n = 1e5 window at p = 0.75: 16,377 bath counts against
