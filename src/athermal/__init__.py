@@ -10,7 +10,6 @@ from .core import (
     FreeTargetError,
     GibbsState,
     Hamiltonian,
-    QuasiclassicalState,
     binary_entropy,
     free_energy,
     gibbs_state,

@@ -172,6 +172,8 @@ def read_string_distribution_csv(path: str) -> StringDistribution:
     if lines[0] != "string,numerator,denominator":
         raise ValueError("unexpected CSV header")
     rows = [line.split(",") for line in lines[1:]]
+    if not rows:
+        raise ValueError(f"{path} holds no strings")
     probs = {tuple(map(int, text)): Fraction(int(num), int(den)) for text, num, den in rows}
     return StringDistribution(len(rows[0][0]), probs)
 

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "Hamiltonian",
-    "QuasiclassicalState",
     "DensityMatrix",
     "GibbsState",
     "FreeTargetError",
@@ -29,8 +28,6 @@ __all__ = [
     "trace_distance",
 ]
 
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
 EIG_CLAMP = 1e-12
 
 
@@ -68,35 +65,6 @@ class Hamiltonian:
 
     def matrix(self) -> np.ndarray:
         return np.diag(np.asarray(self.energies, dtype=float))
-
-
-@dataclass(frozen=True)
-class QuasiclassicalState:
-    """Probability vector over the energy levels of a diagonal Hamiltonian.
-
-    Commutes with its Hamiltonian by construction.
-    """
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        if any(p < -EIG_CLAMP or p > 1 + EIG_CLAMP for p in probs):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1 within 1e-12")
-
-    @classmethod
-    def two_level(cls, p: float) -> "QuasiclassicalState":
-        return cls((1.0 - p, p))
-
-    @property
-    def dim(self) -> int:
-        return len(self.probs)
-
-    def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(np.diag(np.asarray(self.probs, dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -147,7 +115,7 @@ class GibbsState:
 
     beta: float
     hamiltonian: Hamiltonian
-    probs: QuasiclassicalState
+    probs: tuple[float, ...]
     partition_function: float
 
     @property
@@ -155,14 +123,14 @@ class GibbsState:
         return self.hamiltonian.dim
 
     def density_matrix(self) -> DensityMatrix:
-        return self.probs.density_matrix()
+        return DensityMatrix.diagonal(self.probs)
 
     @property
     def q(self) -> float:
         """Excited-level weight in the two-level case."""
         if self.dim != 2:
             raise ValueError("q is only defined for two-level systems")
-        return self.probs.probs[1]
+        return self.probs[1]
 
 
 def gibbs_state(hamiltonian: Hamiltonian, beta: float) -> GibbsState:
@@ -191,7 +159,7 @@ def gibbs_state(hamiltonian: Hamiltonian, beta: float) -> GibbsState:
     return GibbsState(
         beta=float(beta),
         hamiltonian=hamiltonian,
-        probs=QuasiclassicalState(tuple(probs)),
+        probs=tuple(probs.tolist()),
         partition_function=z,
     )
 
@@ -226,12 +194,11 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return _entropy_from_evals(evals)
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
-                     support_tol: float = 1e-10) -> float:
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Quantum relative entropy D(rho||sigma) = Tr[rho(ln rho - ln sigma)] in nats.
 
     Returns math.inf when the support of rho is not contained in the
-    support of sigma.
+    support of sigma: when rho puts more than 1e-10 on the kernel of sigma.
     """
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
@@ -247,7 +214,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
             rho.entries,
             s_vecs[:, kernel],
         ).real
-        if overlap.sum() > support_tol:
+        if overlap.sum() > 1e-10:
             return math.inf
 
     term1 = -_entropy_from_evals(r_evals)

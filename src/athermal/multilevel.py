@@ -353,7 +353,7 @@ def max_work(f_rho: FrequencyVector | Sequence, hamiltonian: Hamiltonian,
         raise ValueError("dimension mismatch with the Hamiltonian")
     if hamiltonian.dim > 6:
         raise ValueError("exact integer search supports d <= 6")
-    gamma = gibbs_state(hamiltonian, beta).probs.probs
+    gamma = gibbs_state(hamiltonian, beta).probs
 
     rho_probes = _corner_probes(n, rho, width)
     bath_probes = _corner_probes(ell, gamma, width)

@@ -222,12 +222,11 @@ def thermal_input_distribution(plan: DistillationPlan, rational: bool = True,
                               denominator=bath_den * resource_den)
 
 
-def formation_input_distribution(plan: FormationPlan, rational: bool = True,
-                                 max_qubits: int = INPUT_MAX_QUBITS) -> StringDistribution:
+def formation_input_distribution(plan: FormationPlan, rational: bool = True) -> StringDistribution:
     """gamma^(ell) (x) |1><1|^(m) as an explicit string distribution."""
     total = plan.ell + plan.m
-    if total > max_qubits:
-        raise UnsupportedSizeError(f"full enumeration capped at {max_qubits} qubits")
+    if total > INPUT_MAX_QUBITS:
+        raise UnsupportedSizeError(f"full enumeration capped at {INPUT_MAX_QUBITS} qubits")
     bath, den = _bernoulli_weights(_rationalize(plan.q) if rational else plan.q, plan.ell)
     weights = np.zeros(2 ** total, dtype=bath.dtype)
     weights[(np.arange(2 ** plan.ell) << plan.m) | ((1 << plan.m) - 1)] = \
@@ -235,33 +234,22 @@ def formation_input_distribution(plan: FormationPlan, rational: bool = True,
     return StringDistribution(total, weights=weights, denominator=den)
 
 
-class _Trajectories:
-    """``ExecutionReport.trajectories``: unless given, derived on first read
-    from ``moves``, the values of the input strings of nonzero mass and of
-    their images."""
-
-    def __get__(self, report, owner=None):
-        if report is not None and report.__dict__.get("_trajectories") is None:
-            length = report.output.length
-            report.__dict__["_trajectories"] = tuple(zip(*(_strings(values, length)
-                                                           for values in report.moves)))
-        return None if report is None else report.__dict__["_trajectories"]
-
-    def __set__(self, report, value):
-        report.__dict__["_trajectories"] = value
-
-
 @dataclass(frozen=True, eq=False)
 class ExecutionReport:
     """Classical execution record: output distribution, work marginal, and
-    the trajectories actually taken (input -> output string pairs)."""
+    the moves actually made, as the values of the input strings of nonzero
+    mass and of their images."""
 
     output: StringDistribution
     work_marginal: dict[Bits, Fraction | float]
     routed_failure_mass: Fraction | float
-    trajectories: tuple[tuple[Bits, Bits], ...] = _Trajectories()
-    kind: str = "distillation"
-    moves: tuple[np.ndarray, np.ndarray] | None = None
+    kind: str
+    moves: tuple[np.ndarray, np.ndarray]
+
+    @cached_property
+    def trajectories(self) -> tuple[tuple[Bits, Bits], ...]:
+        """The moves as (input string, output string) pairs."""
+        return tuple(zip(*(_strings(values, self.output.length) for values in self.moves)))
 
 
 def execute_plan_classical(plan: DistillationPlan | FormationPlan,
@@ -350,8 +338,7 @@ def _execute_distillation(plan: DistillationPlan,
     work = output.marginal(range(plan.k, input_dist.length))
     routed = input_dist._mass(weights[~covered].sum())
     support = np.flatnonzero(weights)
-    return ExecutionReport(output, work, routed, kind="distillation",
-                           moves=(support, perm[support]))
+    return ExecutionReport(output, work, routed, "distillation", (support, perm[support]))
 
 
 def _execute_formation(plan: FormationPlan,
@@ -416,8 +403,7 @@ def _execute_formation(plan: FormationPlan,
         output = StringDistribution(length, weights=out / total
                                     if abs(total - 1.0) > 1e-15 else out)
     routed = input_dist._mass(np.cumsum(np.append(0, weights[x[~covered]]))[-1])
-    return ExecutionReport(output, output.marginal(range(n)), routed,
-                           kind="formation", moves=(src, dst))
+    return ExecutionReport(output, output.marginal(range(n)), routed, "formation", (src, dst))
 
 
 @dataclass(frozen=True)
@@ -432,14 +418,12 @@ class ChannelReport:
     permutation: tuple[int, ...]
 
 
-def execute_plan_quantum(plan: DistillationPlan, max_qubits: int = 14,
-                         input_probs: np.ndarray | None = None) -> ChannelReport:
+def execute_plan_quantum(plan: DistillationPlan, max_qubits: int = 14) -> ChannelReport:
     """Build the explicit permutation unitary of a plan and verify legality.
 
     The permutation is the classical executor's, so it commutes with H_tot
     exactly (integer weights).  The channel is applied to
-    gamma^(ell) (x) rho^(n) (or the supplied diagonal input) and the work
-    register compared with |1><1|^(m).
+    gamma^(ell) (x) rho^(n) and the work register compared with |1><1|^(m).
     """
     total = plan.ell + plan.n
     if total > max_qubits:
@@ -450,10 +434,7 @@ def execute_plan_quantum(plan: DistillationPlan, max_qubits: int = 14,
     weights = _popcounts(total)
     commutator_nonzeros = int(np.count_nonzero(weights[perm] - weights))
 
-    if input_probs is None:
-        probs = thermal_input_distribution(plan, rational=False, max_qubits=max_qubits).weights
-    else:
-        probs = np.asarray(input_probs, dtype=float)
+    probs = thermal_input_distribution(plan, rational=False, max_qubits=max_qubits).weights
     out = np.zeros_like(probs)
     out[perm] = probs
     trace_preserved = bool(abs(out.sum() - probs.sum()) < 1e-12)
@@ -497,9 +478,7 @@ def _classical_rel_entropy(p: np.ndarray, q: float) -> float:
     return max(float(total), 0.0)
 
 
-def exhaust_analysis(plan: DistillationPlan, block_size: int = 1,
-                     execution: ExecutionReport | None = None,
-                     reference_q: float | None = None) -> ExhaustReport:
+def exhaust_analysis(plan: DistillationPlan, block_size: int = 1) -> ExhaustReport:
     """Exact exhaust reductions and their distance to the Gibbs state.
 
     Computes D(pi_block || gamma^(L)) for disjoint L-blocks of the exhaust,
@@ -510,13 +489,8 @@ def exhaust_analysis(plan: DistillationPlan, block_size: int = 1,
     """
     if block_size < 1:
         raise ValueError("block size must be at least 1")
-    if execution is None:
-        execution = execute_plan_classical(plan, thermal_input_distribution(plan))
-        if reference_q is None:
-            reference_q = float(_rationalize(plan.q))
-    q = plan.q if reference_q is None else reference_q
-
-    output = execution.output
+    output = execute_plan_classical(plan, thermal_input_distribution(plan)).output
+    q = float(_rationalize(plan.q))
     exhaust = StringDistribution(plan.k, weights=output.marginal_weights(range(plan.k)),
                                  denominator=output.denominator)
     num_blocks = plan.k // block_size
@@ -544,18 +518,20 @@ def exhaust_analysis(plan: DistillationPlan, block_size: int = 1,
 
 def work_balance_audit(plan: DistillationPlan | FormationPlan,
                        execution: ExecutionReport) -> dict:
-    """Verify exact energy conservation on every recorded trajectory.
+    """Verify exact energy conservation on every recorded move, in one pass
+    over the moves' weights.
 
-    Raises WorkBalanceError on any imbalance.  Returns a ledger with the
-    expected work-register surplus over its thermal value (<= 0 for
-    Gibbs-only inputs).
+    Raises WorkBalanceError naming the first imbalanced trajectory.  Returns
+    a ledger with the expected work-register surplus over its thermal value
+    (<= 0 for Gibbs-only inputs).
     """
-    for src, dst in execution.trajectories:
-        if sum(src) != sum(dst):
-            raise WorkBalanceError(
-                f"trajectory {src} -> {dst} changes the total energy")
+    src, dst = execution.moves
+    bad = np.flatnonzero(np.bitwise_count(src) != np.bitwise_count(dst))
+    if bad.size:
+        before, after = _strings(np.array([src[bad[0]], dst[bad[0]]]), execution.output.length)
+        raise WorkBalanceError(f"trajectory {before} -> {after} changes the total energy")
 
-    ledger = {"trajectories": len(execution.trajectories), "balanced": True}
+    ledger = {"trajectories": src.size, "balanced": True}
     if isinstance(plan, DistillationPlan) and plan.m > 0:
         expected_ones = 0.0
         for bits, mass in execution.work_marginal.items():

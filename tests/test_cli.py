@@ -442,3 +442,9 @@ class TestStringDistributionCSV:
         path = tmp_path / "dist.csv"
         write_string_distribution_csv(thermal_input_distribution(plan), str(path))
         assert path.read_text().split("\n")[0] == "string,numerator,denominator"
+
+    def test_header_only_refused(self, tmp_path):
+        path = tmp_path / "dist.csv"
+        path.write_text("string,numerator,denominator\n")
+        with pytest.raises(ValueError, match="holds no strings"):
+            read_string_distribution_csv(str(path))

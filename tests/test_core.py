@@ -9,7 +9,6 @@ from athermal.core import (
     DensityMatrix,
     FreeTargetError,
     Hamiltonian,
-    QuasiclassicalState,
     binary_entropy,
     free_energy,
     gibbs_state,
@@ -31,7 +30,7 @@ def two_level_gibbs(beta):
 class TestGibbsState:
     def test_uniform_at_infinite_temperature(self):
         g = gibbs_state(H2, 0.0)
-        assert g.probs.probs == pytest.approx((0.5, 0.5), abs=1e-15)
+        assert g.probs == pytest.approx((0.5, 0.5), abs=1e-15)
 
     def test_two_level_closed_form(self):
         # q = e^{-beta}/(1 + e^{-beta}); at beta = ln 2 this is (1/2)/(3/2).
@@ -44,12 +43,12 @@ class TestGibbsState:
         z = sum(weights)
         g = gibbs_state(Hamiltonian((0.0, 1.0, 2.0)), 1.0)
         assert g.partition_function == pytest.approx(z, abs=1e-12)
-        assert g.probs.probs == pytest.approx(tuple(w / z for w in weights), abs=1e-12)
-        assert g.probs.probs == pytest.approx((0.665241, 0.244728, 0.090031), abs=1e-6)
+        assert g.probs == pytest.approx(tuple(w / z for w in weights), abs=1e-12)
+        assert g.probs == pytest.approx((0.665241, 0.244728, 0.090031), abs=1e-6)
 
     def test_ground_state_limit(self):
         g = gibbs_state(Hamiltonian((0.0, 1.0, 1.0)), math.inf)
-        assert g.probs.probs == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
+        assert g.probs == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
 
     @pytest.mark.parametrize("beta", [math.nan, -1.0, -math.inf])
     def test_invalid_beta(self, beta):
@@ -59,7 +58,7 @@ class TestGibbsState:
     @given(beta=st.floats(0.05, 8.0))
     def test_weights_normalized(self, beta):
         g = gibbs_state(Hamiltonian((0.0, 0.7, 1.3, 2.9)), beta)
-        assert abs(sum(g.probs.probs) - 1.0) < 1e-12
+        assert abs(sum(g.probs) - 1.0) < 1e-12
 
 
 class TestBinaryEntropy:
@@ -271,8 +270,8 @@ class TestMonotoneProperties:
 
 class TestStateValidation:
     def test_quasiclassical_normalization(self):
-        with pytest.raises(ValueError):
-            QuasiclassicalState((0.5, 0.6))
+        with pytest.raises(ValueError, match="trace must equal 1"):
+            DensityMatrix.diagonal([0.5, 0.6])
 
     def test_density_matrix_not_hermitian(self):
         with pytest.raises(ValueError):

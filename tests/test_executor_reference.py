@@ -125,7 +125,7 @@ def test_kernel_matches_reference_executor(n, p, beta, width):
         assert report.output.marginal([i]) == marginal(out, [i])
 
     q = float(Fraction(plan.q).limit_denominator(10 ** 9))
-    exhaust = exhaust_analysis(plan, execution=report, reference_q=q)
+    exhaust = exhaust_analysis(plan)
     for i, distance in enumerate(exhaust.measured_trace_distances):
         mass_one = float(marginal(out, [i]).get((1,), 0))
         assert distance == pytest.approx(abs(mass_one - q), abs=1e-12)
@@ -175,7 +175,9 @@ def reference_formation(plan: FormationPlan,
         out_probs = {s: p / total for s, p in out_probs.items()}
     output = StringDistribution(plan.n + plan.k, out_probs)
     target_marginal = output.marginal(range(plan.n))
-    return ExecutionReport(output, target_marginal, routed, tuple(trajectories), "formation")
+    moves = tuple(np.array([bits_value(s) for s in strings])
+                  for strings in zip(*trajectories))
+    return ExecutionReport(output, target_marginal, routed, "formation", moves)
 
 
 def mixed_formation_input(plan) -> StringDistribution:

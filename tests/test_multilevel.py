@@ -118,7 +118,7 @@ class TestUnitarityCondition:
 
 class TestAsymptoticCondition:
     def test_zero_shift_holds(self):
-        gam = gibbs_state(H3, 1.0).probs.probs
+        gam = gibbs_state(H3, 1.0).probs
         shift = OccupationShift.from_deltas((0, 0, 0), 10)
         assert asymptotic_condition(gam, gam, shift)
 
@@ -126,7 +126,7 @@ class TestAsymptoticCondition:
         # With f_rho = f_gamma, D = 0: only shifts with -x ln gamma <= 0 pass.
         # deltas are occupation decreases, so extracting work removes
         # occupation from the top level (positive top delta).
-        gam = gibbs_state(H3, 1.0).probs.probs
+        gam = gibbs_state(H3, 1.0).probs
         extract = OccupationShift.from_deltas((-1, 0, 1), 10, H3)
         dump = OccupationShift.from_deltas((1, 0, -1), 10, H3)
         assert extract.work > 0
@@ -137,7 +137,7 @@ class TestAsymptoticCondition:
         # Along x = alpha (e_i - e_j), -x ln gamma = D forces
         # beta H . x = D exactly (ln gamma = -beta H - ln Z).
         beta = 1.0
-        gam = gibbs_state(H3, beta).probs.probs
+        gam = gibbs_state(H3, beta).probs
         rho = (0.2, 0.3, 0.5)
         d = classical_relative_entropy(rho, gam)
         alpha = d / (beta * (2.0 - 0.0))
@@ -156,7 +156,7 @@ class TestAsymptoticCondition:
 
 class TestMaxWork:
     def test_gibbs_input_yields_nothing(self):
-        gam = gibbs_state(H3, 1.0).probs.probs
+        gam = gibbs_state(H3, 1.0).probs
         ledger = max_work(gam, H3, 1.0, 8, 8)
         assert ledger.extracted == 0.0
         assert ledger.per_level_delta == (0, 0, 0)
@@ -219,7 +219,7 @@ class TestExactImpliesAsymptotic:
         # Whenever the exact counting condition holds, the asymptotic
         # relation -x ln f_gamma <= D(f_rho||f_gamma) can only be violated
         # by a poly(log ell)/ell term, which shrinks along the bath grid.
-        gam_probs = gibbs_state(H3, 1.0).probs.probs
+        gam_probs = gibbs_state(H3, 1.0).probs
         violations = []
         for ell in (20, 80, 320):
             n = ell
@@ -280,7 +280,7 @@ def composition(total, d):
 def counts_of(total, d, energies):
     """Counts of total over d levels: any composition, a Gibbs apportionment,
     or all in one level (pure inputs make one-level outputs exact ties)."""
-    gibbs = gibbs_state(Hamiltonian(tuple(float(e) for e in energies)), 1.0).probs.probs
+    gibbs = gibbs_state(Hamiltonian(tuple(float(e) for e in energies)), 1.0).probs
     return (composition(total, d) | st.just(apportion(total, gibbs))
             | st.integers(0, d - 1).map(lambda i: tuple(total * (j == i) for j in range(d))))
 
@@ -339,5 +339,5 @@ class TestMaxWorkInputs:
 
     def test_zero_width_probes_centre_only(self):
         ledger = max_work((0.1, 0.3, 0.6), H3, 1.0, 10, 10, width=0.0)
-        assert ledger.probes == (((1, 3, 6), apportion(10, gibbs_state(H3, 1.0).probs.probs),
+        assert ledger.probes == (((1, 3, 6), apportion(10, gibbs_state(H3, 1.0).probs),
                                   ledger.extracted),)

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -232,7 +234,7 @@ class TestQuantumExecution:
         gamma_probs = np.ones(1)
         for _ in range(total):
             gamma_probs = np.kron(gamma_probs, np.array([1 - Q1, Q1]))
-        report = execute_plan_quantum(plan, input_probs=gamma_probs)
+        report = execute_plan_quantum(plan)
         out = np.zeros_like(gamma_probs)
         out[np.array(report.permutation)] = gamma_probs
         assert np.array_equal(out, gamma_probs)
@@ -300,14 +302,31 @@ class TestWorkBalanceAudit:
         report = execute_plan_classical(plan, thermal_input_distribution(plan))
         assert work_balance_audit(plan, report)["balanced"]
 
+    @staticmethod
+    def flip_image_bit(report, i):
+        """The report with the last bit of move i's image flipped, and the
+        audit's message naming that trajectory."""
+        src, dst = report.moves
+        dst = dst.copy()
+        dst[i] ^= 1
+        before, after = report.trajectories[i]
+        flipped = after[:-1] + (1 - after[-1],)
+        return (dataclasses.replace(report, moves=(src, dst)),
+                re.escape(f"trajectory {before} -> {flipped} changes the total energy"))
+
     def test_fault_injection_detected(self):
-        import dataclasses
         plan = plan_distillation(3, 0.9, 1.0, width=1.0)
         report = execute_plan_classical(plan, thermal_input_distribution(plan))
-        src, dst = report.trajectories[0]
-        broken = dataclasses.replace(
-            report, trajectories=((src, dst[:-1] + (1 - dst[-1],)),) + report.trajectories[1:])
-        with pytest.raises(WorkBalanceError):
+        broken, message = self.flip_image_bit(report, 0)
+        with pytest.raises(WorkBalanceError, match=message):
+            work_balance_audit(plan, broken)
+
+    def test_formation_fault_injection_detected(self):
+        plan = plan_formation(3, 0.8, 1.0, width=1.0)
+        report = execute_plan_classical(plan, formation_input_distribution(plan))
+        assert work_balance_audit(plan, report)["trajectories"] == len(report.trajectories)
+        broken, message = self.flip_image_bit(report, len(report.trajectories) // 2)
+        with pytest.raises(WorkBalanceError, match=message):
             work_balance_audit(plan, broken)
 
     def test_gibbs_only_input_yields_no_work(self):
