@@ -20,6 +20,5 @@ from .core import (
 )
 from .distill import plan_distillation, plan_distillation_general, rate_limit, solve_single_type
 from .form import birkhoff_partition, plan_formation, solve_formation_single_type
-from .typeclass import FrequencyVector
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ import json
 import math
 import sys
 from dataclasses import astuple, fields, is_dataclass
-from fractions import Fraction
 
 from .core import (
     DensityMatrix,
@@ -44,7 +43,6 @@ from .form import (
 )
 from .simulate import (
     INPUT_MAX_QUBITS,
-    StringDistribution,
     execute_plan_classical,
     execute_plan_quantum,
     exhaust_analysis,
@@ -58,8 +56,6 @@ __all__ = [
     "plan_to_dict",
     "plan_from_dict",
     "dumps_report",
-    "write_string_distribution_csv",
-    "read_string_distribution_csv",
 ]
 
 SCHEMA_VERSION = 5
@@ -155,29 +151,6 @@ def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
     return cls(**kw)
 
 
-def write_string_distribution_csv(dist: StringDistribution, path: str) -> None:
-    """Compact exact CSV: string, numerator, denominator."""
-    lines = ["string,numerator,denominator"]
-    for string in sorted(dist.probs):
-        prob = dist.probs[string]
-        frac = prob if isinstance(prob, Fraction) else Fraction(prob).limit_denominator(10 ** 15)
-        lines.append(f"{''.join(map(str, string))},{frac.numerator},{frac.denominator}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_string_distribution_csv(path: str) -> StringDistribution:
-    with open(path) as fh:
-        lines = fh.read().strip().split("\n")
-    if lines[0] != "string,numerator,denominator":
-        raise ValueError("unexpected CSV header")
-    rows = [line.split(",") for line in lines[1:]]
-    if not rows:
-        raise ValueError(f"{path} holds no strings")
-    probs = {tuple(map(int, text)): Fraction(int(num), int(den)) for text, num, den in rows}
-    return StringDistribution(len(rows[0][0]), probs)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -251,6 +224,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.max_qubits < 0:
+        raise ValueError(f"--max-qubits must be nonnegative, got {args.max_qubits}")
     if args.max_qubits > INPUT_MAX_QUBITS:
         raise ValueError(f"--max-qubits {args.max_qubits} cannot take effect: the classical "
                          f"input is capped at {INPUT_MAX_QUBITS} qubits")

@@ -202,27 +202,17 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    r_evals, r_vecs = rho.eigensystem()
+    r_evals, _ = rho.eigensystem()
     s_evals, s_vecs = sigma.eigensystem()
-
-    # Support check: weight of rho on the kernel of sigma.
-    kernel = s_evals <= EIG_CLAMP
-    if kernel.any():
-        overlap = np.einsum(
-            "ij,jk,ki->i",
-            s_vecs[:, kernel].conj().T,
-            rho.entries,
-            s_vecs[:, kernel],
-        ).real
-        if overlap.sum() > 1e-10:
-            return math.inf
+    # Weight of rho on each eigenvector of sigma; on sigma's kernel it is
+    # the support check.
+    weights = np.einsum("ij,jk,ki->i", s_vecs.conj().T, rho.entries, s_vecs).real
+    if weights[s_evals <= EIG_CLAMP].sum() > 1e-10:
+        return math.inf
 
     term1 = -_entropy_from_evals(r_evals)
     # Tr[rho ln sigma] over the support of sigma.
     log_s = np.where(s_evals > EIG_CLAMP, np.log(np.clip(s_evals, EIG_CLAMP, None)), 0.0)
-    weights = np.einsum(
-        "ij,jk,ki->i", s_vecs.conj().T, rho.entries, s_vecs
-    ).real
     term2 = float((weights * log_s).sum())
     return max(term1 - term2, 0.0)
 

@@ -71,24 +71,13 @@ def formation_feasible(n: int, target_ones: int, ell: int, gibbs_ones: int, m: i
 
 
 def solve_formation_single_type(n: int, target_ones: int, ell: int, gibbs_ones: int) -> int:
-    """Smallest m >= 0 making the formation inequality hold.
-
-    The feasible set is upward closed in m: :func:`.counting.search` finds
-    its edge from log-binomial margins.  Raises InfeasibleFormationError
-    when even m = ell + n fails.
+    """Smallest m >= 0 making the formation inequality hold: the window
+    solve of :func:`_formation_m` at the one pair.  Raises
+    InfeasibleFormationError when even m = ell + n fails.
     """
     if not 0 <= gibbs_ones <= ell or not 0 <= target_ones <= n:
         raise ValueError("one-counts out of range")
-    lo = max(0, n - ell, target_ones - gibbs_ones)
-    hi = ell + n
-    if not formation_feasible(n, target_ones, ell, gibbs_ones, hi):
-        raise InfeasibleFormationError(
-            f"no feasible m <= {hi} for (n={n}, t={target_ones}, ell={ell}, g={gibbs_ones})"
-        )
-    log_in = log_comb(ell, gibbs_ones) - log_comb(n, target_ones)
-    return search(lambda m: (formation_feasible(n, target_ones, ell, gibbs_ones, m),
-                             log_comb(m + ell - n, gibbs_ones + m - target_ones) - log_in),
-                  lo, hi, largest=False)
+    return _formation_m(n, ell, (gibbs_ones, gibbs_ones), (target_ones, target_ones))[0]
 
 
 @dataclass(frozen=True)

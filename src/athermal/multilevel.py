@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Hamiltonian, gibbs_state
 from .counting import Factor, log_factorial, multinomial_margin_bound, products_leq
-from .typeclass import FrequencyVector, apportion, shannon_entropy
+from .typeclass import apportion, shannon_entropy
 
 __all__ = [
     "OccupationShift",
@@ -72,8 +72,8 @@ class OccupationShift:
         return tuple(out)
 
 
-def _as_counts(total: int, f: FrequencyVector | Sequence) -> tuple[int, ...]:
-    values = f.freqs if isinstance(f, FrequencyVector) else tuple(f)
+def _as_counts(total: int, f: Sequence) -> tuple[int, ...]:
+    values = tuple(f)
     if all(isinstance(v, (Fraction, int)) for v in values):
         scaled = [Fraction(v) * total for v in values]
         if all(s.denominator == 1 for s in scaled) and sum(scaled) == total:
@@ -111,8 +111,7 @@ class _CountingTest:
         return holds, margins
 
 
-def unitarity_condition(f_rho: FrequencyVector | Sequence,
-                        f_gamma: FrequencyVector | Sequence,
+def unitarity_condition(f_rho: Sequence, f_gamma: Sequence,
                         shift: OccupationShift, n: int, ell: int) -> tuple[bool, float]:
     """Certified multinomial unitarity check M(n f_rho) M(ell f_gamma) <= M((n+ell) nu).
 
@@ -143,12 +142,10 @@ def classical_relative_entropy(f: Sequence[float], g: Sequence[float]) -> float:
     return max(total, 0.0)
 
 
-def asymptotic_condition(f_rho: FrequencyVector | Sequence,
-                         f_gamma: FrequencyVector | Sequence,
-                         shift: OccupationShift) -> bool:
+def asymptotic_condition(f_rho: Sequence, f_gamma: Sequence, shift: OccupationShift) -> bool:
     """The ell -> inf unitarity relation -x . ln f_gamma <= D(f_rho || f_gamma)."""
-    rho = f_rho.as_floats() if isinstance(f_rho, FrequencyVector) else [float(v) for v in f_rho]
-    gam = f_gamma.as_floats() if isinstance(f_gamma, FrequencyVector) else [float(v) for v in f_gamma]
+    rho = [float(v) for v in f_rho]
+    gam = [float(v) for v in f_gamma]
     if any(g <= 0.0 for g in gam):
         raise ValueError("f_gamma must have full support")
     lhs = -sum(float(x) * math.log(g) for x, g in zip(shift.x, gam))
@@ -324,7 +321,7 @@ def _corner_probes(total: int, freqs: Sequence[float], width: float) -> list[tup
     return list(dict.fromkeys(probes))
 
 
-def max_work(f_rho: FrequencyVector | Sequence, hamiltonian: Hamiltonian,
+def max_work(f_rho: Sequence, hamiltonian: Hamiltonian,
              beta: float, n: int, ell: int, width: float = 3.0) -> WorkLedger:
     """Worst-case-type maximal work from n resource and ell bath copies.
 
@@ -343,12 +340,13 @@ def max_work(f_rho: FrequencyVector | Sequence, hamiltonian: Hamiltonian,
         raise ValueError(f"beta must be positive, got {beta}")
     if not width >= 0:
         raise ValueError(f"width must be nonnegative, got {width}")
-    if not isinstance(f_rho, FrequencyVector):
-        try:
-            f_rho = FrequencyVector(tuple(f_rho))
-        except ValueError as exc:
-            raise ValueError(f"f_rho is not a probability vector: {exc}") from None
-    rho = f_rho.as_floats()
+    f_rho = tuple(f_rho)
+    # Fractions (and ints) must sum to exactly 1, floats to within 1e-12.
+    exact = all(isinstance(f, (Fraction, int)) for f in f_rho)
+    if (not all(0 <= f <= 1 for f in f_rho)
+            or (sum(f_rho) != 1 if exact else abs(float(sum(f_rho)) - 1.0) > 1e-12)):
+        raise ValueError(f"f_rho is not a probability vector: {f_rho}")
+    rho = tuple(float(f) for f in f_rho)
     if len(rho) != hamiltonian.dim:
         raise ValueError("dimension mismatch with the Hamiltonian")
     if hamiltonian.dim > 6:

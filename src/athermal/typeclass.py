@@ -9,51 +9,19 @@ and masses of types come from the certified kernel in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
-    "FrequencyVector",
     "shannon_entropy",
     "typical_range",
     "apportion",
 ]
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
-    """Occupation frequencies; exact when built from Fractions."""
-
-    freqs: tuple
-
-    def __post_init__(self):
-        freqs = tuple(self.freqs)
-        object.__setattr__(self, "freqs", freqs)
-        if any(f < 0 or f > 1 for f in freqs):
-            raise ValueError("frequencies must lie in [0, 1]")
-        total = sum(freqs)
-        if self.is_rational:
-            if total != 1:
-                raise ValueError("rational frequencies must sum to exactly 1")
-        elif abs(float(total) - 1.0) > 1e-12:
-            raise ValueError("frequencies must sum to 1 within 1e-12")
-
-    @property
-    def is_rational(self) -> bool:
-        return all(isinstance(f, (Fraction, int)) for f in self.freqs)
-
-    @property
-    def dim(self) -> int:
-        return len(self.freqs)
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(f) for f in self.freqs)
-
-
-def shannon_entropy(f: FrequencyVector | Sequence[float]) -> float:
+def shannon_entropy(f: Sequence[float]) -> float:
     """H(f) = -sum f_i ln f_i in nats, with 0 ln 0 = 0."""
-    values = f.as_floats() if isinstance(f, FrequencyVector) else [float(x) for x in f]
+    values = [float(x) for x in f]
     return -sum(v * math.log(v) for v in values if v > 0.0)
 
 

@@ -13,13 +13,11 @@ from athermal.cli import (
     main,
     plan_from_dict,
     plan_to_dict,
-    read_string_distribution_csv,
     sweep_rows,
-    write_string_distribution_csv,
 )
 from athermal.distill import plan_distillation
 from athermal.form import FormationPlan, plan_formation
-from athermal.simulate import ExhaustReport, thermal_input_distribution
+from athermal.simulate import ExhaustReport
 
 Q1 = math.exp(-1) / (1 + math.exp(-1))
 
@@ -319,6 +317,19 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert f"--max-qubits {max_qubits}" in err and "capped at 20 qubits" in err
 
+    def test_negative_max_qubits_refused(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("planning ran")
+        monkeypatch.setattr("athermal.cli.plan_distillation", refuse)
+        assert main(["simulate", "--n", "2", "--p", "1.0", "--max-qubits", "-1"]) == 2
+        assert "--max-qubits must be nonnegative, got -1" in capsys.readouterr().err
+
+    def test_zero_max_qubits_skips_quantum_run(self, capsys):
+        # No plan fits zero qubits, so only the classical execution runs.
+        assert main(["simulate", "--n", "2", "--p", "1.0", "--max-qubits", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "quantum" not in doc and "classical" in doc
+
     def test_max_qubits_at_input_cap_runs(self, capsys):
         assert main(["simulate", "--n", "2", "--p", "1.0", "--max-qubits", "20"]) == 0
         assert json.loads(capsys.readouterr().out)["quantum"]["commutator_nonzeros"] == 0
@@ -426,25 +437,3 @@ class TestPlanCommands:
             assert main(["distill", "--n", "15", "--p", "0.85", "--beta", "1.2",
                          "--width", "1.0", "--output", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-class TestStringDistributionCSV:
-    def test_round_trip(self, tmp_path):
-        plan = plan_distillation(2, 0.9, 1.0, width=1.0)
-        dist = thermal_input_distribution(plan)
-        path = tmp_path / "dist.csv"
-        write_string_distribution_csv(dist, str(path))
-        back = read_string_distribution_csv(str(path))
-        assert back.probs == dist.probs
-
-    def test_header(self, tmp_path):
-        plan = plan_distillation(2, 0.9, 1.0, width=1.0)
-        path = tmp_path / "dist.csv"
-        write_string_distribution_csv(thermal_input_distribution(plan), str(path))
-        assert path.read_text().split("\n")[0] == "string,numerator,denominator"
-
-    def test_header_only_refused(self, tmp_path):
-        path = tmp_path / "dist.csv"
-        path.write_text("string,numerator,denominator\n")
-        with pytest.raises(ValueError, match="holds no strings"):
-            read_string_distribution_csv(str(path))

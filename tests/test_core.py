@@ -104,6 +104,32 @@ class TestRelativeEntropy:
         sigma = DensityMatrix.diagonal([0.0, 1.0])
         assert relative_entropy(rho, sigma) == math.inf
 
+    @pytest.mark.parametrize("sigma_spec,rho_spec", [
+        ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),     # sigma = |psi><psi|
+        ((0.3, 0.7, 0.0), (0.6, 0.4, 0.0)),     # rank 2
+    ])
+    def test_rotated_rank_deficient_sigma(self, sigma_spec, rho_spec):
+        # sigma and rho share the eigenbasis of a complex unitary, whose first
+        # column psi is no basis vector; rho puts eps on sigma's last
+        # eigenvector, which is in sigma's kernel.  Up to 1e-10 on the kernel
+        # counts as inside the support.
+        u = np.linalg.qr(np.array([[1, 2j, 0.5], [0.3, 1, -1j], [2, 0.1, 1]]))[0]
+
+        def rotated(spec):
+            return DensityMatrix(u @ np.diag(spec) @ u.conj().T)
+
+        sigma = rotated(sigma_spec)
+        assert relative_entropy(sigma, sigma) == pytest.approx(0.0, abs=1e-12)
+        for eps in (1e-9, 1e-11):
+            spec = tuple((1 - eps) * r for r in rho_spec[:2]) + (eps,)
+            closed = sum(r * math.log(r) for r in spec if r > 0) - sum(
+                r * math.log(s) for r, s in zip(spec, sigma_spec) if r > 0 and s > 0)
+            value = relative_entropy(rotated(spec), sigma)
+            if eps > 1e-10:
+                assert value == math.inf
+            else:
+                assert value == pytest.approx(max(closed, 0.0), abs=1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             relative_entropy(DensityMatrix.diagonal([1.0, 0.0]),

@@ -148,6 +148,22 @@ class TestSolveFormation:
         if m > 0:
             assert not formation_feasible(n, t, ell, g, m - 1)
 
+    def test_exhaustive_grid_matches_scan(self):
+        # Every instance with n <= 8 and ell <= 16: the least m of a plain
+        # scan, and InfeasibleFormationError exactly when the scan finds none.
+        for n in range(1, 9):
+            for ell in range(17):
+                for t in range(n + 1):
+                    for g in range(ell + 1):
+                        least = next((m for m in range(ell + n + 1)
+                                      if formation_feasible(n, t, ell, g, m)), None)
+                        if least is None:
+                            with pytest.raises(InfeasibleFormationError):
+                                solve_formation_single_type(n, t, ell, g)
+                        else:
+                            assert solve_formation_single_type(n, t, ell, g) == least, \
+                                (n, t, ell, g)
+
     def test_duality_with_distillation(self):
         # Formation of a type costs at least what distillation recovers
         # from it; the gap stays within the small-instance counting slack.

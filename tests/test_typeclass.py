@@ -17,8 +17,18 @@ from athermal.counting import (
     log_comb,
     multinomial_margin_bound,
 )
-from athermal.multilevel import _as_counts, _compositions, _log_multinomials, _multinomial_factors
-from athermal.typeclass import FrequencyVector, apportion, shannon_entropy, typical_range
+from athermal.core import Hamiltonian
+from athermal.multilevel import (
+    _as_counts,
+    _compositions,
+    _log_multinomials,
+    _multinomial_factors,
+    max_work,
+)
+from athermal.typeclass import apportion, shannon_entropy, typical_range
+
+H2 = Hamiltonian.two_level()
+NOT_PROBABILITIES = "f_rho is not a probability vector"
 
 
 def cardinality(counts):
@@ -52,8 +62,8 @@ class TestTypeCardinality:
         assert log_m.tolist() == _log_multinomials(nus).tolist()
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            FrequencyVector((Fraction(3, 2), Fraction(-1, 2)))
+        with pytest.raises(ValueError, match=NOT_PROBABILITIES):
+            max_work((Fraction(3, 2), Fraction(-1, 2)), H2, 1.0, 2, 2)
 
 
 class TestLogCardinality:
@@ -179,21 +189,23 @@ class TestShannonEntropy:
 
 
 class TestFrequencyVector:
+    """Frequency vectors as max_work accepts them: exact when built from
+    Fractions, which _as_counts turns into counts without rounding."""
+
     def test_exact_rational_sum(self):
-        FrequencyVector((Fraction(1, 3), Fraction(2, 3)))
-        with pytest.raises(ValueError):
-            FrequencyVector((Fraction(1, 3), Fraction(1, 3)))
+        max_work((Fraction(1, 3), Fraction(2, 3)), H2, 1.0, 3, 3)
+        with pytest.raises(ValueError, match=NOT_PROBABILITIES):
+            max_work((Fraction(1, 3), Fraction(1, 3)), H2, 1.0, 3, 3)
 
     def test_float_tolerance(self):
-        FrequencyVector((0.3, 0.7))
-        with pytest.raises(ValueError):
-            FrequencyVector((0.3, 0.6))
+        max_work((0.3, 0.7), H2, 1.0, 3, 3)
+        max_work((x for x in (0.3, 0.7)), H2, 1.0, 3, 3)
+        with pytest.raises(ValueError, match=NOT_PROBABILITIES):
+            max_work((0.3, 0.6), H2, 1.0, 3, 3)
 
     def test_from_descriptor(self):
         # The exact frequencies of a type give back its counts.
-        f = FrequencyVector((Fraction(3, 12), Fraction(9, 12)))
-        assert f.is_rational
-        assert _as_counts(12, f) == (3, 9)
+        assert _as_counts(12, (Fraction(3, 12), Fraction(9, 12))) == (3, 9)
 
 
 class TestTypeProbability:
