@@ -272,12 +272,15 @@ def _exact_formation_error(target: CoherentTarget, frame_n: int, t_of: dict[int,
     For real amplitudes every entry of G C has an imaginary part of exactly
     zero, and its real part, signs of zero included, goes to LAPACK's real
     solver (dgeev), which takes well under half of the complex one's time.
-    The assembly stays complex and C = diag(coeff) stays a matrix product:
-    the spectrum of this non-Hermitian, rank-deficient G C moves with the
-    last bits and signs of zero of its entries, and the pinned benchmark
-    distances hold to 1e-9 only with these.  Real arithmetic throughout
-    moves the n = 4 distance by 3.8e-9; an elementwise product changes
-    signs of zero.
+    The mixed block of real amplitudes is then summed in float64, which
+    gives its complex entries bit for bit.  The rest stays complex: the
+    inner block (zdotc) and G C = G diag(coeff) (zgemm).  The spectrum of
+    this non-Hermitian, rank-deficient G C moves with the last bits and
+    signs of zero of its entries, and the pinned benchmark distances hold
+    to 1e-9 only with these.  A real inner block (ddot) sums in another
+    order, and a real G times diag(coeff) (dgemm) or an elementwise
+    product changes signs of zero; real arithmetic throughout moves the
+    n = 4 distance by 3.8e-9.
     """
     n = target.n
     k_lo, k_hi = k_window
@@ -309,28 +312,30 @@ def _exact_formation_error(target: CoherentTarget, frame_n: int, t_of: dict[int,
     inner = np.vecdot(psi[:, None, :], psi[None, :, :])
     frame_w = overlap(t_typ[:, None] - np.arange(n + 1)[None, :])
     # The mixed block from x-major copies (string x's amplitudes in one
-    # contiguous row), 64 rows at a time so that the running sums stay in
-    # cache.  Every string adds its outer product to the sums in ascending
-    # x within each weight.  Both operands stay 2-D, (rows, 1) x (1, typical):
-    # with a 1-D second operand NumPy multiplies a 1 x 1 block in another
-    # loop, which rounds differently from the reference's.
-    conj_x = np.ascontiguousarray(psi.conj().T)
-    typ_x = np.ascontiguousarray(psi[typical].T)
+    # contiguous row).  Every string adds its outer product to the sums in
+    # ascending x within each weight, and the weights add in ascending w.
     excitations = np.bitwise_count(np.arange(2 ** n))
     by_weight = [np.flatnonzero(excitations == w) for w in range(n + 1)]
-    mixed = np.zeros((len(psi), len(t_typ)), dtype=complex)
-    block = min(64, len(psi))
-    buffers = np.empty((2, block, len(t_typ)), dtype=complex)
-    for lo in range(0, len(psi), block):
-        part = mixed[lo:lo + block]
-        sums, product = buffers[:, :len(part)]
+    if psi.imag.any() or len(psi) == 1:
+        conj_x = np.ascontiguousarray(psi.conj().T)
+        typ_x = np.ascontiguousarray(psi[typical].T)
+        mixed = _mixed_block_complex(conj_x, typ_x, frame_w, by_weight)
+    else:
+        # Real amplitudes: the real part of each complex product is a * b
+        # exactly (its imaginary terms are signed zeros), and float64 einsum
+        # adds the strings one at a time in ascending x, without a fused
+        # multiply-add, as the complex loop does.  That loop's imaginary
+        # parts are all +0 here, as astype's.  A single arrangement (p = 0
+        # or 1) keeps the loop: einsum sums a 1 x 1 block with a dot
+        # kernel, in another order.
+        conj_x = np.ascontiguousarray(psi.real.T)
+        typ_x = np.ascontiguousarray(conj_x[:, typical])
+        mixed = np.zeros((len(psi), len(t_typ)))
         for w, strings in enumerate(by_weight):
-            sums.fill(0)
-            for x in strings:
-                np.add(sums, np.multiply(conj_x[x, lo:lo + block, None], typ_x[x, None, :],
-                                         out=product), out=sums)
-            np.add(part, np.multiply(frame_w[:, w], sums, out=product), out=part)
-    del conj_x, buffers, sums, product
+            sums = np.einsum("xi,xj->ij", conj_x[strings], typ_x[strings], optimize=False)
+            mixed += frame_w[:, w] * sums
+        mixed = mixed.astype(complex)
+    del conj_x
     prob_x = np.abs(typ_x) ** 2
     fidelity_k = np.zeros(len(t_typ))
     for w, strings in enumerate(by_weight):
@@ -359,3 +364,25 @@ def _exact_formation_error(target: CoherentTarget, frame_n: int, t_of: dict[int,
     # typical arrangements in order.
     fidelity = float(np.cumsum(weights[typical] * fidelity_k)[-1])
     return distance, fidelity
+
+
+def _mixed_block_complex(conj_x: np.ndarray, typ_x: np.ndarray, frame_w: np.ndarray,
+                         by_weight: list[np.ndarray]) -> np.ndarray:
+    """The mixed block of complex amplitudes, 64 rows at a time so that the
+    running sums stay in cache.  Both operands stay 2-D, (rows, 1) x (1,
+    typical): with a 1-D second operand NumPy multiplies a 1 x 1 block in
+    another loop, which rounds differently from the reference's."""
+    rows, cols = conj_x.shape[1], typ_x.shape[1]
+    mixed = np.zeros((rows, cols), dtype=complex)
+    block = min(64, rows)
+    buffers = np.empty((2, block, cols), dtype=complex)
+    for lo in range(0, rows, block):
+        part = mixed[lo:lo + block]
+        sums, product = buffers[:, :len(part)]
+        for w, strings in enumerate(by_weight):
+            sums.fill(0)
+            for x in strings:
+                np.add(sums, np.multiply(conj_x[x, lo:lo + block, None], typ_x[x, None, :],
+                                         out=product), out=sums)
+            np.add(part, np.multiply(frame_w[:, w], sums, out=product), out=part)
+    return mixed

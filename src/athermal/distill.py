@@ -24,6 +24,7 @@ from .counting import (
     factor_value,
     identities,
     log_comb,
+    log_factorial,
     log_sum_exp,
     margin_bound,
     products_leq,
@@ -235,6 +236,8 @@ class _Shells:
         self.count_r = cache(lambda r: factor_value(factor_r(r)))
         self.shells = np.arange(g_window[0] + r_window[0], g_window[1] + r_window[1] + 1)
         self.log_sums = shell_log_sums(self.log_g, log_r)
+        # ln (ell+n-s)!, the one factor of ln C(ell+n-m, s-m) free of m.
+        self.rest = log_factorial(ell + n - self.shells)
         self.comb_g = cache(partial(math.comb, ell))
         self._margins: dict[int, np.ndarray] = {}
 
@@ -242,7 +245,8 @@ class _Shells:
         """ln C(ell+n-m, s-m) less ln of the shell's input strings, per
         shell; computed once per m and read-only."""
         if (margins := self._margins.get(m)) is None:
-            margins = log_comb(self.ell + self.n - m, self.shells - m) - self.log_sums
+            margins = (log_factorial(self.ell + self.n - m) - log_factorial(self.shells - m)
+                       - self.rest - self.log_sums)
             margins.flags.writeable = False
             self._margins[m] = margins
         return margins

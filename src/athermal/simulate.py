@@ -468,6 +468,16 @@ class ExhaustReport:
     per_system_rel_entropy: float
 
 
+def _is_gibbs(weights: np.ndarray, denominator: int, q: Fraction) -> bool:
+    """Whether exact weights over L-bit strings, over ``denominator``, are
+    gamma^(L) at q = a/b: weight(x) b^L = a^w (b-a)^(L-w) denominator for
+    every x, in integers.  The all-zero string settles most other cases."""
+    length = weights.size.bit_length() - 1
+    gibbs, scale = _bernoulli_weights(q, length)
+    return (weights[0] * scale == gibbs[0] * denominator
+            and bool((weights * scale == gibbs[_popcounts(length)] * denominator).all()))
+
+
 def _classical_rel_entropy(p: np.ndarray, q: float) -> float:
     """D(p || gamma^(L)) for a dense distribution p over L-bit strings:
     the sum of p (ln p - w ln q - (L - w) ln(1 - q)), w the string weight."""
@@ -485,25 +495,34 @@ def exhaust_analysis(plan: DistillationPlan, block_size: int = 1) -> ExhaustRepo
     the Pinsker bounds sqrt(2 D), the measured trace distances, and the
     subadditivity chain sum_blocks D <= D(pi_k || gamma^(k)).  The Gibbs
     reference uses the same (rationalized) weight as the executed input so
-    the comparison is exact.
+    the comparison is exact: a reduction whose exact weights are Gibbs
+    (every one at p = q) has D = 0 exactly.
     """
     if block_size < 1:
         raise ValueError("block size must be at least 1")
     output = execute_plan_classical(plan, thermal_input_distribution(plan)).output
-    q = float(_rationalize(plan.q))
+    q_exact = _rationalize(plan.q)
+    q = float(q_exact)
     exhaust = StringDistribution(plan.k, weights=output.marginal_weights(range(plan.k)),
                                  denominator=output.denominator)
+
+    def reduction(positions: range) -> tuple[np.ndarray, float]:
+        weights = exhaust.marginal_weights(positions)
+        vec = np.asarray(weights / exhaust.denominator, dtype=float)
+        if _is_gibbs(weights, exhaust.denominator, q_exact):
+            return vec, 0.0
+        return vec, _classical_rel_entropy(vec, q)
+
     num_blocks = plan.k // block_size
     rel_ents, pinskers, distances = [], [], []
     for b in range(num_blocks):
-        vec = exhaust.float_marginal(range(b * block_size, (b + 1) * block_size))
+        vec, d_block = reduction(range(b * block_size, (b + 1) * block_size))
         gamma_block = _bernoulli_weights(q, block_size)[0][_popcounts(block_size)]
-        d_block = _classical_rel_entropy(vec, q)
         rel_ents.append(d_block)
         pinskers.append(math.sqrt(2.0 * d_block))
         distances.append(0.5 * float(np.abs(vec - gamma_block).sum()))
 
-    d_total = _classical_rel_entropy(exhaust.float_marginal(range(plan.k)), q)
+    d_total = reduction(range(plan.k))[1]
     return ExhaustReport(
         block_size=block_size,
         num_blocks=num_blocks,

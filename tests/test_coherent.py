@@ -330,6 +330,26 @@ class TestExactMatchesReference:
     @example(n=7, a2=5e-324, phase_a=0.0, phase_b=1.0, p=0.75)
     @example(n=8, a2=0.2, phase_a=1.3, phase_b=4.4, p=0.03)
     @example(n=8, a2=0.7, phase_a=2.9, phase_b=0.8, p=0.97)
+    # Real amplitudes with a single arrangement, a 1 x 1 mixed block, which
+    # einsum would sum with a dot kernel in another order.
+    @example(n=6, a2=0.1, phase_a=0.0, phase_b=0.0, p=0.0)
+    @example(n=6, a2=0.3, phase_a=0.0, phase_b=0.0, p=0.0)
+    @example(n=6, a2=0.7, phase_a=0.0, phase_b=0.0, p=0.0)
+    @example(n=6, a2=0.1, phase_a=0.0, phase_b=0.0, p=1.0)
+    @example(n=6, a2=0.3, phase_a=0.0, phase_b=0.0, p=1.0)
+    @example(n=6, a2=0.7, phase_a=0.0, phase_b=0.0, p=1.0)
+    @example(n=7, a2=0.1, phase_a=0.0, phase_b=0.0, p=0.0)
+    @example(n=7, a2=0.3, phase_a=0.0, phase_b=0.0, p=0.0)
+    @example(n=7, a2=0.7, phase_a=0.0, phase_b=0.0, p=0.0)
+    @example(n=7, a2=0.1, phase_a=0.0, phase_b=0.0, p=1.0)
+    @example(n=7, a2=0.3, phase_a=0.0, phase_b=0.0, p=1.0)
+    @example(n=7, a2=0.7, phase_a=0.0, phase_b=0.0, p=1.0)
+    @example(n=8, a2=0.1, phase_a=0.0, phase_b=0.0, p=0.0)
+    @example(n=8, a2=0.3, phase_a=0.0, phase_b=0.0, p=0.0)
+    @example(n=8, a2=0.7, phase_a=0.0, phase_b=0.0, p=0.0)
+    @example(n=8, a2=0.1, phase_a=0.0, phase_b=0.0, p=1.0)
+    @example(n=8, a2=0.3, phase_a=0.0, phase_b=0.0, p=1.0)
+    @example(n=8, a2=0.7, phase_a=0.0, phase_b=0.0, p=1.0)
     @settings(max_examples=60, deadline=None)
     def test_bit_identical(self, n, a2, phase_a, phase_b, p):
         target = CoherentTarget(a=math.sqrt(a2) * complex(math.cos(phase_a), math.sin(phase_a)),
@@ -382,6 +402,68 @@ class TestExactMatchesReference:
         else:
             assert matrix.dtype == np.complex128
             assert matrix.tobytes() == product.tobytes()
+
+
+def _ascending_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_x a[x, i] b[x, j], one unfused multiply and add per string in
+    ascending x: the order of the reference's weight-resolved sums."""
+    sums = np.zeros((a.shape[1], b.shape[1]))
+    product = np.empty_like(sums)
+    for x in range(len(a)):
+        np.add(sums, np.multiply(a[x, :, None], b[x, None, :], out=product), out=sums)
+    return sums
+
+
+def test_einsum_sums_strings_in_order():
+    # The real mixed block sums each weight's strings with float64 einsum,
+    # which must add them one at a time in ascending x, unfused, on every
+    # shape it gets: (C(n, w), 2^n) x (C(n, w), typical) for each k window
+    # at 0 < p < 1 (the 1 x 1 block of p = 0 or 1 takes the complex loop).
+    # A NumPy that fuses or reorders this sum fails here by name.  n = 10
+    # is left out: its loops take about 20 s on a 2-vCPU Xeon, and a
+    # one-off sweep of its shapes with NumPy 2.4 found no difference.
+    rng = np.random.default_rng(7)
+    for n in range(1, 10):
+        typical_counts = set()
+        for p in np.linspace(0.0, 1.0, 401)[1:-1]:
+            k_lo = max(0, math.ceil(n * p - math.sqrt(n)))
+            k_hi = min(n, math.floor(n * p + math.sqrt(n)))
+            typical_counts.add(sum(math.comb(n, k) for k in range(k_lo, k_hi + 1)))
+        for cols in sorted(typical_counts):
+            for w in range(n + 1):
+                a = rng.standard_normal((math.comb(n, w), 2 ** n))
+                b = rng.standard_normal((math.comb(n, w), cols))
+                a[rng.random(a.shape) < 0.1] = -0.0
+                summed = np.einsum("xi,xj->ij", a, b, optimize=False)
+                assert summed.tobytes() == _ascending_sums(a, b).tobytes(), (n, w, cols)
+
+
+@pytest.mark.parametrize("a, b, p, route", [
+    (math.sqrt(0.1), math.sqrt(0.9), 0.5, "einsum"),
+    (math.sqrt(0.3), -math.sqrt(0.7), 0.2, "einsum"),
+    (math.sqrt(0.1), math.sqrt(0.9), 0.0, "loop"),
+    (math.sqrt(0.1), math.sqrt(0.9), 1.0, "loop"),
+    (math.sqrt(0.1) * cmath.exp(0.3j), math.sqrt(0.9), 0.5, "loop"),
+    (math.sqrt(0.1), math.sqrt(0.9) * cmath.exp(0.3j), 0.5, "loop"),
+])
+def test_mixed_block_route(monkeypatch, a, b, p, route):
+    # Real amplitudes sum the mixed block in float64, one einsum per
+    # excitation number; a phase, or a single arrangement, keeps the
+    # complex loop.
+    n = 5
+    einsums, loops = [], []
+    einsum, loop = np.einsum, coherent._mixed_block_complex
+    monkeypatch.setattr(np, "einsum", lambda *args, **kw: einsums.append(args) or einsum(*args, **kw))
+    monkeypatch.setattr(coherent, "_mixed_block_complex",
+                        lambda *args: loops.append(args) or loop(*args))
+    target = CoherentTarget(a=a, b=b, p=p, n=n)
+    coherent._exact_formation_error(target, *_exact_inputs(target))
+    if route == "einsum":
+        assert not loops and len(einsums) == n + 1
+        assert all(op.dtype == np.float64 for _, *ops in einsums for op in ops)
+    else:
+        assert not einsums and len(loops) == 1
+        assert loops[0][0].dtype == np.complex128
 
 
 def test_pinned_benchmark_distances():

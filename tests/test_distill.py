@@ -499,6 +499,21 @@ class TestCertifiedMargins:
         assert counting.products_leq(lhs, rhs) == (value(lhs) <= value(rhs))
         assert counting.products_leq(lhs + lhs, lhs + rhs) == (value(lhs) <= value(rhs))
 
+    @pytest.mark.parametrize("ell, n, width", [(40, 12, 1.0), (3000, 200, 2.0), (0, 30, 1.5)])
+    def test_margins_match_log_comb(self, ell, n, width):
+        # ln (ell+n-s)! is computed once per window; every m still reads the
+        # bytes of ln C(ell+n-m, s-m) less the log sums, -inf included where
+        # m passes the lowest shells.
+        g_window = typical_range(ell, gibbs_q(1.0), width) if ell else (0, 0)
+        r_window = typical_range(n, 0.8, width)
+        shells = distill._Shells(ell, n, g_window, r_window, *distill._binomial_axis(n, r_window))
+        lowest = int(shells.shells[0])
+        for m in sorted({0, 1, lowest // 2, lowest, lowest + 1, lowest + 3, n}):
+            expected = counting.log_comb(ell + n - m, shells.shells - m) - shells.log_sums
+            assert shells.margins(m).tobytes() == expected.tobytes()
+            if m > lowest:
+                assert shells.margins(m)[0] == -math.inf
+
     def test_zero_margins_go_to_exact_fallback(self, monkeypatch):
         # Full windows at m = 0: shell s holds exactly C(ell + n, s) strings
         # (Vandermonde), so every float margin is 0 up to rounding.

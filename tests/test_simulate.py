@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from athermal import simulate
+from athermal.core import gibbs_weight
 from athermal.distill import DistillationPlan, PerTypeRecord, plan_distillation, solve_single_type
 from athermal.form import plan_formation
 from athermal.simulate import (
@@ -276,6 +277,33 @@ class TestExhaustAnalysis:
         report = exhaust_analysis(plan)
         assert report.total_rel_entropy == pytest.approx(0.0, abs=1e-9)
         assert all(d == pytest.approx(0.0, abs=1e-9) for d in report.rel_entropies)
+
+    @pytest.mark.parametrize("n, beta", [(3, 1.0), (4, 1.0), (6, 1.0), (4, 20.0), (4, 35.0)])
+    @pytest.mark.parametrize("block_size", [1, 2])
+    def test_exactly_gibbs_exhaust_has_zero_entropy(self, n, beta, block_size):
+        # At p = q the input is gamma^(ell+n) exactly and the weight-preserving
+        # permutation keeps it so: every relative entropy is exactly 0, not
+        # a rounding residue of the float sum (1.3e-17 at n = 4).  The test
+        # is on exact integers, so nothing underflows at large beta, where
+        # the rationalised q is 0 at beta = 35 and ln q would fail.
+        q = gibbs_weight(beta)
+        report = exhaust_analysis(plan_distillation(n, q, beta), block_size=block_size)
+        assert report.num_blocks > 0
+        assert report.total_rel_entropy == 0.0 and report.per_system_rel_entropy == 0.0
+        assert report.rel_entropies == (0.0,) * report.num_blocks
+        assert report.pinsker_bounds == (0.0,) * report.num_blocks
+
+    def test_gibbs_check_is_exact(self):
+        # One numerator off in the last place of an exact Gibbs vector fails.
+        q = Fraction(1, 3)
+        weights, scale = simulate._bernoulli_weights(q, 3)
+        weights = weights[simulate._popcounts(3)]
+        assert simulate._is_gibbs(weights, scale, q)
+        assert simulate._is_gibbs(weights * 7, scale * 7, q)
+        nudged = weights * 10 ** 12
+        nudged[5] += 1
+        nudged[6] -= 1
+        assert not simulate._is_gibbs(nudged, scale * 10 ** 12, q)
 
     def test_pinsker_and_subadditivity(self):
         plan = plan_distillation(4, 0.95, 1.0, width=0.75)
