@@ -19,6 +19,6 @@ from .core import (
     von_neumann_entropy,
 )
 from .distill import plan_distillation, plan_distillation_general, rate_limit, solve_single_type
-from .form import birkhoff_partition, plan_formation, solve_formation_single_type
+from .form import birkhoff_partition, plan_formation
 
 __version__ = "0.1.0"

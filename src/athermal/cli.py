@@ -11,7 +11,8 @@ log-space fill derives on load at any beta and which must reproduce the
 stored summary.  Version-1 to -4 documents are still read: their per-type
 records, solver ``mode`` and Birkhoff sets and weights are ignored, their
 binding record is cut to six fields, and their ``max_deviation`` (from the
-former heap fill, off in the last digits) is not compared.
+former heap fill, off in the last digits) is not compared.  A document of
+any other ``schema_version``, or of none, is refused.
 """
 
 from __future__ import annotations
@@ -125,6 +126,9 @@ def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
     summary must agree (ValueError otherwise; before schema 5 but for
     ``max_deviation``).
     """
+    version = data.get("schema_version")
+    if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
+        raise ValueError(f"unknown plan schema_version {version!r}")
     cls = {"distillation": DistillationPlan, "formation": FormationPlan}.get(data["kind"])
     if cls is None:
         raise ValueError(f"unknown plan kind {data['kind']!r}")

@@ -40,7 +40,6 @@ __all__ = [
     "FormationPlan",
     "BirkhoffSpan",
     "BirkhoffPartition",
-    "solve_formation_single_type",
     "formation_feasible",
     "formation_record",
     "plan_formation",
@@ -68,16 +67,6 @@ def formation_feasible(n: int, target_ones: int, ell: int, gibbs_ones: int, m: i
     if k < 0 or e < 0 or e > k:
         return False
     return math.comb(ell, gibbs_ones) <= math.comb(k, e) * math.comb(n, target_ones)
-
-
-def solve_formation_single_type(n: int, target_ones: int, ell: int, gibbs_ones: int) -> int:
-    """Smallest m >= 0 making the formation inequality hold: the window
-    solve of :func:`_formation_m` at the one pair.  Raises
-    InfeasibleFormationError when even m = ell + n fails.
-    """
-    if not 0 <= gibbs_ones <= ell or not 0 <= target_ones <= n:
-        raise ValueError("one-counts out of range")
-    return _formation_m(n, ell, (gibbs_ones, gibbs_ones), (target_ones, target_ones))[0]
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,7 @@ from .counting import Factor, log_factorial, multinomial_margin_bound, products_
 from .typeclass import apportion, shannon_entropy
 
 __all__ = [
-    "OccupationShift",
     "WorkLedger",
-    "InvalidShiftError",
-    "apportion",
-    "unitarity_condition",
-    "asymptotic_condition",
     "max_work",
     "classical_relative_entropy",
 ]
@@ -35,50 +30,6 @@ __all__ = [
 # Beyond this many candidate output vectors the exhaustive search gives way
 # to a seeded hill climb with a bounded polish.
 ENUMERATION_CAP = 300_000
-
-
-class InvalidShiftError(ValueError):
-    """The shift would drive some occupation count negative."""
-
-
-@dataclass(frozen=True)
-class OccupationShift:
-    """Per-level occupation change, scaled by n: the counts move by -n x."""
-
-    x: tuple[Fraction, ...]
-    work: float = 0.0
-
-    def __post_init__(self):
-        x = tuple(Fraction(v) for v in self.x)
-        object.__setattr__(self, "x", x)
-        if sum(x) != 0:
-            raise ValueError("shift components must sum to zero")
-
-    @classmethod
-    def from_deltas(cls, deltas: Sequence[int], n: int,
-                    hamiltonian: Hamiltonian | None = None) -> "OccupationShift":
-        work = 0.0
-        if hamiltonian is not None:
-            work = float(sum(d * e for d, e in zip(deltas, hamiltonian.energies)))
-        return cls(tuple(Fraction(int(d), n) for d in deltas), work)
-
-    def deltas(self, n: int) -> tuple[int, ...]:
-        out = []
-        for v in self.x:
-            scaled = v * n
-            if scaled.denominator != 1:
-                raise ValueError(f"shift {v} does not give an integer count at n={n}")
-            out.append(int(scaled))
-        return tuple(out)
-
-
-def _as_counts(total: int, f: Sequence) -> tuple[int, ...]:
-    values = tuple(f)
-    if all(isinstance(v, (Fraction, int)) for v in values):
-        scaled = [Fraction(v) * total for v in values]
-        if all(s.denominator == 1 for s in scaled) and sum(scaled) == total:
-            return tuple(int(s) for s in scaled)
-    return apportion(total, [float(v) for v in values])
 
 
 def _log_multinomials(counts: np.ndarray) -> np.ndarray:
@@ -111,26 +62,6 @@ class _CountingTest:
         return holds, margins
 
 
-def unitarity_condition(f_rho: Sequence, f_gamma: Sequence,
-                        shift: OccupationShift, n: int, ell: int) -> tuple[bool, float]:
-    """Certified multinomial unitarity check M(n f_rho) M(ell f_gamma) <= M((n+ell) nu).
-
-    Returns (holds, margin) with margin = ln RHS - ln LHS in nats, a
-    log-gamma float within delta_d(n + ell) / 4 of the exact value;
-    ``holds`` is exact.
-    """
-    counts_rho = _as_counts(n, f_rho)
-    counts_gamma = _as_counts(ell, f_gamma)
-    deltas = shift.deltas(n)
-    if len(counts_rho) != len(counts_gamma) or len(deltas) != len(counts_rho):
-        raise ValueError("dimension mismatch")
-    nu = tuple(r + g - d for r, g, d in zip(counts_rho, counts_gamma, deltas))
-    if any(v < 0 for v in nu):
-        raise InvalidShiftError(f"shift drives occupation negative: nu = {nu}")
-    holds, margins = _CountingTest(counts_rho, counts_gamma).decide(np.array([nu]))
-    return bool(holds[0]), float(margins[0])
-
-
 def classical_relative_entropy(f: Sequence[float], g: Sequence[float]) -> float:
     """D(f||g) in nats for probability vectors; inf on support violation."""
     total = 0.0
@@ -140,17 +71,6 @@ def classical_relative_entropy(f: Sequence[float], g: Sequence[float]) -> float:
                 return math.inf
             total += fi * math.log(fi / gi)
     return max(total, 0.0)
-
-
-def asymptotic_condition(f_rho: Sequence, f_gamma: Sequence, shift: OccupationShift) -> bool:
-    """The ell -> inf unitarity relation -x . ln f_gamma <= D(f_rho || f_gamma)."""
-    rho = [float(v) for v in f_rho]
-    gam = [float(v) for v in f_gamma]
-    if any(g <= 0.0 for g in gam):
-        raise ValueError("f_gamma must have full support")
-    lhs = -sum(float(x) * math.log(g) for x, g in zip(shift.x, gam))
-    rhs = classical_relative_entropy(rho, gam)
-    return lhs <= rhs + 1e-12
 
 
 @dataclass(frozen=True)

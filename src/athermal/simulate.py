@@ -190,10 +190,6 @@ def oracle_max_m(ell: int, gibbs_ones: int, n: int, resource_ones: int) -> int:
     return 0
 
 
-def _rationalize(x: float, limit: int = 10 ** 9) -> Fraction:
-    return Fraction(x).limit_denominator(limit)
-
-
 def _bernoulli_weights(x: Fraction | float, length: int) -> tuple[np.ndarray, int]:
     """x^w (1-x)^(length-w) for w = 0..length over a common denominator: for
     x = a/b the integers a^w (b-a)^(length-w) over b^length."""
@@ -207,14 +203,15 @@ def thermal_input_distribution(plan: DistillationPlan, rational: bool = True,
                                max_qubits: int = INPUT_MAX_QUBITS) -> StringDistribution:
     """gamma^(ell) (x) rho^(n) as an explicit string distribution.
 
-    In rational mode the weights q = a/A and p = b/B are replaced by nearby
-    fractions (denominators <= 1e9): every string's mass is then an integer
-    numerator over A^ell B^n, and the numerator depends only on the type.
+    In rational mode the float weights are taken as the exact dyadic
+    rationals q = a/A and p = b/B they are: every string's mass is then an
+    integer numerator over A^ell B^n, and the numerator depends only on the
+    type.
     """
     total = plan.ell + plan.n
     if total > max_qubits:
         raise UnsupportedSizeError(f"full enumeration capped at {max_qubits} qubits")
-    q, p = (_rationalize(plan.q), _rationalize(plan.p)) if rational else (plan.q, plan.p)
+    q, p = (Fraction(plan.q), Fraction(plan.p)) if rational else (plan.q, plan.p)
     bath, bath_den = _bernoulli_weights(q, plan.ell)
     resource, resource_den = _bernoulli_weights(p, plan.n)
     weights = np.multiply.outer(bath, resource)[_popcounts(plan.ell)[:, None], _popcounts(plan.n)]
@@ -227,7 +224,7 @@ def formation_input_distribution(plan: FormationPlan, rational: bool = True) -> 
     total = plan.ell + plan.m
     if total > INPUT_MAX_QUBITS:
         raise UnsupportedSizeError(f"full enumeration capped at {INPUT_MAX_QUBITS} qubits")
-    bath, den = _bernoulli_weights(_rationalize(plan.q) if rational else plan.q, plan.ell)
+    bath, den = _bernoulli_weights(Fraction(plan.q) if rational else plan.q, plan.ell)
     weights = np.zeros(2 ** total, dtype=bath.dtype)
     weights[(np.arange(2 ** plan.ell) << plan.m) | ((1 << plan.m) - 1)] = \
         bath[_popcounts(plan.ell)]
@@ -494,15 +491,14 @@ def exhaust_analysis(plan: DistillationPlan, block_size: int = 1) -> ExhaustRepo
     Computes D(pi_block || gamma^(L)) for disjoint L-blocks of the exhaust,
     the Pinsker bounds sqrt(2 D), the measured trace distances, and the
     subadditivity chain sum_blocks D <= D(pi_k || gamma^(k)).  The Gibbs
-    reference uses the same (rationalized) weight as the executed input so
-    the comparison is exact: a reduction whose exact weights are Gibbs
-    (every one at p = q) has D = 0 exactly.
+    reference uses the same exact weight as the executed input so the
+    comparison is exact: a reduction whose exact weights are Gibbs (every
+    one at p = q) has D = 0 exactly.
     """
     if block_size < 1:
         raise ValueError("block size must be at least 1")
     output = execute_plan_classical(plan, thermal_input_distribution(plan)).output
-    q_exact = _rationalize(plan.q)
-    q = float(q_exact)
+    q, q_exact = plan.q, Fraction(plan.q)
     exhaust = StringDistribution(plan.k, weights=output.marginal_weights(range(plan.k)),
                                  denominator=output.denominator)
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -185,6 +186,22 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match="Birkhoff summary"):
             plan_from_dict(dict(json.loads(json.dumps(v4)), schema_version=5))
 
+    @pytest.mark.parametrize("kind", ["distillation", "formation"])
+    @pytest.mark.parametrize("version", [0, 6, 99, "x", "5", 5.0, True, None, "missing"])
+    def test_unknown_schema_version_refused(self, kind, version):
+        # Only the integers 1 to 5 name a schema this reader knows; anything
+        # else, a missing key included, is a domain error naming the value.
+        plan = (plan_distillation(6, 0.9, 1.0, width=1.0) if kind == "distillation"
+                else plan_formation(8, 0.8, 1.0, width=1.0))
+        doc = json.loads(dumps_report(plan_to_dict(plan)))
+        if version == "missing":
+            del doc["schema_version"]
+            version = None
+        else:
+            doc["schema_version"] = version
+        with pytest.raises(ValueError, match=re.escape(f"schema_version {version!r}")):
+            plan_from_dict(doc)
+
     @pytest.mark.parametrize("field,value", [
         ("max_deviation", 0.5), ("within_tolerance", False), ("tolerance", 0.01), ("ell", 3)])
     def test_tampered_birkhoff_summary_refused(self, field, value):
@@ -343,6 +360,14 @@ class TestExhaustCommand:
         doc = json.loads(out.read_text())
         for measured, bound in zip(doc["measured_trace_distances"], doc["pinsker_bounds"]):
             assert measured <= bound + 1e-9
+
+    @pytest.mark.parametrize("beta, expected", [("22", 40.231), ("35", 64.344)])
+    def test_large_beta_exhaust_runs(self, capsys, beta, expected):
+        # q < 5e-10: the executed bath must keep its excited strings.
+        assert main(["exhaust", "--n", "3", "--p", "0.95", "--beta", beta,
+                     "--width", "1.0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["total_rel_entropy"] == pytest.approx(expected, abs=1e-3)
 
     @pytest.mark.parametrize("block_size", ["0", "-1"])
     def test_nonpositive_block_size_is_domain_error(self, tmp_path, capsys, block_size):

@@ -67,9 +67,8 @@ def reference_permutation(plan) -> dict[tuple, tuple]:
 
 
 def reference_input(plan) -> dict[tuple, Fraction]:
-    """gamma^(ell) (x) rho^(n) with the rationalized weights, as products."""
-    q = Fraction(plan.q).limit_denominator(10 ** 9)
-    p = Fraction(plan.p).limit_denominator(10 ** 9)
+    """gamma^(ell) (x) rho^(n) with the exact weights, as products."""
+    q, p = Fraction(plan.q), Fraction(plan.p)
     probs = {}
     for s in product((0, 1), repeat=plan.ell + plan.n):
         g, r = sum(s[:plan.ell]), sum(s[plan.ell:])
@@ -124,7 +123,7 @@ def test_kernel_matches_reference_executor(n, p, beta, width):
     for i in range(plan.k):
         assert report.output.marginal([i]) == marginal(out, [i])
 
-    q = float(Fraction(plan.q).limit_denominator(10 ** 9))
+    q = plan.q
     exhaust = exhaust_analysis(plan)
     for i, distance in enumerate(exhaust.measured_trace_distances):
         mass_one = float(marginal(out, [i]).get((1,), 0))

@@ -20,7 +20,6 @@ from athermal.form import (
     formation_feasible,
     gibbs_type_birkhoff,
     plan_formation,
-    solve_formation_single_type,
     target_birkhoff,
 )
 from athermal.typeclass import typical_range
@@ -114,23 +113,28 @@ def draw_window(data, top):
     return tuple(sorted((a, data.draw(st.just(a) | end))))
 
 
+def least_m(n, t, ell, g):
+    """The window solve at the one pair (g, t): the smallest m >= 0 making
+    the formation inequality hold, as plan_formation decides it."""
+    return form._formation_m(n, ell, (g, g), (t, t))[0]
+
 
 class TestSolveFormation:
     def test_forming_gibbs_type_is_free(self):
         # n = ell and target = Gibbs type: k = 0 and equality holds at m = 0.
-        assert solve_formation_single_type(6, 3, 6, 3) == 0
-        assert solve_formation_single_type(10, 2, 10, 2) == 0
+        assert least_m(6, 3, 6, 3) == 0
+        assert least_m(10, 2, 10, 2) == 0
 
     def test_reference_instance(self):
         # smallest m with C(4,1) <= C(m+2, m-1): m = 2 gives 4 <= C(4,1) = 4.
-        assert solve_formation_single_type(2, 2, 4, 1) == 2
+        assert least_m(2, 2, 4, 1) == 2
         assert formation_feasible(2, 2, 4, 1, 2)
         assert not formation_feasible(2, 2, 4, 1, 1)
 
     def test_infeasible_signal(self):
         # g - t > ell - n makes the exhaust overflow at every m.
         with pytest.raises(InfeasibleFormationError):
-            solve_formation_single_type(2, 0, 3, 3)
+            least_m(2, 0, 3, 3)
 
     @given(ell=st.integers(1, 10), n=st.integers(1, 10), data=st.data())
     @settings(max_examples=60)
@@ -141,9 +145,9 @@ class TestSolveFormation:
                            for m in range(ell + n + 1))
         if not any_feasible:
             with pytest.raises(InfeasibleFormationError):
-                solve_formation_single_type(n, t, ell, g)
+                least_m(n, t, ell, g)
             return
-        m = solve_formation_single_type(n, t, ell, g)
+        m = least_m(n, t, ell, g)
         assert formation_feasible(n, t, ell, g, m)
         if m > 0:
             assert not formation_feasible(n, t, ell, g, m - 1)
@@ -159,9 +163,9 @@ class TestSolveFormation:
                                       if formation_feasible(n, t, ell, g, m)), None)
                         if least is None:
                             with pytest.raises(InfeasibleFormationError):
-                                solve_formation_single_type(n, t, ell, g)
+                                least_m(n, t, ell, g)
                         else:
-                            assert solve_formation_single_type(n, t, ell, g) == least, \
+                            assert least_m(n, t, ell, g) == least, \
                                 (n, t, ell, g)
 
     def test_duality_with_distillation(self):
@@ -170,7 +174,7 @@ class TestSolveFormation:
         for (ell, g, n, t) in [(8, 2, 4, 3), (10, 3, 5, 4), (12, 3, 6, 4),
                                (9, 2, 6, 5), (14, 4, 7, 5)]:
             recovered = solve_single_type(ell, g, n, t)
-            invested = solve_formation_single_type(n, t, ell, g)
+            invested = least_m(n, t, ell, g)
             assert invested >= recovered
             assert invested - recovered <= 3
 

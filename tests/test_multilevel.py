@@ -11,15 +11,8 @@ from hypothesis import strategies as st
 from athermal import counting, multilevel
 from athermal.core import Hamiltonian, gibbs_state
 from athermal.distill import distill_feasible, solve_single_type
-from athermal.multilevel import (
-    InvalidShiftError,
-    OccupationShift,
-    apportion,
-    asymptotic_condition,
-    classical_relative_entropy,
-    max_work,
-    unitarity_condition,
-)
+from athermal.multilevel import classical_relative_entropy, max_work
+from athermal.typeclass import apportion
 
 H3 = Hamiltonian((0.0, 1.0, 2.0))
 H2 = Hamiltonian.two_level()
@@ -36,24 +29,13 @@ def compositions(total, d):
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, total + d - 1)))
 
 
-def fractions_over(counts, total):
-    return tuple(Fraction(c, total) for c in counts)
-
-
-class TestOccupationShift:
-    def test_sum_zero_required(self):
-        with pytest.raises(ValueError):
-            OccupationShift((Fraction(1, 2), Fraction(1, 2)))
-
-    def test_deltas_round_trip(self):
-        shift = OccupationShift.from_deltas((2, -1, -1), 6, H3)
-        assert shift.deltas(6) == (2, -1, -1)
-        assert shift.work == pytest.approx(2 * 0 - 1 * 1 - 1 * 2)
-
-    def test_non_integer_scaling_rejected(self):
-        shift = OccupationShift((Fraction(1, 3), Fraction(-1, 3)))
-        with pytest.raises(ValueError):
-            shift.deltas(4)
+def decide(counts_rho, counts_bath, deltas):
+    """The engine's certified unitarity test M(counts_rho) M(counts_bath) <=
+    M(nu) at the output nu = counts_rho + counts_bath - deltas (deltas:
+    per-level occupation decreases).  Returns (holds, margin in nats)."""
+    nu = np.add(counts_rho, counts_bath) - deltas
+    (holds,), (margin,) = multilevel._CountingTest(counts_rho, counts_bath).decide(nu[None])
+    return bool(holds), float(margin)
 
 
 class TestApportion:
@@ -69,10 +51,7 @@ class TestApportion:
 class TestUnitarityCondition:
     def test_zero_shift_merging_margin(self):
         # Merging two type classes into the joint class never loses strings.
-        f_rho = fractions_over((2, 2, 2), 6)
-        f_gam = fractions_over((4, 1, 1), 6)
-        shift = OccupationShift.from_deltas((0, 0, 0), 6)
-        holds, margin = unitarity_condition(f_rho, f_gam, shift, 6, 6)
+        holds, margin = decide((2, 2, 2), (4, 1, 1), (0, 0, 0))
         assert holds and margin >= 0.0
         # margin equals ln[M(joint)/(M_rho M_gam)] exactly
         joint = multinomial((6, 3, 3))
@@ -82,56 +61,41 @@ class TestUnitarityCondition:
     def test_all_mass_to_one_level_fails(self):
         # Compressing everything into the ground level would need more
         # strings than one configuration offers.
-        f_rho = fractions_over((2, 2, 2), 6)
-        f_gam = fractions_over((4, 1, 1), 6)
-        shift = OccupationShift.from_deltas((-6, 3, 3), 6)
-        holds, margin = unitarity_condition(f_rho, f_gam, shift, 6, 6)
+        holds, margin = decide((2, 2, 2), (4, 1, 1), (-6, 3, 3))
         assert not holds and margin < 0.0
-
-    def test_negative_occupation_rejected(self):
-        # Removing 3 from level 1, which only holds 1 system, is invalid.
-        f_rho = fractions_over((0, 0, 6), 6)
-        f_gam = fractions_over((4, 1, 1), 6)
-        shift = OccupationShift.from_deltas((0, 3, -3), 6)
-        with pytest.raises(InvalidShiftError):
-            unitarity_condition(f_rho, f_gam, shift, 6, 6)
 
     @pytest.mark.parametrize("ell,g,n,r", [(4, 1, 2, 2), (6, 2, 4, 3), (8, 3, 5, 1)])
     def test_two_level_reduces_to_con_ent(self, ell, g, n, r):
         # At m = 0 the d = 2 condition is exactly the two-level counting
         # inequality on the merged string class.
-        f_rho = fractions_over((n - r, r), n)
-        f_gam = fractions_over((ell - g, g), ell)
-        shift = OccupationShift.from_deltas((0, 0), n)
-        holds, _ = unitarity_condition(f_rho, f_gam, shift, n, ell)
+        holds, _ = decide((n - r, r), (ell - g, g), (0, 0))
         assert holds == distill_feasible(ell, g, n, r, 0)
 
     def test_exact_matches_loggamma(self):
-        f_rho = fractions_over((30, 20, 10), 60)
-        f_gam = fractions_over((40, 15, 5), 60)
-        shift = OccupationShift.from_deltas((6, -3, -3), 60)
-        _, approx_margin = unitarity_condition(f_rho, f_gam, shift, 60, 60)
+        _, approx_margin = decide((30, 20, 10), (40, 15, 5), (6, -3, -3))
         exact_margin = math.log(multinomial((64, 38, 18))) - math.log(
             multinomial((30, 20, 10)) * multinomial((40, 15, 5)))
         assert approx_margin == pytest.approx(exact_margin, rel=1e-9)
 
 
 class TestAsymptoticCondition:
+    """The ell -> inf unitarity relation -x . ln f_gamma <= D(f_rho || f_gamma),
+    x the per-level occupation decreases over n."""
+
     def test_zero_shift_holds(self):
         gam = gibbs_state(H3, 1.0).probs
-        shift = OccupationShift.from_deltas((0, 0, 0), 10)
-        assert asymptotic_condition(gam, gam, shift)
+        assert -np.zeros(3) @ np.log(gam) <= classical_relative_entropy(gam, gam)
 
     def test_gibbs_input_blocks_positive_work(self):
         # With f_rho = f_gamma, D = 0: only shifts with -x ln gamma <= 0 pass.
-        # deltas are occupation decreases, so extracting work removes
-        # occupation from the top level (positive top delta).
+        # Extracting work removes occupation from the top level (positive
+        # top component).
         gam = gibbs_state(H3, 1.0).probs
-        extract = OccupationShift.from_deltas((-1, 0, 1), 10, H3)
-        dump = OccupationShift.from_deltas((1, 0, -1), 10, H3)
-        assert extract.work > 0
-        assert not asymptotic_condition(gam, gam, extract)
-        assert asymptotic_condition(gam, gam, dump)
+        d = classical_relative_entropy(gam, gam)
+        extract = np.array([-1, 0, 1]) / 10
+        assert extract @ H3.energies > 0
+        assert -extract @ np.log(gam) > d
+        assert extract @ np.log(gam) <= d
 
     def test_saturating_shift_identity(self):
         # Along x = alpha (e_i - e_j), -x ln gamma = D forces
@@ -147,11 +111,6 @@ class TestAsymptoticCondition:
         work = beta * sum(float(xi) * e for xi, e in zip(x, H3.energies))
         assert lhs == pytest.approx(work, abs=1e-9)
         assert lhs == pytest.approx(d, abs=1e-6)
-
-    def test_full_support_required(self):
-        shift = OccupationShift.from_deltas((0, 0), 4)
-        with pytest.raises(ValueError):
-            asymptotic_condition((0.5, 0.5), (1.0, 0.0), shift)
 
 
 class TestMaxWork:
@@ -225,24 +184,19 @@ class TestExactImpliesAsymptotic:
             n = ell
             counts_rho = apportion(n, (0.1, 0.2, 0.7))
             counts_gam = apportion(ell, gam_probs)
-            f_rho = fractions_over(counts_rho, n)
-            f_gam = fractions_over(counts_gam, ell)
+            f_rho = [c / n for c in counts_rho]
+            f_gam = [c / ell for c in counts_gam]
+            d_val = classical_relative_entropy(f_rho, f_gam)
             worst = 0.0
             for d0 in range(-3, 4):
                 for d1 in range(-3, 4):
                     deltas = (d0, d1, -d0 - d1)
-                    nu = tuple(r + g - d for r, g, d in
-                               zip(counts_rho, counts_gam, deltas))
-                    if any(v < 0 for v in nu):
+                    if min(np.add(counts_rho, counts_gam) - deltas) < 0:
                         continue
-                    shift = OccupationShift.from_deltas(deltas, n)
-                    holds, _ = unitarity_condition(f_rho, f_gam, shift, n, ell)
+                    holds, _ = decide(counts_rho, counts_gam, deltas)
                     if not holds:
                         continue
-                    lhs = -sum(float(x) * math.log(float(g))
-                               for x, g in zip(shift.x, f_gam))
-                    d_val = classical_relative_entropy(
-                        [float(v) for v in f_rho], [float(v) for v in f_gam])
+                    lhs = -sum(d / n * math.log(g) for d, g in zip(deltas, f_gam))
                     worst = max(worst, lhs - d_val)
             violations.append(max(worst, 0.0))
         assert violations[0] >= violations[1] >= violations[2]

@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -205,7 +206,7 @@ class TestFormationExecution:
         floats = formation_input_distribution(plan, rational=False)
         assert np.abs(execute_plan_classical(plan, floats).output.weights
                       - floats.weights).max() <= 1e-15
-        q = Fraction(plan.q).limit_denominator(10 ** 9)
+        q = Fraction(plan.q)
         lo, hi = plan.gibbs_window
         outside = sum((math.comb(n, g) * q ** g * (1 - q) ** (n - g)
                        for g in range(n + 1) if not lo <= g <= hi), Fraction(0))
@@ -284,14 +285,34 @@ class TestExhaustAnalysis:
         # At p = q the input is gamma^(ell+n) exactly and the weight-preserving
         # permutation keeps it so: every relative entropy is exactly 0, not
         # a rounding residue of the float sum (1.3e-17 at n = 4).  The test
-        # is on exact integers, so nothing underflows at large beta, where
-        # the rationalised q is 0 at beta = 35 and ln q would fail.
+        # is on exact integers, so nothing underflows at large beta.
         q = gibbs_weight(beta)
         report = exhaust_analysis(plan_distillation(n, q, beta), block_size=block_size)
         assert report.num_blocks > 0
         assert report.total_rel_entropy == 0.0 and report.per_system_rel_entropy == 0.0
         assert report.rel_entropies == (0.0,) * report.num_blocks
         assert report.pinsker_bounds == (0.0,) * report.num_blocks
+
+    @pytest.mark.parametrize("beta", [22.0, 35.0])
+    def test_large_beta_runs_the_plans_bath(self, beta):
+        # q < 5e-10 here: the input is the plan's own float q as the exact
+        # dyadic rational it is, never a rounded one that could reach 0.
+        # The total relative entropy is checked against a 50-digit sum over
+        # the exact exhaust marginal.
+        plan = plan_distillation(3, 0.95, beta, width=1.0)
+        assert 0 < plan.q < 5e-10
+        report = exhaust_analysis(plan)
+        output = execute_plan_classical(plan, thermal_input_distribution(plan)).output
+        q = Fraction(plan.q)
+        with mpmath.workdps(50):
+            reference = sum(
+                mass * (mpmath.log(mass.numerator) - mpmath.log(mass.denominator)
+                        - sum(bits) * mpmath.log(q.numerator)
+                        - (plan.k - sum(bits)) * mpmath.log(q.denominator - q.numerator)
+                        + plan.k * mpmath.log(q.denominator))
+                for bits, mass in output.marginal(range(plan.k)).items())
+        assert report.total_rel_entropy == pytest.approx(float(reference), rel=1e-12)
+        assert report.subadditivity_holds and all(map(math.isfinite, report.rel_entropies))
 
     def test_gibbs_check_is_exact(self):
         # One numerator off in the last place of an exact Gibbs vector fails.
@@ -360,7 +381,7 @@ class TestWorkBalanceAudit:
     def test_gibbs_only_input_yields_no_work(self):
         # Feed gamma into a plan built for an athermal state.
         plan = plan_distillation(4, 0.95, 1.0, width=0.75)
-        q = Fraction(Q1).limit_denominator(10 ** 9)
+        q = Fraction(Q1)
         probs = {}
         total = plan.ell + plan.n
         for x in range(2 ** total):

@@ -19,7 +19,6 @@ from athermal.counting import (
 )
 from athermal.core import Hamiltonian
 from athermal.multilevel import (
-    _as_counts,
     _compositions,
     _log_multinomials,
     _multinomial_factors,
@@ -189,8 +188,8 @@ class TestShannonEntropy:
 
 
 class TestFrequencyVector:
-    """Frequency vectors as max_work accepts them: exact when built from
-    Fractions, which _as_counts turns into counts without rounding."""
+    """Frequency vectors as max_work accepts them: Fractions must sum to
+    exactly 1, floats to within 1e-12."""
 
     def test_exact_rational_sum(self):
         max_work((Fraction(1, 3), Fraction(2, 3)), H2, 1.0, 3, 3)
@@ -202,10 +201,6 @@ class TestFrequencyVector:
         max_work((x for x in (0.3, 0.7)), H2, 1.0, 3, 3)
         with pytest.raises(ValueError, match=NOT_PROBABILITIES):
             max_work((0.3, 0.6), H2, 1.0, 3, 3)
-
-    def test_from_descriptor(self):
-        # The exact frequencies of a type give back its counts.
-        assert _as_counts(12, (Fraction(3, 12), Fraction(9, 12))) == (3, 9)
 
 
 class TestTypeProbability:
