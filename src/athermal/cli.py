@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import astuple, fields, is_dataclass
+from dataclasses import MISSING, astuple, fields, is_dataclass
 
 from .core import (
     DensityMatrix,
@@ -124,14 +124,18 @@ def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
     for free-target formation plans; it is derived here as
     :func:`plan_formation` does, as is the Birkhoff partition, whose stored
     summary must agree (ValueError otherwise; before schema 5 but for
-    ``max_deviation``).
+    ``max_deviation``).  A missing kind or plan field is a ValueError naming it.
     """
     version = data.get("schema_version")
     if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
         raise ValueError(f"unknown plan schema_version {version!r}")
-    cls = {"distillation": DistillationPlan, "formation": FormationPlan}.get(data["kind"])
+    cls = {"distillation": DistillationPlan, "formation": FormationPlan}.get(data.get("kind"))
     if cls is None:
-        raise ValueError(f"unknown plan kind {data['kind']!r}")
+        raise ValueError(f"unknown plan kind {data.get('kind')!r}")
+    # A formation plan derives its Birkhoff partition from its target window.
+    if missing := [f.name for f in fields(cls) if f.name not in data
+                   and (f.default is MISSING or f.name == "target_window")]:
+        raise ValueError(f"plan document without {', '.join(missing)}")
     kw = {f.name: tuple(data[f.name]) if isinstance(data[f.name], list) else data[f.name]
           for f in fields(cls) if f.name in data}
     for name in ("epsilon", "cost_rate"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain, combinations, product
 from typing import Sequence
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Hamiltonian, gibbs_state
 from .counting import Factor, log_factorial, multinomial_margin_bound, products_leq
-from .typeclass import apportion, shannon_entropy
+from .typeclass import apportion
 
 __all__ = [
     "WorkLedger",
@@ -30,6 +30,8 @@ __all__ = [
 # Beyond this many candidate output vectors the exhaustive search gives way
 # to a seeded hill climb with a bounded polish.
 ENUMERATION_CAP = 300_000
+# Cells of each (pairs x compositions) matrix in one block of the sweep.
+_SWEEP_CELLS = 2 ** 19
 
 
 def _log_multinomials(counts: np.ndarray) -> np.ndarray:
@@ -44,21 +46,26 @@ def _multinomial_factors(counts: Sequence[int]) -> list[Factor]:
 
 
 class _CountingTest:
-    """Certified test M(nu) >= M(counts_rho) M(counts_bath) over output types nu."""
+    """Certified tests M(nu) >= M(a) M(b) for type pairs (a, b) of one total."""
 
-    def __init__(self, counts_rho: Sequence[int], counts_bath: Sequence[int]):
-        self.lhs = _multinomial_factors(counts_rho) + _multinomial_factors(counts_bath)
-        self.lhs_log = float(_log_multinomials(np.array([counts_rho, counts_bath])).sum())
-        self.delta = multinomial_margin_bound(sum(counts_rho) + sum(counts_bath), len(counts_rho))
+    def __init__(self, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]):
+        self.pairs = pairs
+        self.lhs_log = _log_multinomials(np.array(pairs)).sum(axis=-1)
+        a, b = pairs[0]
+        self.delta = multinomial_margin_bound(sum(a) + sum(b), len(a))
 
-    def decide(self, nus: np.ndarray, log_m: np.ndarray | None = None
+    def decide(self, owners: int | np.ndarray, nus: np.ndarray, log_m: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
-        """(holds, margins) for every row of ``nus`` (``log_m``: their ln M,
-        if known); only margins in (-delta, delta) go to exact integers."""
-        margins = (_log_multinomials(nus) if log_m is None else log_m) - self.lhs_log
+        """(holds, margins) of pairs ``owners`` at outputs ``nus`` (``log_m``:
+        their ln M, if known), broadcast, a margin's last index naming its row
+        of ``nus``; only margins in (-delta, delta) go to exact integers."""
+        margins = (_log_multinomials(nus) if log_m is None else log_m) - self.lhs_log[owners]
         holds = margins >= self.delta
-        for i in np.flatnonzero(np.abs(margins) < self.delta):
-            holds[i] = products_leq(self.lhs, _multinomial_factors(nus[i]))
+        owners = np.broadcast_to(owners, margins.shape)
+        for i in zip(*np.nonzero(np.abs(margins) < self.delta)):
+            a, b = self.pairs[owners[i]]
+            holds[i] = products_leq(_multinomial_factors(a) + _multinomial_factors(b),
+                                    _multinomial_factors(nus[i[-1]]))
         return holds, margins
 
 
@@ -124,97 +131,116 @@ def _polish_steps(d: int) -> np.ndarray:
     return steps[(steps.sum(axis=1) == 0) & steps.any(axis=1)]
 
 
-def _search_best_shift(counts_rho: tuple[int, ...], counts_bath: tuple[int, ...],
-                       energies: tuple[float, ...],
-                       ) -> tuple[float, tuple[int, ...], float, bool, bool]:
-    """Maximize H . delta subject to the certified counting condition.
+def _search_best_shifts(pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
+                        energies: tuple[float, ...],
+                        ) -> list[tuple[float, tuple[int, ...], float, bool, bool]]:
+    """Maximize H . delta under the certified counting condition for every
+    (counts_rho, counts_bath) pair of one total N: (work, deltas, margin,
+    exact_search, partial) per pair.
 
-    Returns (work, deltas, margin, exact_search, partial).  Exhaustive over
-    all output compositions when the space is small: the optimum is the
-    lexicographic maximum of (work, -deltas) over the feasible ones.
-    Otherwise a Gibbs-like seed plus greedy unit moves and a radius-2
-    polish, every accept or reject through the same certified test.
+    When the C(N + d - 1, d - 1) output compositions are few, one sweep
+    tests all of them against all pairs, in row blocks: a pair's optimum is
+    the lexicographic maximum of (work, -deltas) over its feasible outputs.
+    Otherwise each pair is seeded Gibbs-like, repaired, and climbs by greedy
+    unit moves and a radius-2 polish, all pairs in lockstep: one certified
+    test per round over every active pair's candidates.
     """
     d = len(energies)
-    total = sum(counts_rho) + sum(counts_bath)
-    s_vec = np.add(counts_rho, counts_bath)
-    test = _CountingTest(counts_rho, counts_bath)
+    total = sum(pairs[0][0]) + sum(pairs[0][1])
+    s_vec = np.array(pairs).sum(axis=1)
+    test = _CountingTest(pairs)
+    holds, margins = np.zeros(len(pairs), dtype=bool), np.zeros(len(pairs))
 
-    def work_of(nus: np.ndarray) -> np.ndarray:
-        # Summed in level order, so each value equals sum((s - v) * e).
-        work = np.zeros(len(nus))
-        for i, e in enumerate(energies):
-            work = work + (s_vec[i] - nus[:, i]) * e
-        return work
+    def work_of(s: np.ndarray, nus: np.ndarray) -> np.ndarray:
+        # Summed from 0 in level order, so each value equals sum((s - nu) * e).
+        return sum((s[..., i] - nus[..., i]) * e for i, e in enumerate(energies))
 
-    def result(nu: np.ndarray, exhaustive: bool, partial: bool):
-        (holds,), (margin,) = test.decide(nu[None])
-        return (float(work_of(nu[None])[0]), tuple(int(v) for v in s_vec - nu),
-                max(float(margin), 0.0) if holds else float(margin), exhaustive, partial)
-
-    if math.comb(total + d - 1, d - 1) <= ENUMERATION_CAP:
+    exhaustive = math.comb(total + d - 1, d - 1) <= ENUMERATION_CAP
+    if exhaustive:
         nus, log_m = _compositions(total, d)
-        holds, _ = test.decide(nus, log_m)
-        fits = nus[holds]
-        keys = (fits - s_vec).T[::-1]
-        return result(fits[np.lexsort((*keys, work_of(fits)))[-1]], True, False)
+        levels = np.asfortranarray(nus, dtype=float)    # exact, one contiguous column per level
+        nu = np.empty_like(s_vec)
+        rows = max(1, _SWEEP_CELLS // len(nus))
+        for block in np.split(np.arange(len(pairs))[:, None], range(rows, len(pairs), rows)):
+            fits, margin = test.decide(block, nus, log_m)
+            work = np.where(fits, work_of(s_vec[block], levels), -np.inf)
+            # Compositions ascend lexicographically: the last best has least deltas.
+            last = len(nus) - 1 - np.argmax(work[:, ::-1], axis=1)
+            nu[block[:, 0]] = nus[last]
+            margins[block[:, 0]] = margin[np.arange(len(block)), last]
+        holds[:], partial = True, np.zeros(len(pairs), dtype=bool)
+    else:
+        # Seed: Gibbs-shaped output (probabilities, entropy) whose entropy rate
+        # matches the input count rate, by bisection on the effective inverse
+        # temperature, in scalar math (numpy's exp and log differ in the last bit).
+        gaps = [e - min(energies) for e in energies]
 
-    # Seed: Gibbs-shaped output whose entropy rate matches the input count
-    # rate, found by bisection on the effective inverse temperature.
-    target_rate = test.lhs_log / total
+        def gibbs(beta_eff: float) -> tuple[list[float], float]:
+            weights = [math.exp(-beta_eff * g) for g in gaps]
+            z = sum(weights)
+            probs = [w / z for w in weights]
+            return probs, -sum([v * math.log(v) for v in probs if v > 0.0])
 
-    def gibbs_probs(beta_eff: float) -> list[float]:
-        ground = min(energies)
-        weights = [math.exp(-beta_eff * (e - ground)) for e in energies]
-        z = sum(weights)
-        return [w / z for w in weights]
+        @cache
+        def seed(target_rate: float) -> tuple[int, ...]:
+            lo, hi = 0.0, 1.0
+            while gibbs(hi)[1] > target_rate and hi < 1e6:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):     # adjacent floats: no later step moves either end
+                    break
+                lo, hi = (mid, hi) if gibbs(mid)[1] > target_rate else (lo, mid)
+            return apportion(total, gibbs(lo)[0])
 
-    lo, hi = 0.0, 1.0
-    while shannon_entropy(gibbs_probs(hi)) > target_rate and hi < 1e6:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):     # adjacent floats: no later step moves either end
-            break
-        lo, hi = (mid, hi) if shannon_entropy(gibbs_probs(mid)) > target_rate else (lo, mid)
-    nu = np.array(apportion(total, gibbs_probs(lo)))
+        nu = np.array([seed(rate) for rate in (test.lhs_log / total).tolist()])
 
-    def first_feasible(cands: np.ndarray) -> np.ndarray | None:
-        cands = cands[(cands >= 0).all(axis=1)]
-        holds, _ = test.decide(cands)
-        return cands[np.argmax(holds)] if holds.any() else None
+        # Repair: raise the multinomial by moving units toward emptier
+        # levels.  The first of equal maxima wins, here and in the climb.
+        unit = np.eye(d, dtype=np.int64)
+        active = np.arange(len(pairs))
+        for moves_left in range(10 * total, -1, -1):
+            holds[active], margins[active] = test.decide(active, nu[active])
+            moving = []
+            for p in active[~holds[active]]:
+                c = nu[p].tolist()
+                gain, a, b = max(((math.log(c[a]) - math.log(c[b] + 1), a, b)
+                                  for a in range(d) if c[a] for b in range(d) if b != a),
+                                 key=lambda move: move[0], default=(0.0, 0, 0))
+                if gain > 0.0 and moves_left:
+                    nu[p] += unit[b] - unit[a]
+                    moving.append(p)
+            if not moving:
+                break
+            active = np.array(moving)
+        partial = ~holds
 
-    # Repair: raise the multinomial by moving units toward emptier levels.
-    # The first of equal maxima wins, here and in the greedy moves below.
-    unit = np.eye(d, dtype=np.int64)
-    for _ in range(10 * total):
-        if first_feasible(nu[None]) is not None:
-            break
-        gain, a, b = max(((math.log(nu[a]) - math.log(nu[b] + 1), a, b)
-                          for a in range(d) if nu[a] for b in range(d) if b != a),
-                         key=lambda move: move[0], default=(0.0, 0, 0))
-        if gain <= 0.0:
-            break
-        nu += unit[b] - unit[a]
-    partial = first_feasible(nu[None]) is None
+        def climb(steps: np.ndarray, min_gain: float) -> None:
+            """Move each pair to its first feasible nu + step gaining over min_gain, till none."""
+            active = np.arange(len(pairs))
+            while active.size:
+                cands = nu[active, None] + steps
+                floor = work_of(s_vec[active], nu[active])[:, None] + min_gain
+                keep = (cands >= 0).all(axis=-1) & (work_of(s_vec[active, None], cands) > floor)
+                rows, cols = np.nonzero(keep)
+                fits, margin = test.decide(active[rows], cands[rows, cols])
+                hits = np.flatnonzero(fits)
+                moved, first = np.unique(rows[hits], return_index=True)
+                hits, active = hits[first], active[moved]
+                nu[active] = cands[rows[hits], cols[hits]]
+                holds[active], margins[active] = True, margin[hits]
 
-    # Greedy: the feasible unit move of largest energy gain (sorted is stable).
-    moves = sorted(((energies[a] - energies[b], a, b) for a in range(d) for b in range(d)
-                    if energies[a] - energies[b] > 0.0), key=lambda m: -m[0])
-    steps = np.array([unit[b] - unit[a] for _, a, b in moves], dtype=np.int64).reshape(-1, d)
-    while (nxt := first_feasible(nu + steps)) is not None:
-        nu = nxt
+        # Greedy: the feasible unit move of largest energy gain (sorted is
+        # stable), then the first improving feasible step of radius 2.
+        moves = sorted(((energies[a] - energies[b], a, b) for a in range(d) for b in range(d)
+                        if energies[a] - energies[b] > 0.0), key=lambda m: -m[0])
+        climb(np.array([unit[b] - unit[a] for _, a, b in moves], dtype=np.int64).reshape(-1, d),
+              -np.inf)
+        climb(_polish_steps(d), 1e-12)
 
-    # Radius-2 polish around the incumbent: the first improving feasible step.
-    steps = _polish_steps(d)
-    while True:
-        cands = nu + steps
-        nxt = first_feasible(cands[work_of(cands) > work_of(nu[None])[0] + 1e-12])
-        if nxt is None:
-            break
-        nu = nxt
-
-    return result(nu, False, partial)
+    return [(w, tuple(deltas), max(m, 0.0) if h else m, exhaustive, p)
+            for w, deltas, m, h, p in zip(work_of(s_vec, nu).tolist(), (s_vec - nu).tolist(),
+                                          margins.tolist(), holds.tolist(), partial.tolist())]
 
 
 def _corner_probes(total: int, freqs: Sequence[float], width: float) -> list[tuple[int, ...]]:
@@ -225,16 +251,11 @@ def _corner_probes(total: int, freqs: Sequence[float], width: float) -> list[tup
     d = len(freqs)
     for i in range(d):
         sd = math.sqrt(total * freqs[i] * (1.0 - freqs[i]))
-        shift = round(width * sd)
-        if shift == 0:
-            continue
+        usable = min(round(width * sd), center[i])
         for j in range(d):
-            if i == j:
+            if i == j or usable == 0:
                 continue
             moved = list(center)
-            usable = min(shift, moved[i])
-            if usable == 0:
-                continue
             moved[i] -= usable
             moved[j] += usable
             probes.append(tuple(moved))
@@ -245,12 +266,12 @@ def max_work(f_rho: Sequence, hamiltonian: Hamiltonian,
              beta: float, n: int, ell: int, width: float = 3.0) -> WorkLedger:
     """Worst-case-type maximal work from n resource and ell bath copies.
 
-    The per-type optimum is searched exhaustively (bounded enumeration) at
-    small sizes and by a seeded local search above; the reported work is
-    the minimum over the probed typical type pairs, matching a protocol
-    that must deliver the same ledger amount for every likely frequency
-    pair.  ``width`` is the probe offset in standard deviations; width = 0
-    probes the centre type only.
+    Every probed type pair has the total n + ell, so one search serves all
+    (:func:`_search_best_shifts`): a sweep of every output composition at
+    small sizes, a lockstep seeded climb above.  The reported work is the
+    minimum over the probed pairs, matching a protocol that must deliver the
+    same ledger amount for every likely frequency pair.  ``width`` is the
+    probe offset in standard deviations; width = 0 probes the centre type only.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -273,25 +294,17 @@ def max_work(f_rho: Sequence, hamiltonian: Hamiltonian,
         raise ValueError("exact integer search supports d <= 6")
     gamma = gibbs_state(hamiltonian, beta).probs
 
-    rho_probes = _corner_probes(n, rho, width)
-    bath_probes = _corner_probes(ell, gamma, width)
-
-    results = []
-    exact_search_all = True
-    partial_any = False
-    for cr in rho_probes:
-        for cb in bath_probes:
-            w, deltas, margin, was_exact, partial = _search_best_shift(
-                cr, cb, hamiltonian.energies)
-            results.append((max(w, 0.0), cr, cb, deltas, margin))
-            exact_search_all &= was_exact
-            partial_any |= partial
+    pairs = [(cr, cb) for cr in _corner_probes(n, rho, width)
+             for cb in _corner_probes(ell, gamma, width)]
+    searched = _search_best_shifts(pairs, hamiltonian.energies)
+    results = [(max(w, 0.0), cr, cb, deltas, margin)
+               for (cr, cb), (w, deltas, margin, _, _) in zip(pairs, searched)]
 
     w_star, cr_star, cb_star, deltas_star, margin_star = min(results, key=lambda item: item[0])
     if w_star == 0.0:
         deltas_star = tuple(0 for _ in hamiltonian.energies)
-        margin_star = float(_CountingTest(cr_star, cb_star).decide(
-            np.add([cr_star], [cb_star]))[1][0])
+        margin_star = float(_CountingTest([(cr_star, cb_star)]).decide(
+            0, np.add([cr_star], [cb_star]))[1][0])
 
     bound = classical_relative_entropy(rho, gamma) / beta
     return WorkLedger(
@@ -302,7 +315,7 @@ def max_work(f_rho: Sequence, hamiltonian: Hamiltonian,
         ell=ell,
         per_copy=w_star / n,
         bound_per_copy=bound,
-        exact_search=exact_search_all,
-        partial_search=partial_any,
+        exact_search=all(found[3] for found in searched),
+        partial_search=any(found[4] for found in searched),
         probes=tuple((cr, cb, w) for w, cr, cb, _, _ in results),
     )

@@ -314,7 +314,9 @@ def _plan_permutation(plan: DistillationPlan) -> tuple[np.ndarray, np.ndarray]:
     perm = np.empty_like(x)
     perm[src] = (order[start[e] + index] << m) | ((1 << m) - 1)
 
-    leftover, free = x[~covered], np.setdiff1d(x, perm[src])
+    free = np.ones(x.size, dtype=bool)
+    free[perm[src]] = False
+    leftover, free = x[~covered], np.flatnonzero(free)
     assert leftover.size == free.size, "plan permutation is not a bijection"
     weight = _popcounts(ell + n)
     perm[leftover[np.argsort(weight[leftover], kind="stable")]] = \

@@ -3,7 +3,7 @@ import io
 import json
 import math
 import re
-from dataclasses import astuple, fields
+from dataclasses import MISSING, astuple, fields
 from pathlib import Path
 
 import pytest
@@ -274,6 +274,26 @@ class TestPlanSerialization:
         payload = dumps_report(plan_to_dict(plan))
         rebuilt = plan_from_dict(json.loads(payload))
         assert rebuilt == plan
+
+    @pytest.mark.parametrize("plan", [
+        plan_distillation(6, 0.9, 1.0, 1.0), plan_formation(8, 0.8, 1.0, width=1.0),
+    ], ids=["distillation", "formation"])
+    def test_missing_key_is_domain_error(self, plan):
+        # Each key deleted in turn: the kind, a plan field without a default
+        # or a formation plan's target window (its Birkhoff partition is
+        # derived from it) is a ValueError naming the key; any other key
+        # leaves a document that loads or is refused by a ValueError.
+        doc = json.loads(dumps_report(plan_to_dict(plan)))
+        required = {"kind", "target_window"} & set(doc) | {
+            f.name for f in fields(plan) if f.default is MISSING}
+        assert {"worst_type", "n"} <= required
+        for key in doc:
+            try:
+                plan_from_dict({k: v for k, v in doc.items() if k != key})
+            except ValueError as err:
+                assert key not in required or key in str(err), (key, err)
+            else:
+                assert key not in required, key
 
 
 class TestSweepCommand:

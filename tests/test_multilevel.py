@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ from athermal.core import Hamiltonian, gibbs_state
 from athermal.distill import distill_feasible, solve_single_type
 from athermal.multilevel import classical_relative_entropy, max_work
 from athermal.typeclass import apportion
+from multilevel_reference import _search_best_shift as one_pair_search
 
 H3 = Hamiltonian((0.0, 1.0, 2.0))
 H2 = Hamiltonian.two_level()
@@ -34,8 +36,14 @@ def decide(counts_rho, counts_bath, deltas):
     M(nu) at the output nu = counts_rho + counts_bath - deltas (deltas:
     per-level occupation decreases).  Returns (holds, margin in nats)."""
     nu = np.add(counts_rho, counts_bath) - deltas
-    (holds,), (margin,) = multilevel._CountingTest(counts_rho, counts_bath).decide(nu[None])
+    (holds,), (margin,) = multilevel._CountingTest([(counts_rho, counts_bath)]).decide(0, nu[None])
     return bool(holds), float(margin)
+
+
+def best_shift(counts_rho, counts_bath, energies):
+    """The engine's search on the one-pair list [(counts_rho, counts_bath)]."""
+    (found,) = multilevel._search_best_shifts([(counts_rho, counts_bath)], energies)
+    return found
 
 
 class TestApportion:
@@ -129,10 +137,8 @@ class TestMaxWork:
 
     def test_brute_force_oracle_agreement(self):
         # Independent exhaustive check of the center-type optimum.
-        from athermal.multilevel import _search_best_shift
         counts_rho, counts_bath = (0, 1, 3), (3, 1, 0)
-        work, deltas, margin, exact, _ = _search_best_shift(
-            counts_rho, counts_bath, H3.energies)
+        work, deltas, margin, exact, _ = best_shift(counts_rho, counts_bath, H3.energies)
         s = tuple(a + b for a, b in zip(counts_rho, counts_bath))
         lhs = multinomial(counts_rho) * multinomial(counts_bath)
         best = -1.0
@@ -148,14 +154,12 @@ class TestMaxWork:
         # The raw-energy ledger extracts at least the qubit protocol's
         # m E0 (which also locks thermal weight into the work qubits).
         for (ell, g, n, r) in [(4, 1, 2, 2), (4, 2, 2, 1), (6, 2, 3, 3)]:
-            from athermal.multilevel import _search_best_shift
-            work, *_ = _search_best_shift((n - r, r), (ell - g, g), H2.energies)
+            work, *_ = best_shift((n - r, r), (ell - g, g), H2.energies)
             assert work >= solve_single_type(ell, g, n, r) - 1e-12
 
     def test_matched_reference_instance(self):
         # On the two-level reference instance the two accountings agree.
-        from athermal.multilevel import _search_best_shift
-        work, *_ = _search_best_shift((0, 2), (3, 1), H2.energies)
+        work, *_ = best_shift((0, 2), (3, 1), H2.energies)
         assert work == pytest.approx(solve_single_type(4, 1, 2, 2), abs=1e-12)
 
     def test_bound_with_vanishing_slack(self):
@@ -247,8 +251,8 @@ class TestCertifiedSearch:
         counts_rho = data.draw(composition(n, d))
         counts_bath = data.draw(composition(ell, d))
         nu = data.draw(composition(n + ell, d))
-        test = multilevel._CountingTest(counts_rho, counts_bath)
-        _, (margin,) = test.decide(np.array([nu]))
+        test = multilevel._CountingTest([(counts_rho, counts_bath)])
+        _, (margin,) = test.decide(0, np.array([nu]))
         ref = exact_log_ratio(multinomial(nu), multinomial(counts_rho) * multinomial(counts_bath))
         assert abs(margin - ref) <= counting.multinomial_margin_bound(n + ell, d) / 4
 
@@ -259,8 +263,7 @@ class TestCertifiedSearch:
             st.lists(st.integers(0, 3), min_size=d, max_size=d).map(sorted)))
         counts_rho = data.draw(counts_of(n, d, energies))
         counts_bath = data.draw(counts_of(ell, d, energies))
-        work, deltas, margin, exhaustive, partial = multilevel._search_best_shift(
-            counts_rho, counts_bath, energies)
+        work, deltas, margin, exhaustive, partial = best_shift(counts_rho, counts_bath, energies)
         assert exhaustive and not partial and margin >= 0.0
         assert (work, deltas) == reference_best_shift(counts_rho, counts_bath, energies)
 
@@ -273,8 +276,7 @@ class TestCertifiedSearch:
         real = multilevel.products_leq
         monkeypatch.setattr(multilevel, "products_leq",
                             lambda lhs, rhs: decided.append(rhs) or real(lhs, rhs))
-        work, deltas, margin, exhaustive, _ = multilevel._search_best_shift(
-            (0, n), (ell, 0), H2.energies)
+        work, deltas, margin, exhaustive, _ = best_shift((0, n), (ell, 0), H2.energies)
         assert [(n + ell, 0)] in decided
         assert (work, deltas, margin, exhaustive) == (float(n), (-n, n), 0.0, True)
 
@@ -295,3 +297,88 @@ class TestMaxWorkInputs:
         ledger = max_work((0.1, 0.3, 0.6), H3, 1.0, 10, 10, width=0.0)
         assert ledger.probes == (((1, 3, 6), apportion(10, gibbs_state(H3, 1.0).probs),
                                   ledger.extracted),)
+
+
+# Totals N = n + ell per (d, branch): sweeps small enough for the one-pair
+# reference, climbs from just above the enumeration cap.  Every d = 2 climb,
+# and the larger d = 2 sweeps, have N >= 2^16, where log_factorial leaves its
+# table for Stirling's formula over the whole array.
+SEARCH_TOTALS = {
+    (2, True): (2, 120_000), (2, False): (300_000, 400_000),
+    (3, True): (2, 200), (3, False): (774, 5_000),
+    (4, True): (2, 60), (4, False): (120, 1_000),
+    (5, True): (2, 25), (5, False): (50, 400),
+    (6, True): (2, 15), (6, False): (30, 200),
+}
+
+# (n, ell, p, beta) of the benchmark's two max_work jobs at seeds 0 to 3.
+BENCHMARK_JOBS = [
+    (20, 40, 0.75, 1.0), (1000, 2000, 0.75, 1.0),
+    (20, 40, 0.7485, 0.9926), (1000, 2000, 0.7515, 0.9942),
+    (20, 40, 0.7507, 1.0052), (1000, 2000, 0.7485, 1.003),
+    (20, 40, 0.748, 0.9992), (1000, 2000, 0.7501, 1.0061),
+]
+
+
+def reference_searches(pairs, energies):
+    """The batched search's contract: the one-pair search, pair by pair."""
+    return [one_pair_search(a, b, energies) for a, b in pairs]
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("d,exhaustive", sorted(SEARCH_TOTALS))
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_matches_one_pair_search(self, d, exhaustive, data):
+        # Every tuple, margins included, equals the one-pair search's repr;
+        # most random climb pairs start from an infeasible seed and repair.
+        total = data.draw(st.integers(*SEARCH_TOTALS[d, exhaustive]), label="total")
+        n = data.draw(st.integers(1, total), label="n")
+        # Energies on a 1e-3 grid: below about 1e-6 a gap leaves the seed
+        # uniform and the greedy phase walks one unit per round, O(N) rounds.
+        energies = tuple(float(e) for e in data.draw(st.lists(
+            st.integers(0, 3) | st.integers(0, 4000).map(lambda k: k / 1000),
+            min_size=d, max_size=d), label="energies"))
+        pairs = data.draw(st.lists(st.tuples(counts_of(n, d, energies),
+                                             counts_of(total - n, d, energies)),
+                                   min_size=1, max_size=5), label="pairs")
+        found = multilevel._search_best_shifts(pairs, energies)
+        assert all(f[3] == exhaustive for f in found)
+        assert repr(found) == repr(reference_searches(pairs, energies))
+
+    @pytest.mark.parametrize("n,ell,p,beta", BENCHMARK_JOBS + [(30_000, 60_000, 0.75, 1.0)])
+    def test_ledgers_match_one_pair_search(self, monkeypatch, n, ell, p, beta):
+        f_rho = ((1 - p) / 2, (1 - p) / 2, p)
+        ledger = max_work(f_rho, H3, beta, n, ell)
+        monkeypatch.setattr(multilevel, "_search_best_shifts", reference_searches)
+        assert repr(max_work(f_rho, H3, beta, n, ell)) == repr(ledger)
+
+    def test_climb_tests_every_pair_at_once(self, monkeypatch):
+        # One pair at a time, this call took 515 ln M evaluations, most on
+        # one- to three-row arrays; in lockstep it takes one per round.
+        calls = []
+        real = multilevel._log_multinomials
+        monkeypatch.setattr(multilevel, "_log_multinomials",
+                            lambda counts: calls.append(counts.shape) or real(counts))
+        ledger = max_work((0.125, 0.125, 0.75), H3, 1.0, 1000, 2000)
+        assert not ledger.exact_search and len(ledger.probes) == 49
+        assert len(calls) <= 30
+
+    def test_sweep_memory_is_blocked(self):
+        # d = 6, N = 29: 278,256 compositions, just under the cap.  Unblocked,
+        # 40 pairs would take 89 MB for each (pairs x compositions) float matrix.
+        energies = (0.0, 0.4, 1.0, 1.3, 2.0, 2.5)
+        pairs = list(itertools.islice(itertools.product(compositions(12, 6),
+                                                        compositions(17, 6)), 0, 4000, 100))
+        assert len(pairs) == 40 and math.comb(29 + 5, 5) <= multilevel.ENUMERATION_CAP
+        multilevel._compositions(29, 6)     # the cached table is not the sweep's
+        tracemalloc.start()
+        try:
+            found = multilevel._search_best_shifts(pairs, energies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The float copy of the table and a few one-block matrices, 22 MiB
+        # here; the one-pair search peaked at 36 MiB on these pairs.
+        assert peak <= 8 * (6 * 278_256 + 6 * multilevel._SWEEP_CELLS)
+        assert repr(found[::13]) == repr(reference_searches(pairs[::13], energies))
