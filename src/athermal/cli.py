@@ -124,7 +124,9 @@ def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
     for free-target formation plans; it is derived here as
     :func:`plan_formation` does, as is the Birkhoff partition, whose stored
     summary must agree (ValueError otherwise; before schema 5 but for
-    ``max_deviation``).  A missing kind or plan field is a ValueError naming it.
+    ``max_deviation``).  A missing kind, plan field or Birkhoff summary
+    key is a ValueError naming it, as is a ``birkhoff`` that is not an
+    object and a ``worst_type`` with fewer fields than its record.
     """
     version = data.get("schema_version")
     if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
@@ -143,19 +145,26 @@ def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
             kw[name] = math.inf
     if cls is FormationPlan:
         stored = data["birkhoff"]
+        compared = [name for name in _BIRKHOFF_SUMMARY if name != "max_deviation" or version >= 5]
+        if not isinstance(stored, dict):
+            raise ValueError(f"Birkhoff summary {stored!r} is not an object of "
+                             f"{', '.join(compared)}")
+        if absent := [name for name in compared if name not in stored]:
+            raise ValueError(f"Birkhoff summary without {', '.join(absent)}")
         kw["birkhoff"] = target_birkhoff(kw["n"], kw["p"], gibbs_weight(kw["beta"]),
                                          kw["target_window"], stored["tolerance"])
-        if any(stored[name] != getattr(kw["birkhoff"], name) for name in _BIRKHOFF_SUMMARY
-               if name != "max_deviation" or data["schema_version"] >= 5):
+        if any(stored[name] != getattr(kw["birkhoff"], name) for name in compared):
             raise ValueError("Birkhoff summary disagrees with the partition the plan derives")
-    if kw["worst_type"] is not None:
-        record = PerTypeRecord if cls is DistillationPlan else FormationRecord
-        kw["worst_type"] = record(*kw["worst_type"][:len(fields(record))])
-    elif kw.get("free_target"):
+    record = PerTypeRecord if cls is DistillationPlan else FormationRecord
+    size, worst = len(fields(record)), kw["worst_type"]
+    if worst is None and kw.get("free_target"):
         t = kw["target_window"][0]
         kw["worst_type"] = formation_record(kw["n"], kw["ell"], 0, t, t)
+    elif isinstance(worst, tuple) and len(worst) >= size:
+        kw["worst_type"] = record(*worst[:size])
     else:
-        raise ValueError("plan document without a worst type")
+        raise ValueError(f"worst_type {worst!r} is not a list of the {size} fields "
+                         f"of a {record.__name__}")
     return cls(**kw)
 
 

@@ -12,8 +12,8 @@ serves every beta up to about 707.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -95,6 +95,12 @@ class BirkhoffSpan(NamedTuple):
     count: int
 
 
+# One class's share of a Birkhoff fill: its ones-count, the shift e of its
+# units of 2^e strings, its multiplicity, and the bins taking its strings in
+# allocation order with the units each takes.
+Allocation = tuple[int, int, int, tuple[int, ...], tuple[float, ...]]
+
+
 @dataclass(frozen=True)
 class BirkhoffPartition:
     """Partition of a Gibbs eigenstring index space realizing target weights.
@@ -105,18 +111,41 @@ class BirkhoffPartition:
     lexicographic layout (all weight-0 strings first, then weight-1, ...);
     an ungrouped partition stores the original string index in ``ones``.
     Set ``rest`` (or None) also holds every string of the classes no span
-    lists, up to 2^ell of them.
+    lists, up to 2^ell of them.  The fill keeps only its ``allocations``,
+    one per class in fill order; ``sets`` is derived from them on its
+    first read, since no plan stage reads the spans.  Equality compares
+    the allocations, so equal partitions have equal spans.
     """
 
     ell: int
     target_weights: tuple[float, ...]
-    sets: tuple[tuple[BirkhoffSpan, ...], ...]
     achieved_weights: tuple[float, ...]
     max_deviation: float
     tolerance: float
     within_tolerance: bool
+    allocations: tuple[Allocation, ...] = field(repr=False)
     grouped: bool = True
     rest: int | None = None
+
+    @cached_property
+    def sets(self) -> tuple[tuple[BirkhoffSpan, ...], ...]:
+        """Each bin's spans in (class, offset) order.  A class's strings are
+        handed out in allocation order, so an allocation's span starts where
+        the previous one ended; a bin taking two allocations in a row takes
+        one span.  Offsets are exact Python ints, past 2^63 for long baths."""
+        columns = []
+        for ones, shift, mult, takers, units in self.allocations:
+            takers, units = np.array(takers, dtype=np.int64), np.array(units)
+            first = np.flatnonzero(np.concatenate(([True], takers[1:] != takers[:-1])))
+            starts = (np.cumsum(units) - units)[first].astype(np.int64).astype(object) << shift
+            columns.append((takers[first], np.full(len(first), ones), starts,
+                            np.append(starts[1:], mult) - starts))
+        bins, ones, starts, counts = map(np.concatenate, zip(*columns))
+        order = np.argsort(bins, kind="stable")
+        spans = list(map(BirkhoffSpan._make, zip(ones[order].tolist(), starts[order].tolist(),
+                                                 counts[order].tolist())))
+        edges = np.cumsum(np.bincount(bins, minlength=len(self.target_weights))).tolist()
+        return tuple(tuple(spans[a:b]) for a, b in zip([0] + edges, edges))
 
 
 def _fill(classes: Iterable[tuple[int, float, int]], targets: Sequence[float], ell: int,
@@ -128,14 +157,16 @@ def _fill(classes: Iterable[tuple[int, float, int]], targets: Sequence[float], e
     w take floor(d / w) strings, then bins still short take one, most
     deficient first in both rounds, and the most deficient bin the rest.
     Counts run in units of 2^e strings, e the least shift bringing the
-    multiplicity below 2^53, so units and offsets are exact floats.  With
+    multiplicity below 2^53, so units and offsets are exact floats.  Each
+    class leaves its allocation (the bins it fed and their units), from
+    which the partition derives its spans when they are read.  With
     ``stopped``, the classes left out go to ``rest``.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     targets = np.array(targets, dtype=float)
     achieved = np.zeros_like(targets)
-    heaviest, columns = -math.inf, []
+    heaviest, allocations = -math.inf, []
     for t, log_w, mult in classes:
         heaviest, shift = max(heaviest, log_w), max(0, mult.bit_length() - 53)
         log_unit, left = log_w + shift * math.log(2), mult / 2 ** shift
@@ -156,24 +187,15 @@ def _fill(classes: Iterable[tuple[int, float, int]], targets: Sequence[float], e
             units = np.concatenate((units, tops, [max(0.0, left - len(short))]))
         takers, units = order[units > 0], units[units > 0]
         achieved += np.bincount(takers, units * math.exp(log_unit), len(targets))
-        # A bin taking two allocations in a row takes one span.
-        first = np.flatnonzero(np.concatenate(([True], takers[1:] != takers[:-1])))
-        starts = (np.cumsum(units) - units)[first].astype(np.int64).astype(object) << shift
-        columns.append((takers[first], np.full(len(first), t), starts,
-                        np.append(starts[1:], mult) - starts))
+        allocations.append((t, shift, mult, tuple(takers.tolist()), tuple(units.tolist())))
 
-    bins, ones, starts, counts = map(np.concatenate, zip(*columns))
-    order = np.argsort(bins, kind="stable")
-    spans = list(map(BirkhoffSpan._make, zip(ones[order].tolist(), starts[order].tolist(),
-                                             counts[order].tolist())))
-    edges = np.cumsum(np.bincount(bins, minlength=len(targets))).tolist()
     deviation = float(np.max(np.abs(achieved - targets)))
     return BirkhoffPartition(
         ell=ell, target_weights=tuple(targets.tolist()),
-        sets=tuple(tuple(spans[a:b]) for a, b in zip([0] + edges, edges)),
         achieved_weights=tuple(achieved.tolist()), max_deviation=deviation, tolerance=tolerance,
         within_tolerance=bool(max(deviation, math.exp(heaviest)) <= tolerance + 1e-12),
-        grouped=grouped, rest=int(np.argmax(targets - achieved)) if stopped else None)
+        grouped=grouped, rest=int(np.argmax(targets - achieved)) if stopped else None,
+        allocations=tuple(allocations))
 
 
 def birkhoff_partition(weights: Sequence[float], targets: Sequence[float],

@@ -295,6 +295,32 @@ class TestPlanSerialization:
             else:
                 assert key not in required, key
 
+    @pytest.mark.parametrize("plan", [
+        plan_distillation(6, 0.9, 1.0, 1.0), plan_formation(8, 0.8, 1.0, width=1.0),
+    ], ids=["distillation", "formation"])
+    def test_broken_summary_or_record_is_domain_error(self, plan):
+        # A worst_type cut short or not a list, a null Birkhoff summary and
+        # each summary key deleted in turn: a ValueError naming the record's
+        # field count, the summary or the key.
+        doc = json.loads(dumps_report(plan_to_dict(plan)))
+        broken = [({**doc, "worst_type": doc["worst_type"][:cut]}, "the 6 fields")
+                  for cut in (0, 3, 5)] + [({**doc, "worst_type": 7}, "the 6 fields")]
+        if "birkhoff" in doc:
+            summary = doc["birkhoff"]
+            assert sorted(summary) == ["ell", "grouped", "max_deviation", "tolerance",
+                                       "within_tolerance"]
+            broken += [({**doc, "birkhoff": bad}, "Birkhoff summary .* is not an object")
+                       for bad in (None, [], 1.0)]
+            broken += [({**doc, "birkhoff": {k: v for k, v in summary.items() if k != key}},
+                        f"Birkhoff summary without {key}") for key in summary]
+        for bad, message in broken:
+            with pytest.raises(ValueError, match=message):
+                plan_from_dict(bad)
+        # Schema 4 does not compare max_deviation, so a summary without it loads.
+        summary = {k: v for k, v in doc.get("birkhoff", {}).items() if k != "max_deviation"}
+        assert plan_from_dict({**doc, "schema_version": 4,
+                               **({"birkhoff": summary} if summary else {})}) == plan
+
 
 class TestSweepCommand:
     def test_header_exact(self):

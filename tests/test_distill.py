@@ -546,6 +546,59 @@ class TestCertifiedMargins:
         assert all(r.log_input_cardinality == r.log_exhaust_cardinality for r in records)
 
 
+def mp_tail(n, p, a, b):
+    """Binomial(n, p) mass of the counts a..b in 50-digit arithmetic: from
+    the largest pmf term of the range outward both ways, by exact step
+    ratios, each way until the log-concave bound term r / (1 - r) on what
+    it leaves is below 1e-40 of the sum."""
+    if a > b:
+        return mpmath.mpf(0)
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+        odds = p / (1 - p)
+        top = min(b, max(a, math.floor((n + 1) * float(p))))
+        peak = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(top + 1)
+                          - mpmath.loggamma(n - top + 1) + top * mpmath.log(p)
+                          + (n - top) * mpmath.log1p(-p))
+        total = peak
+        for step, end in ((1, b), (-1, a)):
+            k, term = top, peak
+            while k != end:
+                r = odds * (n - k) / (k + 1) if step > 0 else k / ((n - k + 1) * odds)
+                k, term = k + step, term * r
+                total += term
+                if r < 1 and term * r / (1 - r) < total * mpmath.mpf(10) ** -40:
+                    break
+        return total
+
+
+def mp_outside(n, p, window):
+    """Binomial(n, p) mass outside an inclusive window, 50 digits."""
+    return mp_tail(n, p, 0, window[0] - 1) + mp_tail(n, p, window[1] + 1, n)
+
+
+def count_pmf_calls(monkeypatch):
+    calls = []
+    real = counting.binomial_log_pmf
+    monkeypatch.setattr(counting, "binomial_log_pmf",
+                        lambda n, p, ks: calls.append(len(ks)) or real(n, p, ks))
+    return calls
+
+
+@st.composite
+def tail_cases(draw):
+    """(n, p, window): n log-uniform up to 1e7, p often within 1e-3 of 0
+    or 1, window edges at sigma multiples around the mean (one often inside
+    the bulk, so its tail holds the mode) or at 0 and n."""
+    n = round(10 ** draw(st.floats(0, 7)))
+    p = draw(st.floats(1e-3, 1 - 1e-3) | st.floats(1e-9, 1e-3)
+             | st.floats(1e-9, 1e-3).map(lambda x: 1 - x))
+    mean, sd = n * p, math.sqrt(n * p * (1 - p))
+    edge = st.floats(-12, 12).map(lambda z: min(n, max(0, round(mean + z * sd))))
+    lo, hi = sorted((draw(edge | st.just(0)), draw(edge | st.just(n))))
+    return n, p, (lo, hi)
+
+
 class TestOutsideMass:
     @given(n=st.integers(1, 10**6), p=st.floats(0.001, 0.999), width=st.floats(0.3, 6.0))
     @settings(max_examples=60, deadline=None)
@@ -553,6 +606,48 @@ class TestOutsideMass:
         window = typical_range(n, p, width)
         assert binomial_outside_mass(n, p, window) == pytest.approx(
             outside_reference(n, p, window), rel=1e-6, abs=1e-300)
+
+    @given(tail_cases())
+    @settings(max_examples=40, deadline=None)
+    @example((10**7, 0.75, typical_range(10**7, 0.75, 3.0)))
+    @example((10**7, Q1, typical_range(10**7, Q1, 1.0)))
+    @example((10**6, 1e-6, (0, 5)))                            # p near 0, lower tail empty
+    @example((10**5, 1 - 1e-7, (10**5 - 3, 10**5)))            # p near 1, upper tail empty
+    @example((10**6, 0.5, (500_100, 600_000)))                 # lower edge inside the bulk
+    @example((10**6, 0.5, (400_000, 499_900)))                 # upper edge inside the bulk
+    @example((10**6, 0.5, (499_950, 600_000)))                 # lower block past the size cap
+    @example((1000, 0.3, (0, 1000)))                           # both tails empty
+    @example((1000, 0.3, (1000, 1000)))                        # lower tail alone
+    @example((1000, 0.3, (0, 0)))                              # upper tail alone
+    @example((50, 0.999, (50, 50)))
+    def test_matches_mpmath_tail_sums(self, case):
+        # Masses below 1e-300 leave double precision, so only they get an
+        # absolute bound.
+        n, p, window = case
+        assert binomial_outside_mass(n, p, window) == pytest.approx(
+            float(mp_outside(n, p, window)), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("n, p, window", [
+        (10, 0.75, (5, 9)), (10**4, 0.75, typical_range(10**4, 0.75, 3.0)),
+        (10**5, 0.75, typical_range(10**5, 0.75, 3.0)), (291_366, Q1, (76_741, 79_979)),
+        (7_449_621, Q1, (1_995_324, 2_011_700)), (10**7, 0.75, typical_range(10**7, 0.75, 3.0)),
+        (10**6, 1e-4, (80, 120)), (10**6, 1 - 1e-4, (999_880, 999_920))])
+    def test_one_pmf_call_past_the_mode(self, monkeypatch, n, p, window):
+        # Both edges lie past the mode, where the edge step ratio sizes each
+        # first block to close its tail; both blocks come from one call.
+        calls = count_pmf_calls(monkeypatch)
+        binomial_outside_mass(n, p, window)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("window", [(500_100, 600_000), (499_950, 600_000)])
+    def test_doubling_where_the_ratio_does_not_close(self, monkeypatch, window):
+        # The lower edge lies inside the bulk (ratio >= 1), or so near the
+        # mode that its block would pass _SIZED_BLOCK_MAX: its tail starts
+        # at 256 points beside the upper tail's sized block, then doubles.
+        calls = count_pmf_calls(monkeypatch)
+        binomial_outside_mass(10**6, 0.5, window)
+        assert calls[0] > 256 and calls[1:] == [512 * 2 ** i for i in range(len(calls) - 1)]
+        assert len(calls) > 2
 
     def test_off_center_window(self):
         # The window misses the mode: one tail holds nearly all the mass.

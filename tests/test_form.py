@@ -1,6 +1,8 @@
 import heapq
+import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -9,11 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from athermal import distill, form
+from athermal.cli import dumps_report, plan_from_dict, plan_to_dict
 from athermal.core import gibbs_weight
 from athermal.counting import log_comb, margin_bound
 from athermal.distill import plan_distillation, rate_limit, solve_single_type
 from athermal.form import (
-    BirkhoffPartition,
     BirkhoffSpan,
     InfeasibleFormationError,
     birkhoff_partition,
@@ -23,6 +25,7 @@ from athermal.form import (
     target_birkhoff,
 )
 from athermal.typeclass import typical_range
+from birkhoff_reference import eager_fill
 from strings_reference import build_formation_string_map, explicit_sets
 
 Q1 = math.exp(-1) / (1 + math.exp(-1))
@@ -51,7 +54,8 @@ def reference_greedy_fill(groups, targets, ell, tolerance, grouped=True):
     """The heap greedy the log-space fill replaced: a heap of bin deficits,
     one pop per span, chunks floor(deficit / weight) in exact integers, and
     a merge pass over each set's spans.  groups: (single-string weight,
-    multiplicity, ones-count) triples."""
+    multiplicity, ones-count) triples.  Returns the partition's fields,
+    spans included."""
     n_sets = len(targets)
     spans = [[] for _ in range(n_sets)]
     achieved = [0.0] * n_sets
@@ -82,7 +86,7 @@ def reference_greedy_fill(groups, targets, ell, tolerance, grouped=True):
                 runs.append(span)
         merged.append(tuple(runs))
     deviation = max(abs(a - float(t)) for a, t in zip(achieved, targets))
-    return BirkhoffPartition(
+    return SimpleNamespace(
         ell=ell, target_weights=tuple(float(t) for t in targets), sets=tuple(merged),
         achieved_weights=tuple(achieved), max_deviation=deviation, tolerance=tolerance,
         within_tolerance=bool(deviation <= tolerance + 1e-12 and max_weight <= tolerance + 1e-12),
@@ -507,6 +511,73 @@ class TestLogSpaceFill:
         assert part.within_tolerance and part.rest is not None
         assert len({s.ones for spans in part.sets for s in spans}) < 100
         assert math.fsum(part.achieved_weights) == pytest.approx(1.0, abs=1e-12)
+
+
+def fill_against_eager(monkeypatch):
+    """Route form._fill through a wrapper that also runs the eager span
+    builder on the same classes; returns the (partition, reference) pairs."""
+    pairs = []
+    real = form._fill
+
+    def both(classes, *args, **kwargs):
+        classes = list(classes)
+        part = real(classes, *args, **kwargs)
+        pairs.append((part, eager_fill(classes, *args, **kwargs)))
+        return part
+    monkeypatch.setattr(form, "_fill", both)
+    return pairs
+
+
+def assert_same_partition(part, ref):
+    for name in ("ell", "target_weights", "sets", "achieved_weights", "max_deviation",
+                 "tolerance", "within_tolerance", "grouped", "rest"):
+        assert getattr(part, name) == getattr(ref, name), name
+
+
+class TestDerivedSpans:
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 5.0, 20.0, 35.0])
+    def test_sets_match_eager_builder(self, monkeypatch, beta):
+        # The spans derived on first read are the eager builder's, on the
+        # formation plans' own targets; from beta = 5 on, the fill stops
+        # early (a rest set) and span offsets pass 2^63.
+        pairs = fill_against_eager(monkeypatch)
+        q = gibbs_weight(beta)
+        for n in (1, 2, 8, 100, 10**4, 5 * 10**4):
+            for p in (0.0, 0.6, 0.75, 1.0):
+                target_birkhoff(n, p, q, typical_range(n, p, 3.0), 1e-3)
+        assert len(pairs) == 24
+        for part, ref in pairs:
+            assert_same_partition(part, ref)
+        long_bath = all(part.rest is not None for part, _ in pairs) and max(
+            s.start + s.count for part, _ in pairs for spans in part.sets for s in spans) > 2**63
+        assert long_bath == (beta >= 5)
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+           st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_ungrouped_sets_match_eager_builder(self, raw_weights, raw_targets):
+        assume(sum(raw_weights) > 0)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            pairs = fill_against_eager(monkeypatch)
+            birkhoff_partition([w / sum(raw_weights) for w in raw_weights],
+                               [t / sum(raw_targets) for t in raw_targets], tolerance=0.5)
+        (part, ref), = pairs
+        assert not part.grouped
+        assert_same_partition(part, ref)
+
+    def test_no_span_built_unless_read(self, monkeypatch):
+        # Planning, serializing, loading and comparing plans build no span;
+        # the first read of sets builds each span once and keeps them.
+        made = []
+        real = BirkhoffSpan._make
+        monkeypatch.setattr(BirkhoffSpan, "_make", lambda fields: made.append(1) or real(fields))
+        plan = plan_formation(10**4, 0.75, 1.0)
+        rebuilt = plan_from_dict(json.loads(dumps_report(plan_to_dict(plan))))
+        assert rebuilt == plan and made == []
+        spans = plan.birkhoff.sets
+        assert len(made) == sum(map(len, spans)) > 100
+        assert plan.birkhoff.sets is spans and len(made) == sum(map(len, spans))
+        assert rebuilt.birkhoff.sets == spans
 
 
 def exact_target_weights(n, p, window):
