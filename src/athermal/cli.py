@@ -186,6 +186,8 @@ def _emit(payload: str, path: str | None, summary: str | None = None) -> None:
 
 def cmd_rate(args) -> int:
     p, sigma_p = args.p, args.sigma_p
+    if not 0.0 <= sigma_p <= 1.0:
+        raise ValueError(f"--sigma-p must lie in [0, 1], got {sigma_p!r}")
     gamma = gibbs_state(Hamiltonian.two_level(), args.beta)
     closed = rate_limit(p, args.beta)
     rho = DensityMatrix.diagonal([1 - p, p])

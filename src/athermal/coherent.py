@@ -269,19 +269,25 @@ def _exact_formation_error(target: CoherentTarget, frame_n: int, t_of: dict[int,
     excitation numbers ascending), the order of the entry-by-entry
     reference in the tests, which G C matches byte for byte.
 
-    For real amplitudes every entry of G C has an imaginary part of exactly
-    zero, and its real part, signs of zero included, goes to LAPACK's real
-    solver (dgeev), which takes well under half of the complex one's time.
-    The mixed block of real amplitudes is then summed in float64, which
-    gives its complex entries bit for bit.  The rest stays complex: the
-    inner block (zdotc) and G C = G diag(coeff) (zgemm).  The spectrum of
-    this non-Hermitian, rank-deficient G C moves with the last bits and
-    signs of zero of its entries, and the pinned benchmark distances hold
-    to 1e-9 only with these.  A real inner block (ddot) sums in another
-    order, and a real G times diag(coeff) (dgemm) or an elementwise
-    product changes signs of zero; real arithmetic throughout moves the
-    n = 4 distance by 3.8e-9.
+    The phases of a and b are gauged away first, so every entry of G C
+    has an imaginary part of exactly zero, and its real part, signs of zero
+    included, goes to LAPACK's real solver (dgeev).  The mixed block is
+    summed in float64, which gives its complex entries bit for bit.  The
+    rest stays complex: the inner block (zdotc) and G C = G diag(coeff)
+    (zgemm).  The spectrum of this non-Hermitian, rank-deficient G C moves
+    with the last bits and signs of zero of its entries, and the pinned
+    benchmark distances hold to 1e-9 only with these.  A real inner block
+    (ddot) sums in another order, and a real G times diag(coeff) (dgemm)
+    or an elementwise product changes signs of zero; real arithmetic
+    throughout moves the n = 4 distance by 3.8e-9.
     """
+    # The free energy-preserving phase diag(e^{-i arg a}, e^{-i arg b}) on
+    # every copy maps phi1 to the modulus twin's phi1 and phi2 to a global
+    # phase times the twin's phi2.  Its n-fold power is one phase on each
+    # excitation number, so it commutes with the frame coupling and maps
+    # every u and v vector to the twin's up to a global phase: the trace
+    # distance and the catalyst fidelity are the twin's.
+    target = CoherentTarget(abs(target.a), abs(target.b), target.p, target.n)
     n = target.n
     k_lo, k_hi = k_window
     p_k = [(target.p ** k) * ((1 - target.p) ** (n - k)) for k in range(n + 1)]
@@ -312,31 +318,25 @@ def _exact_formation_error(target: CoherentTarget, frame_n: int, t_of: dict[int,
     inner = np.vecdot(psi[:, None, :], psi[None, :, :])
     frame_w = overlap(t_typ[:, None] - np.arange(n + 1)[None, :])
     # The mixed block from x-major copies (string x's amplitudes in one
-    # contiguous row).  Every string adds its outer product to the sums in
-    # ascending x within each weight, and the weights add in ascending w.
+    # contiguous row).  The real part of each complex product is a * b
+    # exactly (its imaginary terms are signed zeros), and float64 einsum
+    # adds the strings one at a time in ascending x within each weight,
+    # without a fused multiply-add, as the reference does; the weights add
+    # in ascending w.  A spare zero column on the typical operand keeps a
+    # single arrangement (p = 0 or 1) off the dot kernel einsum takes for a
+    # 1 x 1 block, which sums in another order.
     excitations = np.bitwise_count(np.arange(2 ** n))
     by_weight = [np.flatnonzero(excitations == w) for w in range(n + 1)]
-    if psi.imag.any() or len(psi) == 1:
-        conj_x = np.ascontiguousarray(psi.conj().T)
-        typ_x = np.ascontiguousarray(psi[typical].T)
-        mixed = _mixed_block_complex(conj_x, typ_x, frame_w, by_weight)
-    else:
-        # Real amplitudes: the real part of each complex product is a * b
-        # exactly (its imaginary terms are signed zeros), and float64 einsum
-        # adds the strings one at a time in ascending x, without a fused
-        # multiply-add, as the complex loop does.  That loop's imaginary
-        # parts are all +0 here, as astype's.  A single arrangement (p = 0
-        # or 1) keeps the loop: einsum sums a 1 x 1 block with a dot
-        # kernel, in another order.
-        conj_x = np.ascontiguousarray(psi.real.T)
-        typ_x = np.ascontiguousarray(conj_x[:, typical])
-        mixed = np.zeros((len(psi), len(t_typ)))
-        for w, strings in enumerate(by_weight):
-            sums = np.einsum("xi,xj->ij", conj_x[strings], typ_x[strings], optimize=False)
-            mixed += frame_w[:, w] * sums
-        mixed = mixed.astype(complex)
+    conj_x = np.ascontiguousarray(psi.real.T)
+    typ_x = np.zeros((len(conj_x), len(t_typ) + 1))
+    typ_x[:, :-1] = conj_x[:, typical]
+    mixed = np.zeros((len(psi), len(t_typ)))
+    for w, strings in enumerate(by_weight):
+        sums = np.einsum("xi,xj->ij", conj_x[strings], typ_x[strings], optimize=False)
+        mixed += frame_w[:, w] * sums[:, :-1]
+    mixed = mixed.astype(complex)
     del conj_x
-    prob_x = np.abs(typ_x) ** 2
+    prob_x = typ_x[:, :-1] ** 2
     fidelity_k = np.zeros(len(t_typ))
     for w, strings in enumerate(by_weight):
         probs = np.zeros(len(t_typ))
@@ -355,34 +355,10 @@ def _exact_formation_error(target: CoherentTarget, frame_n: int, t_of: dict[int,
     # which LAPACK's reflectors read (2e-7 relative on one spectrum).
     matrix = gram @ np.diag(coeff)
     del gram
-    if not matrix.imag.any():     # real amplitudes: dgeev, not zgeev
-        matrix = np.ascontiguousarray(matrix.real)
-    evals = np.linalg.eigvals(matrix)
+    evals = np.linalg.eigvals(np.ascontiguousarray(matrix.real))
     distance = 0.5 * float(np.abs(evals.real).sum())
 
     # Frame catalyst fidelity <H| Tr_sys(rho_out) |H>, summed over the
     # typical arrangements in order.
     fidelity = float(np.cumsum(weights[typical] * fidelity_k)[-1])
     return distance, fidelity
-
-
-def _mixed_block_complex(conj_x: np.ndarray, typ_x: np.ndarray, frame_w: np.ndarray,
-                         by_weight: list[np.ndarray]) -> np.ndarray:
-    """The mixed block of complex amplitudes, 64 rows at a time so that the
-    running sums stay in cache.  Both operands stay 2-D, (rows, 1) x (1,
-    typical): with a 1-D second operand NumPy multiplies a 1 x 1 block in
-    another loop, which rounds differently from the reference's."""
-    rows, cols = conj_x.shape[1], typ_x.shape[1]
-    mixed = np.zeros((rows, cols), dtype=complex)
-    block = min(64, rows)
-    buffers = np.empty((2, block, cols), dtype=complex)
-    for lo in range(0, rows, block):
-        part = mixed[lo:lo + block]
-        sums, product = buffers[:, :len(part)]
-        for w, strings in enumerate(by_weight):
-            sums.fill(0)
-            for x in strings:
-                np.add(sums, np.multiply(conj_x[x, lo:lo + block, None], typ_x[x, None, :],
-                                         out=product), out=sums)
-            np.add(part, np.multiply(frame_w[:, w], sums, out=product), out=part)
-    return mixed

@@ -36,7 +36,6 @@ from .typeclass import typical_range
 __all__ = [
     "PerTypeRecord",
     "DistillationPlan",
-    "BlockRecord",
     "BlockDiagonalizationRecord",
     "rate_limit",
     "solve_single_type",
@@ -184,13 +183,13 @@ def _binomial_axis(n: int, window: tuple[int, int]
 
 def _cap_axis(n: int, blocks: BlockDiagonalizationRecord, window: tuple[int, int]
               ) -> tuple[np.ndarray, Callable[[int], Factor]]:
-    """ln rank cap of every energy block of a window, and the exact cap
-    min(C(n, t), sum over the eigenvalue window of C(n, j)), computed on
-    first demand."""
-    caps = {b.block_energy: b.log_rank_cap for b in blocks.blocks}
+    """ln rank cap of every energy block of a window, min(ln C(n, t), ln
+    of the typical-subspace bound), and the exact cap min(C(n, t), sum over
+    the eigenvalue window of C(n, j)), computed on first demand."""
     total = cache(lambda: sum(math.comb(n, j)
                               for j in range(blocks.eig_window[0], blocks.eig_window[1] + 1)))
-    return (np.array([caps[t] for t in range(window[0], window[1] + 1)]),
+    return (np.minimum(log_comb(n, np.arange(window[0], window[1] + 1)),
+                       blocks.log_rank_cap_total),
             lambda t: min(math.comb(n, t), total()))
 
 
@@ -362,15 +361,6 @@ def plan_distillation(n: int, p: float, beta: float, width: float = 3.0) -> Dist
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BlockRecord:
-    """Rank budget for one total-energy block of the rotated resource."""
-
-    block_energy: int
-    log_block_dim: float
-    log_rank_cap: float
-
-
-@dataclass(frozen=True)
 class BlockDiagonalizationRecord:
     """Energy-block bookkeeping for the rotate-then-permute protocol."""
 
@@ -378,7 +368,6 @@ class BlockDiagonalizationRecord:
     entropy: float                # S(rho) per copy, nats
     eig_window: tuple[int, int]   # eigenvalue-type window used for the rank cap
     log_rank_cap_total: float     # ln of the typical-subspace dimension bound
-    blocks: tuple[BlockRecord, ...]
     energy_tail: float
     eig_tail: float
 
@@ -415,13 +404,9 @@ def plan_distillation_general(rho: DensityMatrix, n: int, beta: float, width: fl
     e_window = typical_range(n, a, width)
     eig_window = typical_range(n, lam, width)
     log_cap_total = log_sum_exp(log_comb(n, np.arange(eig_window[0], eig_window[1] + 1)))
-    log_dims = log_comb(n, np.arange(e_window[0], e_window[1] + 1)).tolist()
-    blocks = [BlockRecord(t, log_dim, log_dim if diagonal else min(log_dim, log_cap_total))
-              for t, log_dim in enumerate(log_dims, e_window[0])]
-
     record = BlockDiagonalizationRecord(
         mean_energy=a, entropy=entropy, eig_window=eig_window, log_rank_cap_total=log_cap_total,
-        blocks=tuple(blocks), energy_tail=binomial_outside_mass(n, a, e_window),
+        energy_tail=binomial_outside_mass(n, a, e_window),
         eig_tail=binomial_outside_mass(n, lam, eig_window))
 
     if diagonal:

@@ -172,7 +172,7 @@ def _fill(classes: Iterable[tuple[int, float, int]], targets: Sequence[float], e
         log_unit, left = log_w + shift * math.log(2), mult / 2 ** shift
         deficit = targets - achieved
         order = np.argsort(-deficit, kind="stable")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             quota = np.floor(np.exp(np.log(deficit[order]) - log_unit))
         quota[~(quota >= 1.0)] = 0.0            # d < w, or d <= 0 (log nan or -inf)
         units = np.minimum(quota, np.maximum(

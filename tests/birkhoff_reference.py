@@ -33,7 +33,7 @@ def eager_fill(classes: Iterable[tuple[int, float, int]], targets: Sequence[floa
         log_unit, left = log_w + shift * math.log(2), mult / 2 ** shift
         deficit = targets - achieved
         order = np.argsort(-deficit, kind="stable")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             quota = np.floor(np.exp(np.log(deficit[order]) - log_unit))
         quota[~(quota >= 1.0)] = 0.0
         units = np.minimum(quota, np.maximum(

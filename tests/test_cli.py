@@ -44,6 +44,12 @@ class TestRateCommand:
         assert main(["rate", "--p", "0.75", "--beta", "1.0",
                      "--sigma-p", repr(Q1)]) == 2
 
+    @pytest.mark.parametrize("sigma_p", ["1.5", "-0.1", "nan"])
+    def test_sigma_p_outside_unit_interval(self, sigma_p, capsys):
+        assert main(["rate", "--p", "0.5", "--sigma-p", sigma_p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--sigma-p must lie in [0, 1]" in captured.err
+
     @pytest.mark.parametrize("flag", ["--width", "--output"])
     def test_planner_options_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -113,8 +113,9 @@ def reference_exact_formation_error(target: CoherentTarget, frame_n: int,
                                     ) -> tuple[float, float]:
     """Trace distance and fidelity from :func:`reference_gram_product`, with
     the spectral step of ``_exact_formation_error``: a product whose
-    imaginary part is identically zero goes to eigvals as its real part.
-    The vectorised routine must reproduce it bit for bit."""
+    imaginary part is identically zero, as at every real-amplitude target,
+    goes to eigvals as its real part.  The vectorised routine must
+    reproduce it bit for bit at the modulus twin of its target."""
     matrix, fidelity = reference_gram_product(target, frame_n, t_of, k_window)
     if not matrix.imag.any():
         matrix = np.ascontiguousarray(matrix.real)
@@ -239,10 +240,23 @@ class TestFormationError:
         report = coherent_formation_error(CoherentTarget(a=1.0, b=0.0, p=1.0, n=6))
         assert report.exact_trace_distance == pytest.approx(0.0, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [4, 6, 8, 10])
-    def test_exact_below_analytic_bound(self, n):
-        inv = 1 / math.sqrt(2)
-        report = coherent_formation_error(CoherentTarget(a=inv, b=inv, p=1.0, n=n))
+    @pytest.mark.parametrize("n, a, b, p", [
+        *(pytest.param(n, 1 / math.sqrt(2), 1 / math.sqrt(2), 1.0, id=str(n))
+          for n in (4, 6, 8, 10)),
+        # Phased pure targets, and mixed ones with or without phases.
+        (4, math.sqrt(0.1), math.sqrt(0.9) * cmath.exp(0.3j), 1.0),
+        (5, math.sqrt(0.3) * cmath.exp(2.1j), -math.sqrt(0.7), 1.0),
+        (7, math.sqrt(0.8) * cmath.exp(0.7j), math.sqrt(0.2) * cmath.exp(-1.9j), 1.0),
+        (8, -math.sqrt(0.6), math.sqrt(0.4) * cmath.exp(1.2j), 1.0),
+        (4, math.sqrt(0.9), math.sqrt(0.1), 0.2),
+        (5, math.sqrt(0.05) * cmath.exp(4.4j), math.sqrt(0.95), 0.8),
+        (6, math.sqrt(0.1) * cmath.exp(0.7j), math.sqrt(0.9) * cmath.exp(-1.9j), 0.5),
+        (7, math.sqrt(0.05), -math.sqrt(0.95), 0.2),
+        (8, math.sqrt(0.9) * cmath.exp(2.6j), math.sqrt(0.1) * cmath.exp(0.4j), 0.5),
+        (8, math.sqrt(0.05), math.sqrt(0.95) * cmath.exp(5.0j), 0.8),
+    ])
+    def test_exact_below_analytic_bound(self, n, a, b, p):
+        report = coherent_formation_error(CoherentTarget(a=a, b=b, p=p, n=n))
         assert report.exact_trace_distance <= report.analytic_bound + 1e-12
 
     def test_mixed_target_exact_mode(self):
@@ -322,16 +336,14 @@ class TestExactMatchesReference:
            p=st.one_of(st.sampled_from([0.0, 1.0]),
                        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
     @example(n=3, a2=5e-324, phase_a=0.0, phase_b=1.0, p=0.75)
-    # The mixed block runs 64 rows at a time, so from n = 7 on (2^n rows
-    # when 0 < p < 1) more than one block runs; at p = 0 or 1 one row does.
     @example(n=7, a2=0.3, phase_a=0.4, phase_b=2.0, p=0.45)
     @example(n=7, a2=0.6, phase_a=5.1, phase_b=0.3, p=0.0)
     @example(n=7, a2=0.6, phase_a=5.1, phase_b=0.3, p=1.0)
     @example(n=7, a2=5e-324, phase_a=0.0, phase_b=1.0, p=0.75)
     @example(n=8, a2=0.2, phase_a=1.3, phase_b=4.4, p=0.03)
     @example(n=8, a2=0.7, phase_a=2.9, phase_b=0.8, p=0.97)
-    # Real amplitudes with a single arrangement, a 1 x 1 mixed block, which
-    # einsum would sum with a dot kernel in another order.
+    # A single arrangement, a 1 x 1 mixed block, which einsum would sum
+    # with a dot kernel in another order without the spare zero column.
     @example(n=6, a2=0.1, phase_a=0.0, phase_b=0.0, p=0.0)
     @example(n=6, a2=0.3, phase_a=0.0, phase_b=0.0, p=0.0)
     @example(n=6, a2=0.7, phase_a=0.0, phase_b=0.0, p=0.0)
@@ -352,13 +364,15 @@ class TestExactMatchesReference:
     @example(n=8, a2=0.7, phase_a=0.0, phase_b=0.0, p=1.0)
     @settings(max_examples=60, deadline=None)
     def test_bit_identical(self, n, a2, phase_a, phase_b, p):
+        # Phases are gauged away, so the reference runs at the modulus twin.
         target = CoherentTarget(a=math.sqrt(a2) * complex(math.cos(phase_a), math.sin(phase_a)),
                                 b=math.sqrt(1 - a2) * complex(math.cos(phase_b), math.sin(phase_b)),
                                 p=p, n=n)
+        twin = CoherentTarget(a=abs(target.a), b=abs(target.b), p=p, n=n)
         args = _exact_inputs(target)
         with _eigvals_spy() as seen:
             result = coherent._exact_formation_error(target, *args)
-            expected = reference_exact_formation_error(target, *args)
+            expected = reference_exact_formation_error(twin, *args)
         assert len(seen) == 2
         assert np.array_equal(seen[0], seen[1])
         # Signs of zero too: eigvals reads them (the n = 3, a^2 = 5e-324
@@ -378,30 +392,35 @@ class TestExactMatchesReference:
         assert report.exact_trace_distance == expected[0]
         assert report.catalyst_fidelity == expected[1]
 
-    @pytest.mark.parametrize("n, a, b, route", [
-        (4, math.sqrt(0.1), math.sqrt(0.9), "real"),
-        (6, math.sqrt(0.1), math.sqrt(0.9), "real"),
-        (8, math.sqrt(0.1), math.sqrt(0.9), "real"),
-        (4, 1 / math.sqrt(2), 1 / math.sqrt(2), "real"),
-        (4, math.sqrt(0.1) * cmath.exp(0.3j), math.sqrt(0.9), "complex"),
-        (4, math.sqrt(0.1), math.sqrt(0.9) * cmath.exp(0.3j), "complex"),
+    @pytest.mark.parametrize("n, a, b, p", [
+        (4, math.sqrt(0.1), math.sqrt(0.9), 0.5),
+        (6, math.sqrt(0.1), math.sqrt(0.9), 0.5),
+        (8, math.sqrt(0.1), math.sqrt(0.9), 0.5),
+        (4, 1 / math.sqrt(2), 1 / math.sqrt(2), 0.5),
+        (4, math.sqrt(0.1) * cmath.exp(0.3j), math.sqrt(0.9), 0.5),
+        (4, math.sqrt(0.1), math.sqrt(0.9) * cmath.exp(0.3j), 0.5),
+        (5, math.sqrt(0.1), math.sqrt(0.9), 0.5),
+        (5, math.sqrt(0.3), -math.sqrt(0.7), 0.2),
+        (5, math.sqrt(0.1), math.sqrt(0.9), 0.0),
+        (5, math.sqrt(0.1), math.sqrt(0.9), 1.0),
+        (5, math.sqrt(0.1) * cmath.exp(0.3j), math.sqrt(0.9), 0.5),
+        (5, math.sqrt(0.1), math.sqrt(0.9) * cmath.exp(0.3j), 0.5),
     ])
-    def test_spectral_route(self, n, a, b, route):
-        # Real amplitudes give a product with an imaginary part of exactly
-        # zero; eigvals then gets its real part, laid out for the real solver.
-        # A phase keeps the complex product as it is.
-        target = CoherentTarget(a=a, b=b, p=0.5, n=n)
-        args = _exact_inputs(target)
-        product, _ = reference_gram_product(target, *args)
+    def test_spectral_route(self, monkeypatch, n, a, b, p):
+        # Every target, phased or not and at any p, sums the mixed block in
+        # float64, one einsum per excitation number, and hands eigvals a
+        # real matrix laid out for the real solver (dgeev).
+        einsums = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum",
+                            lambda *args, **kw: einsums.append(args) or einsum(*args, **kw))
+        target = CoherentTarget(a=a, b=b, p=p, n=n)
         with _eigvals_spy() as seen:
-            coherent._exact_formation_error(target, *args)
+            coherent._exact_formation_error(target, *_exact_inputs(target))
+        assert len(einsums) == n + 1
+        assert all(op.dtype == np.float64 for _, *ops in einsums for op in ops)
         (matrix,) = seen
-        if route == "real":
-            assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
-            assert matrix.tobytes() == product.real.tobytes()
-        else:
-            assert matrix.dtype == np.complex128
-            assert matrix.tobytes() == product.tobytes()
+        assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
 
 
 def _ascending_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -415,55 +434,94 @@ def _ascending_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def test_einsum_sums_strings_in_order():
-    # The real mixed block sums each weight's strings with float64 einsum,
-    # which must add them one at a time in ascending x, unfused, on every
-    # shape it gets: (C(n, w), 2^n) x (C(n, w), typical) for each k window
-    # at 0 < p < 1 (the 1 x 1 block of p = 0 or 1 takes the complex loop).
-    # A NumPy that fuses or reorders this sum fails here by name.  n = 10
-    # is left out: its loops take about 20 s on a 2-vCPU Xeon, and a
-    # one-off sweep of its shapes with NumPy 2.4 found no difference.
+    # The mixed block sums each weight's strings with float64 einsum, which
+    # must add them one at a time in ascending x, unfused, on every shape it
+    # gets: (C(n, w), 2^n) x (C(n, w), typical + 1) for each k window at
+    # 0 < p < 1, and (C(n, w), 1) x (C(n, w), 2) for the single arrangement
+    # of p = 0 or 1; the + 1 is the spare zero column.  A NumPy that fuses
+    # or reorders this sum fails here by name.  n = 10 is left out at
+    # 0 < p < 1: its loops take about 20 s on a 2-vCPU Xeon, and a one-off
+    # sweep of its shapes with NumPy 2.4 found no difference.
     rng = np.random.default_rng(7)
-    for n in range(1, 10):
-        typical_counts = set()
-        for p in np.linspace(0.0, 1.0, 401)[1:-1]:
+    for n in range(1, 11):
+        shapes = {(1, 2)}
+        for p in np.linspace(0.0, 1.0, 401)[1:-1] if n < 10 else ():
             k_lo = max(0, math.ceil(n * p - math.sqrt(n)))
             k_hi = min(n, math.floor(n * p + math.sqrt(n)))
-            typical_counts.add(sum(math.comb(n, k) for k in range(k_lo, k_hi + 1)))
-        for cols in sorted(typical_counts):
+            shapes.add((2 ** n, sum(math.comb(n, k) for k in range(k_lo, k_hi + 1)) + 1))
+        for rows, cols in sorted(shapes):
             for w in range(n + 1):
-                a = rng.standard_normal((math.comb(n, w), 2 ** n))
+                a = rng.standard_normal((math.comb(n, w), rows))
                 b = rng.standard_normal((math.comb(n, w), cols))
                 a[rng.random(a.shape) < 0.1] = -0.0
+                b[:, -1] = 0.0
                 summed = np.einsum("xi,xj->ij", a, b, optimize=False)
-                assert summed.tobytes() == _ascending_sums(a, b).tobytes(), (n, w, cols)
+                assert summed.tobytes() == _ascending_sums(a, b).tobytes(), (n, w, rows, cols)
 
 
-@pytest.mark.parametrize("a, b, p, route", [
-    (math.sqrt(0.1), math.sqrt(0.9), 0.5, "einsum"),
-    (math.sqrt(0.3), -math.sqrt(0.7), 0.2, "einsum"),
-    (math.sqrt(0.1), math.sqrt(0.9), 0.0, "loop"),
-    (math.sqrt(0.1), math.sqrt(0.9), 1.0, "loop"),
-    (math.sqrt(0.1) * cmath.exp(0.3j), math.sqrt(0.9), 0.5, "loop"),
-    (math.sqrt(0.1), math.sqrt(0.9) * cmath.exp(0.3j), 0.5, "loop"),
+def hermitian_formation_error(target: CoherentTarget, frame_n: int,
+                              t_of: dict[int, int], k_window: tuple[int, int]
+                              ) -> tuple[float, float]:
+    """Trace distance and catalyst fidelity of the dense problem, solved
+    apart from the Gram route: the explicit u and v vectors in system (x)
+    frame, an orthonormal basis of their span by QR, and eigvalsh of the
+    Hermitian difference of the two states projected onto it."""
+    n = target.n
+    k_lo, k_hi = k_window
+    levels = frame_n + 2 * n          # every window shift t - w lies in [-n, n]
+
+    def window(shift: int) -> np.ndarray:
+        vec = np.zeros(levels)
+        vec[n + shift:n + shift + frame_n] = 1 / math.sqrt(frame_n)
+        return vec
+
+    excitation = [bin(x).count("1") for x in range(2 ** n)]
+    us, vs, p_u, p_v = [], [], [], []
+    for k in range(n + 1):
+        weight = target.p ** k * (1 - target.p) ** (n - k)
+        for g in combinations(range(n), k):
+            psi = _reference_psi_vector(target, k, set(g))
+            vs.append(np.kron(psi, window(0)))
+            p_v.append(weight)
+            if k_lo <= k <= k_hi:
+                frames = np.array([window(t_of[k] - w) for w in excitation])
+                us.append((psi[:, None] * frames).ravel())
+                p_u.append(weight)
+    basis, _ = np.linalg.qr(np.column_stack(us + vs))
+    u = basis.conj().T @ np.column_stack(us)
+    v = basis.conj().T @ np.column_stack(vs)
+    difference = (u * p_u) @ u.conj().T - (v * p_v) @ v.conj().T
+    distance = 0.5 * float(np.abs(np.linalg.eigvalsh(difference)).sum())
+    fidelity = sum(w * np.linalg.norm(vec.reshape(2 ** n, levels) @ window(0)) ** 2
+                   for w, vec in zip(p_u, us))
+    return distance, fidelity
+
+
+@pytest.mark.parametrize("n, a, b, p", [
+    (3, math.sqrt(0.3) * cmath.exp(1.1j), math.sqrt(0.7) * cmath.exp(-2.5j), 0.4),
+    (4, math.sqrt(0.1) * cmath.exp(0.3j), math.sqrt(0.9), 0.5),
+    (5, math.sqrt(0.6), math.sqrt(0.4) * cmath.exp(2.2j), 0.3),
+    (6, math.sqrt(0.2) * cmath.exp(4.0j), math.sqrt(0.8) * cmath.exp(0.7j), 0.65),
+    (7, math.sqrt(0.15) * cmath.exp(5.9j), math.sqrt(0.85) * cmath.exp(3.1j), 0.45),
+    (5, -math.sqrt(0.3), math.sqrt(0.7), 0.5),
+    (6, math.sqrt(0.4), -math.sqrt(0.6), 0.2),
+    (7, -math.sqrt(0.25), -math.sqrt(0.75), 0.8),
+    (6, math.sqrt(0.3) * cmath.exp(2.0j), math.sqrt(0.7) * cmath.exp(0.5j), 0.0),
+    (7, math.sqrt(0.7) * cmath.exp(0.9j), -math.sqrt(0.3), 1.0),
+    (7, -math.sqrt(0.1), math.sqrt(0.9) * cmath.exp(1.7j), 0.0),
 ])
-def test_mixed_block_route(monkeypatch, a, b, p, route):
-    # Real amplitudes sum the mixed block in float64, one einsum per
-    # excitation number; a phase, or a single arrangement, keeps the
-    # complex loop.
-    n = 5
-    einsums, loops = [], []
-    einsum, loop = np.einsum, coherent._mixed_block_complex
-    monkeypatch.setattr(np, "einsum", lambda *args, **kw: einsums.append(args) or einsum(*args, **kw))
-    monkeypatch.setattr(coherent, "_mixed_block_complex",
-                        lambda *args: loops.append(args) or loop(*args))
+def test_phases_gauged_away(n, a, b, p):
+    # Phases and signs of a and b are a free energy-preserving unitary on
+    # each copy, so the exact error is the modulus twin's to the last bit,
+    # and the twin's value solves the phased problem itself.  The 1e-7
+    # bound covers the Gram route's non-Hermitian eigensolver noise.
     target = CoherentTarget(a=a, b=b, p=p, n=n)
-    coherent._exact_formation_error(target, *_exact_inputs(target))
-    if route == "einsum":
-        assert not loops and len(einsums) == n + 1
-        assert all(op.dtype == np.float64 for _, *ops in einsums for op in ops)
-    else:
-        assert not einsums and len(loops) == 1
-        assert loops[0][0].dtype == np.complex128
+    twin = CoherentTarget(a=abs(a), b=abs(b), p=p, n=n)
+    args = _exact_inputs(target)
+    result = coherent._exact_formation_error(target, *args)
+    assert result == coherent._exact_formation_error(twin, *args)
+    expected = hermitian_formation_error(target, *args)
+    assert result == pytest.approx(expected, rel=1e-7, abs=0.0)
 
 
 def test_pinned_benchmark_distances():
@@ -487,10 +545,10 @@ def test_pinned_benchmark_distances():
 
 
 def test_exact_mode_peak_allocation():
-    # Before the mixed block accumulated into two preallocated buffers, n = 8
-    # (a^2 = 0.1, p = 0.5) traced a peak of 20.3 to 20.9 MB; the bound
-    # allows 1 MB above that.  The block built as one 3-D product tensor
-    # (256 x 238 x 256 complex values) would hold about 250 MB.
+    # n = 8 (a^2 = 0.1, p = 0.5) traces a peak of about 18.3 MB with NumPy
+    # 2.4, under the 21.9 MB bound.  The mixed block built as one 3-D
+    # product tensor (256 x 239 x 256 float64 values) would hold about
+    # 125 MB.
     coherent_formation_error(CoherentTarget(a=math.sqrt(0.1), b=math.sqrt(0.9), p=0.5, n=4),
                              exact=True)
     target = CoherentTarget(a=math.sqrt(0.1), b=math.sqrt(0.9), p=0.5, n=8)

@@ -871,11 +871,10 @@ class TestGeneralPlan:
         records = list(plan.records(record))
         assert len(records) == plan.num_composite_types
         assert plan.worst_type in records
-        caps = {block.block_energy: block.log_rank_cap for block in record.blocks}
         for rec in records:
+            cap = min(math.log(math.comb(plan.n, rec.resource_ones)), record.log_rank_cap_total)
             assert rec.log_input_cardinality == pytest.approx(
-                math.log(math.comb(plan.ell, rec.gibbs_ones)) + caps[rec.resource_ones],
-                rel=1e-12)
+                math.log(math.comb(plan.ell, rec.gibbs_ones)) + cap, rel=1e-12)
 
     def test_coherent_plan_has_no_string_maps(self):
         # Rank-capped block records are not literal type classes, so the

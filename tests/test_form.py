@@ -426,6 +426,17 @@ class TestBirkhoffPartition:
         part = birkhoff_partition([0.9, 0.1], [0.5, 0.5], tolerance=0.2)
         assert not part.within_tolerance
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_weight_warning_free(self):
+        # The quota exp(ln d - ln w) overflows to inf for a weight below
+        # about 1e-300; the fill clips it to the strings left, which gives
+        # the partition the fill gave while it still warned.
+        part = birkhoff_partition([1.0, 2.2e-313], [0.5, 0.5], tolerance=0.5)
+        assert part.achieved_weights == (1.0, 2.2e-313)
+        assert (part.max_deviation, part.within_tolerance) == (0.5, False)
+        assert part.allocations == ((0, 0, 1, (0,), (1.0,)), (1, 0, 1, (1,), (1.0,)))
+        assert explicit_sets(part) == [[0], [1]]
+
     @given(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=24),
            st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5))
     @settings(max_examples=60)

@@ -30,7 +30,8 @@ def coherent_plan(n, p, beta, width):
                                              n, beta, width)
     summary = {name: getattr(record, name) for name in (
         "mean_energy", "entropy", "eig_window", "log_rank_cap_total", "energy_tail", "eig_tail")}
-    return {**plan_to_dict(plan), "block_record": {**summary, "blocks": len(record.blocks)}}
+    blocks = plan.resource_window[1] - plan.resource_window[0] + 1
+    return {**plan_to_dict(plan), "block_record": {**summary, "blocks": blocks}}
 
 
 def cases():
