@@ -8,11 +8,8 @@ Plan documents are O(windows): schema version 5 stores the parameters,
 windows and binding record of a plan, never its per-type records, which
 the plan derives on demand, nor its Birkhoff partition, which the
 log-space fill derives on load at any beta and which must reproduce the
-stored summary.  Version-1 to -4 documents are still read: their per-type
-records, solver ``mode`` and Birkhoff sets and weights are ignored, their
-binding record is cut to six fields, and their ``max_deviation`` (from the
-former heap fill, off in the last digits) is not compared.  A document of
-any other ``schema_version``, or of none, is refused.
+stored summary.  A document of any other ``schema_version``, the earlier
+versions 1 to 4 included, or of none, is refused.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from .form import (
     BirkhoffPartition,
     FormationPlan,
     FormationRecord,
-    formation_record,
     plan_formation,
     target_birkhoff,
 )
@@ -115,21 +111,17 @@ def plan_to_dict(plan: DistillationPlan | FormationPlan) -> dict:
 
 
 def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
-    """Rebuild a plan from a schema-5, -4, -3, -2 or -1 document.
+    """Rebuild a plan from a schema-5 document.
 
-    Keys that are not plan fields are ignored, among them the per-type
-    records of schema 1 (``per_type_maps``, ``records_complete``) and the
-    ``mode`` of schemas 1 and 2.  Their records may carry two trailing
-    exact counts, which are cut off.  Schema 1 left ``worst_type`` empty
-    for free-target formation plans; it is derived here as
-    :func:`plan_formation` does, as is the Birkhoff partition, whose stored
-    summary must agree (ValueError otherwise; before schema 5 but for
-    ``max_deviation``).  A missing kind, plan field or Birkhoff summary
-    key is a ValueError naming it, as is a ``birkhoff`` that is not an
-    object and a ``worst_type`` with fewer fields than its record.
+    Keys that are not plan fields are ignored.  A formation plan's Birkhoff
+    partition is derived as :func:`plan_formation` does, and its stored
+    summary must agree (ValueError otherwise).  A missing kind, plan field
+    or Birkhoff summary key is a ValueError naming it, as is a ``birkhoff``
+    that is not an object and a ``worst_type`` that is not a list of its
+    record's fields.
     """
     version = data.get("schema_version")
-    if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unknown plan schema_version {version!r}")
     cls = {"distillation": DistillationPlan, "formation": FormationPlan}.get(data.get("kind"))
     if cls is None:
@@ -145,26 +137,21 @@ def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
             kw[name] = math.inf
     if cls is FormationPlan:
         stored = data["birkhoff"]
-        compared = [name for name in _BIRKHOFF_SUMMARY if name != "max_deviation" or version >= 5]
         if not isinstance(stored, dict):
             raise ValueError(f"Birkhoff summary {stored!r} is not an object of "
-                             f"{', '.join(compared)}")
-        if absent := [name for name in compared if name not in stored]:
+                             f"{', '.join(_BIRKHOFF_SUMMARY)}")
+        if absent := [name for name in _BIRKHOFF_SUMMARY if name not in stored]:
             raise ValueError(f"Birkhoff summary without {', '.join(absent)}")
         kw["birkhoff"] = target_birkhoff(kw["n"], kw["p"], gibbs_weight(kw["beta"]),
                                          kw["target_window"], stored["tolerance"])
-        if any(stored[name] != getattr(kw["birkhoff"], name) for name in compared):
+        if any(stored[name] != getattr(kw["birkhoff"], name) for name in _BIRKHOFF_SUMMARY):
             raise ValueError("Birkhoff summary disagrees with the partition the plan derives")
     record = PerTypeRecord if cls is DistillationPlan else FormationRecord
     size, worst = len(fields(record)), kw["worst_type"]
-    if worst is None and kw.get("free_target"):
-        t = kw["target_window"][0]
-        kw["worst_type"] = formation_record(kw["n"], kw["ell"], 0, t, t)
-    elif isinstance(worst, tuple) and len(worst) >= size:
-        kw["worst_type"] = record(*worst[:size])
-    else:
+    if not isinstance(worst, tuple) or len(worst) != size:
         raise ValueError(f"worst_type {worst!r} is not a list of the {size} fields "
                          f"of a {record.__name__}")
+    kw["worst_type"] = record(*worst)
     return cls(**kw)
 
 

@@ -4,10 +4,9 @@ Everything here is deliberately independent of the solver algebra: the
 feasibility oracle builds injections over explicitly enumerated strings
 (or counts them with a Pascal triangle).  Plan execution builds index
 arrays from one set of rank tables: a distillation plan's shell-preserving
-permutation of all 2^(ell+n) strings, applied to a dense input vector
-(integer numerators over one common denominator when exact, floats
-otherwise), and a formation plan's images of every covered string for
-every target type at once.
+permutation of all 2^(ell+n) strings, applied to a dense input vector of
+integer numerators over one common denominator, and a formation plan's
+images of every covered string for every target type at once.
 """
 
 from __future__ import annotations
@@ -63,13 +62,12 @@ def _strings(values: np.ndarray, length: int) -> list[Bits]:
 
 
 class StringDistribution:
-    """Distribution over occupation strings of one length, held densely.
+    """Exact distribution over occupation strings of one length, held densely.
 
     ``weights[x] / denominator`` is the mass of the string that spells x in
-    binary, most significant bit first.  Exact distributions hold Python-int
-    numerators (an object array) over one int denominator; float ones hold
-    float64 masses over 1.  ``probs`` maps each string of nonzero mass to its
-    mass, a Fraction when exact.
+    binary, most significant bit first: Python-int numerators (an object
+    array) over one int denominator.  ``probs`` maps each string of nonzero
+    mass to its mass as a Fraction.
     """
 
     def __init__(self, length: int, probs: Mapping[Bits, Fraction | float] | None = None, *,
@@ -77,33 +75,29 @@ class StringDistribution:
         if probs is not None:
             if length > 24:
                 raise UnsupportedSizeError("string distributions capped at 24 qubits")
-            exact = all(isinstance(mass, Fraction) for mass in probs.values())
-            denominator = math.lcm(*(mass.denominator for mass in probs.values())) if exact else 1
-            weights = np.zeros(2 ** length, dtype=object if exact else float)
+            probs = {string: Fraction(mass) for string, mass in probs.items()}
+            denominator = math.lcm(*(mass.denominator for mass in probs.values()))
+            weights = np.zeros(2 ** length, dtype=object)
             for string, mass in probs.items():
                 if len(string) != length:
                     raise ValueError("support string of wrong length")
-                weights[int("".join(map(str, string)) or "0", 2)] += \
-                    int(mass * denominator) if exact else mass
+                weights[int("".join(map(str, string)) or "0", 2)] += int(mass * denominator)
         if weights.shape != (2 ** length,):
             raise ValueError("weight vector does not match the string length")
-        total = weights.sum()
-        if weights.dtype == object:
-            if total != denominator:
-                raise ValueError("exact probabilities must sum to 1")
-        elif abs(float(total) - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1")
+        if weights.sum() != denominator:
+            raise ValueError("probabilities must sum to exactly 1 (floats are taken as "
+                             "the exact binary fractions they are)")
         self.length, self.weights, self.denominator = length, weights, denominator
 
-    @property
-    def is_rational(self) -> bool:
-        return self.weights.dtype == object
+    # Every distribution is exact; kept as a constant because
+    # perfbench/workloads.py still reads it.
+    is_rational = True
 
-    def _mass(self, weight) -> Fraction | float:
-        return Fraction(weight, self.denominator) if self.is_rational else float(weight)
+    def _mass(self, weight) -> Fraction:
+        return Fraction(weight, self.denominator)
 
     @cached_property
-    def probs(self) -> dict[Bits, Fraction | float]:
+    def probs(self) -> dict[Bits, Fraction]:
         return self.marginal(range(self.length))
 
     def marginal_weights(self, positions: Iterable[int]) -> np.ndarray:
@@ -114,20 +108,14 @@ class StringDistribution:
         tensor = self.weights.reshape((2,) * self.length).sum(axis=tuple(drop), keepdims=True)
         return tensor.transpose(positions + drop).reshape(-1)
 
-    def marginal(self, positions: Iterable[int]) -> dict[Bits, Fraction | float]:
+    def marginal(self, positions: Iterable[int]) -> dict[Bits, Fraction]:
         positions = list(positions)
         weights = self.marginal_weights(positions)
         support = np.flatnonzero(weights)
         masses = weights[support].tolist()
-        if self.is_rational:
-            # One Fraction (and one gcd) per distinct weight, not per string.
-            shared = {w: self._mass(w) for w in set(masses)}
-            masses = map(shared.__getitem__, masses)
-        return dict(zip(_strings(support, len(positions)), masses))
-
-    def float_marginal(self, positions: Iterable[int]) -> np.ndarray:
-        """The marginal as floats, one correctly rounded division per key."""
-        return np.asarray(self.marginal_weights(positions) / self.denominator, dtype=float)
+        # One Fraction (and one gcd) per distinct weight, not per string.
+        shared = {w: self._mass(w) for w in set(masses)}
+        return dict(zip(_strings(support, len(positions)), map(shared.__getitem__, masses)))
 
 
 @lru_cache(maxsize=None)
@@ -199,33 +187,30 @@ def _bernoulli_weights(x: Fraction | float, length: int) -> tuple[np.ndarray, in
                      dtype=object if exact else float), b ** length)
 
 
-def thermal_input_distribution(plan: DistillationPlan, rational: bool = True,
-                               max_qubits: int = INPUT_MAX_QUBITS) -> StringDistribution:
+def thermal_input_distribution(plan: DistillationPlan) -> StringDistribution:
     """gamma^(ell) (x) rho^(n) as an explicit string distribution.
 
-    In rational mode the float weights are taken as the exact dyadic
-    rationals q = a/A and p = b/B they are: every string's mass is then an
-    integer numerator over A^ell B^n, and the numerator depends only on the
-    type.
+    The float weights are taken as the exact dyadic rationals q = a/A and
+    p = b/B they are: every string's mass is an integer numerator over
+    A^ell B^n, and the numerator depends only on the type.
     """
     total = plan.ell + plan.n
-    if total > max_qubits:
-        raise UnsupportedSizeError(f"full enumeration capped at {max_qubits} qubits")
-    q, p = (Fraction(plan.q), Fraction(plan.p)) if rational else (plan.q, plan.p)
-    bath, bath_den = _bernoulli_weights(q, plan.ell)
-    resource, resource_den = _bernoulli_weights(p, plan.n)
+    if total > INPUT_MAX_QUBITS:
+        raise UnsupportedSizeError(f"full enumeration capped at {INPUT_MAX_QUBITS} qubits")
+    bath, bath_den = _bernoulli_weights(Fraction(plan.q), plan.ell)
+    resource, resource_den = _bernoulli_weights(Fraction(plan.p), plan.n)
     weights = np.multiply.outer(bath, resource)[_popcounts(plan.ell)[:, None], _popcounts(plan.n)]
     return StringDistribution(total, weights=weights.reshape(-1),
                               denominator=bath_den * resource_den)
 
 
-def formation_input_distribution(plan: FormationPlan, rational: bool = True) -> StringDistribution:
+def formation_input_distribution(plan: FormationPlan) -> StringDistribution:
     """gamma^(ell) (x) |1><1|^(m) as an explicit string distribution."""
     total = plan.ell + plan.m
     if total > INPUT_MAX_QUBITS:
         raise UnsupportedSizeError(f"full enumeration capped at {INPUT_MAX_QUBITS} qubits")
-    bath, den = _bernoulli_weights(Fraction(plan.q) if rational else plan.q, plan.ell)
-    weights = np.zeros(2 ** total, dtype=bath.dtype)
+    bath, den = _bernoulli_weights(Fraction(plan.q), plan.ell)
+    weights = np.zeros(2 ** total, dtype=object)
     weights[(np.arange(2 ** plan.ell) << plan.m) | ((1 << plan.m) - 1)] = \
         bath[_popcounts(plan.ell)]
     return StringDistribution(total, weights=weights, denominator=den)
@@ -238,8 +223,8 @@ class ExecutionReport:
     mass and of their images."""
 
     output: StringDistribution
-    work_marginal: dict[Bits, Fraction | float]
-    routed_failure_mass: Fraction | float
+    work_marginal: dict[Bits, Fraction]
+    routed_failure_mass: Fraction
     kind: str
     moves: tuple[np.ndarray, np.ndarray]
 
@@ -254,8 +239,9 @@ def execute_plan_classical(plan: DistillationPlan | FormationPlan,
     """Apply the plan's per-type injections to an explicit distribution.
 
     Mass on types the plan does not cover is routed unchanged to a failure
-    branch and reported.  Distillation permutes probabilities, never mixes
-    them, so its output masses sum to 1 exactly in rational mode.
+    branch and reported.  Every mass is exact: distillation permutes
+    probabilities, and formation mixes them with the plan's achieved
+    Birkhoff weights, taken as the exact dyadic rationals they are.
     """
     if isinstance(plan, DistillationPlan):
         return _execute_distillation(plan, input_dist)
@@ -345,15 +331,17 @@ def _execute_formation(plan: FormationPlan,
     """Round robin over the whole (string x target) grid: a covered string
     of bath rank i goes, for each target type t, to target rank i mod
     C(n, t) and exhaust rank i div C(n, t) with its mass times t's achieved
-    Birkhoff weight; every other string stays put.  A free target covers
-    only the identity pairs, so a covered string of Gibbs type g takes
-    t = g with share 1 and is its own image: the output is the input."""
+    Birkhoff weight; every other string stays put.  The output is
+    renormalised by its exact total, which differs from 1 as the achieved
+    weights' sum does.  A free target covers only the identity pairs, so a
+    covered string of Gibbs type g takes t = g with share 1 and is its own
+    image: the output is the input."""
     ell, n, m, k, length = plan.ell, plan.n, plan.m, plan.k, input_dist.length
     if length != ell + m:
         raise ValueError("input length does not match the plan")
     (g_lo, g_hi), (t_lo, t_hi) = plan.gibbs_window, plan.target_window
-    mix = np.asarray(plan.birkhoff.achieved_weights, dtype=float)
-    if mix.size != t_hi - t_lo + 1:
+    mix = [Fraction(w) for w in plan.birkhoff.achieved_weights]
+    if len(mix) != t_hi - t_lo + 1:
         raise ValueError("birkhoff partition does not match the target window")
     for g in range(g_lo, g_hi + 1):
         for t in (g,) if plan.free_target else range(t_lo, t_hi + 1):
@@ -364,7 +352,7 @@ def _execute_formation(plan: FormationPlan,
     x = np.flatnonzero(weights)
     g = _popcounts(ell)[x >> m]
     covered = ((x & ((1 << m) - 1)) == (1 << m) - 1) & (g_lo <= g) & (g <= g_hi)
-    t, mix = ((g[covered, None], np.ones(1)) if plan.free_target
+    t, mix = ((g[covered, None], [Fraction(1)]) if plan.free_target
               else (np.arange(t_lo, t_hi + 1), mix))
     binomial_n = np.array([math.comb(n, j) for j in range(n + 1)])[t]
     i = _lex_order(ell)[2][x[covered, None] >> m]
@@ -374,34 +362,20 @@ def _execute_formation(plan: FormationPlan,
     assert np.unique(images).size == images.size, "formation images collide"
 
     # One row per string of nonzero mass, one column per target type; an
-    # uncovered string keeps its whole mass in the first column.
-    dst = np.repeat(x[:, None], mix.size, axis=1)
+    # uncovered string keeps its whole mass in the first column.  Shares
+    # are integers over the weights' common denominator ``scale``.
+    dst = np.repeat(x[:, None], len(mix), axis=1)
     dst[covered] = images
-    share = np.zeros(dst.shape)
-    share[covered], share[~covered, 0] = mix, 1.0
-    moved = input_dist.float_marginal(range(length))[x, None] * share
+    scale = math.lcm(*(w.denominator for w in mix))
+    share = np.zeros(dst.shape, dtype=object)
+    share[covered], share[~covered, 0] = [int(w * scale) for w in mix], scale
+    moved = weights[x, None] * share
     keep = moved != 0
-    # A free target moves each covered string whole onto itself: nothing mixes.
-    src, dst, mixed = (np.broadcast_to(a, dst.shape)[keep]
-                       for a in (x[:, None], dst, covered[:, None] & (not plan.free_target)))
-    out = np.bincount(dst, weights=moved[keep], minlength=2 ** length)
-
-    # Images are distinct, so a cell sums at most one unmoved and one mixed
-    # mass, bit for bit as string by string.  The renormalising total adds
-    # the cells in first-touch order, exactly over the leading cells whose
-    # only mass is exact.
-    cells, first = np.unique(dst, return_index=True)
-    touch = cells[np.argsort(first)]
-    lone = ~np.isin(touch, dst[mixed]) & input_dist.is_rational
-    lead = int(np.logical_and.accumulate(lone).sum())
-    if lead == touch.size:   # nothing was mixed: the input, exactly
-        output = input_dist
-    else:
-        head = float(input_dist._mass(weights[touch[:lead]].sum()))
-        total = np.cumsum(np.append(head, out[touch[lead:]]))[-1]
-        output = StringDistribution(length, weights=out / total
-                                    if abs(total - 1.0) > 1e-15 else out)
-    routed = input_dist._mass(np.cumsum(np.append(0, weights[x[~covered]]))[-1])
+    src, dst = (np.broadcast_to(a, dst.shape)[keep] for a in (x[:, None], dst))
+    out = np.zeros(2 ** length, dtype=object)
+    np.add.at(out, dst, moved[keep])
+    output = StringDistribution(length, weights=out, denominator=moved.sum())
+    routed = input_dist._mass(weights[x[~covered]].sum())
     return ExecutionReport(output, output.marginal(range(n)), routed, "formation", (src, dst))
 
 
@@ -433,7 +407,9 @@ def execute_plan_quantum(plan: DistillationPlan, max_qubits: int = 14) -> Channe
     weights = _popcounts(total)
     commutator_nonzeros = int(np.count_nonzero(weights[perm] - weights))
 
-    probs = thermal_input_distribution(plan, rational=False, max_qubits=max_qubits).weights
+    bath = _bernoulli_weights(plan.q, plan.ell)[0][_popcounts(plan.ell)]
+    resource = _bernoulli_weights(plan.p, plan.n)[0][_popcounts(plan.n)]
+    probs = np.multiply.outer(bath, resource).reshape(-1)
     out = np.zeros_like(probs)
     out[perm] = probs
     trace_preserved = bool(abs(out.sum() - probs.sum()) < 1e-12)
@@ -499,6 +475,8 @@ def exhaust_analysis(plan: DistillationPlan, block_size: int = 1) -> ExhaustRepo
     """
     if block_size < 1:
         raise ValueError("block size must be at least 1")
+    if not 0 < plan.q < 1:
+        raise ValueError(f"degenerate Gibbs weight q = {plan.q!r}: no Gibbs reference")
     output = execute_plan_classical(plan, thermal_input_distribution(plan)).output
     q, q_exact = plan.q, Fraction(plan.q)
     exhaust = StringDistribution(plan.k, weights=output.marginal_weights(range(plan.k)),

@@ -3,7 +3,7 @@ import io
 import json
 import math
 import re
-from dataclasses import MISSING, astuple, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,7 @@ from athermal.cli import (
     sweep_rows,
 )
 from athermal.distill import plan_distillation
-from athermal.form import FormationPlan, plan_formation
+from athermal.form import plan_formation
 from athermal.simulate import ExhaustReport
 
 Q1 = math.exp(-1) / (1 + math.exp(-1))
@@ -64,46 +64,6 @@ class TestRateCommand:
         assert bits == pytest.approx(nats / math.log(2), abs=1e-12)
 
 
-def with_exact_counts(plan, record):
-    """A record as schema 1 and 2 listed it in exact mode: its six fields,
-    then the input and exhaust (or Gibbs and output) string counts."""
-    if isinstance(plan, FormationPlan):
-        counts = [math.comb(plan.ell, record.gibbs_ones),
-                  math.comb(plan.k, record.exhaust_ones) * math.comb(plan.n, record.target_ones)]
-    else:
-        counts = [math.comb(plan.ell, record.gibbs_ones) * math.comb(plan.n, record.resource_ones),
-                  math.comb(plan.k, record.exhaust_ones)]
-    return list(astuple(record)) + counts
-
-
-def with_birkhoff_sets(doc: dict, plan) -> dict:
-    """A document as schemas 1-3 wrote it: a formation plan's Birkhoff
-    partition in full, its target and achieved weights and each set's
-    [ones, start, count] spans beside the summary."""
-    if not isinstance(plan, FormationPlan):
-        return doc
-    b = plan.birkhoff
-    return dict(doc, birkhoff=dict(
-        doc["birkhoff"], target_weights=list(b.target_weights),
-        achieved_weights=list(b.achieved_weights),
-        sets=[[[s.ones, s.start, s.count] for s in spans] for spans in b.sets]))
-
-
-# A schema-4 formation document, written before the log-space Birkhoff fill.
-SCHEMA_4_FORMATION = {
-    "beta": 3.0,
-    "birkhoff": {"ell": 143, "grouped": True, "max_deviation": 4.372728309901696e-15,
-                 "tolerance": 0.001, "within_tolerance": True},
-    "cost_rate": 1.0, "ell": 90, "failure_mass": 5.547917681402276e-11,
-    "fixed_point_iterations": 3, "free_target": False, "gibbs_window": [0, 32], "k": 90,
-    "kind": "formation", "m": 20, "n": 20, "p": 0.75, "register_bits": 6, "schema_version": 4,
-    "target_window": [2, 20],
-    "units": {"beta": "1/E0", "cost_rate": "copies per E0", "failure_mass": "dimensionless",
-              "log_cardinalities": "nats", "work_per_copy": "E0 per copy"},
-    "width": 3.0, "work_per_copy": 1.0, "worst_type": [0, 20, 0, 20, 0.0, 0.0],
-}
-
-
 # `athermal form --n N --p 0.75 --beta B` documents as schema 5 first wrote them.
 SCHEMA_5_FORMATION = json.loads(
     (Path(__file__).parent / "data" / "formation_schema5.json").read_text())
@@ -129,76 +89,16 @@ class TestPlanSerialization:
         assert doc["schema_version"] == 5
         assert doc["units"]["log_cardinalities"] == "nats"
 
-    @pytest.mark.parametrize("plan", [
-        plan_distillation(12, 0.9, 1.0, width=1.0), plan_formation(8, 0.8, 1.0, width=1.0),
-        plan_formation(8, Q1, 1.0),
-    ], ids=["distillation", "formation", "free-target"])
-    def test_reads_schema_1(self, plan):
-        # A version-1 document also lists every per-type record, names its
-        # solver mode, carries exact counts in its records, and left
-        # worst_type empty for free-target formation; all load as version 4.
-        doc = json.loads(dumps_report(plan_to_dict(plan)))
-        v1 = dict(with_birkhoff_sets(doc, plan), schema_version=1, records_complete=True,
-                  mode="exact", per_type_maps=[with_exact_counts(plan, r) for r in plan.records()])
-        if getattr(plan, "free_target", False):
-            v1["worst_type"] = None
-        assert "per_type_maps" not in doc and "records_complete" not in doc
-        assert "mode" not in doc and len(doc["worst_type"]) == 6
-        assert plan_from_dict(v1) == plan
-
-    @pytest.mark.parametrize("plan", [
-        plan_distillation(12, 0.9, 1.0, width=1.0), plan_formation(8, 0.8, 1.0, width=1.0),
-        plan_formation(8, Q1, 1.0), plan_distillation(3000, 0.75, 1.0),
-    ], ids=["distillation", "formation", "free-target", "loggamma"])
-    def test_reads_schema_2(self, plan):
-        # A version-2 document names its solver mode; exact-mode records
-        # carry two exact counts, log-gamma ones two nulls.
-        doc = json.loads(dumps_report(plan_to_dict(plan)))
-        exact = plan.ell + plan.n <= 2_000
-        v2 = dict(with_birkhoff_sets(doc, plan), schema_version=2,
-                  mode="exact" if exact else "loggamma",
-                  worst_type=(with_exact_counts(plan, plan.worst_type) if exact
-                              else doc["worst_type"] + [None, None]))
-        assert plan_from_dict(v2) == plan
-
-    @pytest.mark.parametrize("plan", [
-        plan_formation(8, 0.8, 1.0, width=1.0), plan_formation(8, Q1, 1.0),
-    ], ids=["formation", "free-target"])
-    def test_reads_schema_3(self, plan):
-        # A version-3 formation document spells out its Birkhoff partition;
-        # the stored sets and weights are ignored and the partition derived.
-        doc = json.loads(dumps_report(plan_to_dict(plan)))
-        assert set(doc["birkhoff"]) == {"ell", "tolerance", "max_deviation",
-                                        "within_tolerance", "grouped"}
-        v3 = dict(with_birkhoff_sets(doc, plan), schema_version=3)
-        assert len(v3["birkhoff"]["sets"]) == plan.target_window[1] - plan.target_window[0] + 1
-        assert plan_from_dict(v3) == plan
-
-    def test_reads_schema_4(self):
-        # `form --n 20 --p 0.75 --beta 3` as schema 4 wrote it.  The heap
-        # fill of that version left max_deviation at 4.4e-15, the log-space
-        # fill reaches 4.0e-16; every other summary field must still agree.
-        v4 = SCHEMA_4_FORMATION
-        plan = plan_from_dict(json.loads(json.dumps(v4)))
-        assert plan == plan_formation(20, 0.75, 3.0)
-        assert plan.birkhoff.max_deviation != v4["birkhoff"]["max_deviation"]
-        for name in ("ell", "tolerance", "within_tolerance", "grouped"):
-            assert getattr(plan.birkhoff, name) == v4["birkhoff"][name]
-        tampered = json.loads(json.dumps(v4))
-        tampered["birkhoff"]["ell"] += 1
-        with pytest.raises(ValueError, match="Birkhoff summary"):
-            plan_from_dict(tampered)
-        # From schema 5 on, max_deviation is compared too.
-        with pytest.raises(ValueError, match="Birkhoff summary"):
-            plan_from_dict(dict(json.loads(json.dumps(v4)), schema_version=5))
-
-    @pytest.mark.parametrize("kind", ["distillation", "formation"])
-    @pytest.mark.parametrize("version", [0, 6, 99, "x", "5", 5.0, True, None, "missing"])
+    @pytest.mark.parametrize("kind", ["distillation", "formation", "free-target"])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 6, 99, "x", "5", 5.0, True, None,
+                                         "missing"])
     def test_unknown_schema_version_refused(self, kind, version):
-        # Only the integers 1 to 5 name a schema this reader knows; anything
-        # else, a missing key included, is a domain error naming the value.
-        plan = (plan_distillation(6, 0.9, 1.0, width=1.0) if kind == "distillation"
-                else plan_formation(8, 0.8, 1.0, width=1.0))
+        # Only the integer 5 names a schema this reader knows; anything else,
+        # the earlier schemas 1 to 4 and a missing key included, is a domain
+        # error naming the value.
+        plan = {"distillation": plan_distillation(6, 0.9, 1.0, width=1.0),
+                "formation": plan_formation(8, 0.8, 1.0, width=1.0),
+                "free-target": plan_formation(8, Q1, 1.0)}[kind]
         doc = json.loads(dumps_report(plan_to_dict(plan)))
         if version == "missing":
             del doc["schema_version"]
@@ -305,12 +205,13 @@ class TestPlanSerialization:
         plan_distillation(6, 0.9, 1.0, 1.0), plan_formation(8, 0.8, 1.0, width=1.0),
     ], ids=["distillation", "formation"])
     def test_broken_summary_or_record_is_domain_error(self, plan):
-        # A worst_type cut short or not a list, a null Birkhoff summary and
-        # each summary key deleted in turn: a ValueError naming the record's
-        # field count, the summary or the key.
+        # A worst_type cut short, too long or not a list, a null Birkhoff
+        # summary and each summary key deleted in turn: a ValueError naming
+        # the record's field count, the summary or the key.
         doc = json.loads(dumps_report(plan_to_dict(plan)))
         broken = [({**doc, "worst_type": doc["worst_type"][:cut]}, "the 6 fields")
-                  for cut in (0, 3, 5)] + [({**doc, "worst_type": 7}, "the 6 fields")]
+                  for cut in (0, 3, 5)] + [({**doc, "worst_type": bad}, "the 6 fields")
+                                           for bad in (7, doc["worst_type"] + [1, 2])]
         if "birkhoff" in doc:
             summary = doc["birkhoff"]
             assert sorted(summary) == ["ell", "grouped", "max_deviation", "tolerance",
@@ -322,10 +223,6 @@ class TestPlanSerialization:
         for bad, message in broken:
             with pytest.raises(ValueError, match=message):
                 plan_from_dict(bad)
-        # Schema 4 does not compare max_deviation, so a summary without it loads.
-        summary = {k: v for k, v in doc.get("birkhoff", {}).items() if k != "max_deviation"}
-        assert plan_from_dict({**doc, "schema_version": 4,
-                               **({"birkhoff": summary} if summary else {})}) == plan
 
 
 class TestSweepCommand:
@@ -420,6 +317,19 @@ class TestExhaustCommand:
                      "--width", "1.0"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["total_rel_entropy"] == pytest.approx(expected, abs=1e-3)
+
+    def test_degenerate_gibbs_weight_is_domain_error(self, capsys):
+        # From beta = 745.2 on the Gibbs weight underflows to 0, and the
+        # exhaust has no Gibbs reference to compare with.
+        assert main(["exhaust", "--n", "3", "--p", "0.9", "--beta", "800"]) == 2
+        captured = capsys.readouterr()
+        assert "Gibbs weight q = 0.0" in captured.err and captured.out == ""
+
+    def test_subnormal_gibbs_weight_runs(self, capsys):
+        # At beta = 745, q = 5e-324 is the smallest subnormal float.
+        assert main(["exhaust", "--n", "3", "--p", "0.9", "--beta", "745"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["subadditivity_holds"] and math.isfinite(doc["total_rel_entropy"])
 
     @pytest.mark.parametrize("block_size", ["0", "-1"])
     def test_nonpositive_block_size_is_domain_error(self, tmp_path, capsys, block_size):

@@ -114,7 +114,6 @@ def test_kernel_matches_reference_executor(n, p, beta, width):
     assert quantum.permutation == tuple(bits_value(perm[s])
                                         for s in product((0, 1), repeat=total))
     report = execute_plan_classical(plan, thermal_input_distribution(plan))
-    assert report.output.is_rational
     assert report.trajectories == tuple((s, perm[s]) for s in sorted(probs))
     assert report.output.probs == out
     assert report.routed_failure_mass == routed
@@ -133,21 +132,23 @@ def test_kernel_matches_reference_executor(n, p, beta, width):
 def reference_formation(plan: FormationPlan,
                         input_dist: StringDistribution) -> ExecutionReport:
     """The string-by-string formation executor: one FormationStringMap.apply
-    per (covered string, target type), accumulated into a dict.  A free
-    target covers only the identity pairs: Gibbs type g takes t = g whole."""
+    per (covered string, target type), accumulated into a dict of Fractions,
+    the achieved weights taken as the exact dyadic rationals they are.  A
+    free target covers only the identity pairs: Gibbs type g takes t = g
+    whole."""
     if input_dist.length != plan.ell + plan.m:
         raise ValueError("input length does not match the plan")
     # The type-distribution stage conditions on the Birkhoff partition: the
     # output is the mixture over target types with the achieved weights.
     t_lo, t_hi = plan.target_window
     targets = list(range(t_lo, t_hi + 1))
-    weights = plan.birkhoff.achieved_weights
+    weights = [Fraction(w) for w in plan.birkhoff.achieved_weights]
     if len(weights) != len(targets):
         raise ValueError("birkhoff partition does not match the target window")
     maps: dict[tuple[int, int], FormationStringMap] = {}
-    out_probs: dict[Bits, Fraction | float] = {}
+    out_probs: dict[Bits, Fraction] = {}
     trajectories = []
-    routed = 0
+    routed = Fraction(0)
     for string, prob in sorted(input_dist.probs.items()):
         bath = string[: plan.ell]
         g = sum(bath)
@@ -157,7 +158,7 @@ def reference_formation(plan: FormationPlan,
             out_probs[string] = out_probs.get(string, 0) + prob
             trajectories.append((string, string))
             continue
-        for t, w in [(g, 1)] if plan.free_target else zip(targets, weights):
+        for t, w in [(g, Fraction(1))] if plan.free_target else zip(targets, weights):
             key = (g, t)
             if key not in maps:
                 maps[key] = build_formation_string_map(plan, key)
@@ -167,12 +168,10 @@ def reference_formation(plan: FormationPlan,
             if mass != 0:
                 out_probs[out] = out_probs.get(out, 0) + mass
                 trajectories.append((string, out))
-    # Mixing weights are floats, so renormalize the tiny float slop away
-    # unless the distribution is exactly rational.
+    # The achieved weights need not sum to exactly 1: renormalize by the
+    # exact total, over the whole output at once.
     total = sum(out_probs.values())
-    if not isinstance(total, Fraction) and abs(float(total) - 1.0) > 1e-15:
-        out_probs = {s: p / total for s, p in out_probs.items()}
-    output = StringDistribution(plan.n + plan.k, out_probs)
+    output = StringDistribution(plan.n + plan.k, {s: p / total for s, p in out_probs.items()})
     target_marginal = output.marginal(range(plan.n))
     moves = tuple(np.array([bits_value(s) for s in strings])
                   for strings in zip(*trajectories))
@@ -199,10 +198,9 @@ def test_formation_kernel_matches_reference_executor(n, p, beta, width):
     plan = plan_formation(n, p, beta, width)
     assume(plan.ell + plan.m <= 14)
     # The last input's strings have resource bits 0 (m >= 1), so nothing is
-    # mixed and the output stays exact.
+    # mixed: the output is the input.
     length = plan.ell + plan.m
     for dist in (formation_input_distribution(plan),
-                 formation_input_distribution(plan, rational=False),
                  mixed_formation_input(plan),
                  StringDistribution(length, {(0,) * length: Fraction(1, 3),
                                              (1,) + (0,) * (length - 1): Fraction(2, 3)})):
@@ -210,18 +208,19 @@ def test_formation_kernel_matches_reference_executor(n, p, beta, width):
         report = execute_plan_classical(plan, dist)
         assert report.kind == "formation"
         assert report.output.probs == expected.output.probs
-        assert report.output.is_rational == expected.output.is_rational
+        masses = report.output.probs.values()
+        assert all(type(mass) is Fraction for mass in masses) and sum(masses) == 1
         assert report.trajectories == expected.trajectories
         assert report.work_marginal == expected.work_marginal
         assert report.routed_failure_mass == expected.routed_failure_mass
-        assert isinstance(report.routed_failure_mass, Fraction) == dist.is_rational
+        assert type(report.routed_failure_mass) is Fraction
 
 
 def test_formation_total_is_exact_over_leading_exact_cells():
-    # Strings 0 and 1 stay put and are touched first; 2/10 + 4/10 rounds to
-    # 0.6 exactly but to 0.6000000000000001 when added as floats, and the
-    # renormalising total must take the exact sum, as a dict of Fractions
-    # and floats does.
+    # Strings 0 and 1 stay put beside the mixed cells; 2/10 + 4/10 is 0.6
+    # exactly but 0.6000000000000001 when added as floats.  The executor
+    # renormalises by the exact integer total of every cell, so its output
+    # equals the Fraction reference's and sums to exactly 1.
     plan = plan_formation(3, 0.8, 1.0, width=1.0)
     base = formation_input_distribution(plan)
     weights = base.weights * 4
@@ -229,8 +228,9 @@ def test_formation_total_is_exact_over_leading_exact_cells():
     weights[1] += 4 * base.denominator
     dist = StringDistribution(base.length, weights=weights, denominator=10 * base.denominator)
     assert float(Fraction(2, 10)) + float(Fraction(4, 10)) != float(Fraction(6, 10))
-    assert execute_plan_classical(plan, dist).output.probs == \
-        reference_formation(plan, dist).output.probs
+    output = execute_plan_classical(plan, dist).output
+    assert output.probs == reference_formation(plan, dist).output.probs
+    assert sum(output.probs.values()) == 1
 
 
 class TestKernelSafetyChecks:

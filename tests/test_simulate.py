@@ -113,6 +113,15 @@ class TestStringDistribution:
         with pytest.raises(ValueError):
             StringDistribution(2, {(0, 0): Fraction(1, 3)})
 
+    def test_floats_taken_as_exact(self):
+        # 0.25 and 0.75 are exact binary fractions; 0.1 and 0.9 are not, and
+        # their exact values sum to 1 + 2^-55.
+        dist = StringDistribution(1, {(0,): 0.25, (1,): 0.75})
+        assert dist.probs == {(0,): Fraction(1, 4), (1,): Fraction(3, 4)}
+        assert all(type(mass) is Fraction for mass in dist.probs.values())
+        with pytest.raises(ValueError, match="floats are taken as the exact"):
+            StringDistribution(1, {(0,): 0.1, (1,): 0.9})
+
     def test_marginal(self):
         dist = StringDistribution(2, {(0, 1): Fraction(1, 4), (1, 1): Fraction(3, 4)})
         assert dist.marginal([1]) == {(1,): Fraction(1)}
@@ -135,7 +144,7 @@ class TestStringDistribution:
     def test_thermal_input_is_exact(self):
         plan = plan_distillation(2, 0.75, 1.0, width=1.0)
         dist = thermal_input_distribution(plan)
-        assert dist.is_rational
+        assert all(type(mass) is Fraction for mass in dist.probs.values())
         assert sum(dist.probs.values()) == Fraction(1)
 
 
@@ -203,9 +212,8 @@ class TestFormationExecution:
         dist = formation_input_distribution(plan)
         report = execute_plan_classical(plan, dist)
         assert report.output.probs == dist.probs
-        floats = formation_input_distribution(plan, rational=False)
-        assert np.abs(execute_plan_classical(plan, floats).output.weights
-                      - floats.weights).max() <= 1e-15
+        assert report.output.weights.tolist() == dist.weights.tolist()
+        assert report.output.denominator == dist.denominator
         q = Fraction(plan.q)
         lo, hi = plan.gibbs_window
         outside = sum((math.comb(n, g) * q ** g * (1 - q) ** (n - g)
