@@ -89,16 +89,18 @@ class TestPlanSerialization:
         assert doc["schema_version"] == 5
         assert doc["units"]["log_cardinalities"] == "nats"
 
-    @pytest.mark.parametrize("kind", ["distillation", "formation", "free-target"])
+    @pytest.mark.parametrize("kind", ["distillation", "formation", "free-target", "loggamma"])
     @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 6, 99, "x", "5", 5.0, True, None,
                                          "missing"])
     def test_unknown_schema_version_refused(self, kind, version):
         # Only the integer 5 names a schema this reader knows; anything else,
         # the earlier schemas 1 to 4 and a missing key included, is a domain
-        # error naming the value.
-        plan = {"distillation": plan_distillation(6, 0.9, 1.0, width=1.0),
-                "formation": plan_formation(8, 0.8, 1.0, width=1.0),
-                "free-target": plan_formation(8, Q1, 1.0)}[kind]
+        # error naming the value.  "loggamma" is a plan whose cardinalities
+        # are past the exact-count range schema 2 once switched at.
+        plan = {"distillation": lambda: plan_distillation(6, 0.9, 1.0, width=1.0),
+                "formation": lambda: plan_formation(8, 0.8, 1.0, width=1.0),
+                "free-target": lambda: plan_formation(8, Q1, 1.0),
+                "loggamma": lambda: plan_distillation(3000, 0.75, 1.0)}[kind]()
         doc = json.loads(dumps_report(plan_to_dict(plan)))
         if version == "missing":
             del doc["schema_version"]
