@@ -3,7 +3,9 @@
 
 State-vector exact up to n = 10; prints both the exact error and the
 analytic nu-decomposition bound so the measured exponent can be fitted
-externally.
+externally.  An n whose surrogate runs short of degeneracy labels, an
+outcome of the protocol, is written with empty error fields and the
+shortfall in the trailing ``note`` column.
 """
 
 from __future__ import annotations
@@ -11,7 +13,12 @@ from __future__ import annotations
 import argparse
 import math
 
-from athermal.coherent import CoherentTarget, coherent_formation_error
+from athermal.coherent import (
+    CoherentTarget,
+    DegeneracyShortfallError,
+    ReferenceFrame,
+    coherent_formation_error,
+)
 
 
 def main() -> None:
@@ -21,14 +28,21 @@ def main() -> None:
     parser.add_argument("--p", type=float, default=1.0)
     parser.add_argument("--n-grid", type=str, default="4,6,8,10")
     args = parser.parse_args()
+    for flag, value in (("--a2", args.a2), ("--p", args.p)):
+        if not 0.0 <= value <= 1.0:
+            parser.error(f"{flag} must lie in [0, 1], got {value!r}")
 
     a = math.sqrt(args.a2)
     b = math.sqrt(1 - args.a2)
-    print("n,window_size,exact_trace_distance,analytic_bound,k_tail")
+    print("n,window_size,exact_trace_distance,analytic_bound,k_tail,note")
     for n in (int(x) for x in args.n_grid.split(",")):
-        report = coherent_formation_error(CoherentTarget(a=a, b=b, p=args.p, n=n))
+        try:
+            report = coherent_formation_error(CoherentTarget(a=a, b=b, p=args.p, n=n))
+        except DegeneracyShortfallError as exc:
+            print(f"{n},{ReferenceFrame.for_formation(n).window_size},,,,{exc}")
+            continue
         print(f"{n},{report.frame.window_size},{report.exact_trace_distance!r},"
-              f"{report.analytic_bound!r},{report.k_tail!r}")
+              f"{report.analytic_bound!r},{report.k_tail!r},")
 
 
 if __name__ == "__main__":

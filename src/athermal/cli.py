@@ -15,6 +15,7 @@ versions 1 to 4 included, or of none, is refused.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -319,9 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and kept for the
+    process; it depends on no input, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (FreeTargetError, ValueError, OverflowError) as exc:

@@ -15,7 +15,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .counting import binomial_log_pmf, binomial_outside_mass
+from .counting import (
+    binomial_log_pmf,
+    binomial_outside_mass,
+    log_comb,
+    log_sum_exp,
+    margin_bound,
+)
 
 __all__ = [
     "ReferenceFrame",
@@ -170,6 +176,27 @@ def _weight_distribution(target: CoherentTarget, k: int) -> np.ndarray:
     return np.convolve(pmf1, pmf2)
 
 
+def _check_degeneracy(n: int, levels: dict[int, list[int]]) -> None:
+    """Refuse the first energy level, in the order given, whose C(n, level)
+    labels are fewer than the sum of C(n, k) over its sectors ``ks``.
+
+    Each level is decided by the float margin ln C(n, level) - ln sum
+    C(n, k): one >= delta = :func:`.counting.margin_bound` (n) proves it
+    (the bound's budget covers two ln C with top n and a log-sum of <= n + 1
+    terms), and the rest are decided in exact integers, which also give the
+    error text.
+    """
+    groups = list(levels.items())
+    margins = np.array([log_comb(n, level) - log_sum_exp(log_comb(n, np.array(ks)))
+                        for level, ks in groups])
+    for i in np.flatnonzero(margins < margin_bound(n)):
+        level, ks = groups[i]
+        count, offered = sum(math.comb(n, k) for k in ks), math.comb(n, level)
+        if count > offered:
+            raise DegeneracyShortfallError(
+                f"energy level {level} offers {offered} labels but {count} are needed")
+
+
 def coherent_formation_error(target: CoherentTarget, exact: bool | None = None,
                              ) -> CoherentFormationReport:
     """Error analysis of forming rho^(n) from a diagonal surrogate plus frame.
@@ -203,13 +230,10 @@ def coherent_formation_error(target: CoherentTarget, exact: bool | None = None,
     # Degeneracy allocation for the surrogate eigenstates: every (k, g)
     # needs its own label within the energy level t_k.
     t_of = {k: round(target.mean_energy(k)) for k in range(k_lo, k_hi + 1)}
-    needed: dict[int, int] = {}
+    levels: dict[int, list[int]] = {}
     for k in present:
-        needed[t_of[k]] = needed.get(t_of[k], 0) + math.comb(n, k)
-    for level, count in needed.items():
-        if count > math.comb(n, level):
-            raise DegeneracyShortfallError(
-                f"energy level {level} offers {math.comb(n, level)} labels but {count} are needed")
+        levels.setdefault(t_of[k], []).append(k)
+    _check_degeneracy(n, levels)
 
     # Squared window-shift norms by clipped shift, and every excitation
     # number t'; each sector sums its pmf over t' in ascending order.

@@ -348,9 +348,9 @@ def margin_bound(big: int) -> float:
       Over the three tops: <= eps (12 N ln N + 2N + 41).
     - A shell sum (:func:`shell_log_sums`) shifts, tilts and untilts values
       of size <= 2N ln 2 and convolves <= N + 1 positive products (relative
-      error <= (N + 2) eps); a coherent rank cap adds a log-sum of <= n + 1
-      terms.  The run pairs it skips hold < eps/4 of every shell they reach
-      (below).  In all <= eps (6N + 8.25).
+      error <= (N + 2) eps); a coherent rank cap, or the coherent degeneracy
+      check, adds a log-sum of <= n + 1 terms.  The run pairs it skips hold
+      < eps/4 of every shell they reach (below).  In all <= eps (6N + 8.25).
     - The final difference rounds once; |margin| <= 2N: <= eps N.
 
     The total, eps (12 N ln N + 9N + 49.25), stays below delta(N).

@@ -561,6 +561,72 @@ def test_exact_mode_peak_allocation():
     assert peak <= (20.9 + 1.0) * 1e6
 
 
+class TestDegeneracyCheck:
+    """Levels are decided by float margins certified at margin_bound(n)."""
+
+    @staticmethod
+    def levels(n, a2, p):
+        # The sectors in the k window of coherent_formation_error that
+        # carry mass, grouped by surrogate energy level.
+        target = CoherentTarget(a=math.sqrt(a2), b=math.sqrt(1 - a2), p=p, n=n)
+        k_lo = max(0, math.ceil(n * p - math.sqrt(n)))
+        k_hi = min(n, math.floor(n * p + math.sqrt(n)))
+        levels = {}
+        for k in range(k_lo, k_hi + 1):
+            if p < 1 or k == n:
+                levels.setdefault(round(target.mean_energy(k)), []).append(k)
+        return levels
+
+    @staticmethod
+    def exact_shortfall(n, levels):
+        for level, ks in levels.items():
+            count = sum(math.comb(n, k) for k in ks)
+            offered = math.comb(n, level)
+            if count > offered:
+                return f"energy level {level} offers {offered} labels but {count} are needed"
+        return None
+
+    def test_decisions_equal_exact_integers(self):
+        shortfalls = 0
+        for n in range(1, 301):
+            for a2 in (0.05, 0.1, 0.2, 0.5):
+                for p in (0.5, 0.75, 0.9, 1.0):
+                    levels = self.levels(n, a2, p)
+                    expected = self.exact_shortfall(n, levels)
+                    try:
+                        coherent._check_degeneracy(n, levels)
+                        message = None
+                    except DegeneracyShortfallError as exc:
+                        message = str(exc)
+                    assert message == expected, (n, a2, p)
+                    shortfalls += expected is not None
+        assert 0 < shortfalls < 4800
+
+    def test_full_report_refuses_the_same_level(self):
+        levels = self.levels(10, 0.1, 0.5)
+        with pytest.raises(DegeneracyShortfallError) as exc:
+            coherent_formation_error(
+                CoherentTarget(a=math.sqrt(0.1), b=math.sqrt(0.9), p=0.5, n=10))
+        assert str(exc.value) == self.exact_shortfall(10, levels) == (
+            "energy level 3 offers 120 labels but 165 are needed")
+
+    def test_large_level_takes_no_exact_binomial(self, monkeypatch):
+        # C(1e6, 5e5) alone takes about 10 s in exact integers; its margin
+        # is far above delta, so it is never formed.
+        def refuse(*args):
+            raise AssertionError(f"math.comb{args}")
+        monkeypatch.setattr(coherent.math, "comb", refuse)
+        coherent._check_degeneracy(10**6, self.levels(10**6, 0.5, 1.0))
+
+    def test_tied_level_is_decided_exactly(self, monkeypatch):
+        # C(n, k) needed at level k or n - k: margin 0, inside delta.
+        calls = []
+        real = math.comb
+        monkeypatch.setattr(coherent.math, "comb", lambda *a: calls.append(a) or real(*a))
+        coherent._check_degeneracy(40, {25: [15]})
+        assert calls == [(40, 15), (40, 25)]
+
+
 class TestAnalyticMasses:
     """Sector masses and k_tail come from log-space binomials at every n."""
 
