@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import shutil
 import sys
 from dataclasses import MISSING, astuple, fields, is_dataclass
 
@@ -276,14 +277,19 @@ def cmd_frame(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The width argparse would read: once for the tree, where its default
+    # formatter reads the terminal again for every argument it checks.
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="athermal",
         description="Exact desk-scale protocols for the resource theory of athermal states",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def planner(name, func, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, formatter_class=formatter)
         p.add_argument("--p", type=float, required=True)
         p.add_argument("--beta", type=float, default=1.0, help="inverse temperature (1/E0)")
         p.add_argument("--width", type=float, default=3.0, help="typicality window width")
@@ -291,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p_rate = sub.add_parser("rate", help="interconversion rate by both routes")
+    p_rate = sub.add_parser("rate", help="interconversion rate by both routes",
+                            formatter_class=formatter)
     p_rate.add_argument("--p", type=float, required=True)
     p_rate.add_argument("--sigma-p", type=float, default=1.0,
                         help="excited weight of the target state (default: pure excited)")
@@ -312,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--n", type=int, required=True)
     p_ex.add_argument("--block-size", type=int, default=1)
 
-    p_fr = sub.add_parser("frame", help="reference-frame shift overlap")
+    p_fr = sub.add_parser("frame", help="reference-frame shift overlap",
+                          formatter_class=formatter)
     p_fr.add_argument("--N", type=int, required=True)
     p_fr.add_argument("--delta", type=int, required=True)
     p_fr.set_defaults(func=cmd_frame)
@@ -320,15 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call and kept for the
-    process; it depends on no input, and parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (FreeTargetError, ValueError, OverflowError) as exc:

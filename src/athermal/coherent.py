@@ -18,6 +18,7 @@ import numpy as np
 from .counting import (
     binomial_log_pmf,
     binomial_outside_mass,
+    certify,
     log_comb,
     log_sum_exp,
     margin_bound,
@@ -176,25 +177,38 @@ def _weight_distribution(target: CoherentTarget, k: int) -> np.ndarray:
     return np.convolve(pmf1, pmf2)
 
 
-def _check_degeneracy(n: int, levels: dict[int, list[int]]) -> None:
-    """Refuse the first energy level, in the order given, whose C(n, level)
-    labels are fewer than the sum of C(n, k) over its sectors ``ks``.
+def _labels(n: int, ks: list[int], log_count: float) -> str:
+    """Text of the label count sum C(n, k) over ``ks``, whose ln is
+    ``log_count``: exact below 4,000 digits, a power of ten above them,
+    since Python refuses to print an int past 4,300 digits."""
+    if log_count < 4000 * math.log(10):
+        return str(sum(math.comb(n, k) for k in ks))
+    return f"about 10^{log_count / math.log(10):.4f}"
 
-    Each level is decided by the float margin ln C(n, level) - ln sum
-    C(n, k): one >= delta = :func:`.counting.margin_bound` (n) proves it
-    (the bound's budget covers two ln C with top n and a log-sum of <= n + 1
-    terms), and the rest are decided in exact integers, which also give the
-    error text.
+
+def _check_degeneracy(n: int, levels: dict[int, list[int]]) -> None:
+    """Refuse an energy level whose C(n, level) labels are fewer than the
+    sum of C(n, k) over its sectors ``ks``.
+
+    Each level is decided by :func:`.counting.certify` on the float margin
+    ln C(n, level) - ln sum C(n, k) at delta = :func:`.counting.margin_bound`
+    (n), whose budget covers two ln C with top n and a log-sum of <= n + 1
+    terms; a margin inside delta is decided in exact integers.
     """
     groups = list(levels.items())
-    margins = np.array([log_comb(n, level) - log_sum_exp(log_comb(n, np.array(ks)))
-                        for level, ks in groups])
-    for i in np.flatnonzero(margins < margin_bound(n)):
+    offered = [log_comb(n, level) for level in levels]
+    needed = [log_sum_exp(log_comb(n, np.array(ks))) for ks in levels.values()]
+
+    def holds(i: int) -> bool:
         level, ks = groups[i]
-        count, offered = sum(math.comb(n, k) for k in ks), math.comb(n, level)
-        if count > offered:
-            raise DegeneracyShortfallError(
-                f"energy level {level} offers {offered} labels but {count} are needed")
+        return sum(math.comb(n, k) for k in ks) <= math.comb(n, level)
+
+    bad = certify(np.subtract(offered, needed), margin_bound(n), holds)
+    if bad is not None:
+        level, ks = groups[bad]
+        raise DegeneracyShortfallError(
+            f"energy level {level} offers {_labels(n, [level], offered[bad])} labels "
+            f"but {_labels(n, ks, needed[bad])} are needed")
 
 
 def coherent_formation_error(target: CoherentTarget, exact: bool | None = None,

@@ -1,19 +1,18 @@
+import argparse
 import csv
 import io
 import json
 import math
-import os
 import re
-import subprocess
-import sys
+import shutil
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
-from athermal import cli
 from athermal.cli import (
     SWEEP_HEADER,
+    build_parser,
     dumps_report,
     main,
     plan_from_dict,
@@ -363,59 +362,25 @@ class TestFrameCommand:
         assert capsys.readouterr().out == ""
 
 
-class TestSharedParser:
-    """``main`` parses with one parser per process, built on its first call."""
+class TestParserBuild:
+    """build_parser reads the terminal width once for its whole tree."""
 
-    @pytest.fixture
-    def builds(self, monkeypatch):
+    def test_terminal_read_once(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "build_parser",
-                            lambda real=cli.build_parser: calls.append(1) or real())
-        cli._parser.cache_clear()
-        yield calls
-        cli._parser.cache_clear()
+        real = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or real(*a))
+        build_parser()
+        assert len(calls) == 1
 
-    def test_main_builds_the_parser_once(self, builds, capsys):
-        for argv in (["frame", "--N", "100", "--delta", "1"], ["rate", "--p", "0.75"],
-                     ["frame", "--N", "7", "--delta", "2"]):
-            assert main(argv) == 0
-        assert len(builds) == 1
-
-    def test_cache_clear_rebuilds(self, builds, capsys):
-        assert main(["frame", "--N", "100", "--delta", "1"]) == 0
-        cli._parser.cache_clear()
-        assert main(["frame", "--N", "100", "--delta", "1"]) == 0
-        assert len(builds) == 2
-
-    def test_build_parser_returns_a_fresh_parser(self):
-        assert cli.build_parser() is not cli.build_parser()
-
-    def test_import_builds_no_parser(self):
-        code = "import athermal.cli as c; print(c._parser.cache_info().currsize)"
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "0"
-
-    def test_no_value_leaks_into_the_next_call(self, capsys):
-        assert main(["rate", "--p", "0.75", "--bits"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 5
-        assert main(["rate", "--p", "0.75"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 3
-
-    def test_rejected_call_then_valid_call(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["rate", "--sigma-p", "0.5"])
-        assert exc.value.code == 2 and "--p" in capsys.readouterr().err
-        assert main(["frame", "--N", "100", "--delta", "1"]) == 0
-        assert capsys.readouterr().out == "shift_overlap 0.99 dimensionless\n"
-
-    def test_output_path_does_not_persist(self, tmp_path, capsys):
-        path = tmp_path / "plan.json"
-        assert main(["distill", "--n", "20", "--p", "0.75", "--output", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["distill", "--n", "20", "--p", "0.75"]) == 0
-        assert capsys.readouterr().out == path.read_text()
+    @pytest.mark.parametrize("columns", [40, 80, 200])
+    def test_help_is_the_default_formatters(self, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for p in [parser, *sub.choices.values()]:
+            ours = p.format_help()
+            p.formatter_class = argparse.HelpFormatter
+            assert p.format_help() == ours
 
 
 class TestPlanCommands:
