@@ -3,9 +3,10 @@
 
 State-vector exact up to n = 10; prints both the exact error and the
 analytic nu-decomposition bound so the measured exponent can be fitted
-externally.  An n whose surrogate runs short of degeneracy labels, an
-outcome of the protocol, is written with empty error fields and the
-shortfall in the trailing ``note`` column.
+externally.  An analytic row (n > 10) leaves the exact error empty.  An
+n whose surrogate runs short of degeneracy labels, an outcome of the
+protocol, is written with empty error fields and the shortfall in the
+trailing ``note`` column.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ def main() -> None:
         except DegeneracyShortfallError as exc:
             print(f"{n},{ReferenceFrame.for_formation(n).window_size},,,,{exc}")
             continue
-        print(f"{n},{report.frame.window_size},{report.exact_trace_distance!r},"
+        exact = report.exact_trace_distance
+        print(f"{n},{report.frame.window_size},{'' if exact is None else repr(exact)},"
               f"{report.analytic_bound!r},{report.k_tail!r},")
 
 

@@ -45,15 +45,12 @@ class ReferenceFrame:
 
     The frame Hilbert space spans ``num_levels`` integer energies starting
     at zero; the flat window occupies [window_start, window_start +
-    window_size).  ``pad_energy`` is the energy offset carried by the
-    padding eigenstate the window rides on, so level f of this space has
-    physical energy pad_energy + f.
+    window_size).
     """
 
     window_size: int
     window_start: int
     num_levels: int
-    pad_energy: int = 0
 
     def __post_init__(self):
         if self.window_size < 1:
@@ -62,18 +59,12 @@ class ReferenceFrame:
             raise ValueError("window does not fit inside the frame space")
 
     @classmethod
-    def for_formation(cls, n: int, max_gap: int | None = None,
-                      pad_energy: int | None = None) -> "ReferenceFrame":
+    def for_formation(cls, n: int, max_gap: int | None = None) -> "ReferenceFrame":
         """Frame sized for an n-copy formation: window of 2 ceil(n^(2/3)) + 1
         levels, padded on both sides by the largest energy shift."""
         window = 2 * math.ceil(n ** (2.0 / 3.0)) + 1
         gap = n if max_gap is None else max_gap
-        return cls(window_size=window, window_start=gap,
-                   num_levels=window + 2 * gap, pad_energy=pad_energy or 0)
-
-    @property
-    def amplitude(self) -> float:
-        return 1.0 / math.sqrt(self.window_size)
+        return cls(window_size=window, window_start=gap, num_levels=window + 2 * gap)
 
     def state_vector(self, shift: int = 0) -> np.ndarray:
         """The frame state shifted by ``shift`` levels, as a dense vector."""
@@ -82,8 +73,15 @@ class ReferenceFrame:
         hi = lo + self.window_size
         lo_c, hi_c = max(lo, 0), min(hi, self.num_levels)
         if lo_c < hi_c:
-            vec[lo_c:hi_c] = self.amplitude
+            vec[lo_c:hi_c] = 1.0 / math.sqrt(self.window_size)
         return vec
+
+
+def _overlap(window_size: int, delta) -> np.ndarray:
+    """Inner product (1 - |delta|/N)_+ between the flat window of N levels
+    and its copy shifted by each delta."""
+    delta = np.abs(delta)
+    return np.where(delta <= window_size, 1.0 - delta / window_size, 0.0)
 
 
 def shift_overlap(window_size: int, delta: int) -> float:
@@ -92,20 +90,19 @@ def shift_overlap(window_size: int, delta: int) -> float:
         raise ValueError("window_size must be at least 1")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    if delta > window_size:
-        return 0.0
-    return 1.0 - delta / window_size
+    return float(_overlap(window_size, delta))
 
 
 def err_norm(shift: int, window_size: int) -> float:
-    """Norm of the difference between the window and its shifted copy.
+    """Norm of the difference between the window and its shifted copy,
+    sqrt(2 (1 - overlap)) for the unit vectors of both windows."""
+    return math.sqrt(2.0 * (1.0 - shift_overlap(window_size, shift)))
 
-    The two uniform windows disagree on 2 min(shift, N) levels of weight
-    1/N each, giving sqrt(2 min(shift, N) / N).
-    """
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
-    return math.sqrt(2.0 * min(shift, window_size) / window_size)
+
+def _window(center: float, n: int) -> tuple[int, int]:
+    """The integers of [0, n] within sqrt(n) of ``center``, as (lo, hi)."""
+    radius = math.sqrt(n)
+    return max(0, math.ceil(center - radius)), min(n, math.floor(center + radius))
 
 
 @dataclass(frozen=True)
@@ -226,14 +223,10 @@ def coherent_formation_error(target: CoherentTarget, exact: bool | None = None,
     if exact and n > 10:
         raise ValueError("exact mode supports n <= 10")
 
-    eb, ea = abs(target.b) ** 2, abs(target.a) ** 2
-    pad_energy = round(n * (target.p * eb + (1 - target.p) * ea) - n ** (2.0 / 3.0))
-    frame = ReferenceFrame.for_formation(n, max_gap=n, pad_energy=pad_energy)
+    frame = ReferenceFrame.for_formation(n)
     frame_n = frame.window_size
 
-    sqrt_n = math.sqrt(n)
-    k_lo = max(0, math.ceil(n * target.p - sqrt_n))
-    k_hi = min(n, math.floor(n * target.p + sqrt_n))
+    k_lo, k_hi = _window(n * target.p, n)
     k_tail = binomial_outside_mass(n, target.p, (k_lo, k_hi))
     # Sector masses C(n, k) p^k (1-p)^(n-k) in logs, which hold at every n;
     # -inf exactly where p_k = 0 (k > 0 at p = 0, k < n at p = 1).
@@ -249,25 +242,19 @@ def coherent_formation_error(target: CoherentTarget, exact: bool | None = None,
         levels.setdefault(t_of[k], []).append(k)
     _check_degeneracy(n, levels)
 
-    # Squared window-shift norms by clipped shift, and every excitation
-    # number t'; each sector sums its pmf over t' in ascending order.
-    err_sq = np.array([err_norm(shift, frame_n) ** 2 for shift in range(frame_n + 1)])
-    t_prime = np.arange(n + 1)
+    # Each sector weighs the squared frame-shift norm 2 (1 - overlap) of
+    # every excitation number t' in its window by the pmf of t'.
     sectors = []
     analytic = 0.0
     for k in present:
         weight = math.exp(log_weight[k])
         t_k = t_of[k]
-        mu = target.mean_energy(k)
-        typ_lo = max(0, math.ceil(mu - sqrt_n))
-        typ_hi = min(n, math.floor(mu + sqrt_n))
+        typ_lo, typ_hi = _window(target.mean_energy(k), n)
         pmf = _weight_distribution(target, k)
-        inside = (typ_lo <= t_prime) & (t_prime <= typ_hi)
-        shift_sq = err_sq[np.minimum(np.abs(t_k - t_prime), frame_n)]
-        nu2_sq = np.cumsum(np.where(inside, pmf * shift_sq, 0.0))[-1]
-        tail = np.cumsum(np.where(inside, 0.0, pmf))[-1]
-        nu2 = math.sqrt(nu2_sq)
-        nu1 = nu3 = math.sqrt(max(tail, 0.0))
+        shift_sq = 2.0 * (1.0 - _overlap(frame_n, t_k - np.arange(typ_lo, typ_hi + 1)))
+        nu2 = math.sqrt(pmf[typ_lo:typ_hi + 1] @ shift_sq)
+        tail = pmf[:typ_lo].sum() + pmf[typ_hi + 1:].sum()
+        nu1 = nu3 = math.sqrt(tail)
         sector_bound = min(1.0, math.sqrt(2.0) * (nu1 + nu2 + nu3))
         analytic += weight * sector_bound
         sectors.append(SectorAnalysis(
@@ -344,17 +331,13 @@ def _exact_formation_error(target: CoherentTarget, frame_n: int, t_of: dict[int,
     typical = (k_lo <= ks) & (ks <= k_hi)
     t_typ = np.array([t_of[k] for k in ks[typical]])
 
-    def overlap(shift: np.ndarray) -> np.ndarray:
-        delta = np.abs(shift)
-        return np.where(delta <= frame_n, 1.0 - delta / frame_n, 0.0)
-
     # Inner products: <v_i | v_j> = <psi_i | psi_j>;  <u_i | u_j> =
     # overlap(t_ki - t_kj) <psi_i | psi_j>;  <v_j | u_i> resolves by the
     # excitation number w of each computational component, with u_i's frame
     # overlap frame_w[i, w] against the padding level w.  One vecdot call
     # runs the same BLAS zdotc per pair as np.vdot.
     inner = np.vecdot(psi[:, None, :], psi[None, :, :])
-    frame_w = overlap(t_typ[:, None] - np.arange(n + 1)[None, :])
+    frame_w = _overlap(frame_n, t_typ[:, None] - np.arange(n + 1)[None, :])
     # The mixed block from x-major copies (string x's amplitudes in one
     # contiguous row).  The real part of each complex product is a * b
     # exactly (its imaginary terms are signed zeros), and float64 einsum
@@ -377,13 +360,11 @@ def _exact_formation_error(target: CoherentTarget, frame_n: int, t_of: dict[int,
     prob_x = typ_x[:, :-1] ** 2
     fidelity_k = np.zeros(len(t_typ))
     for w, strings in enumerate(by_weight):
-        probs = np.zeros(len(t_typ))
-        for x in strings:
-            probs += prob_x[x]
+        probs = np.cumsum(prob_x[strings], axis=0)[-1]
         fidelity_k = fidelity_k + probs * frame_w[:, w] ** 2
 
     gram = np.block([
-        [overlap(t_typ[:, None] - t_typ[None, :]) * inner[np.ix_(typical, typical)],
+        [_overlap(frame_n, t_typ[:, None] - t_typ[None, :]) * inner[np.ix_(typical, typical)],
          mixed.conj().T],
         [mixed, inner],
     ])

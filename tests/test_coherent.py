@@ -167,6 +167,15 @@ class TestErrNorm:
         diff = frame.state_vector(shift) - frame.state_vector(0)
         assert np.linalg.norm(diff) == pytest.approx(err_norm(shift, window), abs=1e-12)
 
+    def test_negative_shift_rejected(self):
+        with pytest.raises(ValueError):
+            err_norm(-1, 9)
+
+    @pytest.mark.parametrize("shift, window", [(1, -1), (3, -2), (1, 0), (0, 0)])
+    def test_empty_window_rejected(self, shift, window):
+        with pytest.raises(ValueError):
+            err_norm(shift, window)
+
 
 class TestReferenceFrame:
     def test_formation_window_size(self):
@@ -682,6 +691,36 @@ class TestAnalyticMasses:
             assert [s.k for s in report.sectors] == [k]
             assert report.sectors[0].weight == 1.0
             assert report.k_tail == 0.0
+
+    # Targets without a degeneracy shortfall at these n: pure ones at p = 0
+    # and p = 1, and two mixed ones.
+    @pytest.mark.parametrize("n, a2, p", [
+        (n, a2, p) for a2, p in ((0.5, 1.0), (0.9, 1.0), (0.3, 0.0), (0.05, 0.5))
+        for n in range(1, 13)] + [(n, 0.1, 0.9) for n in range(1, 5)])
+    def test_sector_norms_match_direct_sums(self, n, a2, p):
+        # Each sector's nu2 and nu3 from the excitation pmf as math.comb sums
+        # and the frame-shift norms as dense state-vector differences.
+        target = CoherentTarget(a=math.sqrt(a2), b=math.sqrt(1 - a2), p=p, n=n)
+        report = coherent_formation_error(target, exact=False)
+        frame = report.frame
+        ea, eb = abs(target.a) ** 2, abs(target.b) ** 2
+        assert report.sectors
+        for sector in report.sectors:
+            k = sector.k
+            mu = target.mean_energy(k)
+            assert sector.surrogate_energy == round(mu)
+            pmf = [sum(math.comb(k, j) * eb ** j * (1 - eb) ** (k - j)
+                       * math.comb(n - k, t - j) * ea ** (t - j) * (1 - ea) ** (n - k - t + j)
+                       for j in range(max(0, t - n + k), min(k, t) + 1))
+                   for t in range(n + 1)]
+            inside = [t for t in range(n + 1) if abs(t - mu) <= math.sqrt(n)]
+            assert sector.typ_window == (inside[0], inside[-1])
+            base = frame.state_vector(0)
+            nu2_sq = sum(pmf[t] * np.linalg.norm(
+                frame.state_vector(t - sector.surrogate_energy) - base) ** 2 for t in inside)
+            tail = sum(pmf[t] for t in range(n + 1) if t not in inside)
+            assert sector.nu2_norm == pytest.approx(math.sqrt(nu2_sq), rel=1e-12, abs=1e-15)
+            assert sector.nu3_bound == pytest.approx(math.sqrt(tail), rel=1e-12, abs=1e-15)
 
     def test_amplitude_just_above_one(self):
         # The constructor admits |a|^2 + |b|^2 within 1e-12 of 1, so |b|^2
