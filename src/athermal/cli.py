@@ -145,7 +145,7 @@ def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
         if absent := [name for name in _BIRKHOFF_SUMMARY if name not in stored]:
             raise ValueError(f"Birkhoff summary without {', '.join(absent)}")
         kw["birkhoff"] = target_birkhoff(kw["n"], kw["p"], gibbs_weight(kw["beta"]),
-                                         kw["target_window"], stored["tolerance"])
+                                         kw["target_window"])
         if any(stored[name] != getattr(kw["birkhoff"], name) for name in _BIRKHOFF_SUMMARY):
             raise ValueError("Birkhoff summary disagrees with the partition the plan derives")
     record = PerTypeRecord if cls is DistillationPlan else FormationRecord
@@ -250,7 +250,7 @@ def cmd_simulate(args) -> int:
             "commutator_nonzeros": channel.commutator_nonzeros,
             "trace_preserved": channel.trace_preserved,
             "work_trace_distance": channel.work_trace_distance,
-            "failure_mass": channel.failure_mass,
+            "failure_mass": plan.failure_mass,
         }
     execution = execute_plan_classical(plan, dist)
     success = execution.work_marginal.get((1,) * plan.m, 0)

@@ -22,6 +22,7 @@ from .counting import (
     log_comb,
     log_sum_exp,
     margin_bound,
+    products_leq,
 )
 
 __all__ = [
@@ -59,12 +60,11 @@ class ReferenceFrame:
             raise ValueError("window does not fit inside the frame space")
 
     @classmethod
-    def for_formation(cls, n: int, max_gap: int | None = None) -> "ReferenceFrame":
+    def for_formation(cls, n: int) -> "ReferenceFrame":
         """Frame sized for an n-copy formation: window of 2 ceil(n^(2/3)) + 1
-        levels, padded on both sides by the largest energy shift."""
+        levels, padded on both sides by n, the largest energy shift."""
         window = 2 * math.ceil(n ** (2.0 / 3.0)) + 1
-        gap = n if max_gap is None else max_gap
-        return cls(window_size=window, window_start=gap, num_levels=window + 2 * gap)
+        return cls(window_size=window, window_start=n, num_levels=window + 2 * n)
 
     def state_vector(self, shift: int = 0) -> np.ndarray:
         """The frame state shifted by ``shift`` levels, as a dense vector."""
@@ -190,7 +190,8 @@ def _check_degeneracy(n: int, levels: dict[int, list[int]]) -> None:
     Each level is decided by :func:`.counting.certify` on the float margin
     ln C(n, level) - ln sum C(n, k) at delta = :func:`.counting.margin_bound`
     (n), whose budget covers two ln C with top n and a log-sum of <= n + 1
-    terms; a margin inside delta is decided in exact integers.
+    terms; a margin inside delta is decided in exact integers, where the tie
+    C(n, k) = C(n, level) of a one-sector level cancels (:func:`.counting.products_leq`).
     """
     groups = list(levels.items())
     offered = [log_comb(n, level) for level in levels]
@@ -198,7 +199,8 @@ def _check_degeneracy(n: int, levels: dict[int, list[int]]) -> None:
 
     def holds(i: int) -> bool:
         level, ks = groups[i]
-        return sum(math.comb(n, k) for k in ks) <= math.comb(n, level)
+        needed = [(n, ks[0])] if len(ks) == 1 else [sum(math.comb(n, k) for k in ks)]
+        return products_leq(needed, [(n, level)])
 
     bad = certify(np.subtract(offered, needed), margin_bound(n), holds)
     if bad is not None:

@@ -50,10 +50,8 @@ class Hamiltonian:
             raise ValueError("energies must be finite")
 
     @classmethod
-    def two_level(cls, gap: float = 1.0) -> "Hamiltonian":
-        if not (gap > 0 and math.isfinite(gap)):
-            raise ValueError("gap must be positive and finite")
-        return cls((0.0, gap))
+    def two_level(cls) -> "Hamiltonian":
+        return cls((0.0, 1.0))
 
     @property
     def dim(self) -> int:

@@ -348,11 +348,10 @@ def plan_distillation(n: int, p: float, beta: float, width: float = 3.0) -> Dist
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    r_lim = rate_limit(p, beta)
     r_window = typical_range(n, p, width)
     resource_out = binomial_outside_mass(n, p, r_window)
-    return _plan(n, p, beta, width, rate_limit(p, beta), r_window, partial(_binomial_axis, n),
+    return _plan(n, p, beta, width, r_lim, r_window, partial(_binomial_axis, n),
                  lambda bath_out: bath_out + resource_out - bath_out * resource_out)
 
 

@@ -390,7 +390,7 @@ class _Pairs:
         if not len(near):
             return None, least
         # Every pair of the diagonals their top pair leaves open, diagonal
-        # after diagonal, each one's pairs at offsets starts[r]:ends[r].
+        # after diagonal.
         sizes = self.hi[near] - self.lo[near] + 1
         ends = np.cumsum(sizes)
         starts = ends - sizes
@@ -399,14 +399,9 @@ class _Pairs:
         pair_margins = np.repeat(log_e[near], sizes) - (self.log_g[gs - self.g_window[0]]
                                                        - self.log_t[ts - self.t_window[0]])
         pair_margins[_pair_identities(self.n, self.ell, m, gs, ts)] = np.inf
-        for r in np.flatnonzero(np.minimum.reduceat(pair_margins, starts) < delta):
-            a, b = int(starts[r]), int(ends[r])
-            x = certify(pair_margins[a:b], delta, lambda x: products_leq(
-                [(self.ell, int(gs[a + x]))], [(k, int(gs[a + x] + m - ts[a + x])),
-                                               (self.n, int(ts[a + x]))]))
-            if x is not None:
-                return (int(gs[a + x]), int(ts[a + x])), least
-        return None, least
+        x = certify(pair_margins, delta, lambda x: products_leq(
+            [(self.ell, int(gs[x]))], [(k, int(gs[x] + m - ts[x])), (self.n, int(ts[x]))]))
+        return (None if x is None else (int(gs[x]), int(ts[x]))), least
 
 
 def _formation_m(n: int, ell: int, g_window: tuple[int, int],
@@ -416,8 +411,6 @@ def _formation_m(n: int, ell: int, g_window: tuple[int, int],
     m is the least m with a valid exhaust, the pair of smallest margin.
     :func:`.counting.search` finds m from the least diagonal margins; its
     probes are kept, so those at m = ell + n and m - 1 run once."""
-    if g_window[1] - t_window[0] > ell - n:
-        raise InfeasibleFormationError("a window pair violates e <= k at every m")
     pairs = _Pairs(n, ell, g_window, t_window)
     violation = cache(pairs.violation)
     lo, hi = max(0, n - ell, t_window[1] - g_window[0]), ell + n
@@ -464,8 +457,6 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0) -> Formati
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
     r_lim = rate_limit(p, beta)
     q = gibbs_weight(beta)
     free_target = abs(p - q) < 1e-12
@@ -503,7 +494,7 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0) -> Formati
     return FormationPlan(
         n=n, ell=ell, m=m, k=m + ell - n, p=p, beta=beta, width=width,
         register_bits=max(0, g_window[1] - g_window[0]).bit_length(),
-        birkhoff=target_birkhoff(n, p, q, t_window, BIRKHOFF_TOLERANCE),
+        birkhoff=target_birkhoff(n, p, q, t_window),
         cost_rate=n / m if m else math.inf,
         work_per_copy=m / n,
         failure_mass=failure_mass,
@@ -515,17 +506,16 @@ def plan_formation(n: int, p: float, beta: float, width: float = 3.0) -> Formati
     )
 
 
-def target_birkhoff(n: int, p: float, q: float, t_window: tuple[int, int],
-                    tolerance: float) -> BirkhoffPartition:
+def target_birkhoff(n: int, p: float, q: float, t_window: tuple[int, int]) -> BirkhoffPartition:
     """The type-distribution stage of a formation plan: the Gibbs-type
     Birkhoff partition over the smallest bath ell with max(q, 1-q)^ell <=
-    tolerance (through log1p, so only beta above about 707 leaves no finite
-    ell), targeting the renormalised binomial masses of the target window."""
+    BIRKHOFF_TOLERANCE (through log1p, so only beta above about 707 leaves
+    no finite ell), targeting the renormalised binomial masses of the target window."""
     u = min(q, 1.0 - q)
-    size = math.log(tolerance) / math.log1p(-u) if u > 0.0 else math.inf
+    size = math.log(BIRKHOFF_TOLERANCE) / math.log1p(-u) if u > 0.0 else math.inf
     if not math.isfinite(size):
         raise ValueError(f"degenerate Gibbs weight q = {q!r}: no finite Birkhoff bath")
     logs = binomial_log_pmf(n, float(p), np.arange(t_window[0], t_window[1] + 1))
     masses = np.exp(logs - logs.max())
     return gibbs_type_birkhoff(max(1, math.ceil(size)), q, (masses / masses.sum()).tolist(),
-                               tolerance)
+                               BIRKHOFF_TOLERANCE)

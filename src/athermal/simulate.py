@@ -164,8 +164,6 @@ def oracle_max_m(ell: int, gibbs_ones: int, n: int, resource_ones: int) -> int:
     for m in range(total_ones, -1, -1):
         k = ell + n - m
         e = total_ones - m
-        if e > k:
-            continue
         if enumerate_strings:
             codes = _fixed_weight_codes(k, e)
             if len(inputs) <= len(codes):
@@ -387,7 +385,6 @@ class ChannelReport:
     commutator_nonzeros: int
     trace_preserved: bool
     work_trace_distance: float
-    failure_mass: float
     permutation: tuple[int, ...]
 
 
@@ -424,7 +421,6 @@ def execute_plan_quantum(plan: DistillationPlan, max_qubits: int = 14) -> Channe
         commutator_nonzeros=commutator_nonzeros,
         trace_preserved=trace_preserved,
         work_trace_distance=work_distance,
-        failure_mass=plan.failure_mass,
         permutation=tuple(perm.tolist()),
     )
 

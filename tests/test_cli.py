@@ -19,7 +19,7 @@ from athermal.cli import (
     plan_to_dict,
     sweep_rows,
 )
-from athermal.distill import plan_distillation
+from athermal.distill import plan_distillation, rate_limit
 from athermal.form import plan_formation
 from athermal.simulate import ExhaustReport
 
@@ -37,6 +37,14 @@ class TestRateCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         diff = float(lines[2].split()[1])
         assert diff < 1e-12
+
+    def test_target_rate_ratio(self, capsys):
+        # Below --sigma-p 1 the closed form divides by the target's own rate.
+        assert main(["rate", "--p", "0.9", "--sigma-p", "0.75"]) == 0
+        closed, via_entropy = (float(line.split()[1])
+                               for line in capsys.readouterr().out.splitlines()[:2])
+        assert closed == rate_limit(0.9, 1.0) / rate_limit(0.75, 1.0)
+        assert abs(closed - via_entropy) < 1e-12
 
     def test_gibbs_input_rate_zero(self, capsys):
         assert main(["rate", "--p", repr(Q1), "--beta", "1.0"]) == 0

@@ -194,13 +194,13 @@ class TestReferenceFrame:
 
 class TestBuildUinv:
     def test_identity_passthrough(self):
-        frame = ReferenceFrame.for_formation(4, max_gap=1)
+        frame = ReferenceFrame(window_size=7, window_start=1, num_levels=9)
         u = build_Uinv(np.eye(2), [0, 1], frame)
         assert (u != sp.identity(u.shape[0], format="csr")).nnz == 0
 
     def test_exact_energy_conservation(self):
         # The commutator with the joint Hamiltonian vanishes identically.
-        frame = ReferenceFrame.for_formation(4, max_gap=2)
+        frame = ReferenceFrame(window_size=7, window_start=2, num_levels=11)
         had = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         for energies in ([0, 1], [0, 2]):
             u = build_Uinv(had, energies, frame)
@@ -208,7 +208,7 @@ class TestBuildUinv:
             assert (u @ h_tot - h_tot @ u).nnz == 0
 
     def test_unitarity(self):
-        frame = ReferenceFrame.for_formation(6, max_gap=1)
+        frame = ReferenceFrame(window_size=9, window_start=1, num_levels=11)
         theta = 0.7
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
@@ -224,7 +224,7 @@ class TestBuildUinv:
 
     def test_acts_as_system_unitary_with_frame_recoil(self):
         # U (|0> (x) |H>) = u00 |0>|H> + u10 |1>|H shifted down by the gap>.
-        frame = ReferenceFrame.for_formation(4, max_gap=1)
+        frame = ReferenceFrame(window_size=7, window_start=1, num_levels=9)
         had = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         u = build_Uinv(had, [0, 1], frame)
         psi = np.kron(np.array([1.0, 0.0]), frame.state_vector())
@@ -641,13 +641,27 @@ class TestDegeneracyCheck:
         monkeypatch.setattr(coherent.math, "comb", refuse)
         coherent._check_degeneracy(10**6, self.levels(10**6, 0.5, 1.0))
 
-    def test_tied_level_is_decided_exactly(self, monkeypatch):
-        # C(n, k) needed at level k or n - k: margin 0, inside delta.
+    @staticmethod
+    def comb_calls(monkeypatch):
         calls = []
         real = math.comb
         monkeypatch.setattr(coherent.math, "comb", lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def test_tied_level_is_decided_exactly(self, monkeypatch):
+        # C(n, k) needed at level k or n - k: margin 0, inside delta, and
+        # the two sides cancel, so no C(n, .) is formed.
+        calls = self.comb_calls(monkeypatch)
         coherent._check_degeneracy(40, {25: [15]})
-        assert calls == [(40, 15), (40, 25)]
+        assert calls == []
+
+    def test_identity_target_forms_no_binomial(self, monkeypatch):
+        # At |a|^2 = 0 every level holds one sector k at level k: all ties.
+        levels = self.levels(30000, 0.0, 0.5)
+        assert len(levels) > 300 and all(ks == [level] for level, ks in levels.items())
+        calls = self.comb_calls(monkeypatch)
+        coherent._check_degeneracy(30000, levels)
+        assert calls == []
 
 
 class TestAnalyticMasses:

@@ -825,6 +825,15 @@ class TestGeneralPlan:
         assert plan == plan_distillation(40, 0.75, 1.0)
         assert record.entropy == pytest.approx(binary_entropy(0.75), abs=1e-12)
 
+    @pytest.mark.parametrize("excited", [0.0, 1e-13, 1.0 - 1e-13, 1.0])
+    def test_deterministic_levels_snap(self, excited):
+        # |0><0| and |1><1|, and states within 1e-12 of them, plan as p = 0
+        # and p = 1 exactly.
+        rho = DensityMatrix.diagonal([1.0 - excited, excited])
+        plan, record = plan_distillation_general(rho, 40, 1.0)
+        assert plan == plan_distillation(40, round(excited), 1.0)
+        assert record.mean_energy == round(excited)
+
     def test_pure_coherent_rate_target(self):
         rho = DensityMatrix.pure([1, 1])
         plan, record = plan_distillation_general(rho, 150, 1.0)

@@ -461,7 +461,7 @@ class TestBirkhoffPartition:
         # ell = 10 Gibbs strings at beta = 1, targets from a binomial over
         # three type classes; deviation bounded by the largest weight
         # (1-q)^10, computed directly.
-        targets = target_birkhoff(2, 0.75, Q1, typical_range(2, 0.75, 5), 1e-3).target_weights
+        targets = target_birkhoff(2, 0.75, Q1, typical_range(2, 0.75, 5)).target_weights
         assert len(targets) == 3
         max_weight = (1 - Q1) ** 10
         part = gibbs_type_birkhoff(10, Q1, targets, tolerance=max_weight)
@@ -499,7 +499,7 @@ class TestLogSpaceFill:
         q = gibbs_weight(beta)
         for n in (1, 2, 5, 8, 20, 100, 1000, 10**4, 5 * 10**4):
             for p in (0.0, 0.6, 0.75, 0.95, 1.0):
-                part = target_birkhoff(n, p, q, typical_range(n, p, 3.0), 1e-3)
+                part = target_birkhoff(n, p, q, typical_range(n, p, 3.0))
                 assert part.ell == math.ceil(math.log(1e-3) / math.log(max(q, 1 - q)))
                 ref = reference_greedy_fill(reference_gibbs_groups(part.ell, q),
                                             part.target_weights, part.ell, 1e-3)
@@ -514,7 +514,7 @@ class TestLogSpaceFill:
         # beta = 700); the fill visits a few dozen classes and sends the
         # rest to one set.
         q = gibbs_weight(beta)
-        part = target_birkhoff(20, 0.75, q, typical_range(20, 0.75, 3.0), 1e-3)
+        part = target_birkhoff(20, 0.75, q, typical_range(20, 0.75, 3.0))
         # The smallest bath whose heaviest string, (1 - q)^ell, is within
         # tolerance: ell ln(1/(1-q)) lies in [ln 1e3, ln 1e3 + ln(1/(1-q))].
         step = -math.log1p(-q)
@@ -555,7 +555,7 @@ class TestDerivedSpans:
         q = gibbs_weight(beta)
         for n in (1, 2, 8, 100, 10**4, 5 * 10**4):
             for p in (0.0, 0.6, 0.75, 1.0):
-                target_birkhoff(n, p, q, typical_range(n, p, 3.0), 1e-3)
+                target_birkhoff(n, p, q, typical_range(n, p, 3.0))
         assert len(pairs) == 24
         for part, ref in pairs:
             assert_same_partition(part, ref)
@@ -605,17 +605,17 @@ class TestTypeDistribution:
     # against exact math.comb / Fraction masses.
     def test_point_mass(self):
         window = typical_range(6, 1.0, 3.0)
-        assert target_birkhoff(6, 1.0, Q1, window, 1e-3).target_weights == (1.0,)
+        assert target_birkhoff(6, 1.0, Q1, window).target_weights == (1.0,)
 
     def test_exact_binomial(self):
-        weights = target_birkhoff(2, 0.5, Q1, (0, 2), 1e-3).target_weights
+        weights = target_birkhoff(2, 0.5, Q1, (0, 2)).target_weights
         assert weights == pytest.approx([0.25, 0.5, 0.25], rel=1e-15)
 
     def test_window_mass_consistency(self):
         for n in range(1, 21):
             for p in (0.1, 0.5, 0.75, 0.95):
                 for window in (typical_range(n, p, 1.0), (0, n)):
-                    weights = target_birkhoff(n, p, Q1, window, 1e-3).target_weights
+                    weights = target_birkhoff(n, p, Q1, window).target_weights
                     exact = exact_target_weights(n, p, window)
                     assert weights == pytest.approx([float(w) for w in exact], rel=1e-12)
 
