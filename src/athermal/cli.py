@@ -5,11 +5,11 @@ identical configurations); sweep grids are CSV with a fixed header.  Exit
 codes: 0 success, 1 internal error, 2 domain error (e.g. a free target).
 
 Plan documents are O(windows): schema version 5 stores the parameters,
-windows and binding record of a plan, never its per-type records, which
-the plan derives on demand, nor its Birkhoff partition, which the
-log-space fill derives on load at any beta and which must reproduce the
-stored summary.  A document of any other ``schema_version``, the earlier
-versions 1 to 4 included, or of none, is refused.
+windows and binding record of a plan, which keeps no per-type records,
+and not its Birkhoff partition, which the log-space fill derives on load
+at any beta and which must reproduce the stored summary.  A document of
+any other ``schema_version``, the earlier versions 1 to 4 included, or of
+none, is refused.
 """
 
 from __future__ import annotations

@@ -166,12 +166,16 @@ class CoherentFormationReport:
 
 def _weight_distribution(target: CoherentTarget, k: int) -> np.ndarray:
     """Distribution of the total excitation number of Psi_{k,g} (exact
-    convolution of Binomial(k, |b|^2) and Binomial(n-k, |a|^2))."""
+    convolution of Binomial(k, |b|^2) and Binomial(n-k, |a|^2)), over the
+    nonzero span of each pmf only."""
     eb = min(abs(target.b) ** 2, 1.0)
     ea = min(abs(target.a) ** 2, 1.0)
     pmf1 = np.exp(binomial_log_pmf(k, eb, np.arange(k + 1)))
     pmf2 = np.exp(binomial_log_pmf(target.n - k, ea, np.arange(target.n - k + 1)))
-    return np.convolve(pmf1, pmf2)
+    (lo1, hi1), (lo2, hi2) = (np.flatnonzero(pmf)[[0, -1]] for pmf in (pmf1, pmf2))
+    out = np.zeros(target.n + 1)
+    out[lo1 + lo2:hi1 + hi2 + 1] = np.convolve(pmf1[lo1:hi1 + 1], pmf2[lo2:hi2 + 1])
+    return out
 
 
 def _labels(n: int, ks: list[int], log_count: float) -> str:

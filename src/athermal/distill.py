@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -111,10 +111,9 @@ class PerTypeRecord:
 class DistillationPlan:
     """Complete finite-n distillation protocol record.
 
-    The plan is fixed by (ell, n, m) and the windows; the record of every
-    covered composite type is derived from them on demand by
-    :meth:`records`.  ``worst_type`` is the record of the largest type in
-    the binding shell.
+    The plan is fixed by (ell, n, m) and the windows, and every covered
+    composite type fits because its shell does.  ``worst_type`` is the
+    certified record of the largest type in the binding shell.
     """
 
     n: int
@@ -155,23 +154,9 @@ class DistillationPlan:
         return (self.gibbs_window[0] <= gibbs_ones <= self.gibbs_window[1]
                 and self.resource_window[0] <= resource_ones <= self.resource_window[1])
 
-    def records(self, blocks: BlockDiagonalizationRecord | None = None
-                ) -> Iterator[PerTypeRecord]:
-        """Yield the certified record of every covered composite type.
-
-        Coherent plans read their block rank caps from ``blocks``, the
-        record :func:`plan_distillation_general` returned with the plan.
-        """
-        if self.coherent and blocks is None:
-            raise ValueError("a coherent plan derives its records from its block record")
-        axis = (_cap_axis(self.n, blocks, self.resource_window) if self.coherent
-                else _binomial_axis(self.n, self.resource_window))
-        yield from _records(self.ell, self.n, self.m, self.gibbs_window, self.resource_window,
-                            *axis)
-
-    # Schema-1 name of the records, kept as a lazily derived view because
-    # perfbench/tracer.py still reads it.
-    per_type_maps = property(records)
+    # Per-type records are not kept; perfbench/tracer.py still reads this
+    # schema-1 name.
+    per_type_maps = ()
 
 
 def _binomial_axis(n: int, window: tuple[int, int]
@@ -193,29 +178,24 @@ def _cap_axis(n: int, blocks: BlockDiagonalizationRecord, window: tuple[int, int
             lambda t: min(math.comb(n, t), total()))
 
 
-def _records(ell: int, n: int, m: int, g_window: tuple[int, int], r_window: tuple[int, int],
-             log_r: np.ndarray, factor_r: Callable[[int], Factor]) -> Iterator[PerTypeRecord]:
-    """Certified record of every (g, r) in the windows, row by row of g.
+def _record(ell: int, n: int, m: int, g: int, r: int, log_r: np.ndarray,
+            factor_r: Callable[[int], Factor]) -> PerTypeRecord:
+    """Certified record of the type (g, r).
 
-    ``log_r`` and ``factor_r`` give the resource string counts (C(n, r), or
-    coherent block rank caps) as floats and exactly; a record whose margin
-    is not certified raises ValueError.
+    ``log_r`` (one entry) and ``factor_r`` give its resource string count
+    (C(n, r), or a coherent block rank cap) as a float and exactly; a
+    record whose margin is not certified raises ValueError.
     """
-    k = ell + n - m
-    rs = np.arange(r_window[0], r_window[1] + 1)
-    delta = margin_bound(ell + max(n, m))
-    unit = np.isin(rs, [r for r in (0, n) if k == ell and r_window[0] <= r <= r_window[1]
-                        and factor_value(factor_r(r)) == 1])
-    for g in range(g_window[0], g_window[1] + 1):
-        log_in = log_comb(ell, np.array([g])) + log_r
-        log_ex = log_comb(k, g + rs - m)
-        margins = log_ex - log_in
-        margins[identities(ell, k, g, g + rs - m, unit)] = np.inf
-        if certify(margins, delta, lambda i: products_leq(
-                [(ell, g), factor_r(int(rs[i]))], [(k, g + int(rs[i]) - m)])) is not None:
-            raise ValueError("per-type record violates the counting inequality")
-        for r, li, le in zip(rs.tolist(), log_in.tolist(), log_ex.tolist()):
-            yield PerTypeRecord(g, r, g + r - m, m, li, le)
+    k, es = ell + n - m, np.array([g + r - m])
+    log_in = log_comb(ell, np.array([g])) + log_r
+    log_ex = log_comb(k, es)
+    margins = log_ex - log_in
+    unit = k == ell and r in (0, n) and factor_value(factor_r(r)) == 1
+    margins[identities(ell, k, g, es, unit)] = np.inf
+    if certify(margins, margin_bound(ell + max(n, m)), lambda i: products_leq(
+            [(ell, g), factor_r(r)], [(k, g + r - m)])) is not None:
+        raise ValueError("per-type record violates the counting inequality")
+    return PerTypeRecord(g, r, g + r - m, m, float(log_in[0]), float(log_ex[0]))
 
 
 class _Shells:
@@ -329,7 +309,7 @@ def _plan(n: int, p: float, beta: float, width: float, r_lim: float,
         achieved_rate=m / n,
         epsilon=(n / ell) if ell > 0 else math.inf,
         r_limit=r_lim,
-        worst_type=next(_records(ell, n, m, (g, g), (r, r), *axis((r, r)))),
+        worst_type=_record(ell, n, m, g, r, *axis((r, r))),
         no_resource=no_resource,
         coherent=coherent,
         gibbs_window=g_window,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -250,10 +250,10 @@ class FormationPlan:
     copies plus a ``k``-system exhaust; one m serves every (Gibbs type,
     target type) pair in the windows.  ``cost_rate`` is the number of
     copies formed per consumed excited qubit (approaching the inverse
-    distillation rate); ``work_per_copy`` is its reciprocal m/n.  The
-    record of every pair is derived on demand by :meth:`records`;
-    ``worst_type`` is the binding pair's record (for a free target, whose
-    identity records all hold with equality, the first one).
+    distillation rate); ``work_per_copy`` is its reciprocal m/n.
+    ``worst_type`` is the certified record of the binding pair (for a free
+    target, whose identity pairs (t, t) all hold with equality, the first
+    one).
     """
 
     n: int
@@ -294,19 +294,9 @@ class FormationPlan:
         return (self.gibbs_window[0] <= gibbs_ones <= self.gibbs_window[1]
                 and self.target_window[0] <= target_ones <= self.target_window[1])
 
-    def records(self) -> Iterator[FormationRecord]:
-        """Yield the certified record of every covered pair; a free target
-        covers only the identity pairs (t, t)."""
-        if not self.free_target:
-            yield from _formation_records(self.n, self.ell, self.m, self.gibbs_window,
-                                          self.target_window)
-            return
-        for t in range(self.target_window[0], self.target_window[1] + 1):
-            yield from _formation_records(self.n, self.ell, self.m, (t, t), (t, t))
-
-    # Schema-1 name of the records, kept as a lazily derived view because
-    # perfbench/tracer.py still reads it.
-    per_type_maps = property(records)
+    # Per-type records are not kept; perfbench/tracer.py still reads this
+    # schema-1 name.
+    per_type_maps = ()
 
 
 def _pair_identities(n: int, ell: int, m: int, gs, ts) -> np.ndarray:
@@ -420,31 +410,20 @@ def _formation_m(n: int, ell: int, g_window: tuple[int, int],
     return m, violation(m - 1)[0] if m > lo else pairs.pair(int(np.argmin(pairs.margins(m))))
 
 
-def _formation_records(n: int, ell: int, m: int, g_window: tuple[int, int],
-                       t_window: tuple[int, int]) -> Iterator[FormationRecord]:
-    """Certified record of every (g, t) in the windows, row by row of g; a
-    record whose margin is not certified raises ValueError."""
-    k = m + ell - n
-    ts = np.arange(t_window[0], t_window[1] + 1)
-    log_t = log_comb(n, ts)
-    delta = margin_bound(ell + max(n, m))
-    for g in range(g_window[0], g_window[1] + 1):
-        log_g = float(log_comb(ell, np.array([g]))[0])
-        log_out = log_comb(k, g + m - ts) + log_t
-        margins = log_out - log_g
-        margins[_pair_identities(n, ell, m, g, ts)] = np.inf
-        if certify(margins, delta, lambda i: products_leq(
-                [(ell, g)], [(k, g + m - int(ts[i])), (n, int(ts[i]))])) is not None:
-            raise ValueError("formation record violates the counting inequality")
-        for t, log_output in zip(ts.tolist(), log_out.tolist()):
-            yield FormationRecord(g, t, g + m - t, m, log_g, log_output)
-
-
 def formation_record(n: int, ell: int, m: int, gibbs_ones: int,
                      target_ones: int) -> FormationRecord:
-    """The certified record of one (Gibbs type, target type) pair at m."""
-    return next(_formation_records(n, ell, m, (gibbs_ones, gibbs_ones),
-                                   (target_ones, target_ones)))
+    """The certified record of one (Gibbs type, target type) pair at m; a
+    record whose margin is not certified raises ValueError."""
+    g, t, k = gibbs_ones, target_ones, m + ell - n
+    ts = np.array([t])
+    log_g = float(log_comb(ell, np.array([g]))[0])
+    log_out = log_comb(k, g + m - ts) + log_comb(n, ts)
+    margins = log_out - log_g
+    margins[_pair_identities(n, ell, m, g, ts)] = np.inf
+    if certify(margins, margin_bound(ell + max(n, m)), lambda i: products_leq(
+            [(ell, g)], [(k, g + m - t), (n, t)])) is not None:
+        raise ValueError("formation record violates the counting inequality")
+    return FormationRecord(g, t, g + m - t, m, log_g, float(log_out[0]))
 
 
 def plan_formation(n: int, p: float, beta: float, width: float = 3.0) -> FormationPlan:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Hamiltonian, gibbs_state
 from .counting import Factor, log_factorial, multinomial_margin_bound, products_leq
-from .typeclass import apportion
+from .typeclass import apportion, shannon_entropy
 
 __all__ = [
     "WorkLedger",
@@ -179,7 +179,7 @@ def _search_best_shifts(pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
             weights = [math.exp(-beta_eff * g) for g in gaps]
             z = sum(weights)
             probs = [w / z for w in weights]
-            return probs, -sum([v * math.log(v) for v in probs if v > 0.0])
+            return probs, shannon_entropy(probs)
 
         @cache
         def seed(target_rate: float) -> tuple[int, ...]:

@@ -1,12 +1,12 @@
 """Ground-truth engines: brute-force oracles and exact plan execution.
 
 Everything here is deliberately independent of the solver algebra: the
-feasibility oracle builds injections over explicitly enumerated strings
-(or counts them with a Pascal triangle).  Plan execution builds index
-arrays from one set of rank tables: a distillation plan's shell-preserving
-permutation of all 2^(ell+n) strings, applied to a dense input vector of
-integer numerators over one common denominator, and a formation plan's
-images of every covered string for every target type at once.
+feasibility oracle counts strings with a Pascal triangle.  Plan execution
+builds index arrays from one set of rank tables: a distillation plan's
+shell-preserving permutation of all 2^(ell+n) strings, applied to a dense
+input vector of integer numerators over one common denominator, and a
+formation plan's images of every covered string for every target type at
+once.
 """
 
 from __future__ import annotations
@@ -133,45 +133,21 @@ def _pascal_binomial(n: int, k: int) -> int:
     return _pascal_row(n)[k]
 
 
-@lru_cache(maxsize=None)
-def _fixed_weight_codes(length: int, weight: int) -> np.ndarray:
-    """Values of all strings with the given weight, ascending (lexicographic)."""
-    return np.flatnonzero(_popcounts(length) == weight)
-
-
 def oracle_max_m(ell: int, gibbs_ones: int, n: int, resource_ones: int) -> int:
-    """Largest m admitting an explicit injection, by direct construction.
-
-    For ell + n <= 14 the injection is built over enumerated strings, as
-    their values, and its injectivity and energy conservation verified; up
-    to 24 the string sets are counted with a Pascal triangle.  Must agree
-    with solve_single_type everywhere.
+    """Largest m at which the C(ell, g) C(n, r) input strings fit into the
+    C(ell + n - m, g + r - m) exhaust strings, counted with a Pascal
+    triangle: any injection between the two, with m 1s appended to each
+    exhaust string, conserves energy.  Must agree with solve_single_type
+    everywhere.
     """
     if ell + n > 24:
         raise UnsupportedSizeError("oracle supports ell + n <= 24")
     if not 0 <= gibbs_ones <= ell or not 0 <= resource_ones <= n:
         raise ValueError("one-counts out of range")
-    enumerate_strings = ell + n <= 14
     total_ones = gibbs_ones + resource_ones
-
-    if enumerate_strings:
-        inputs = ((_fixed_weight_codes(ell, gibbs_ones)[:, None] << n)
-                  | _fixed_weight_codes(n, resource_ones)[None, :]).ravel()
-    else:
-        input_count = (_pascal_binomial(ell, gibbs_ones)
-                       * _pascal_binomial(n, resource_ones))
-
+    input_count = _pascal_binomial(ell, gibbs_ones) * _pascal_binomial(n, resource_ones)
     for m in range(total_ones, -1, -1):
-        k = ell + n - m
-        e = total_ones - m
-        if enumerate_strings:
-            codes = _fixed_weight_codes(k, e)
-            if len(inputs) <= len(codes):
-                outputs = (codes[:len(inputs)] << m) | (2 ** m - 1)
-                assert (outputs[1:] > outputs[:-1]).all()
-                assert (np.bitwise_count(inputs) == np.bitwise_count(outputs)).all()
-                return m
-        elif input_count <= _pascal_binomial(k, e):
+        if input_count <= _pascal_binomial(ell + n - m, total_ones - m):
             return m
     return 0
 

@@ -25,6 +25,7 @@ from athermal.coherent import (
     err_norm,
     shift_overlap,
 )
+from athermal.counting import binomial_log_pmf
 from strings_reference import build_Uinv, joint_hamiltonian
 
 
@@ -742,3 +743,36 @@ class TestAnalyticMasses:
         reports = [coherent_formation_error(CoherentTarget(a=0.0, b=b, p=0.3, n=12), exact=False)
                    for b in (1.0 + 1e-13, 1.0)]
         assert reports[0].analytic_bound == pytest.approx(reports[1].analytic_bound, rel=1e-12)
+
+
+class TestWeightDistribution:
+    """Each sector's excitation pmf is convolved over its nonzero spans."""
+
+    @staticmethod
+    def full_convolution(target, k):
+        eb, ea = min(abs(target.b) ** 2, 1.0), min(abs(target.a) ** 2, 1.0)
+        n = target.n
+        return np.convolve(np.exp(binomial_log_pmf(k, eb, np.arange(k + 1))),
+                           np.exp(binomial_log_pmf(n - k, ea, np.arange(n - k + 1))))
+
+    @pytest.mark.parametrize("n", [8, 1000, 10000])
+    @pytest.mark.parametrize("a2, p", [(0.0, 0.5), (0.05, 0.9), (0.5, 1.0), (0.9, 0.3)])
+    def test_matches_full_convolution(self, n, a2, p):
+        target = CoherentTarget(a=math.sqrt(a2), b=math.sqrt(1 - a2), p=p, n=n)
+        for k in sorted({0, 1, n // 3, round(p * n), n}):
+            dist = coherent._weight_distribution(target, k)
+            assert dist.shape == (n + 1,)
+            np.testing.assert_allclose(dist, self.full_convolution(target, k), rtol=0, atol=1e-15)
+
+    def test_point_masses_convolve_one_term(self, monkeypatch):
+        # At |a|^2 = 0 both pmfs of every sector are point masses.
+        sizes = []
+        real = np.convolve
+        monkeypatch.setattr(np, "convolve", lambda x, y: sizes.append((len(x), len(y)))
+                            or real(x, y))
+        report = coherent_formation_error(CoherentTarget(a=0.0, b=1.0, p=0.5, n=30000),
+                                          exact=False)
+        assert len(sizes) == len(report.sectors) > 300
+        assert set(sizes) == {(1, 1)}
+        dist = coherent._weight_distribution(report.target, 7)
+        assert dist[7] == 1.0 and np.count_nonzero(dist) == 1

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -43,6 +44,25 @@ def gibbs_q(beta):
 def outside_reference(n, p, window):
     """Binomial mass outside the window, from scipy's two tails."""
     return float(binom.cdf(window[0] - 1, n, p) + binom.sf(window[1], n, p))
+
+
+def covered_types(plan):
+    """Every (Gibbs type, resource type) of a distillation plan's windows."""
+    return itertools.product(range(plan.gibbs_window[0], plan.gibbs_window[1] + 1),
+                             range(plan.resource_window[0], plan.resource_window[1] + 1))
+
+
+def check_worst_type(plan, count_r):
+    """The binding record lies in the windows, conserves 1s and carries the
+    exact logs of its counts; ``count_r(r)`` is a resource type's string count."""
+    rec = plan.worst_type
+    assert plan.covers(rec.gibbs_ones, rec.resource_ones) and rec.m == plan.m
+    assert rec.gibbs_ones + rec.resource_ones == rec.exhaust_ones + plan.m
+    inputs = math.comb(plan.ell, rec.gibbs_ones) * count_r(rec.resource_ones)
+    exhaust = math.comb(plan.k, rec.exhaust_ones)
+    assert inputs <= exhaust
+    assert rec.log_input_cardinality == pytest.approx(math.log(inputs), rel=1e-12)
+    assert rec.log_exhaust_cardinality == pytest.approx(math.log(exhaust), rel=1e-12)
 
 
 def joint_shell_m(ell, n, g_window, r_window, count=math.comb):
@@ -170,30 +190,22 @@ class TestPlanDistillation:
         assert plan.epsilon == pytest.approx(plan.n / plan.ell)
 
     def test_per_type_records(self):
+        # Every covered type fits at the plan's m in exact integers, though
+        # only the binding record is kept.
         for n, width in ((12, 1.0), (24, 1.0), (40, 1.2)):
             plan = plan_distillation(n, 0.9, 1.0, width=width)
-            records = list(plan.records())
-            assert len(records) == plan.num_composite_types
-            assert list(plan.per_type_maps) == records
-            assert plan.worst_type in records
-            for rec in records:
-                # conservation of 1s and the counting inequality, exactly
-                assert rec.gibbs_ones + rec.resource_ones == rec.exhaust_ones + plan.m
-                inputs = math.comb(plan.ell, rec.gibbs_ones) * math.comb(n, rec.resource_ones)
-                assert inputs <= math.comb(plan.k, rec.exhaust_ones)
-                assert rec.log_input_cardinality == pytest.approx(math.log(inputs), rel=1e-12)
-                assert rec.log_exhaust_cardinality == pytest.approx(
-                    math.log(math.comb(plan.k, rec.exhaust_ones)), rel=1e-12)
+            assert plan.per_type_maps == ()
+            assert all(distill_feasible(plan.ell, g, n, r, plan.m)
+                       for g, r in covered_types(plan))
+            check_worst_type(plan, partial(math.comb, n))
 
     def test_records_in_loggamma_mode(self):
+        # The shell sums, in exact integers, bind at the plan's m; each type
+        # inside them fits on its own.
         plan = plan_distillation(40, 0.9, 1.0, width=1.2)
-        records = list(plan.records())
-        assert len(records) == plan.num_composite_types
-        assert plan.worst_type in records
-        for rec in records:
-            assert rec.log_input_cardinality == pytest.approx(
-                math.log(math.comb(plan.ell, rec.gibbs_ones) * math.comb(40, rec.resource_ones)),
-                rel=1e-12)
+        assert joint_shell_m(plan.ell, 40, plan.gibbs_window, plan.resource_window)[0] == plan.m
+        assert all(distill_feasible(plan.ell, g, 40, r, plan.m) for g, r in covered_types(plan))
+        check_worst_type(plan, partial(math.comb, 40))
 
     def test_ell_scaling(self):
         plan = plan_distillation(100, 0.75, 1.0)
@@ -540,10 +552,15 @@ class TestCertifiedMargins:
 
     def test_records_certify_exactly_tight_types(self):
         # A no-resource plan (ell = 0, m = 0) maps each type onto itself:
-        # every record holds with equality.
+        # type (0, r) reads C(n, r) <= C(n, r), and its record certifies the tie.
         plan = plan_distillation(200_000, Q1, 1.0)
-        records = list(itertools.islice(plan.records(), 3))
-        assert all(r.log_input_cardinality == r.log_exhaust_cardinality for r in records)
+        assert (plan.ell, plan.m, plan.gibbs_window) == (0, 0, (0, 0))
+        assert all((plan.k, g + r - plan.m) == (plan.n, r) for g, r in covered_types(plan))
+        rec = plan.worst_type
+        assert rec.log_input_cardinality == rec.log_exhaust_cardinality
+        assert rec.log_input_cardinality == pytest.approx(
+            float(gammaln(200_001) - gammaln(rec.resource_ones + 1)
+                  - gammaln(200_001 - rec.resource_ones)), rel=1e-12)
 
 
 def mp_tail(n, p, a, b):
@@ -874,16 +891,14 @@ class TestGeneralPlan:
             plan_distillation_general(DensityMatrix.diagonal([0.3, 0.3, 0.4]), 10, 1.0)
 
     def test_coherent_records_from_block_record(self):
+        # Each energy block t holds min(C(n, t), the eigenvalue window's
+        # count) strings, and every covered (g, t) fits at m.
         plan, record = plan_distillation_general(COHERENT_RHO, 100, 1.0)
-        with pytest.raises(ValueError):
-            next(plan.records())
-        records = list(plan.records(record))
-        assert len(records) == plan.num_composite_types
-        assert plan.worst_type in records
-        for rec in records:
-            cap = min(math.log(math.comb(plan.n, rec.resource_ones)), record.log_rank_cap_total)
-            assert rec.log_input_cardinality == pytest.approx(
-                math.log(math.comb(plan.ell, rec.gibbs_ones)) + cap, rel=1e-12)
+        total = sum(math.comb(100, j) for j in range(record.eig_window[0], record.eig_window[1] + 1))
+        cap = lambda t: min(math.comb(100, t), total)
+        assert all(math.comb(plan.ell, g) * cap(t) <= math.comb(plan.k, g + t - plan.m)
+                   for g, t in covered_types(plan))
+        check_worst_type(plan, cap)
 
     def test_coherent_plan_has_no_string_maps(self):
         # Rank-capped block records are not literal type classes, so the

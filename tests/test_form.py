@@ -188,14 +188,14 @@ class TestPlanFormation:
         plan = plan_formation(12, Q1, 1.0)
         assert plan.free_target and plan.m == 0 and plan.k == 0
         assert plan.work_per_copy == 0.0
-        # identity per-type records: Gibbs type maps to itself
-        records = list(plan.records())
-        assert len(records) == plan.target_window[1] - plan.target_window[0] + 1
-        assert plan.worst_type == records[0]
-        for rec in records:
-            assert rec.gibbs_ones == rec.target_ones and rec.exhaust_ones == 0
-            assert rec.log_gibbs_cardinality == rec.log_output_cardinality == pytest.approx(
-                math.log(math.comb(12, rec.target_ones)), rel=1e-12)
+        # Each Gibbs type t maps onto target type t: C(12, t) <= C(0, 0) C(12, t).
+        assert plan.gibbs_window == plan.target_window and plan.ell == 12
+        ts = range(plan.target_window[0], plan.target_window[1] + 1)
+        assert all(formation_feasible(12, t, 12, t, 0) for t in ts)
+        rec = plan.worst_type
+        assert (rec.gibbs_ones, rec.target_ones, rec.exhaust_ones) == (ts[0], ts[0], 0)
+        assert rec.log_gibbs_cardinality == rec.log_output_cardinality == pytest.approx(
+            math.log(math.comb(12, ts[0])), rel=1e-12)
 
     @pytest.mark.parametrize("n", [10**5, 10**6])
     @pytest.mark.parametrize("p", [0.269, 0.27])
@@ -211,19 +211,22 @@ class TestPlanFormation:
         assert plan.m + plan.ell == plan.n + plan.k
 
     def test_per_type_records(self):
+        # Every covered pair fits at the plan's m in exact integers, though
+        # only the binding record is kept.
         for n in (8, 15, 20):
             plan = plan_formation(n, 0.8, 1.0, width=1.2)
-            records = list(plan.records())
-            n_gibbs = plan.gibbs_window[1] - plan.gibbs_window[0] + 1
-            assert len(records) == n_gibbs * (plan.target_window[1] - plan.target_window[0] + 1)
-            assert plan.worst_type in records
-            for rec in records:
-                assert rec.gibbs_ones + plan.m == rec.exhaust_ones + rec.target_ones
-                gibbs = math.comb(plan.ell, rec.gibbs_ones)
-                output = math.comb(plan.k, rec.exhaust_ones) * math.comb(n, rec.target_ones)
-                assert gibbs <= output
-                assert rec.log_gibbs_cardinality == pytest.approx(math.log(gibbs), rel=1e-12)
-                assert rec.log_output_cardinality == pytest.approx(math.log(output), rel=1e-12)
+            assert plan.per_type_maps == ()
+            assert all(formation_feasible(n, t, plan.ell, g, plan.m)
+                       for g in range(plan.gibbs_window[0], plan.gibbs_window[1] + 1)
+                       for t in range(plan.target_window[0], plan.target_window[1] + 1))
+            rec = plan.worst_type
+            assert plan.covers(rec.gibbs_ones, rec.target_ones) and rec.m == plan.m
+            assert rec.gibbs_ones + plan.m == rec.exhaust_ones + rec.target_ones
+            gibbs = math.comb(plan.ell, rec.gibbs_ones)
+            output = math.comb(plan.k, rec.exhaust_ones) * math.comb(n, rec.target_ones)
+            assert gibbs <= output
+            assert rec.log_gibbs_cardinality == pytest.approx(math.log(gibbs), rel=1e-12)
+            assert rec.log_output_cardinality == pytest.approx(math.log(output), rel=1e-12)
 
     @given(n=st.integers(1, 40), p=st.floats(0.3, 0.99), beta=st.floats(0.3, 3.0),
            width=st.floats(0.5, 2.5), growth=st.floats(1.0, 1.5))
@@ -401,8 +404,9 @@ class TestIdentityScreen:
         assert exact_calls == []
 
     def test_records_skip_identities(self, exact_calls):
+        # A free target's binding record is the identity pair (t, t) at m = 0.
         plan = plan_formation(12, Q1, 1.0)
-        assert len(list(plan.records())) == plan.target_window[1] - plan.target_window[0] + 1
+        assert plan.free_target and plan.worst_type.exhaust_ones == 0
         assert exact_calls == []
 
 
