@@ -41,7 +41,7 @@ from .form import (
     target_birkhoff,
 )
 from .simulate import (
-    INPUT_MAX_QUBITS,
+    QUANTUM_MAX_QUBITS,
     execute_plan_classical,
     execute_plan_quantum,
     exhaust_analysis,
@@ -137,6 +137,7 @@ def plan_from_dict(data: dict) -> DistillationPlan | FormationPlan:
     for name in ("epsilon", "cost_rate"):
         if name in kw and kw[name] is None:
             kw[name] = math.inf
+    rate_limit(kw["p"], kw["beta"])  # the planners' own check of p and beta
     if cls is FormationPlan:
         stored = data["birkhoff"]
         if not isinstance(stored, dict):
@@ -232,11 +233,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.max_qubits < 0:
-        raise ValueError(f"--max-qubits must be nonnegative, got {args.max_qubits}")
-    if args.max_qubits > INPUT_MAX_QUBITS:
-        raise ValueError(f"--max-qubits {args.max_qubits} cannot take effect: the classical "
-                         f"input is capped at {INPUT_MAX_QUBITS} qubits")
     plan = plan_distillation(args.n, args.p, args.beta, args.width)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -244,8 +240,8 @@ def cmd_simulate(args) -> int:
         "units": {"work_trace_distance": "dimensionless"},
     }
     dist = thermal_input_distribution(plan)
-    if plan.ell + plan.n <= args.max_qubits:
-        channel = execute_plan_quantum(plan, max_qubits=args.max_qubits)
+    if plan.ell + plan.n <= QUANTUM_MAX_QUBITS:
+        channel = execute_plan_quantum(plan)
         report["quantum"] = {
             "commutator_nonzeros": channel.commutator_nonzeros,
             "trace_preserved": channel.trace_preserved,
@@ -312,9 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=int, required=True)
     planner("sweep", cmd_sweep, "rate-convergence CSV over an n grid").add_argument(
         "--n-grid", type=str, required=True, help="comma-separated n values")
-    p_sim = planner("simulate", cmd_simulate, "execute a small plan exactly")
-    p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--max-qubits", type=int, default=14)
+    planner("simulate", cmd_simulate, "execute a small plan exactly").add_argument(
+        "--n", type=int, required=True)
     p_ex = planner("exhaust", cmd_exhaust, "exhaust-state structure report")
     p_ex.add_argument("--n", type=int, required=True)
     p_ex.add_argument("--block-size", type=int, default=1)

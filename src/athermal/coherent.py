@@ -31,7 +31,6 @@ __all__ = [
     "CoherentFormationReport",
     "DegeneracyShortfallError",
     "shift_overlap",
-    "err_norm",
     "coherent_formation_error",
 ]
 
@@ -66,16 +65,6 @@ class ReferenceFrame:
         window = 2 * math.ceil(n ** (2.0 / 3.0)) + 1
         return cls(window_size=window, window_start=n, num_levels=window + 2 * n)
 
-    def state_vector(self, shift: int = 0) -> np.ndarray:
-        """The frame state shifted by ``shift`` levels, as a dense vector."""
-        vec = np.zeros(self.num_levels)
-        lo = self.window_start + shift
-        hi = lo + self.window_size
-        lo_c, hi_c = max(lo, 0), min(hi, self.num_levels)
-        if lo_c < hi_c:
-            vec[lo_c:hi_c] = 1.0 / math.sqrt(self.window_size)
-        return vec
-
 
 def _overlap(window_size: int, delta) -> np.ndarray:
     """Inner product (1 - |delta|/N)_+ between the flat window of N levels
@@ -91,12 +80,6 @@ def shift_overlap(window_size: int, delta: int) -> float:
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     return float(_overlap(window_size, delta))
-
-
-def err_norm(shift: int, window_size: int) -> float:
-    """Norm of the difference between the window and its shifted copy,
-    sqrt(2 (1 - overlap)) for the unit vectors of both windows."""
-    return math.sqrt(2.0 * (1.0 - shift_overlap(window_size, shift)))
 
 
 def _window(center: float, n: int) -> tuple[int, int]:
@@ -119,13 +102,14 @@ class CoherentTarget:
     n: int
 
     def __post_init__(self):
+        # Written so that NaN, for which every comparison is False, fails.
         norm = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("amplitudes must satisfy |a|^2 + |b|^2 = 1")
+        if not abs(norm - 1.0) <= 1e-12:
+            raise ValueError(f"amplitudes must satisfy |a|^2 + |b|^2 = 1, got {norm!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
     @property
     def phi1(self) -> np.ndarray:
@@ -148,7 +132,6 @@ class SectorAnalysis:
     typ_window: tuple[int, int]
     nu2_norm: float
     nu3_bound: float
-    nu1_distance: float
     sector_bound: float           # on (1/2)||U in U' - Psi x H||_1
 
 
@@ -266,7 +249,7 @@ def coherent_formation_error(target: CoherentTarget, exact: bool | None = None,
         sectors.append(SectorAnalysis(
             k=k, weight=weight, surrogate_energy=t_k,
             typ_window=(typ_lo, typ_hi),
-            nu2_norm=nu2, nu3_bound=nu3, nu1_distance=nu1,
+            nu2_norm=nu2, nu3_bound=nu3,
             sector_bound=sector_bound,
         ))
     analytic += 0.5 * k_tail

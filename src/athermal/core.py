@@ -76,6 +76,8 @@ class DensityMatrix:
         object.__setattr__(self, "entries", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has non-finite (NaN or infinite) entries")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:

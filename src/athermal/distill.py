@@ -140,6 +140,10 @@ class DistillationPlan:
     def __post_init__(self):
         if self.k != self.ell + self.n - self.m:
             raise ValueError("conservation of dimension violated: k != ell + n - m")
+        if self.n < 1 or self.achieved_rate != self.m / self.n:
+            raise ValueError("achieved_rate is not m / n at n >= 1")
+        if self.epsilon != (self.n / self.ell if self.ell > 0 else math.inf):
+            raise ValueError("epsilon is not n / ell (inf at ell = 0)")
         if self.worst_type.m != self.m:
             raise ValueError("worst type carries a foreign m")
         if not self.covers(self.worst_type.gibbs_ones, self.worst_type.resource_ones):

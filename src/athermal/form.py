@@ -277,6 +277,10 @@ class FormationPlan:
     def __post_init__(self):
         if self.m + self.ell != self.n + self.k:
             raise ValueError("reverse conservation of dimension violated")
+        if self.n < 1 or self.work_per_copy != self.m / self.n:
+            raise ValueError("work_per_copy is not m / n at n >= 1")
+        if self.cost_rate != (self.n / self.m if self.m else math.inf):
+            raise ValueError("cost_rate is not n / m (inf at m = 0)")
         n_types = self.gibbs_window[1] - self.gibbs_window[0] + 1
         if self.register_bits > max(0, (n_types - 1)).bit_length():
             raise ValueError("register larger than needed for the type count")

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -27,28 +27,24 @@ __all__ = [
     "ExhaustReport",
     "ExecutionReport",
     "ChannelReport",
-    "WorkBalanceError",
     "UnsupportedSizeError",
     "INPUT_MAX_QUBITS",
+    "QUANTUM_MAX_QUBITS",
     "oracle_max_m",
     "thermal_input_distribution",
     "formation_input_distribution",
     "execute_plan_classical",
     "execute_plan_quantum",
     "exhaust_analysis",
-    "work_balance_audit",
 ]
 
 Bits = tuple[int, ...]
 INPUT_MAX_QUBITS = 20
+QUANTUM_MAX_QUBITS = 14
 
 
 class UnsupportedSizeError(ValueError):
     """The requested instance exceeds the brute-force size caps."""
-
-
-class WorkBalanceError(AssertionError):
-    """Energy bookkeeping failed on some trajectory; indicates a bug."""
 
 
 def _popcounts(length: int) -> np.ndarray:
@@ -70,18 +66,7 @@ class StringDistribution:
     mass to its mass as a Fraction.
     """
 
-    def __init__(self, length: int, probs: Mapping[Bits, Fraction | float] | None = None, *,
-                 weights: np.ndarray | None = None, denominator: int = 1):
-        if probs is not None:
-            if length > 24:
-                raise UnsupportedSizeError("string distributions capped at 24 qubits")
-            probs = {string: Fraction(mass) for string, mass in probs.items()}
-            denominator = math.lcm(*(mass.denominator for mass in probs.values()))
-            weights = np.zeros(2 ** length, dtype=object)
-            for string, mass in probs.items():
-                if len(string) != length:
-                    raise ValueError("support string of wrong length")
-                weights[int("".join(map(str, string)) or "0", 2)] += int(mass * denominator)
+    def __init__(self, length: int, weights: np.ndarray, denominator: int):
         if weights.shape != (2 ** length,):
             raise ValueError("weight vector does not match the string length")
         if weights.sum() != denominator:
@@ -174,8 +159,7 @@ def thermal_input_distribution(plan: DistillationPlan) -> StringDistribution:
     bath, bath_den = _bernoulli_weights(Fraction(plan.q), plan.ell)
     resource, resource_den = _bernoulli_weights(Fraction(plan.p), plan.n)
     weights = np.multiply.outer(bath, resource)[_popcounts(plan.ell)[:, None], _popcounts(plan.n)]
-    return StringDistribution(total, weights=weights.reshape(-1),
-                              denominator=bath_den * resource_den)
+    return StringDistribution(total, weights.reshape(-1), bath_den * resource_den)
 
 
 def formation_input_distribution(plan: FormationPlan) -> StringDistribution:
@@ -187,7 +171,7 @@ def formation_input_distribution(plan: FormationPlan) -> StringDistribution:
     weights = np.zeros(2 ** total, dtype=object)
     weights[(np.arange(2 ** plan.ell) << plan.m) | ((1 << plan.m) - 1)] = \
         bath[_popcounts(plan.ell)]
-    return StringDistribution(total, weights=weights, denominator=den)
+    return StringDistribution(total, weights, den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +183,6 @@ class ExecutionReport:
     output: StringDistribution
     work_marginal: dict[Bits, Fraction]
     routed_failure_mass: Fraction
-    kind: str
     moves: tuple[np.ndarray, np.ndarray]
 
     @cached_property
@@ -292,12 +275,11 @@ def _execute_distillation(plan: DistillationPlan,
     weights = input_dist.weights
     out = np.zeros_like(weights)
     out[perm] = weights
-    output = StringDistribution(input_dist.length, weights=out,
-                                denominator=input_dist.denominator)
+    output = StringDistribution(input_dist.length, out, input_dist.denominator)
     work = output.marginal(range(plan.k, input_dist.length))
     routed = input_dist._mass(weights[~covered].sum())
     support = np.flatnonzero(weights)
-    return ExecutionReport(output, work, routed, "distillation", (support, perm[support]))
+    return ExecutionReport(output, work, routed, (support, perm[support]))
 
 
 def _execute_formation(plan: FormationPlan,
@@ -348,9 +330,9 @@ def _execute_formation(plan: FormationPlan,
     src, dst = (np.broadcast_to(a, dst.shape)[keep] for a in (x[:, None], dst))
     out = np.zeros(2 ** length, dtype=object)
     np.add.at(out, dst, moved[keep])
-    output = StringDistribution(length, weights=out, denominator=moved.sum())
+    output = StringDistribution(length, out, moved.sum())
     routed = input_dist._mass(weights[x[~covered]].sum())
-    return ExecutionReport(output, output.marginal(range(n)), routed, "formation", (src, dst))
+    return ExecutionReport(output, output.marginal(range(n)), routed, (src, dst))
 
 
 @dataclass(frozen=True)
@@ -361,10 +343,9 @@ class ChannelReport:
     commutator_nonzeros: int
     trace_preserved: bool
     work_trace_distance: float
-    permutation: tuple[int, ...]
 
 
-def execute_plan_quantum(plan: DistillationPlan, max_qubits: int = 14) -> ChannelReport:
+def execute_plan_quantum(plan: DistillationPlan) -> ChannelReport:
     """Build the explicit permutation unitary of a plan and verify legality.
 
     The permutation is the classical executor's, so it commutes with H_tot
@@ -372,8 +353,8 @@ def execute_plan_quantum(plan: DistillationPlan, max_qubits: int = 14) -> Channe
     gamma^(ell) (x) rho^(n) and the work register compared with |1><1|^(m).
     """
     total = plan.ell + plan.n
-    if total > max_qubits:
-        raise UnsupportedSizeError(f"quantum execution capped at {max_qubits} qubits")
+    if total > QUANTUM_MAX_QUBITS:
+        raise UnsupportedSizeError(f"quantum execution capped at {QUANTUM_MAX_QUBITS} qubits")
     perm, _ = _plan_permutation(plan)
 
     # Exact commutator check: V e_x = e_perm(x), H diagonal by weight.
@@ -397,7 +378,6 @@ def execute_plan_quantum(plan: DistillationPlan, max_qubits: int = 14) -> Channe
         commutator_nonzeros=commutator_nonzeros,
         trace_preserved=trace_preserved,
         work_trace_distance=work_distance,
-        permutation=tuple(perm.tolist()),
     )
 
 
@@ -451,8 +431,8 @@ def exhaust_analysis(plan: DistillationPlan, block_size: int = 1) -> ExhaustRepo
         raise ValueError(f"degenerate Gibbs weight q = {plan.q!r}: no Gibbs reference")
     output = execute_plan_classical(plan, thermal_input_distribution(plan)).output
     q, q_exact = plan.q, Fraction(plan.q)
-    exhaust = StringDistribution(plan.k, weights=output.marginal_weights(range(plan.k)),
-                                 denominator=output.denominator)
+    exhaust = StringDistribution(plan.k, output.marginal_weights(range(plan.k)),
+                                 output.denominator)
 
     def reduction(positions: range) -> tuple[np.ndarray, float]:
         weights = exhaust.marginal_weights(positions)
@@ -481,28 +461,3 @@ def exhaust_analysis(plan: DistillationPlan, block_size: int = 1) -> ExhaustRepo
         subadditivity_holds=bool(sum(rel_ents) <= d_total + 1e-9),
         per_system_rel_entropy=d_total / plan.k if plan.k else 0.0,
     )
-
-
-def work_balance_audit(plan: DistillationPlan | FormationPlan,
-                       execution: ExecutionReport) -> dict:
-    """Verify exact energy conservation on every recorded move, in one pass
-    over the moves' weights.
-
-    Raises WorkBalanceError naming the first imbalanced trajectory.  Returns
-    a ledger with the expected work-register surplus over its thermal value
-    (<= 0 for Gibbs-only inputs).
-    """
-    src, dst = execution.moves
-    bad = np.flatnonzero(np.bitwise_count(src) != np.bitwise_count(dst))
-    if bad.size:
-        before, after = _strings(np.array([src[bad[0]], dst[bad[0]]]), execution.output.length)
-        raise WorkBalanceError(f"trajectory {before} -> {after} changes the total energy")
-
-    ledger = {"trajectories": src.size, "balanced": True}
-    if isinstance(plan, DistillationPlan) and plan.m > 0:
-        expected_ones = 0.0
-        for bits, mass in execution.work_marginal.items():
-            expected_ones += float(mass) * sum(bits)
-        thermal = plan.m * plan.q
-        ledger["expected_work_surplus"] = expected_ones - thermal
-    return ledger

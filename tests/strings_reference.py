@@ -7,16 +7,19 @@ distillation plan's per-type injection (types of one total-1s
 shell at consecutive rank offsets), a formation plan's round robin, the
 flat index sets of a Birkhoff partition, the exact covered-string counts
 per shell, the joint system-plus-frame Hamiltonian with the frame-compensated
-joint unitary acting on it, and a permutation as an explicit sparse unitary.
-Nothing here is imported by ``athermal``.
+joint unitary acting on it, a permutation as an explicit sparse unitary,
+the dense state vector of a shifted reference frame, a string distribution
+built from a mapping of strings to masses, and the energy-balance audit of
+an execution's recorded moves.  Nothing here is imported by ``athermal``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +27,7 @@ import scipy.sparse as sp
 from athermal.coherent import ReferenceFrame
 from athermal.distill import DistillationPlan
 from athermal.form import BirkhoffPartition, FormationPlan, formation_feasible
+from athermal.simulate import ExecutionReport, StringDistribution, UnsupportedSizeError
 
 
 def rank_fixed_weight(bits: tuple[int, ...]) -> int:
@@ -320,3 +324,58 @@ def permutation_unitary(permutation: Sequence[int]) -> sp.csr_matrix:
     dim = len(permutation)
     return sp.csr_matrix((np.ones(dim), (np.array(permutation), np.arange(dim))),
                          shape=(dim, dim))
+
+
+def state_vector(frame: ReferenceFrame, shift: int = 0) -> np.ndarray:
+    """The frame state shifted by ``shift`` levels, as a dense vector."""
+    vec = np.zeros(frame.num_levels)
+    lo = frame.window_start + shift
+    hi = lo + frame.window_size
+    lo_c, hi_c = max(lo, 0), min(hi, frame.num_levels)
+    if lo_c < hi_c:
+        vec[lo_c:hi_c] = 1.0 / math.sqrt(frame.window_size)
+    return vec
+
+
+def string_distribution(length: int,
+                        probs: Mapping[tuple[int, ...], Fraction | float]) -> StringDistribution:
+    """The exact distribution with the given mass on each string; a float
+    mass is taken as the exact binary fraction it is."""
+    if length > 24:
+        raise UnsupportedSizeError("string distributions capped at 24 qubits")
+    probs = {string: Fraction(mass) for string, mass in probs.items()}
+    denominator = math.lcm(*(mass.denominator for mass in probs.values()))
+    weights = np.zeros(2 ** length, dtype=object)
+    for string, mass in probs.items():
+        if len(string) != length:
+            raise ValueError("support string of wrong length")
+        weights[int("".join(map(str, string)) or "0", 2)] += int(mass * denominator)
+    return StringDistribution(length, weights, denominator)
+
+
+class WorkBalanceError(AssertionError):
+    """Energy bookkeeping failed on some trajectory; indicates a bug."""
+
+
+def work_balance_audit(plan: DistillationPlan | FormationPlan,
+                       execution: ExecutionReport) -> dict:
+    """Verify exact energy conservation on every recorded move, in one pass
+    over the moves' weights.
+
+    Raises WorkBalanceError naming the first imbalanced trajectory.  Returns
+    a ledger with the expected work-register surplus over its thermal value
+    (<= 0 for Gibbs-only inputs).
+    """
+    src, dst = execution.moves
+    bad = np.flatnonzero(np.bitwise_count(src) != np.bitwise_count(dst))
+    if bad.size:
+        before, after = execution.trajectories[bad[0]]
+        raise WorkBalanceError(f"trajectory {before} -> {after} changes the total energy")
+
+    ledger = {"trajectories": src.size, "balanced": True}
+    if isinstance(plan, DistillationPlan) and plan.m > 0:
+        expected_ones = 0.0
+        for bits, mass in execution.work_marginal.items():
+            expected_ones += float(mass) * sum(bits)
+        ledger["expected_work_surplus"] = expected_ones - plan.m * plan.q
+    return ledger

@@ -31,6 +31,7 @@ from athermal.simulate import (
 )
 from conftest import random_density, random_hamiltonian
 from continuity_reference import continuity_bound_check, continuity_constant
+from strings_reference import state_vector
 
 
 def verdict(index: int, passed: bool, detail: str) -> None:
@@ -166,9 +167,9 @@ def test_criterion_7a_shift_overlap_exact():
     for n_window in range(1, 65):
         frame = ReferenceFrame(window_size=n_window, window_start=n_window,
                                num_levels=3 * n_window)
-        base = frame.state_vector(0)
+        base = state_vector(frame, 0)
         for delta in range(n_window + 1):
-            exact = float(base @ frame.state_vector(delta))
+            exact = float(base @ state_vector(frame, delta))
             worst = max(worst, abs(exact - shift_overlap(n_window, delta)))
     verdict(7, worst < 1e-12, f"(a) overlap max deviation {worst:.2e} for N <= 64")
 

@@ -225,6 +225,14 @@ class TestPlanSerialization:
         broken = [({**doc, "worst_type": doc["worst_type"][:cut]}, "the 6 fields")
                   for cut in (0, 3, 5)] + [({**doc, "worst_type": bad}, "the 6 fields")
                                            for bad in (7, doc["worst_type"] + [1, 2])]
+        # Fields no planner would write: p and beta out of the planners'
+        # range, and rates that are not the plan's own ratios of n, m, ell.
+        tampered = {"p": (7.5, "p must lie in"), "beta": (-2.0, "beta must be positive")}
+        tampered.update({"achieved_rate": (0.99, "achieved_rate is not"),
+                         "epsilon": (123.0, "epsilon is not")} if "epsilon" in doc else
+                        {"cost_rate": (1e9, "cost_rate is not"),
+                         "work_per_copy": (-3.0, "work_per_copy is not")})
+        broken += [({**doc, key: value}, message) for key, (value, message) in tampered.items()]
         if "birkhoff" in doc:
             summary = doc["birkhoff"]
             assert sorted(summary) == ["ell", "grouped", "max_deviation", "tolerance",
@@ -269,7 +277,7 @@ class TestSimulateCommand:
         assert doc["quantum"]["work_trace_distance"] <= doc["quantum"]["failure_mass"] + 1e-12
 
     def test_classical_cap_fails_before_quantum_work(self, monkeypatch, capsys):
-        # A 21-qubit plan under the default --max-qubits: planning runs, then
+        # A 21-qubit plan, above the 14-qubit quantum cap: planning runs, then
         # the classical input's enumeration refuses it at its 20-qubit cap,
         # and no quantum execution runs.
         planned = []
@@ -286,32 +294,18 @@ class TestSimulateCommand:
         assert [p.ell + p.n for p in planned] == [21]
         assert "full enumeration capped at 20 qubits" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("max_qubits", ["21", "24"])
-    def test_max_qubits_above_input_cap_refused(self, monkeypatch, capsys, max_qubits):
-        # n = 2 fits every cap; the option alone is refused, before any planning.
-        def refuse(*args, **kwargs):
-            raise AssertionError("planning ran")
-        monkeypatch.setattr("athermal.cli.plan_distillation", refuse)
-        assert main(["simulate", "--n", "2", "--p", "1.0", "--max-qubits", max_qubits]) == 2
-        err = capsys.readouterr().err
-        assert f"--max-qubits {max_qubits}" in err and "capped at 20 qubits" in err
-
-    def test_negative_max_qubits_refused(self, monkeypatch, capsys):
-        def refuse(*args, **kwargs):
-            raise AssertionError("planning ran")
-        monkeypatch.setattr("athermal.cli.plan_distillation", refuse)
-        assert main(["simulate", "--n", "2", "--p", "1.0", "--max-qubits", "-1"]) == 2
-        assert "--max-qubits must be nonnegative, got -1" in capsys.readouterr().err
-
-    def test_zero_max_qubits_skips_quantum_run(self, capsys):
-        # No plan fits zero qubits, so only the classical execution runs.
-        assert main(["simulate", "--n", "2", "--p", "1.0", "--max-qubits", "0"]) == 0
+    def test_quantum_block_skipped_above_cap(self, capsys):
+        # A 15-qubit plan: only the classical execution runs.
+        assert main(["simulate", "--n", "6", "--p", "0.9", "--width", "1.0"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert doc["plan"]["ell"] + doc["plan"]["n"] == 15
         assert "quantum" not in doc and "classical" in doc
 
-    def test_max_qubits_at_input_cap_runs(self, capsys):
-        assert main(["simulate", "--n", "2", "--p", "1.0", "--max-qubits", "20"]) == 0
-        assert json.loads(capsys.readouterr().out)["quantum"]["commutator_nonzeros"] == 0
+    def test_quantum_block_at_cap(self, capsys):
+        assert main(["simulate", "--n", "5", "--p", "0.95", "--width", "0.75"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["plan"]["ell"] + doc["plan"]["n"] == 14
+        assert doc["quantum"]["commutator_nonzeros"] == 0 and "classical" in doc
 
 
 class TestExhaustCommand:

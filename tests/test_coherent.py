@@ -22,11 +22,10 @@ from athermal.coherent import (
     DegeneracyShortfallError,
     ReferenceFrame,
     coherent_formation_error,
-    err_norm,
     shift_overlap,
 )
 from athermal.counting import binomial_log_pmf
-from strings_reference import build_Uinv, joint_hamiltonian
+from strings_reference import build_Uinv, joint_hamiltonian, state_vector
 
 
 def _reference_psi_vector(target: CoherentTarget, k: int, arrangement) -> np.ndarray:
@@ -136,7 +135,7 @@ class TestShiftOverlap:
         for delta in range(window + 1):
             frame = ReferenceFrame(window_size=window, window_start=window,
                                    num_levels=3 * window)
-            value = float(frame.state_vector(0) @ frame.state_vector(delta))
+            value = float(state_vector(frame, 0) @ state_vector(frame, delta))
             assert value == pytest.approx(shift_overlap(window, delta), abs=1e-13)
 
     def test_negative_delta_rejected(self):
@@ -147,6 +146,12 @@ class TestShiftOverlap:
     def test_empty_window_rejected(self, window):
         with pytest.raises(ValueError):
             shift_overlap(window, 1)
+
+
+def err_norm(shift: int, window_size: int) -> float:
+    """The norm sqrt(2 (1 - overlap)) of the difference between the window
+    and its shifted copy, as the analytic pass writes it inline."""
+    return math.sqrt(2.0 * (1.0 - shift_overlap(window_size, shift)))
 
 
 class TestErrNorm:
@@ -165,7 +170,7 @@ class TestErrNorm:
     def test_brute_force_norm(self, window, shift):
         frame = ReferenceFrame(window_size=window, window_start=70,
                                num_levels=200)
-        diff = frame.state_vector(shift) - frame.state_vector(0)
+        diff = state_vector(frame, shift) - state_vector(frame, 0)
         assert np.linalg.norm(diff) == pytest.approx(err_norm(shift, window), abs=1e-12)
 
     def test_negative_shift_rejected(self):
@@ -190,7 +195,7 @@ class TestReferenceFrame:
 
     def test_state_vector_normalized(self):
         frame = ReferenceFrame.for_formation(6)
-        assert np.linalg.norm(frame.state_vector()) == pytest.approx(1.0, abs=1e-13)
+        assert np.linalg.norm(state_vector(frame)) == pytest.approx(1.0, abs=1e-13)
 
 
 class TestBuildUinv:
@@ -228,10 +233,10 @@ class TestBuildUinv:
         frame = ReferenceFrame(window_size=7, window_start=1, num_levels=9)
         had = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         u = build_Uinv(had, [0, 1], frame)
-        psi = np.kron(np.array([1.0, 0.0]), frame.state_vector())
+        psi = np.kron(np.array([1.0, 0.0]), state_vector(frame))
         out = u @ psi
-        expected = (had[0, 0] * np.kron([1.0, 0.0], frame.state_vector(0))
-                    + had[1, 0] * np.kron([0.0, 1.0], frame.state_vector(-1)))
+        expected = (had[0, 0] * np.kron([1.0, 0.0], state_vector(frame, 0))
+                    + had[1, 0] * np.kron([0.0, 1.0], state_vector(frame, -1)))
         assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -239,6 +244,20 @@ class TestCoherentTarget:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
             CoherentTarget(a=1.0, b=0.5, p=1.0, n=4)
+
+    @pytest.mark.parametrize("a, p, n, message", [
+        (math.nan, 0.5, 4, "amplitudes"),
+        (math.inf, 0.5, 4, "amplitudes"),
+        (0.0, math.nan, 4, "p must lie"),
+        (0.0, 0.5, 2.5, "n must be a positive integer"),
+        (0.0, 0.5, 0, "n must be a positive integer"),
+    ])
+    def test_invalid_target_refused(self, a, p, n, message):
+        # Every comparison with NaN is False: a NaN amplitude used to pass
+        # the norm check and fail later, in the formation error, as "cannot
+        # convert float NaN to integer".
+        with pytest.raises(ValueError, match=message):
+            CoherentTarget(a=a, b=1.0, p=p, n=n)
 
     def test_orthogonal_components(self):
         t = CoherentTarget(a=0.6 + 0.3j, b=math.sqrt(1 - 0.45), p=0.5, n=4)
@@ -730,9 +749,9 @@ class TestAnalyticMasses:
                    for t in range(n + 1)]
             inside = [t for t in range(n + 1) if abs(t - mu) <= math.sqrt(n)]
             assert sector.typ_window == (inside[0], inside[-1])
-            base = frame.state_vector(0)
+            base = state_vector(frame, 0)
             nu2_sq = sum(pmf[t] * np.linalg.norm(
-                frame.state_vector(t - sector.surrogate_energy) - base) ** 2 for t in inside)
+                state_vector(frame, t - sector.surrogate_energy) - base) ** 2 for t in inside)
             tail = sum(pmf[t] for t in range(n + 1) if t not in inside)
             assert sector.nu2_norm == pytest.approx(math.sqrt(nu2_sq), rel=1e-12, abs=1e-15)
             assert sector.nu3_bound == pytest.approx(math.sqrt(tail), rel=1e-12, abs=1e-15)

@@ -86,6 +86,20 @@ class TestBinaryEntropy:
             binary_entropy(p)
 
 
+class TestDensityMatrix:
+    @pytest.mark.parametrize("entries", [
+        [[math.nan, 0.0], [0.0, math.nan]],
+        [[math.inf, 0.0], [0.0, 1.0 - math.inf]],
+        [[0.5, math.nan], [math.nan, 0.5]],
+    ])
+    def test_non_finite_entries_refused(self, entries):
+        # Every comparison with NaN is False, so without this check all
+        # three validity checks pass and the entropy of [[nan, 0], [0, nan]]
+        # came out as -0.0.
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(np.array(entries))
+
+
 class TestRelativeEntropy:
     def test_identity_is_zero(self):
         gamma = two_level_gibbs(1.0).density_matrix()

@@ -39,7 +39,12 @@ from athermal.simulate import (
     formation_input_distribution,
     thermal_input_distribution,
 )
-from strings_reference import FormationStringMap, build_formation_string_map, build_string_map
+from strings_reference import (
+    FormationStringMap,
+    build_formation_string_map,
+    build_string_map,
+    string_distribution,
+)
 
 
 def reference_permutation(plan) -> dict[tuple, tuple]:
@@ -110,9 +115,9 @@ def test_kernel_matches_reference_executor(n, p, beta, width):
     routed = sum((mass for s, mass in probs.items()
                   if not plan.covers(sum(s[:plan.ell]), sum(s[plan.ell:]))), Fraction(0))
 
-    quantum = execute_plan_quantum(plan)
-    assert quantum.permutation == tuple(bits_value(perm[s])
-                                        for s in product((0, 1), repeat=total))
+    assert execute_plan_quantum(plan).commutator_nonzeros == 0
+    assert simulate._plan_permutation(plan)[0].tolist() == [
+        bits_value(perm[s]) for s in product((0, 1), repeat=total)]
     report = execute_plan_classical(plan, thermal_input_distribution(plan))
     assert report.trajectories == tuple((s, perm[s]) for s in sorted(probs))
     assert report.output.probs == out
@@ -171,11 +176,11 @@ def reference_formation(plan: FormationPlan,
     # The achieved weights need not sum to exactly 1: renormalize by the
     # exact total, over the whole output at once.
     total = sum(out_probs.values())
-    output = StringDistribution(plan.n + plan.k, {s: p / total for s, p in out_probs.items()})
+    output = string_distribution(plan.n + plan.k, {s: p / total for s, p in out_probs.items()})
     target_marginal = output.marginal(range(plan.n))
     moves = tuple(np.array([bits_value(s) for s in strings])
                   for strings in zip(*trajectories))
-    return ExecutionReport(output, target_marginal, routed, "formation", moves)
+    return ExecutionReport(output, target_marginal, routed, moves)
 
 
 def mixed_formation_input(plan) -> StringDistribution:
@@ -202,11 +207,10 @@ def test_formation_kernel_matches_reference_executor(n, p, beta, width):
     length = plan.ell + plan.m
     for dist in (formation_input_distribution(plan),
                  mixed_formation_input(plan),
-                 StringDistribution(length, {(0,) * length: Fraction(1, 3),
-                                             (1,) + (0,) * (length - 1): Fraction(2, 3)})):
+                 string_distribution(length, {(0,) * length: Fraction(1, 3),
+                                              (1,) + (0,) * (length - 1): Fraction(2, 3)})):
         expected = reference_formation(plan, dist)
         report = execute_plan_classical(plan, dist)
-        assert report.kind == "formation"
         assert report.output.probs == expected.output.probs
         masses = report.output.probs.values()
         assert all(type(mass) is Fraction for mass in masses) and sum(masses) == 1

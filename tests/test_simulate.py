@@ -13,18 +13,22 @@ from athermal.core import gibbs_weight
 from athermal.distill import DistillationPlan, PerTypeRecord, plan_distillation, solve_single_type
 from athermal.form import plan_formation
 from athermal.simulate import (
-    StringDistribution,
+    QUANTUM_MAX_QUBITS,
     UnsupportedSizeError,
-    WorkBalanceError,
     execute_plan_classical,
     execute_plan_quantum,
     exhaust_analysis,
     formation_input_distribution,
     oracle_max_m,
     thermal_input_distribution,
+)
+from strings_reference import (
+    WorkBalanceError,
+    permutation_unitary,
+    reference_oracle_max_m,
+    string_distribution,
     work_balance_audit,
 )
-from strings_reference import permutation_unitary, reference_oracle_max_m
 
 Q1 = math.exp(-1) / (1 + math.exp(-1))
 
@@ -91,21 +95,21 @@ class TestOracle:
 
 class TestStringDistribution:
     def test_exact_normalization(self):
-        StringDistribution(2, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+        string_distribution(2, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)})
         with pytest.raises(ValueError):
-            StringDistribution(2, {(0, 0): Fraction(1, 3)})
+            string_distribution(2, {(0, 0): Fraction(1, 3)})
 
     def test_floats_taken_as_exact(self):
         # 0.25 and 0.75 are exact binary fractions; 0.1 and 0.9 are not, and
         # their exact values sum to 1 + 2^-55.
-        dist = StringDistribution(1, {(0,): 0.25, (1,): 0.75})
+        dist = string_distribution(1, {(0,): 0.25, (1,): 0.75})
         assert dist.probs == {(0,): Fraction(1, 4), (1,): Fraction(3, 4)}
         assert all(type(mass) is Fraction for mass in dist.probs.values())
         with pytest.raises(ValueError, match="floats are taken as the exact"):
-            StringDistribution(1, {(0,): 0.1, (1,): 0.9})
+            string_distribution(1, {(0,): 0.1, (1,): 0.9})
 
     def test_marginal(self):
-        dist = StringDistribution(2, {(0, 1): Fraction(1, 4), (1, 1): Fraction(3, 4)})
+        dist = string_distribution(2, {(0, 1): Fraction(1, 4), (1, 1): Fraction(3, 4)})
         assert dist.marginal([1]) == {(1,): Fraction(1)}
 
     def test_marginal_equals_per_string_fractions(self):
@@ -148,7 +152,7 @@ class TestClassicalExecution:
         for pos in combinations(range(4), 1):
             bath = tuple(1 if i in pos else 0 for i in range(4))
             strings[bath + (1, 1)] = weight
-        report = execute_plan_classical(plan, StringDistribution(6, strings))
+        report = execute_plan_classical(plan, string_distribution(6, strings))
         assert report.work_marginal == {(1, 1): Fraction(1)}
         assert report.routed_failure_mass == 0
 
@@ -226,9 +230,8 @@ class TestQuantumExecution:
         gamma_probs = np.ones(1)
         for _ in range(total):
             gamma_probs = np.kron(gamma_probs, np.array([1 - Q1, Q1]))
-        report = execute_plan_quantum(plan)
         out = np.zeros_like(gamma_probs)
-        out[np.array(report.permutation)] = gamma_probs
+        out[simulate._plan_permutation(plan)[0]] = gamma_probs
         assert np.array_equal(out, gamma_probs)
 
     def test_unital_when_no_work(self):
@@ -239,27 +242,30 @@ class TestQuantumExecution:
 
     def test_unitary_matrix_is_permutation(self):
         plan = plan_distillation(2, 1.0, 1.0)
-        report = execute_plan_quantum(plan)
-        dense = permutation_unitary(report.permutation).toarray()
+        dense = permutation_unitary(simulate._plan_permutation(plan)[0]).toarray()
         assert np.array_equal(dense @ dense.T, np.eye(dense.shape[0]))
 
     def test_size_cap(self):
-        plan = plan_distillation(6, 0.75, 1.0)
-        assert plan.ell + plan.n > 5
-        with pytest.raises(UnsupportedSizeError):
-            execute_plan_quantum(plan, max_qubits=5)
+        # 14 qubits run; 15 are refused.
+        assert QUANTUM_MAX_QUBITS == 14
+        at_cap = plan_distillation(5, 0.95, 1.0, width=0.75)
+        assert at_cap.ell + at_cap.n == 14
+        assert execute_plan_quantum(at_cap).total_qubits == 14
+        plan = plan_distillation(6, 0.9, 1.0, width=1.0)
+        assert plan.ell + plan.n == 15
+        with pytest.raises(UnsupportedSizeError, match="capped at 14 qubits"):
+            execute_plan_quantum(plan)
 
     @pytest.mark.parametrize("n,p,width", [(3, 0.9, 1.0), (4, 0.95, 0.75)])
     def test_matches_classical_executor(self, n, p, width):
         # Both executors realize the same channel, uncovered branch included.
         plan = plan_distillation(n, p, 1.0, width)
-        total = plan.ell + plan.n
-        quantum = execute_plan_quantum(plan)
+        perm = simulate._plan_permutation(plan)[0]
         classical = execute_plan_classical(plan, thermal_input_distribution(plan))
         for src, dst in classical.trajectories:
             x = int("".join(str(b) for b in src), 2)
             y = int("".join(str(b) for b in dst), 2)
-            assert quantum.permutation[x] == y
+            assert perm[x] == y
 
 
 class TestExhaustAnalysis:
@@ -377,6 +383,6 @@ class TestWorkBalanceAudit:
         for x in range(2 ** total):
             bits = tuple((x >> (total - 1 - i)) & 1 for i in range(total))
             probs[bits] = (q ** sum(bits)) * ((1 - q) ** (total - sum(bits)))
-        report = execute_plan_classical(plan, StringDistribution(total, probs))
+        report = execute_plan_classical(plan, string_distribution(total, probs))
         ledger = work_balance_audit(plan, report)
         assert ledger["expected_work_surplus"] <= 1e-6
